@@ -12,14 +12,14 @@ import json
 from pathlib import Path
 
 #: How long one run measures, in seconds (the manifest's ``run_seconds``).
-RUN_SECONDS = 50
+RUN_SECONDS = 45
 
 #: (name, why) — the reason each workload exists, one line each.
 WORKLOADS = (
     ("serve-delta-256",
-     "two phased 256-tile chips streaming delta telemetry to a warm "
-     "incremental service: admission, delta resolve, sketches, digests, "
-     "subset solves"),
+     "two phased 256-tile chips taking turns to stream delta telemetry to "
+     "a warm incremental service: admission, delta resolve, sketches, "
+     "digests, subset solves"),
     ("sweep-fig11",
      "offline fig11 sweep through Session and MegaBatchRunner: runner, "
      "batch kernels, nuca schemes and evaluation; no service code"),
@@ -33,7 +33,7 @@ END_TO_END = (
     ("epochs_per_s", "1/s", "higher", 0.25),
     ("mixes_per_s", "1/s", "higher", 0.25),
     ("ok_frac", "ratio", "higher", 0.01),
-    ("modeled_mcycles_mean", "Mcycles", "lower", 0.1),
+    ("modeled_mcycles_mean", "Mcycles", "lower", 0.15),
     ("modeled_mcycles_max", "Mcycles", "lower", 0.05),
     ("aggregate_ipc", "IPC", "higher", 0.15),
     ("cdcs_gmean_ws", "x", "higher", 0.1),
@@ -43,6 +43,9 @@ END_TO_END = (
 #: (name, unit, better) of every per-layer metric (traced runs only).
 PER_LAYER = (
     ("bench.requests", "count", "higher"),
+    # The run's median host speed against the reference (hostspeed.py):
+    # layer times are raw wall time, so read them against it.
+    ("bench.host_scale", "ratio", "higher"),
     # Tail latency follows contention on a shared host too closely to
     # gate, so it is reported here, without a bound.
     ("req_p90_ms", "ms", "lower"),

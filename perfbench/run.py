@@ -6,6 +6,8 @@ Run from the repository root.  Each workload runs in a fresh interpreter
 (``perfbench/workload.py``), so no process-wide cache is warm when it
 starts.  With ``--trace 0`` the run prints every end-to-end metric; set-up
 time is the median of several fresh interpreters set up back to back.
+Every end-to-end time is scaled to a reference host speed, read from a
+fixed kernel timed between units of work (``perfbench/hostspeed.py``).
 With ``--trace 1`` the workload runs with timing wrappers around each
 layer and the run prints every per-layer metric instead.  A failed output
 check exits non-zero and prints no result.
@@ -25,13 +27,14 @@ import sys
 import time
 from pathlib import Path
 
+from hostspeed import SpeedTrace
 from metrics import UNITS, WORKLOAD_NAMES, expected_metrics
 
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 
-#: Set-up-only interpreters per untraced run, on top of the measured one.
-SETUP_PROBES = 2
+#: Set-up-only interpreters per untraced run; ``setup_s`` is their median.
+SETUP_PROBES = 5
 #: Fresh interpreters timing ``import repro.__main__`` per traced run.
 IMPORT_PROBES = 3
 SETUP_TIMEOUT_S = 30
@@ -95,6 +98,21 @@ def run_workload(args, extra: list[str], timeout: float) -> tuple[float, dict]:
     return out["ready_at"] - t_spawn, out
 
 
+def setup_probes(args) -> float:
+    """Median set-up time of fresh interpreters, each scaled to the
+    reference host speed by kernel readings taken just before and after
+    it (this process is idle while the child runs)."""
+    speed = SpeedTrace()
+    setups = []
+    for _ in range(SETUP_PROBES):
+        speed.mark()
+        setup_s, _ = run_workload(args, ["--setup-only"], SETUP_TIMEOUT_S)
+        t_ready = time.perf_counter()
+        speed.mark()
+        setups.append(setup_s * speed.scale(t_ready - setup_s, t_ready))
+    return statistics.median(setups)
+
+
 def import_probes() -> dict[str, float]:
     times, heavy = [], []
     for _ in range(IMPORT_PROBES):
@@ -124,15 +142,9 @@ def measure(args) -> tuple[int, dict, dict]:
         _, out = run_workload(args, [], RUN_TIMEOUT_S)
         metrics = {**out["metrics"], **import_probes()}
     else:
-        setups = [
-            run_workload(args, ["--setup-only"], SETUP_TIMEOUT_S)[0]
-            for _ in range(SETUP_PROBES)
-        ]
-        setup_s, out = run_workload(args, [], RUN_TIMEOUT_S)
-        metrics = {
-            **out["metrics"],
-            "setup_s": statistics.median([*setups, setup_s]),
-        }
+        metrics = {"setup_s": setup_probes(args)}
+        _, out = run_workload(args, [], RUN_TIMEOUT_S)
+        metrics.update(out["metrics"])
     emitted = complete(metrics, args.workload, bool(args.trace))
     others = {
         name: value for name, value in metrics.items()

@@ -7,12 +7,21 @@ stream delta telemetry (``ServiceClient.place_delta``) to one
 incremental strategy.  A chip snapshots its active problem, sends it, and
 simulates the epoch under the reply before it sends again, so a slow
 service receives less load.  Both chips share one event loop, as in
-:mod:`repro.service.load`.
+:mod:`repro.service.load`, and take turns: a chip's epoch starts when the
+other chip's epoch has ended, so one thing runs at a time.  The host's
+two vCPUs give a second thread anywhere from no extra speed to a whole
+core, varying by the hour; chips that overlapped made latency follow
+that, where the host-speed reference cannot see it.
 
 Deterministic outputs (modeled Mcycles, IPC, weighted speedup, telemetry
 bytes, step Mcycles) are taken over the first ``window`` epochs of every
 chip, which every run completes whatever its speed; timings cover every
 request of the run.
+
+Every ``SEGMENT_S`` of loop, between two turns, the host-speed kernel
+(:mod:`hostspeed`) runs with nothing else in flight.  Latencies and the
+loop's elapsed time are scaled to the reference speed by the readings
+around them.
 
 The traced run wraps the layers from outside ``repro``: a
 :class:`TimingStrategy` around the solve strategy, a
@@ -23,6 +32,7 @@ The traced run wraps the layers from outside ``repro``: a
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 import time
 from contextlib import contextmanager, nullcontext
@@ -38,12 +48,15 @@ from repro.service.load import DEFAULT_EPOCH_MCYCLES, LoadSpec, build_chip
 from repro.service.messages import problem_digest, telemetry_bytes
 
 from common import CheckFailed, mean, peak_rss_mib, percentile
+from hostspeed import SpeedTrace
 
 
 CHIPS = 2
+#: Seconds of loop between two readings of the host's speed.
+SEGMENT_S = 2.0
 TILES = 256
 #: Epochs per chip in the deterministic window.
-WINDOW = 20
+WINDOW = 40
 #: The self-test's scaled-down chips.
 TOY_TILES = 16
 TOY_WINDOW = 2
@@ -127,7 +140,8 @@ class Chip:
     sim: object
     client: ServiceClient
     transport: TimingTransport | None
-    latencies: list[float] = field(default_factory=list)
+    #: (send, reply) times of every request.
+    spans: list[tuple[float, float]] = field(default_factory=list)
     replies: list = field(default_factory=list)
     current_problem_s: list[float] = field(default_factory=list)
     run_epoch_s: list[float] = field(default_factory=list)
@@ -172,36 +186,59 @@ def check_solution(problem: PlacementProblem, solution) -> None:
         )
 
 
-async def _drive(chip: Chip, window: int, deadline: float) -> None:
+async def _epoch(chip: Chip, window: int) -> None:
+    """One turn of *chip*'s closed loop: telemetry, placement, epoch."""
     epoch_cycles = DEFAULT_EPOCH_MCYCLES * 1e6
     sim = chip.sim
-    while len(chip.replies) < window or time.perf_counter() < deadline:
-        t0 = time.perf_counter()
-        problem = sim.current_problem()
-        t1 = time.perf_counter()
-        reply = await chip.client.place_delta(problem)
-        t2 = time.perf_counter()
-        if not reply.ok:
-            raise CheckFailed(
-                f"{chip.chip_id} epoch {len(chip.replies)}: status "
-                f"{reply.status} ({reply.error})"
-            )
-        check_solution(problem, reply.solution)
-        in_window = len(chip.replies) < window
-        mix = sim.current_mix() if in_window else None
-        t3 = time.perf_counter()
-        # Inline on purpose: the chip simulates the epoch under its reply
-        # before it sends again (the closed loop).
-        result = sim.run_epoch(reply.solution, epoch_cycles)
-        t4 = time.perf_counter()
-        chip.latencies.append(t2 - t1)
-        chip.current_problem_s.append(t1 - t0)
-        chip.run_epoch_s.append(t4 - t3)
-        chip.replies.append(reply)
-        if in_window:
-            chip.window.append((problem, mix, reply, result))
-            if len(chip.window) == window:
-                chip.window_rss_mib = peak_rss_mib()
+    t0 = time.perf_counter()
+    problem = sim.current_problem()
+    t1 = time.perf_counter()
+    reply = await chip.client.place_delta(problem)
+    t2 = time.perf_counter()
+    if not reply.ok:
+        raise CheckFailed(
+            f"{chip.chip_id} epoch {len(chip.replies)}: status "
+            f"{reply.status} ({reply.error})"
+        )
+    check_solution(problem, reply.solution)
+    in_window = len(chip.replies) < window
+    mix = sim.current_mix() if in_window else None
+    t3 = time.perf_counter()
+    # The chip simulates the epoch under its reply before it sends again
+    # (the closed loop).
+    result = sim.run_epoch(reply.solution, epoch_cycles)
+    t4 = time.perf_counter()
+    chip.spans.append((t1, t2))
+    chip.current_problem_s.append(t1 - t0)
+    chip.run_epoch_s.append(t4 - t3)
+    chip.replies.append(reply)
+    if in_window:
+        chip.window.append((problem, mix, reply, result))
+        if len(chip.window) == window:
+            chip.window_rss_mib = peak_rss_mib()
+
+
+async def _loop(
+    chips: list[Chip], window: int, seconds: float, speed: SpeedTrace
+) -> list[tuple[float, float]]:
+    """Chips take turns for *seconds*, and on until each has done its
+    *window* epochs.  Returns the loop's segments between kernel
+    readings."""
+    segments = []
+    deadline = time.perf_counter() + seconds
+    speed.mark()
+    t0 = time.perf_counter()
+    while time.perf_counter() < deadline or len(chips[-1].replies) < window:
+        for chip in chips:
+            await _epoch(chip, window)
+        now = time.perf_counter()
+        if now - t0 >= SEGMENT_S:
+            segments.append((t0, now))
+            speed.mark()
+            t0 = time.perf_counter()
+    segments.append((t0, time.perf_counter()))
+    speed.mark()
+    return segments
 
 
 async def serve(
@@ -226,16 +263,15 @@ async def serve(
         if seconds < 0:
             return None
         delta_s: list[float] = []
+        speed = SpeedTrace()
         with timed_build_delta(delta_s) if trace else nullcontext():
-            t_start = time.perf_counter()
-            await asyncio.gather(*[
-                _drive(chip, window, t_start + seconds) for chip in chips
-            ])
-            elapsed = time.perf_counter() - t_start
+            segments = await _loop(chips, window, seconds, speed)
     check_service(service, chips)
-    metrics = end_to_end(chips, elapsed)
+    elapsed = math.fsum(speed.reference_s(*span) for span in segments)
+    metrics = end_to_end(chips, elapsed, speed)
     if trace:
         metrics.update(layers(service, timing, chips, elapsed, delta_s))
+        metrics["bench.host_scale"] = speed.host_scale()
     return {
         "metrics": metrics,
         "attempted": sum(len(c.replies) for c in chips),
@@ -289,10 +325,15 @@ def weighted_speedup_vs_alone(sim, mix, evaluation) -> float:
     return sum(perf[pid] / alone[pid] for pid in sorted(perf)) / len(perf)
 
 
-def end_to_end(chips: list[Chip], elapsed: float) -> dict[str, float]:
+def end_to_end(
+    chips: list[Chip], elapsed: float, speed: SpeedTrace
+) -> dict[str, float]:
     """End-to-end metrics, plus the window's step Mcycles (every reply
-    carries them, so traced and untraced runs both report them)."""
-    latencies_ms = [1e3 * s for c in chips for s in c.latencies]
+    carries them, so traced and untraced runs both report them).
+    *elapsed* and the latencies are at the reference host speed."""
+    latencies_ms = [
+        1e3 * speed.reference_s(*span) for c in chips for span in c.spans
+    ]
     requests = len(latencies_ms)
     window = [w for c in chips for w in c.window]
     mcycles = [reply.modeled_mcycles for _, _, reply, _ in window]
@@ -346,7 +387,7 @@ def layers(
             step_walls.append(walls)
     digest_s, detect_s, dirty_frac = probe_telemetry(chips)
     sent = [c.client.telemetry_stats for c in chips]
-    requests = sum(len(c.latencies) for c in chips)
+    requests = sum(len(c.spans) for c in chips)
     metrics = {
         "bench.requests": requests,
         "service.admit_ms": 1e3 * mean(

@@ -12,10 +12,16 @@ reconfiguration Mcycles and aggregate IPC from re-running its per-mix
 path (``Cdcs.run`` + ``AnalyticSystem.evaluate_solution``) on the same
 mixes after the timed loop.  The traced run times the runner's three
 phases separately and every scheme's per-mix path.
+
+The host-speed kernel (:mod:`hostspeed`) runs between requests, and
+each request's latency is scaled to the reference speed by the readings
+on either side of it; ``mixes_per_s`` divides by the sum of those
+scaled latencies.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import repro.__main__  # noqa: F401  (the CLI import is part of set-up)
@@ -28,6 +34,7 @@ from repro.nuca import SCHEMES, build_problem, standard_schemes
 from repro.workloads.mixes import random_single_threaded_mix
 
 from common import CheckFailed, mean, peak_rss_mib, percentile
+from hostspeed import SpeedTrace
 
 EXPERIMENT = "fig11"
 APPS = 64
@@ -121,19 +128,21 @@ def run(
         if seconds < 0:
             return None
         phases = {"build_jobs": [], "map": [], "reduce": []}
-        latencies, results = [], []
-        t_start = time.perf_counter()
-        deadline = t_start + seconds
+        intervals, results = [], []
+        speed = SpeedTrace()
+        deadline = time.perf_counter() + seconds
         while len(results) < window or time.perf_counter() < deadline:
             params = {
                 "mixes": mixes, "seed": request_seed(seed, len(results)),
             }
+            # Every request sits between two readings of the host's speed.
+            speed.mark()
             t0 = time.perf_counter()
             if trace:
                 result = traced_request(session, params, phases)
             else:
                 result = session.run(EXPERIMENT, **params).result
-            latencies.append(time.perf_counter() - t0)
+            intervals.append((t0, time.perf_counter()))
             for scheme in SCHEMES:
                 if len(result.speedups.get(scheme, ())) != mixes:
                     raise CheckFailed(
@@ -144,7 +153,7 @@ def run(
             results.append(result)
             if len(results) == window:
                 window_rss_mib = peak_rss_mib()
-        elapsed = time.perf_counter() - t_start
+        speed.mark()
         stats = session.stats
     finally:
         session.close()
@@ -159,8 +168,8 @@ def run(
     check_ordering(pooled)
     seeds = [request_seed(seed, i) for i in range(window)]
     cdcs, scheme_s, evaluate_s = per_mix_path(seeds, mixes, trace)
-    mixes_per_s = mixes * len(results) / elapsed
-    latencies_ms = [1e3 * s for s in latencies]
+    latencies_ms = [1e3 * speed.reference_s(*span) for span in intervals]
+    mixes_per_s = mixes * len(results) / (1e-3 * math.fsum(latencies_ms))
     metrics = {
         "req_p50_ms": percentile(latencies_ms, 0.50),
         "req_p90_ms": percentile(latencies_ms, 0.90),
@@ -177,6 +186,7 @@ def run(
     if trace:
         metrics.update({
             "bench.requests": len(results),
+            "bench.host_scale": speed.host_scale(),
             "runner.build_jobs_s": mean(phases["build_jobs"]),
             "runner.map_s": mean(phases["map"]),
             "runner.reduce_s": mean(phases["reduce"]),
