@@ -5,7 +5,7 @@ PY      := python
 PYPATH  := PYTHONPATH=src
 JOBS    ?= 2
 
-.PHONY: test test-fast test-locks coverage lint analyze bench-smoke run-smoke bench bench-kernels bench-runner bench-solver bench-solver-scale bench-sketch bench-compare docs-check check clean
+.PHONY: test test-fast test-locks coverage lint analyze bench-smoke run-smoke bench bench-kernels bench-runner bench-solver bench-solver-scale bench-sketch bench-compare perfbench-selftest docs-check check clean
 
 ## Tier-1 verification: the full unit/integration suite, then the docs
 ## checker — stale docs fail `make test` locally, not just in review.
@@ -131,6 +131,14 @@ bench-compare:
 	    $(if $(BASELINE),--baseline $(BASELINE),)
 	$(PY) tools/bench_compare.py --bench bench_sketch_telemetry \
 	    $(if $(BASELINE),--baseline $(BASELINE),)
+
+## The end-to-end benchmark's self-test (about a minute): toy-size runs
+## of both perfbench workloads check its timing wrappers, output checks,
+## metric manifest and bitwise-repeatable metrics against the current
+## src/, so a change that breaks them fails here, not at the next
+## benchmark run.
+perfbench-selftest:
+	python3 perfbench/selftest.py
 
 ## Fail if README/docs code blocks reference CLI flags, experiments,
 ## modules, or files that do not exist.

@@ -156,16 +156,6 @@ def curve_distance(a, b) -> float:
     return float(np.max(np.abs(va - vb))) / max(peak, 1e-12)
 
 
-def _vc_accessors(problem: PlacementProblem) -> dict[int, dict[int, float]]:
-    """vc_id -> {thread_id -> rate} in one pass over the thread list."""
-    out: dict[int, dict[int, float]] = {}
-    for thread in problem.threads:
-        for vc_id, rate in thread.vc_accesses.items():
-            if rate > 0:
-                out.setdefault(vc_id, {})[thread.thread_id] = rate
-    return out
-
-
 def _rate_distance(a: dict[int, float], b: dict[int, float]) -> float:
     """Relative change between two accessor-rate maps (union of threads).
 
@@ -233,8 +223,6 @@ class IncrementalSolve:
         if self.dirty_threshold <= 0:
             return {vc.vc_id for vc in problem.vcs}
         prev_by_id = {vc.vc_id: vc for vc in prev.vcs}
-        prev_rates = _vc_accessors(prev)
-        cur_rates = _vc_accessors(problem)
         dirty: set[int] = set()
         for vc in problem.vcs:
             old = prev_by_id.get(vc.vc_id)
@@ -245,7 +233,7 @@ class IncrementalSolve:
                 dirty.add(vc.vc_id)
                 continue
             delta = _rate_distance(
-                prev_rates.get(vc.vc_id, {}), cur_rates.get(vc.vc_id, {})
+                prev.accessors_of(vc.vc_id), problem.accessors_of(vc.vc_id)
             )
             if delta > self.dirty_threshold:
                 dirty.add(vc.vc_id)
@@ -274,8 +262,6 @@ class IncrementalSolve:
             # Grid mismatch (the chip's LLC size changed): every delta is
             # unbounded, so everything is conservatively dirty.
             return {vc.vc_id for vc in problem.vcs}
-        prev_rates = _vc_accessors(prev)
-        cur_rates = _vc_accessors(problem)
         dirty: set[int] = set()
         for vc in problem.vcs:
             delta = deltas.get(vc.vc_id)
@@ -283,7 +269,7 @@ class IncrementalSolve:
                 dirty.add(vc.vc_id)
                 continue
             moved = _rate_distance(
-                prev_rates.get(vc.vc_id, {}), cur_rates.get(vc.vc_id, {})
+                prev.accessors_of(vc.vc_id), problem.accessors_of(vc.vc_id)
             )
             if moved > self.dirty_threshold:
                 dirty.add(vc.vc_id)

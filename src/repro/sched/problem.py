@@ -63,6 +63,16 @@ class PlacementProblem:
         ids = [vc.vc_id for vc in self.vcs]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate VC ids")
+        # vc_id -> {thread_id: rate > 0} in thread order: one pass here
+        # instead of one thread-list scan per accessors_of() call.  A
+        # plain attribute, not a field, so equality and content digests
+        # never see it.
+        index: dict[int, dict[int, float]] = {}
+        for thread in self.threads:
+            for vc_id, rate in thread.vc_accesses.items():
+                if rate > 0:
+                    index.setdefault(vc_id, {})[thread.thread_id] = rate
+        self._accessors = index
 
     @property
     def bank_bytes(self) -> int:
@@ -83,13 +93,9 @@ class PlacementProblem:
         raise KeyError(f"no VC with id {vc_id}")
 
     def accessors_of(self, vc_id: int) -> dict[int, float]:
-        """thread_id -> access rate into this VC."""
-        out = {}
-        for t in self.threads:
-            rate = t.vc_accesses.get(vc_id, 0.0)
-            if rate > 0:
-                out[t.thread_id] = rate
-        return out
+        """thread_id -> access rate into this VC (positive rates only, in
+        thread order).  A fresh dict: callers may mutate it."""
+        return dict(self._accessors.get(vc_id, ()))
 
 
 @dataclass

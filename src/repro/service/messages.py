@@ -20,12 +20,17 @@ the client falls back to full telemetry.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+
+import numpy as np
 
 from repro.cache.miss_curve import MissCurve
 from repro.cache.sketch import DEFAULT_SKETCH_BYTES, MissCurveSketch, problem_sketch_bank
-from repro.sched.problem import PlacementProblem, PlacementSolution
-from repro.util.hashing import content_digest
+from repro.sched.problem import PlacementProblem, PlacementSolution, ThreadSpec
+from repro.util.hashing import canonical_repr
+from repro.vcache.virtual_cache import VCKind, VirtualCache
 
 
 class ServiceError(Exception):
@@ -287,17 +292,154 @@ def validate_delta_telemetry(request: object) -> DeltaTelemetry:
     return request
 
 
+#: Leaf types whose ``repr`` is already an exact canonical encoding:
+#: equal reprs exactly when :func:`~repro.util.hashing.canonical_repr`
+#: is equal (floats round-trip, ``-0.0`` and int-vs-float stay apart,
+#: every NaN prints ``nan``).
+_PLAIN_LEAVES = frozenset({int, float, str, bool, type(None)})
+
+#: ``canonical_repr`` of each VC kind, looked up instead of recomputed.
+_KIND_REPRS = {kind: canonical_repr(kind) for kind in VCKind}
+
+
+def _leaf(value):
+    """*value* as a plain scalar with the same ``canonical_repr``, else
+    a tagged ``("canonical", canonical_repr(value))`` pair.  Same
+    dispatch order as ``canonical_repr``: int/str subclasses keep their
+    own type tag, float subclasses hash as floats, numpy scalars as
+    their ``item()``."""
+    if type(value) in _PLAIN_LEAVES:
+        return value
+    if isinstance(value, float):
+        return float(value)
+    if isinstance(value, np.generic) and not isinstance(value, (int, str)):
+        return _leaf(value.item())
+    return ("canonical", canonical_repr(value))
+
+
+def _column(values: list) -> list:
+    """*values* as leaves (see :func:`_leaf`); a plain list as is."""
+    if _PLAIN_LEAVES.issuperset(map(type, values)):
+        return values
+    return list(map(_leaf, values))
+
+
+def _sorted_leaves(mapping: dict) -> list:
+    pairs = [(_leaf(k), _leaf(v)) for k, v in mapping.items()]
+    try:
+        pairs.sort()
+    except TypeError:  # keys of mixed types: order by their encoding
+        pairs.sort(key=repr)
+    return pairs
+
+
+def _dict_column(dicts: list) -> list:
+    """Each dict's length, then every dict's (key, value) leaves sorted
+    by key, so insertion order never reaches the digest."""
+    try:
+        pairs = [sorted(d.items()) for d in dicts]
+        leaves = list(chain.from_iterable(chain.from_iterable(pairs)))
+        plain = _PLAIN_LEAVES.issuperset(map(type, leaves))
+    except TypeError:  # keys of mixed types
+        plain = False
+    if not plain:
+        pairs = list(map(_sorted_leaves, dicts))
+        leaves = list(chain.from_iterable(chain.from_iterable(pairs)))
+    return [list(map(len, pairs)), leaves]
+
+
+def _all_of(items, cls: type) -> bool:
+    return all(map(isinstance, items, repeat(cls)))
+
+
+def _structural_encoding(problem: PlacementProblem) -> bytes | None:
+    """The fast encoding behind :func:`problem_digest`, or ``None`` when
+    the problem is not built from the standard record types."""
+    vcs, threads = problem.vcs, problem.threads
+    if not (
+        type(problem) is PlacementProblem
+        and type(vcs) is list
+        and type(threads) is list
+        and {type(vc) for vc in vcs} <= {VirtualCache}
+        and {type(t) for t in threads} <= {ThreadSpec}
+    ):
+        return None
+    curves = [vc.miss_curve for vc in vcs]
+    if not {type(c) for c in curves} <= {MissCurve}:
+        return None
+    sizes = [c.sizes for c in curves]
+    values = [c.values for c in curves]
+    accesses = [vc.accesses for vc in vcs]
+    allocations = [vc.allocation for vc in vcs]
+    thread_rates = [t.vc_accesses for t in threads]
+    if not (
+        _all_of(sizes, np.ndarray) and _all_of(values, np.ndarray)
+        and {a.ndim for a in chain(sizes, values)} <= {1}
+        and _all_of(accesses, dict) and _all_of(allocations, dict)
+        and _all_of(thread_rates, dict)
+    ):
+        return None
+    kinds = [vc.kind for vc in vcs]
+    flat = [
+        canonical_repr(problem.config),
+        canonical_repr(problem.topology),
+        canonical_repr(problem.mem_latency),
+        _column([vc.vc_id for vc in vcs]),
+        _column([vc.process_id for vc in vcs]),
+        _column([vc.owner_thread for vc in vcs]),
+        [_KIND_REPRS[k] if type(k) is VCKind else canonical_repr(k) for k in kinds],
+        [a.dtype.str for a in sizes],
+        [len(a) for a in sizes],
+        [a.dtype.str for a in values],
+        [len(a) for a in values],
+        _dict_column(accesses),
+        _dict_column(allocations),
+        _column([t.thread_id for t in threads]),
+        _column([t.process_id for t in threads]),
+        _column([t.cluster_key for t in threads]),
+        _dict_column(thread_rates),
+    ]
+    # The dtypes and lengths fix how many raw curve bytes follow.
+    return b"".join([
+        repr(flat).encode(), b"\n",
+        *map(np.ndarray.tobytes, chain(sizes, values)),
+    ])
+
+
 def problem_digest(problem: PlacementProblem) -> str:
     """Content digest of one chip's problem, memoized on the object.
 
-    This is the anchor :class:`DeltaTelemetry` patches against: equal
-    digests mean byte-identical telemetry content (curves, rates,
-    threads, config), regardless of which process built the objects.
+    This is the anchor :class:`DeltaTelemetry` patches against: two
+    problems get equal digests exactly when
+    :func:`~repro.util.hashing.content_digest` calls them equal (same
+    curves, rates, threads and config, bit for bit), regardless of which
+    process built the objects or in what order their dicts were filled.
+
+    The digest is SHA-256 over a fixed structural encoding, not the
+    generic recursive ``canonical_repr`` walk: the ``repr`` of one list
+    of columns, then a newline, every curve's raw ``sizes`` bytes and
+    every curve's raw ``values`` bytes.  The columns are
+
+    * ``canonical_repr`` of the config, the topology and ``mem_latency``;
+    * per VC: its scalar fields, its curve's dtypes and lengths (they
+      fix the byte counts that follow), and its ``accesses`` and
+      ``allocation`` items sorted by key;
+    * per thread: its fields and its ``vc_accesses`` items sorted by key.
+
+    Leaves are plain ints, floats, strs, bools and ``None``, whose
+    ``repr`` is exact; numpy scalars are reduced to those first, and any
+    other leaf is encoded by its ``canonical_repr``.  A problem not built
+    from the standard types (a subclass, a tuple of VCs, a curve of
+    another class or with arrays that are not 1-D) hashes its whole
+    ``canonical_repr`` instead.  Nothing depends on ``hash()`` or
+    ``id()``.
     """
     cached = getattr(problem, "_content_digest", None)
     if cached is None:
-        cached = content_digest(problem)
-        problem._content_digest = cached
+        blob = _structural_encoding(problem)
+        if blob is None:
+            blob = ("canonical:" + canonical_repr(problem)).encode()
+        cached = problem._content_digest = hashlib.sha256(blob).hexdigest()
     return cached
 
 

@@ -372,8 +372,19 @@ class CoSchedService:
             ))
         threads = base.threads
         if delta.dirty_rates or delta.dirty_clusters:
+            dirty_ids = sorted(delta.dirty_rates)
+            named = set().union(*delta.dirty_rates.values())
             threads = []
             for thread in base.threads:
+                # A thread no rate map names, touching no dirty VC and
+                # keeping its cluster key, patches to itself: keep it.
+                if (
+                    thread.thread_id not in named
+                    and thread.thread_id not in delta.dirty_clusters
+                    and delta.dirty_rates.keys().isdisjoint(thread.vc_accesses)
+                ):
+                    threads.append(thread)
+                    continue
                 # Preserve the base key order (placement reductions
                 # iterate these dicts); rate updates replace in place,
                 # zero/absent rates drop, newly-accessed VCs append.
@@ -386,7 +397,7 @@ class CoSchedService:
                         if rate <= 0:
                             continue
                     accesses[vc_id] = rate
-                for vc_id in sorted(delta.dirty_rates):
+                for vc_id in dirty_ids:
                     if vc_id in thread.vc_accesses:
                         continue
                     rate = delta.dirty_rates[vc_id].get(thread.thread_id, 0.0)

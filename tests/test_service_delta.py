@@ -11,6 +11,7 @@ small fraction of full telemetry when the workload is stationary.
 """
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
@@ -31,7 +32,8 @@ from repro.service import (
 )
 from repro.sim.engine import EpochEngine
 from repro.testing import small_problem
-from repro.workloads.mixes import random_phased_mix
+from repro.vcache.virtual_cache import VCKind
+from repro.workloads.mixes import random_multithreaded_mix, random_phased_mix
 
 EPOCHS = 5
 EPOCH_CYCLES = 200e6
@@ -202,6 +204,75 @@ def test_delta_drive_matches_full_drive_bitwise():
         assert delta.solution.vc_sizes == full.solution.vc_sizes
         assert delta.solution.vc_allocation == full.solution.vc_allocation
         assert delta.solution.thread_cores == full.solution.thread_cores
+
+
+def _patched_target(base):
+    """*base* with every kind of thread change a delta carries: a
+    cluster-only rename; a shared VC whose accessor map changes one
+    thread's rate and drops another; and a thread of another process
+    that starts accessing two VCs (its new entries append in VC-id
+    order)."""
+    shared = next(
+        vc for vc in base.vcs
+        if vc.kind is VCKind.PROCESS and len(vc.accesses) > 2
+    )
+    changed, dropped, owner = list(shared.accesses)[:3]
+    extra = next(vc for vc in base.vcs if vc.owner_thread == owner)
+    others = [t for t in base.threads if t.process_id != shared.process_id]
+    gained, renamed = others[0].thread_id, others[1].thread_id
+    gains = {shared.vc_id: 1.5, extra.vc_id: 2.5}
+    threads = []
+    for t in base.threads:
+        accesses = dict(t.vc_accesses)
+        if t.thread_id == dropped:
+            del accesses[shared.vc_id]
+        elif t.thread_id == changed:
+            accesses[shared.vc_id] *= 2
+        elif t.thread_id == gained:
+            for vc_id in sorted(gains):
+                accesses[vc_id] = gains[vc_id]
+        key = t.cluster_key + ("-renamed" if t.thread_id == renamed else "")
+        threads.append(replace(t, vc_accesses=accesses, cluster_key=key))
+    shared_rates = dict(shared.accesses)
+    shared_rates[changed] *= 2
+    del shared_rates[dropped]
+    shared_rates[gained] = gains[shared.vc_id]
+    new_rates = {
+        shared.vc_id: shared_rates,
+        extra.vc_id: {**extra.accesses, gained: gains[extra.vc_id]},
+    }
+    vcs = [
+        replace(vc, accesses=new_rates[vc.vc_id]) if vc.vc_id in new_rates
+        else vc
+        for vc in base.vcs
+    ]
+    target = replace(base, vcs=vcs, threads=threads)
+    return target, {changed, dropped, gained, renamed}
+
+
+def test_resolve_delta_rebuilds_only_touched_threads():
+    base = build_problem(random_multithreaded_mix(2, 7), small_test_config(4, 4))
+    target, touched = _patched_target(base)
+
+    async def scenario():
+        async with CoSchedService(strategy="incremental") as service:
+            client = ServiceClient(service, "chip-0")
+            await client.place(base)
+            reply = await client.place_delta(target)
+            served = service.pool.slot("chip-0").engine.state.problem
+        return reply, client.telemetry_stats, served
+
+    reply, stats, served = asyncio.run(scenario())
+    assert reply.ok and stats == {"delta": 1, "full": 1, "stale": 0}
+    assert served is not target
+    assert problem_digest(served) == problem_digest(target)
+    for old, new, want in zip(base.threads, served.threads, target.threads):
+        if old.thread_id in touched:
+            assert new is not old
+            # Rates replace in place, drops vanish, new accesses append.
+            assert list(new.vc_accesses.items()) == list(want.vc_accesses.items())
+        else:
+            assert new is old
 
 
 def test_stale_base_falls_back_to_full_and_recovers():
