@@ -29,8 +29,11 @@ topology's precomputed matrices (``N = topology.tiles``):
   distance from every tile to a ``{bank: weight}`` mapping (the
   1-median objective of :func:`weighted_center_tile`).
 
-Selection loops (first-strict-improvement scans) stay in Python over the
-precomputed vectors, so tie-breaking matches the scalar reference exactly.
+Selections over those vectors (:func:`nearest_tile`,
+:func:`weighted_center_tile`) keep the scalar first-strict-improvement
+scan, so tie-breaking matches the scalar reference exactly; an array
+prefix-minimum pass first drops every entry the scan could never accept,
+and the Python loop runs over the few that remain.
 """
 
 from __future__ import annotations
@@ -155,13 +158,25 @@ def center_of_mass(
     return tuple(out)
 
 
-def _first_strict_improvement_scan(costs: list) -> int:
+def _first_strict_improvement_scan(costs: np.ndarray) -> int:
     """Index selected by the reference scan: ascending order, accept only
     improvements bigger than 1e-12 — NOT a plain argmin (a later entry a
-    hair below the running best does not displace it)."""
+    hair below the running best does not displace it).
+
+    Only a strict prefix minimum can be accepted: an accepted entry lies
+    below the running best minus 1e-12, and every earlier entry is at
+    least that (an accepted one is at least the running best, a rejected
+    one was at least its then running best minus 1e-12, and the running
+    best only falls).  A rejected entry leaves the running best
+    unchanged, so scanning just the strict prefix minima returns the
+    full scan's index.  *costs* is a NaN-free ``(n,)`` vector with
+    ``n >= 1`` (both callers pass distances).
+    """
+    below = costs[1:] < np.minimum.accumulate(costs)[:-1]
+    keep = np.flatnonzero(np.concatenate(([True], below)))
     best_index = 0
     best_cost = float("inf")
-    for index, cost in enumerate(costs):
+    for index, cost in zip(keep.tolist(), costs[keep].tolist()):
         if cost < best_cost - 1e-12:
             best_cost = cost
             best_index = index
@@ -188,7 +203,7 @@ def nearest_tile(topology: Topology, point: Iterable[float]) -> int:
     """Tile whose coordinates are closest (Euclidean) to a fractional point;
     deterministic tie-break by tile id."""
     return _first_strict_improvement_scan(
-        squared_point_distances(topology, point).tolist()
+        squared_point_distances(topology, point)
     )
 
 
@@ -219,9 +234,7 @@ def weighted_center_tile(topology: Topology, weights: Mapping[int, float]) -> in
     total = sum(weights.values())
     if total <= 0:
         raise ValueError("weighted center of empty placement is undefined")
-    return _first_strict_improvement_scan(
-        tile_cost_vector(topology, weights).tolist()
-    )
+    return _first_strict_improvement_scan(tile_cost_vector(topology, weights))
 
 
 # ---------------------------------------------------------------------------

@@ -61,35 +61,43 @@ def convex_hull_indices(values: np.ndarray) -> list[int]:
     return hull
 
 
+def _curve_key(values: np.ndarray) -> tuple[str, tuple[int, ...], bytes]:
+    """Memo key of one curve array: dtype and shape with its bytes, so
+    equal bytes read as a different array never share an entry."""
+    return (values.dtype.str, values.shape, values.tobytes())
+
+
 #: Content-keyed memo for :func:`convex_hull_indices`.  Sweeps recompute
 #: hulls of identical curves constantly — duplicated app profiles within a
 #: mix, and Jigsaw variants allocating over the same miss-only curves —
-#: and the hull of a curve is pure data, safe to share (callers only read
-#: it).  Bounded by wholesale clearing; keys are the raw curve bytes.
-_HULL_CACHE: dict[bytes, list[int]] = {}
+#: and the hull of a curve is pure data, stored as a tuple so no caller
+#: can change a shared entry.  Bounded by wholesale clearing; keys are
+#: :func:`_curve_key`.
+_HULL_CACHE: dict[tuple, tuple[int, ...]] = {}
 _HULL_CACHE_MAX = 4096
 
 
-def _hull_of(values) -> list[int]:
+def _hull_of(values) -> tuple[int, ...] | list[int]:
     if not isinstance(values, np.ndarray):
         return convex_hull_indices(values)
-    key = values.tobytes()
+    key = _curve_key(values)
     hull = _HULL_CACHE.get(key)
     if hull is None:
         if len(_HULL_CACHE) >= _HULL_CACHE_MAX:
             _HULL_CACHE.clear()
-        hull = convex_hull_indices(values)
+        hull = tuple(convex_hull_indices(values))
         _HULL_CACHE[key] = hull
     return hull
 
 
-#: Memo for whole hull walks keyed by (budget, curve contents).  A sweep
+#: Memo for whole hull walks keyed by (budget, curve keys).  A sweep
 #: runs several policies over identical curve sets (Jigsaw's clustered and
 #: random variants allocate over the same miss-only curves), and the walk
 #: is deterministic in its inputs.  The counter's op accounting is
 #: replayed from the stored pop count — ``StepCounter.add`` aggregates, so
-#: one bulk add is indistinguishable from the loop's unit adds.
-_WALK_CACHE: dict[tuple, tuple[list[int], int]] = {}
+#: one bulk add is indistinguishable from the loop's unit adds.  Sizes are
+#: stored as a tuple; each hit hands the caller a fresh list.
+_WALK_CACHE: dict[tuple, tuple[tuple[int, ...], int]] = {}
 _WALK_CACHE_MAX = 1024
 
 
@@ -105,7 +113,7 @@ def _greedy_hull_allocation(
         counter.add(step_name, len(h))
     walk_key = None
     if all(isinstance(c, np.ndarray) for c in curves):
-        walk_key = (budget_quanta, tuple(c.tobytes() for c in curves))
+        walk_key = (budget_quanta, tuple(_curve_key(c) for c in curves))
         cached = _WALK_CACHE.get(walk_key)
         if cached is not None:
             sizes, pops = cached
@@ -147,7 +155,7 @@ def _greedy_hull_allocation(
     if walk_key is not None:
         if len(_WALK_CACHE) >= _WALK_CACHE_MAX:
             _WALK_CACHE.clear()
-        _WALK_CACHE[walk_key] = (list(sizes), pops)
+        _WALK_CACHE[walk_key] = (tuple(sizes), pops)
     return sizes
 
 

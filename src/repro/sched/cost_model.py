@@ -329,10 +329,12 @@ def miss_only_curve(
 # ---------------------------------------------------------------------------
 
 
-def vc_access_rates(problem: PlacementProblem) -> list[float]:
-    """Aggregate access rate per VC, in ``problem.vcs`` order."""
+def vc_access_rates(problem: PlacementProblem, vcs=None) -> list[float]:
+    """Aggregate access rate per VC, in ``problem.vcs`` order (or in the
+    order of *vcs*, a subset of them)."""
     return [
-        sum(problem.accessors_of(vc.vc_id).values()) for vc in problem.vcs
+        sum(problem.accessors_of(vc.vc_id).values())
+        for vc in (problem.vcs if vcs is None else vcs)
     ]
 
 
@@ -351,14 +353,15 @@ def latency_curves_batch(
     *vc_indices* restricts the build to those rows of ``problem.vcs``
     (the incremental warm start's dirty subset) — each row is per-VC
     independent, so the subset rows are bitwise the corresponding
-    full-batch rows at O(subset) cost.
+    full-batch rows at O(subset) cost; without *rates*, only the subset's
+    access rates are summed.
     """
-    rates = vc_access_rates(problem) if rates is None else rates
     if vc_indices is None:
         vcs = problem.vcs
     else:
         vcs = [problem.vcs[i] for i in vc_indices]
-        rates = [rates[i] for i in vc_indices]
+        rates = None if rates is None else [rates[i] for i in vc_indices]
+    rates = vc_access_rates(problem, vcs) if rates is None else rates
     if any(r < 0 for r in rates):
         raise ValueError("access rate cannot be negative")
     dist = optimistic_on_chip_curve(problem)

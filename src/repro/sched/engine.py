@@ -350,9 +350,24 @@ class IncrementalSolve:
             problem, sizes, counter, vc_ids=dirty, claimed_init=claimed
         )
         # Clean VCs anchor thread placement at their *actual* data's center
-        # of mass (where the previous refinement left it).
+        # of mass (where the previous refinement left it).  Only threads
+        # touching a dirty VC re-place, so only the clean VCs they read
+        # need a centroid.
+        dirty_threads = {
+            t.thread_id
+            for t in problem.threads
+            if t.thread_id not in prev_sol.thread_cores
+            or any(vc_id in dirty for vc_id in t.vc_accesses)
+        }
+        read_clean = {
+            vc_id
+            for t in problem.threads
+            if t.thread_id in dirty_threads
+            for vc_id in t.vc_accesses
+            if vc_id in clean_ids
+        }
         centroids = dict(optimistic.centroids)
-        for vc_id in clean_ids:
+        for vc_id in sorted(read_clean):
             per_bank = prev_sol.vc_allocation.get(vc_id)
             if per_bank:
                 centroids[vc_id] = center_of_mass(
@@ -371,12 +386,6 @@ class IncrementalSolve:
         # released; everyone else stays put.
         t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
         if policy.place_threads:
-            dirty_threads = {
-                t.thread_id
-                for t in problem.threads
-                if t.thread_id not in prev_sol.thread_cores
-                or any(vc_id in dirty for vc_id in t.vc_accesses)
-            }
             clean_cores = {
                 t.thread_id: prev_sol.thread_cores[t.thread_id]
                 for t in problem.threads

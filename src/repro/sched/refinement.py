@@ -31,7 +31,11 @@ All trade valuation runs against per-VC arrays (``N = topology.tiles``):
   :func:`repro.geometry.placement_math.weighted_center_tile`.
 
 The trade scan itself (spiral walk, swap bookkeeping) stays sequential:
-its decisions feed back into the very capacities it iterates over.
+its decisions feed back into the very capacities it iterates over.  It
+reads the initiator's ``dist[com]`` row and ``dvec`` as Python lists
+(one conversion per initiator, not a NumPy scalar per lookup), and
+recomputes the initiator's data extent only after a trade moved its
+data.
 """
 
 from __future__ import annotations
@@ -185,6 +189,16 @@ def _vc_anchor(problem: PlacementProblem, vc_id: int, thread_cores: dict[int, in
     return weighted_center_tile(problem.topology, weights)
 
 
+def _data_extent(per_bank: dict[int, float], dist_com: list) -> int | None:
+    """Distance from the spiral center to the VC's farthest data bank
+    (``None`` when it holds no data): where the spiral may stop."""
+    extent = None
+    for bank, amount in per_bank.items():
+        if amount > 1e-9 and (extent is None or dist_com[bank] > extent):
+            extent = dist_com[bank]
+    return extent
+
+
 def greedy_placement(
     problem: PlacementProblem,
     vc_sizes: dict[int, float],
@@ -320,20 +334,23 @@ def trade_refinement(
         if not per_bank1:
             continue
         com = weighted_center_tile(topo, per_bank1)
-        d1 = dvec[vc1]
+        dist_com = dist[com].tolist()
+        d1 = dvec[vc1].tolist()
+        # Only this VC's own trades move its data, so its extent changes
+        # only after one of them (re-measured below, not every step).
+        max_dist = _data_extent(per_bank1, dist_com)
         desirable: list[int] = []
         for bank in topo.tiles_by_distance(com):
-            data_banks = [b for b, amt in per_bank1.items() if amt > 1e-9]
-            if not data_banks:
+            if max_dist is None:
                 break
-            max_dist = max(dist[com, b] for b in data_banks)
-            if dist[com, bank] > max_dist:
+            if dist_com[bank] > max_dist:
                 break  # spiral end: all of this VC's data has been seen
             if per_bank1.get(bank, 0.0) < bank_bytes - 1e-9:
                 desirable.append(bank)
             here = per_bank1.get(bank, 0.0)
             if here <= 1e-9:
                 continue
+            trades_before = trades
             for target in desirable:
                 if target == bank:
                     continue
@@ -377,6 +394,8 @@ def trade_refinement(
                         break
                 if per_bank1.get(bank, 0.0) <= 1e-9:
                     break
+            if trades != trades_before:
+                max_dist = _data_extent(per_bank1, dist_com)
     return trades
 
 

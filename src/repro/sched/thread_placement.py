@@ -97,13 +97,15 @@ def place_threads(
             distances = None
         best_core = -1
         best_dist = float("inf")
+        # The scan visits every free core (it never exits early), so one
+        # bulk add equals the per-core unit adds.
+        counter.add("thread_placement", len(free))
         for core in free:
             if distances is not None:
                 dist = distances[core]
             else:
                 coords = topo.coords(core)  # type: ignore[attr-defined]
                 dist = sum((c - p) ** 2 for c, p in zip(coords, point))
-            counter.add("thread_placement")
             if dist < best_dist - 1e-12 or (
                 abs(dist - best_dist) <= 1e-12 and core < best_core
             ):

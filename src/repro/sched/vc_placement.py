@@ -19,9 +19,12 @@ window's mean access distance), both produced by
 :func:`repro.geometry.placement_math.batched_window_scores` from the
 topology's ``(N, N)`` order/sorted-distance matrices.  The running
 ``claimed`` tally is a ``(N,)`` ``float64`` vector.  Candidate selection
-replicates the scalar key ``(round(contention, 9), spread, candidate)``
-with a lexicographic sort, so the chosen centers — and therefore the whole
-downstream placement — are identical to the scalar reference's.
+(:func:`_least_contended`) replicates the scalar key ``(round(contention,
+9), spread, candidate)``: an array preselection keeps the candidates
+within ``2e-9`` of the least contention, the only ones that can share the
+minimum rounded key, and a lexicographic sort over them picks the center.
+The chosen centers — and therefore the whole downstream placement — are
+identical to the scalar reference's.
 """
 
 from __future__ import annotations
@@ -73,6 +76,25 @@ def _initial_claimed(topo, claimed_init) -> np.ndarray:
     if claimed_init is None:
         return np.zeros(topo.tiles, dtype=np.float64)
     return np.array(claimed_init, dtype=np.float64)
+
+
+def _least_contended(contention: np.ndarray, spread: np.ndarray) -> int:
+    """Candidate minimizing the scalar key ``(round(contention, 9),
+    spread, candidate)``.
+
+    Python ``round`` (not ``np.round``) keeps the noise-absorbing primary
+    key digit-for-digit the scalar one, but it is one interpreted call
+    per candidate, so it runs only on candidates within ``2e-9`` of the
+    least contention *m*.  ``round`` is monotone, so ``round(m, 9)`` is
+    the minimum key, and a contention sharing it lies within ``1e-9``
+    plus one ulp of *m*: under ``2e-9`` below ``2**23``, and above that
+    (ulps over ``1e-9``) equal keys mean equal values.  The survivors
+    are in id order and ``lexsort`` is stable, so full ties settle on
+    the lowest candidate id like the scalar scan.
+    """
+    near = np.flatnonzero(contention <= contention.min() + 2e-9)
+    rounded = np.array([round(c, 9) for c in contention[near].tolist()])
+    return int(near[np.lexsort((spread[near], rounded))[0]])
 
 
 def place_optimistic_scalar(
@@ -134,9 +156,10 @@ def place_optimistic_vectorized(
     matrix pass over the precomputed spiral-order matrices.
 
     The selection key is the scalar reference's ``(round(contention, 9),
-    spread, candidate)``; spiral-ordered ``cumsum`` reductions make both
-    score vectors bitwise-equal to the per-candidate loops, so the chosen
-    centers (and footprints, centroids, claimed tally) are identical.
+    spread, candidate)`` (:func:`_least_contended`); spiral-ordered
+    ``cumsum`` reductions make both score vectors bitwise-equal to the
+    per-candidate loops, so the chosen centers (and footprints,
+    centroids, claimed tally) are identical.
     *vc_ids*/*claimed_init* warm-start an incremental re-place exactly as
     in :func:`place_optimistic_scalar`.
     """
@@ -149,17 +172,12 @@ def place_optimistic_vectorized(
     centroids: dict[int, tuple[float, ...]] = {}
 
     order = _placement_order(problem, vc_sizes, vc_ids)
-    candidates = np.arange(topo.tiles)
     for vc in order:
         size_banks = vc_sizes[vc.vc_id] / bank_bytes
         contention, spread = batched_window_scores(topo, claimed, size_banks)
         weights = compact_window_weights(topo, size_banks)
         counter.add("vc_placement", topo.tiles * len(weights))
-        # Python round (not np.round) so the noise-absorbing primary key is
-        # digit-for-digit the scalar one; lexsort is stable, so full ties
-        # fall back to the lowest candidate id, like the scalar scan.
-        rounded = np.array([round(float(c), 9) for c in contention])
-        best_bank = int(np.lexsort((candidates, spread, rounded))[0])
+        best_bank = _least_contended(contention, spread)
         window_banks = topo.order_matrix[best_bank, : len(weights)]
         claimed[window_banks] += weights
         window = {

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from repro.config import small_test_config
 from repro.nuca.base import build_problem
+from repro.sched import allocation
 from repro.sched.allocation import (
     allocate_latency_aware,
     allocate_miss_driven,
     convex_hull_indices,
 )
+from repro.sched.opcount import StepCounter
 from repro.util.units import kb, mb
 from repro.workloads.mixes import make_mix
 
@@ -105,3 +107,30 @@ def test_miss_driven_leftover_proportional_to_rate():
 def test_allocation_deterministic():
     config, problem = problem_for(["omnet", "mcf", "milc", "gcc"])
     assert allocate_latency_aware(problem) == allocate_latency_aware(problem)
+
+
+def test_hull_memos_key_on_dtype_not_just_bytes():
+    """Equal bytes read as another dtype are another curve: neither memo
+    may hand it the first curve's hull or hull walk."""
+    curve = np.array([4.0, 1.0, 0.75, 0.0])
+    alias = curve.view(np.int64)
+    assert curve.tobytes() == alias.tobytes()
+    assert convex_hull_indices(curve) != convex_hull_indices(alias)
+
+    def walk(values) -> tuple[list[int], dict[str, int]]:
+        counter = StepCounter()
+        sizes = allocation._greedy_hull_allocation(
+            [values], 3, counter, "allocation"
+        )
+        return sizes, counter.ops
+
+    allocation._HULL_CACHE.clear()
+    allocation._WALK_CACHE.clear()
+    cold_alias = walk(alias)
+    allocation._HULL_CACHE.clear()
+    allocation._WALK_CACHE.clear()
+    assert allocation._hull_of(curve) == (0, 1, 3)
+    walk(curve)
+    assert allocation._hull_of(alias) == tuple(convex_hull_indices(alias))
+    assert walk(alias) == cold_alias
+    assert all(isinstance(h, tuple) for h in allocation._HULL_CACHE.values())

@@ -200,6 +200,7 @@ def _random_problem(rng: np.random.Generator, multithreaded: bool = False):
 
 def test_latency_curve_batches_bitwise_match_scalar_rows():
     rng = np.random.default_rng(19)
+    pick = np.random.default_rng(191)
     for multithreaded in (False, True):
         problem = _random_problem(rng, multithreaded)
         rates = vc_access_rates(problem)
@@ -211,6 +212,29 @@ def test_latency_curve_batches_bitwise_match_scalar_rows():
             )
             assert np.array_equal(
                 miss_mat[i], miss_only_curve(problem, vc.miss_curve, rates[i])
+            )
+        # Defaulted rates, and row subsets in any order (the warm start's
+        # dirty rows), give the same rows; a subset without rates reads
+        # only its own VCs' accessors.
+        assert np.array_equal(latency_curves_batch(problem), total_mat)
+        assert np.array_equal(miss_only_curves_batch(problem), miss_mat)
+        read: list[int] = []
+
+        def recording(vc_id, accessors_of=problem.accessors_of):
+            read.append(vc_id)
+            return accessors_of(vc_id)
+
+        problem.accessors_of = recording
+        for _ in range(5):
+            count = int(pick.integers(1, len(problem.vcs) + 1))
+            subset = pick.choice(len(problem.vcs), count, replace=False).tolist()
+            read.clear()
+            got = latency_curves_batch(problem, vc_indices=subset)
+            assert read == [problem.vcs[i].vc_id for i in subset]
+            assert np.array_equal(got, total_mat[subset])
+            assert np.array_equal(
+                latency_curves_batch(problem, rates, vc_indices=subset),
+                total_mat[subset],
             )
 
 
@@ -228,13 +252,48 @@ def test_cost_model_vectorized_bitwise_matches_scalar():
             ) == on_chip_latency_scalar(problem, solution)
 
 
-def test_place_optimistic_vectorized_identical_to_scalar():
+def _warm_optimistic_inputs(monkeypatch, epochs: int = 4) -> list[tuple]:
+    """(problem, sizes, vc_ids, claimed_init) of every warm optimistic
+    placement a sketch-driven incremental engine runs on a phased
+    256-tile chip."""
+    from repro.sched import engine as engine_module
+    from repro.sched.engine import ReconfigEngine
+    from repro.service.load import DEFAULT_EPOCH_MCYCLES, LoadSpec, build_chip
+
+    calls = []
+    place = engine_module.place_optimistic
+
+    def recording(problem, sizes, counter, vc_ids, claimed_init):
+        calls.append((problem, dict(sizes), set(vc_ids), claimed_init.copy()))
+        return place(problem, sizes, counter, vc_ids, claimed_init)
+
+    monkeypatch.setattr(engine_module, "place_optimistic", recording)
+    _, sim = build_chip(LoadSpec(chips=1, tiles=256, seed=42), 0)
+    engine = ReconfigEngine("incremental", use_sketches=True)
+    for _ in range(epochs):
+        engine.solve(sim.current_problem())
+        sim.run_epoch(engine.last_solution(), DEFAULT_EPOCH_MCYCLES * 1e6)
+    return calls
+
+
+def test_place_optimistic_vectorized_identical_to_scalar(monkeypatch):
     rng = np.random.default_rng(29)
+    cases = []
     for multithreaded in (False, True):
         problem = _random_problem(rng, multithreaded)
-        vc_sizes = allocate_latency_aware(problem)
-        fast = place_optimistic_vectorized(problem, vc_sizes)
-        slow = place_optimistic_scalar(problem, vc_sizes)
+        cases.append((problem, allocate_latency_aware(problem), None, None))
+    warm = _warm_optimistic_inputs(monkeypatch)
+    # Warm starts: a strict subset placed over a pre-claimed tally.
+    assert len(warm) >= 2
+    assert all(0 < len(ids) < len(p.vcs) and claimed.any()
+               for p, _, ids, claimed in warm)
+    for problem, vc_sizes, vc_ids, claimed_init in cases + warm:
+        fast = place_optimistic_vectorized(
+            problem, vc_sizes, vc_ids=vc_ids, claimed_init=claimed_init
+        )
+        slow = place_optimistic_scalar(
+            problem, vc_sizes, vc_ids=vc_ids, claimed_init=claimed_init
+        )
         assert fast.centers == slow.centers
         assert fast.footprints == slow.footprints
         assert fast.centroids == slow.centroids

@@ -225,3 +225,31 @@ def test_docs_check_rejects_flag_on_wrong_experiment():
         "t.md", problems,
     )
     assert problems == []
+
+
+def test_docs_check_requires_golden_regeneration_rows(tmp_path):
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).parent.parent / "tools" / "docs_check.py"
+    module_spec = importlib.util.spec_from_file_location("docs_check", path)
+    docs_check = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(docs_check)
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "tests" / "golden").mkdir(parents=True)
+    for name in ("a.json", "b.json", "c.json"):
+        (tmp_path / "tests" / "golden" / name).write_text("{}")
+    testing = tmp_path / "docs" / "TESTING.md"
+    testing.write_text(
+        "# Testing\n\n## Goldens\n\n| Golden | Pins | Regenerate |\n"
+        "| --- | --- | --- |\n"
+        "| `tests/golden/a.json` | a | `python tools/make_a.py` |\n"
+        "| `tests/golden/b.json` | b | by hand |\n"
+    )
+    problems = docs_check.check_goldens(tmp_path)
+    assert len(problems) == 2
+    assert "b.json" in problems[0] and "c.json" in problems[1]
+    testing.write_text("# Testing\n")
+    assert "missing the '## Goldens' section" in docs_check.check_goldens(
+        tmp_path
+    )[0]

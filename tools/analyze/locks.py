@@ -112,14 +112,15 @@ ATOMIC_STATE: tuple[AtomicGlobal, ...] = (
     AtomicGlobal(
         module="repro/sched/allocation.py",
         name="_HULL_CACHE",
-        why="monotonic memo of immutable tuples; dict get/set are "
-        "GIL-atomic and losing a race just recomputes the same value",
+        why="memo of tuple hulls keyed by (dtype, shape, bytes); dict "
+        "get/set/clear are GIL-atomic, a wholesale clear only drops "
+        "entries, and losing a race just recomputes the same value",
     ),
     AtomicGlobal(
         module="repro/sched/allocation.py",
         name="_WALK_CACHE",
-        why="monotonic memo of immutable tuples; same argument as "
-        "_HULL_CACHE",
+        why="memo of (tuple sizes, pop count) keyed by budget and curve "
+        "keys; same argument as _HULL_CACHE, and hits return a fresh list",
     ),
     AtomicGlobal(
         module="repro/experiments/sweeps.py",

@@ -15,12 +15,14 @@ any is stale:
 * repo file paths (``benchmarks/bench_fig11_single_threaded.py``,
   ``src/repro/...``) — must exist (shell globs are expanded).
 
-Three structural checks ride along: the documented CLI grammar is probed
+Four structural checks ride along: the documented CLI grammar is probed
 against the generated parser, the experiment registry is cross-checked
 against docs/REPRODUCING.md's "Experiment registry" index (every
-registered spec documented and vice versa), and every vectorized-kernel
+registered spec documented and vice versa), every vectorized-kernel
 module must keep the "Shape conventions" section of its docstring (the
-array shapes/dtypes contract documented in docs/PERFORMANCE.md).
+array shapes/dtypes contract documented in docs/PERFORMANCE.md), and
+every file under ``tests/golden/`` must have a row in docs/TESTING.md's
+"Goldens" table with the command that regenerates it.
 
 Run via ``make docs-check`` (needs ``PYTHONPATH=src``); exits non-zero
 with one line per problem.
@@ -303,6 +305,38 @@ def check_analysis_rules() -> list[str]:
     return problems
 
 
+_GOLDEN_ROW = re.compile(
+    r"^\|\s*`(tests/golden/[^`]+)`\s*\|.*\|\s*`[^`]+`\s*\|\s*$", re.M
+)
+
+
+def check_goldens(repo: Path = REPO) -> list[str]:
+    """Every file under tests/golden/ has a row in docs/TESTING.md's
+    "Goldens" table: the file in the first cell, the command that
+    regenerates it as a code span in the last.  Rows for missing files
+    fail the path check like any other stale path."""
+    path = repo / "docs" / "TESTING.md"
+    marker = "## Goldens"
+    text = path.read_text()
+    if marker not in text:
+        return [
+            f"docs/TESTING.md: missing the {marker!r} section (the golden "
+            f"files and their regeneration commands)"
+        ]
+    section = text.split(marker, 1)[1].split("\n## ", 1)[0]
+    documented = set(_GOLDEN_ROW.findall(section))
+    return [
+        f"docs/TESTING.md: golden {name!r} has no row with its "
+        f"regeneration command in the {marker!r} table"
+        for name in sorted(
+            p.relative_to(repo).as_posix()
+            for p in (repo / "tests" / "golden").iterdir()
+            if p.is_file()
+        )
+        if name not in documented
+    ]
+
+
 def check_shape_conventions() -> list[str]:
     """Kernel modules must document their array shapes and dtypes."""
     problems = []
@@ -331,6 +365,7 @@ def main() -> int:
     problems += check_experiment_index()
     problems += check_analysis_rules()
     problems += check_shape_conventions()
+    problems += check_goldens()
     for doc in DOC_FILES:
         if not doc.exists():
             problems.append(f"missing documentation file: {doc.name}")
