@@ -9,6 +9,9 @@ measured here, not asserted in prose:
   per-candidate window loops;
 * **sharing fixed point**: the lockstep bisection vs per-stream nested
   bisection;
+* **mega-batch sharing**: one 4-mix fig11 ``solve_sharing_plans`` call
+  (S-NUCA's chip-wide caches merged with R-NUCA's per-bank pools: 512
+  lanes, 260 caches) vs the scalar per-cache loop, asserted ``==``;
 * **end-to-end**: one fig11 (64-app) and one fig15 (multithreaded) sweep
   point through ``repro.kernels.scalar_reference`` vs the default path.
 
@@ -31,17 +34,23 @@ from repro.config import default_config
 from repro.experiments.sweeps import SweepResult, evaluate_mix
 from repro.kernels import scalar_reference
 from repro.nuca.base import build_problem
+from repro.nuca.rnuca import RNuca
 from repro.nuca.sharing import (
     shared_cache_occupancies,
     shared_cache_occupancies_batch,
+    solve_sharing_plans,
 )
+from repro.nuca.snuca import SNuca
 from repro.sched.allocation import allocate_latency_aware
 from repro.sched.vc_placement import (
     place_optimistic_scalar,
     place_optimistic_vectorized,
 )
 from repro.testing import golden_mix
-from repro.workloads.mixes import random_multithreaded_mix
+from repro.workloads.mixes import (
+    random_multithreaded_mix,
+    random_single_threaded_mix,
+)
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -52,6 +61,22 @@ def _best_of(fn, repeats: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _plan_per_cache_scalar(plan) -> list[float]:
+    """One sharing plan through the scalar solver, cache by cache, with
+    R-NUCA's 1/N slice transforms as closures (its scalar path)."""
+    scale = plan.arg_scale or (1.0,) * len(plan.curves)
+    fns = [
+        (lambda occ, c=c, n=n: float(c(occ * n)) / n) if n != 1.0 else c.__call__
+        for c, n in zip(plan.curves, scale)
+    ]
+    out = [0.0] * len(plan.curves)
+    for group, capacity in zip(plan.groups, plan.capacities):
+        occ = shared_cache_occupancies([fns[i] for i in group], capacity)
+        for i, o in zip(group, occ):
+            out[i] = o
+    return out
 
 
 def test_kernel_speedups(once):
@@ -112,7 +137,28 @@ def test_kernel_speedups(once):
         )
         speedups["sharing_fixed_point"] = scalar_t / batch_t
 
-        # 4. End-to-end sweep points (fig11 single-threaded, fig15 MT).
+        # 4. Mega-batch sharing: every S-NUCA and R-NUCA fixed point of a
+        # 4-mix fig11 request in one lockstep call.
+        plans = []
+        for mix_id in range(4):
+            mix_problem = build_problem(
+                random_single_threaded_mix(64, 42, mix_id), config
+            )
+            for scheme in (SNuca(mix_id), RNuca(mix_id)):
+                plans.append(scheme.sharing_stage(mix_problem)[0])
+        assert sum(len(p.curves) for p in plans) == 512
+        assert sum(len(p.groups) for p in plans) == 260
+        merged = solve_sharing_plans(plans)
+        assert [m.tolist() for m in merged] == [
+            _plan_per_cache_scalar(p) for p in plans
+        ]
+        batch_t = _best_of(lambda: solve_sharing_plans(plans))
+        scalar_t = _best_of(
+            lambda: [_plan_per_cache_scalar(p) for p in plans], repeats=1
+        )
+        speedups["sharing_mega_batch"] = scalar_t / batch_t
+
+        # 5. End-to-end sweep points (fig11 single-threaded, fig15 MT).
         def point(multithreaded: bool) -> None:
             if multithreaded:
                 mix = random_multithreaded_mix(8, 7, 0)

@@ -354,6 +354,15 @@ class MissCurveBatch:
         bracket; lanes that an early-exit rule covers (zero curves,
         at-capacity lanes) return whatever the bracket converges to and
         must be masked by the caller, as before.
+
+        The knot search runs only while a lane's segment is unsettled.
+        Each lane tracks the clipped segment index at both ends of its
+        bracket; the index is non-decreasing in the query, the query
+        ``mid * arg_scale`` is non-decreasing in ``mid``, and ``mid`` lies
+        in ``[lo, hi]``, so once both ends agree every later probe reads
+        that segment.  Only lanes whose ends differ are searched, and
+        once none differ the segment operands are gathered one last time
+        and the remaining rounds are elementwise arithmetic.
         """
         k = len(self.curves)
         lo = np.zeros(k)
@@ -365,17 +374,34 @@ class MissCurveBatch:
         first_x, first_y = self._first_x, self._first_y
         last_x, last_y = self._last_x, self._last_y
         arg_scale, divisor = self._arg_scale, self._value_divisor
+
+        def query(x: np.ndarray) -> np.ndarray:
+            return x if arg_scale is None else x * arg_scale
+
+        def segment(q: np.ndarray, lanes) -> np.ndarray:
+            """Clipped segment index of *lanes* at their queries *q*."""
+            j = (sizes2d[lanes] <= q[:, None]).sum(axis=1) - 1
+            return j.clip(0, seg_hi[lanes])
+
+        j_lo = segment(query(lo), slice(None))
+        j_hi = segment(query(hi), slice(None))
+        j = j_lo.copy()  # settled lanes: the segment both ends agree on
+        unsettled = np.flatnonzero(j_lo != j_hi)
+        operands = None
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
-            q = mid if arg_scale is None else mid * arg_scale
-            j = (sizes2d <= q[:, None]).sum(axis=1) - 1
-            flat = row_base + j.clip(0, seg_hi)
-            x0 = sizes_flat.take(flat)
-            y0 = values_flat.take(flat)
-            denom = sizes_flat.take(flat + 1) - x0
-            slope = (values_flat.take(flat + 1) - y0) / np.where(
-                denom == 0.0, 1.0, denom
-            )
+            q = query(mid)
+            if unsettled.size or operands is None:
+                j[unsettled] = segment(q[unsettled], unsettled)
+                flat = row_base + j
+                x0 = sizes_flat.take(flat)
+                y0 = values_flat.take(flat)
+                denom = sizes_flat.take(flat + 1) - x0
+                slope = (values_flat.take(flat + 1) - y0) / np.where(
+                    denom == 0.0, 1.0, denom
+                )
+                operands = x0, y0, slope
+            x0, y0, slope = operands
             val = slope * (q - x0) + y0
             val = np.where(q <= first_x, first_y, val)
             val = np.where(q >= last_x, last_y, val)
@@ -384,6 +410,10 @@ class MissCurveBatch:
             cond = val >= pressure * mid
             lo = np.where(cond, mid, lo)
             hi = np.where(cond, hi, mid)
+            if unsettled.size:
+                j_lo = np.where(cond, j, j_lo)
+                j_hi = np.where(cond, j_hi, j)
+                unsettled = np.flatnonzero(j_lo != j_hi)
         return 0.5 * (lo + hi)
 
     def at_grid(self, grid: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from repro.mem.dram import DramModel
 from repro.model.energy import EnergyBreakdown, EnergyParams, energy_per_instruction
 from repro.noc.traffic import TrafficClass
 from repro.nuca.base import NucaScheme, SchemeResult, build_problem
-from repro.sched.cost_model import spread_hops_batch
+from repro.sched.cost_model import reader_hops
 from repro.sched.problem import PlacementProblem
 from repro.util.units import CACHE_LINE_BYTES
 from repro.workloads.mixes import Mix
@@ -158,17 +158,17 @@ class AnalyticSystem:
     ) -> list[MixEvaluation]:
         """Evaluate many (mix, problem, result) triples as stacked passes.
 
-        The mega-batch runner's scoring kernel: every item's VC hop tables
-        are computed in one chunked pass per shared distance matrix, and
-        the 25-iteration DRAM bandwidth fixed point runs once per
-        thread-count cohort as (B, T) row operations.  Item *i*'s
+        The mega-batch runner's scoring kernel: each item's geometry is
+        :meth:`_thread_geometry`'s (hop sums only at the cores that read
+        each VC), and the 25-iteration DRAM bandwidth fixed point runs
+        once per thread-count cohort as (B, T) row operations.  Item *i*'s
         evaluation is bitwise-identical to ``evaluate_solution(*items[i])``
         — rows never mix, reductions keep per-row sequential order, and
         the final assembly is the per-item :meth:`_finalize` verbatim.
         """
         if not use_vectorized() or len(items) <= 1:
             return [self.evaluate_solution(*item) for item in items]
-        geometries = self._thread_geometries_batch(items)
+        geometries = [self._thread_geometry(*item) for item in items]
         dram_extra = [0.0] * len(items)
         cohorts: dict[int, list[int]] = {}
         for i, geometry in enumerate(geometries):
@@ -220,47 +220,44 @@ class AnalyticSystem:
         return vc_spread, vc_miss_ratio
 
     @staticmethod
-    def _spread_arrays(
-        vc_spread: dict[int, dict[int, float]],
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each VC's spread as ``(banks, fracs)`` arrays, in dict order."""
-        out = []
-        for spread in vc_spread.values():
-            banks = np.fromiter(spread.keys(), np.int64, len(spread))
-            fracs = np.fromiter(spread.values(), np.float64, len(spread))
-            out.append((banks, fracs))
-        return out
-
     def _vc_hop_tables(
-        self,
+        problem: PlacementProblem,
+        result: SchemeResult,
         dist,
         mc_dist: np.ndarray,
         vc_spread: dict[int, dict[int, float]],
-    ) -> tuple[dict[int, np.ndarray], dict[int, float]]:
-        """Per VC, the expected access distance from EVERY possible core
-        (terms accumulate in the spread's iteration order via cumsum,
-        bitwise the scalar sums); threads then just index the vectors."""
-        vc_core_hops: dict[int, np.ndarray] = {}
-        vc_mc_hops: dict[int, float] = {}
+    ) -> tuple[dict[tuple[int, int], float], dict[int, float]]:
+        """Per VC, the expected access distance from each core that reads
+        it — keyed ``(vc_id, core)`` for every VC named in the
+        ``vc_accesses`` of a thread with accesses, exactly the lookups
+        :meth:`_geometry_from_spreads` makes — and the expected
+        memory-controller distance (terms accumulate in the spread's
+        iteration order via cumsum, bitwise the scalar sums)."""
         if not vc_spread:
-            return vc_core_hops, vc_mc_hops
-        if isinstance(dist, np.ndarray):
-            hops, mc_hops = spread_hops_batch(
-                dist, mc_dist, self._spread_arrays(vc_spread)
-            )
-            for i, vc_id in enumerate(vc_spread):
-                vc_core_hops[vc_id] = hops[i]
-                vc_mc_hops[vc_id] = float(mc_hops[i])
-        else:
-            # Lazy (large-mesh) matrices only support 1-D column gathers.
-            for vc_id, (banks, fracs) in zip(
-                vc_spread, self._spread_arrays(vc_spread)
-            ):
-                vc_core_hops[vc_id] = np.cumsum(
-                    fracs[None, :] * dist[:, banks], axis=1
-                )[:, -1]
-                vc_mc_hops[vc_id] = float(np.cumsum(fracs * mc_dist[banks])[-1])
-        return vc_core_hops, vc_mc_hops
+            return {}, {}
+        position = {vc_id: i for i, vc_id in enumerate(vc_spread)}
+        cores = result.solution.thread_cores
+        pairs = dict.fromkeys(
+            (vc_id, cores[thread.thread_id])
+            for thread in problem.threads
+            if thread.total_accesses > 0
+            for vc_id in thread.vc_accesses
+            if vc_id in position
+        )
+        hops, mc_hops = reader_hops(
+            dist,
+            mc_dist,
+            [
+                (
+                    np.fromiter(spread.keys(), np.int64, len(spread)),
+                    np.fromiter(spread.values(), np.float64, len(spread)),
+                )
+                for spread in vc_spread.values()
+            ],
+            np.fromiter((position[v] for v, _ in pairs), np.int64, len(pairs)),
+            np.fromiter((core for _, core in pairs), np.int64, len(pairs)),
+        )
+        return dict(zip(pairs, hops)), dict(zip(vc_spread, mc_hops.tolist()))
 
     def _thread_geometry(
         self, mix: Mix, problem: PlacementProblem, result: SchemeResult
@@ -271,69 +268,16 @@ class AnalyticSystem:
         mc_dist = mcs.mean_distance_matrix
 
         vc_spread, vc_miss_ratio = self._spread_tables(problem, result)
-        vc_core_hops: dict[int, np.ndarray] = {}
+        vc_core_hops: dict[tuple[int, int], float] = {}
         vc_mc_hops: dict[int, float] = {}
         if use_vectorized():
             vc_core_hops, vc_mc_hops = self._vc_hop_tables(
-                dist, mc_dist, vc_spread
+                problem, result, dist, mc_dist, vc_spread
             )
         return self._geometry_from_spreads(
             mix, problem, result, dist, mc_dist,
             vc_spread, vc_miss_ratio, vc_core_hops, vc_mc_hops,
         )
-
-    def _thread_geometries_batch(
-        self, items: list[tuple[Mix, PlacementProblem, SchemeResult]]
-    ) -> list[list[dict]]:
-        """Geometry dicts for many items, batching all VC hop tables that
-        share a (dense, process-shared) distance matrix into one pass."""
-        spreads = [
-            self._spread_tables(problem, result)
-            for _, problem, result in items
-        ]
-        dists = []
-        mc_dists = []
-        for _, problem, _ in items:
-            topo = problem.topology
-            dists.append(topo.distance_matrix)
-            mc_dists.append(
-                MemoryControllers(  # type: ignore[arg-type]
-                    topo, self.config.memory
-                ).mean_distance_matrix
-            )
-        hop_tables: list[tuple[dict[int, np.ndarray], dict[int, float]]] = []
-        by_dist: dict[int, list[int]] = {}
-        for i, dist in enumerate(dists):
-            hop_tables.append(({}, {}))
-            if isinstance(dist, np.ndarray):
-                by_dist.setdefault(id(dist), []).append(i)
-            else:
-                hop_tables[i] = self._vc_hop_tables(
-                    dist, mc_dists[i], spreads[i][0]
-                )
-        for idxs in by_dist.values():
-            flat: list[tuple[np.ndarray, np.ndarray]] = []
-            for i in idxs:
-                flat.extend(self._spread_arrays(spreads[i][0]))
-            if not flat:
-                continue
-            hops, mc_hops = spread_hops_batch(dists[idxs[0]], mc_dists[idxs[0]], flat)
-            pos = 0
-            for i in idxs:
-                core_table: dict[int, np.ndarray] = {}
-                mc_table: dict[int, float] = {}
-                for vc_id in spreads[i][0]:
-                    core_table[vc_id] = hops[pos]
-                    mc_table[vc_id] = float(mc_hops[pos])
-                    pos += 1
-                hop_tables[i] = (core_table, mc_table)
-        return [
-            self._geometry_from_spreads(
-                mix, problem, result, dists[i], mc_dists[i],
-                spreads[i][0], spreads[i][1], *hop_tables[i],
-            )
-            for i, (mix, problem, result) in enumerate(items)
-        ]
 
     def _geometry_from_spreads(
         self,
@@ -344,7 +288,7 @@ class AnalyticSystem:
         mc_dist: np.ndarray,
         vc_spread: dict[int, dict[int, float]],
         vc_miss_ratio: dict[int, float],
-        vc_core_hops: dict[int, np.ndarray],
+        vc_core_hops: dict[tuple[int, int], float],
         vc_mc_hops: dict[int, float],
     ) -> list[dict]:
         profile_of = {p.process_id: p.profile for p in mix.processes}
@@ -364,8 +308,8 @@ class AnalyticSystem:
                 for vc_id, rate in thread.vc_accesses.items():
                     w = rate / total_rate
                     mu = vc_miss_ratio.get(vc_id, 0.0)
-                    if vc_id in vc_core_hops:
-                        d = vc_core_hops[vc_id][core]
+                    if vc_id in vc_mc_hops:
+                        d = vc_core_hops[vc_id, core]
                         dm = vc_mc_hops[vc_id]
                     else:
                         spread = vc_spread.get(vc_id, {})

@@ -20,8 +20,10 @@ Two implementations solve the same system:
 * :func:`shared_cache_occupancies` — the scalar reference: one nested
   bisection per stream, one ``np.interp`` per probe;
 * :func:`shared_cache_occupancies_batch` — the vectorized kernel: all
-  streams bisect in lockstep, each probe evaluating every miss curve in
-  one :class:`~repro.cache.miss_curve.MissCurveBatch` call.  Per-stream
+  streams bisect in lockstep through
+  :meth:`~repro.cache.miss_curve.MissCurveBatch.balance_bisect`, which
+  searches a stream's curve knots only until its bracket settles on one
+  segment and then evaluates that segment elementwise.  Per-stream
   arithmetic and summation order replicate the scalar path exactly, so
   the two return bitwise-identical occupancies.
 """

@@ -24,6 +24,8 @@ With ``K = len(problem.vcs)``, ``N = topology.tiles`` and
   allocated quanta, bitwise row-for-row what the scalar
   :func:`latency_curve` / :func:`miss_only_curve` return;
 * ``optimistic_on_chip_curve`` — ``(Q+1,)`` mean hops per allocation size;
+* ``reader_hops`` — ``(P,)`` expected hops, one per (VC spread, reader
+  core) pair the evaluation reads, plus ``(V,)`` memory-controller hops;
 * the vectorized Eq 1/Eq 2 evaluators flatten their ``(threads, banks)``
   term matrices in the scalar loop's iteration order and reduce with
   ``np.cumsum`` (sequential adds), so totals equal the scalar reference
@@ -188,57 +190,44 @@ def vc_mean_distance(
 
 
 # ---------------------------------------------------------------------------
-# Batched placement scoring (the mega-batch evaluation kernel)
+# Evaluation hop sums (Eq 2 at the cores that read each VC)
 # ---------------------------------------------------------------------------
 
-#: Element budget of one transient block in :func:`spread_hops_batch`
-#: (``chunk * tiles * width`` float64 terms, ~32 MiB) — large enough to
-#: amortize the pass, small enough to never balloon on big meshes.
-_SPREAD_CHUNK_ELEMS = 4_000_000
-
-
-def spread_hops_batch(
-    dist: np.ndarray,
+def reader_hops(
+    dist,
     mc_dist: np.ndarray,
     spreads: list[tuple[np.ndarray, np.ndarray]],
+    pair_spread: np.ndarray,
+    pair_core: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Expected access hops of many VC spreads in one array pass.
+    """Expected access hops of VC spreads, summed only at reader cores.
 
     *spreads* holds one ``(banks, fracs)`` pair per VC — the banks its
-    accesses spread over and the normalized access fractions.  Returns
-    ``(hops, mc_hops)``: ``hops[i]`` is VC *i*'s expected distance from
-    every possible core (``(V, tiles)``), ``mc_hops[i]`` its expected
-    memory-controller distance.  This is the Eq 2 scoring term of *every*
-    VC of *every* stacked evaluation, computed as chunked broadcast
-    passes instead of one small cumsum per VC.
+    accesses spread over and the normalized access fractions.  Pair *p*
+    asks for spread ``pair_spread[p]`` seen from core ``pair_core[p]``
+    (the evaluation reads a VC only from the cores of threads that
+    access it).  Returns ``(hops, mc_hops)``: ``hops[p]`` is pair *p*'s
+    expected access distance and ``mc_hops[i]`` spread *i*'s expected
+    memory-controller distance.  *dist* may be a dense matrix or a
+    :class:`~repro.geometry.mesh.LazyGeometryMatrix`; both serve the
+    ``[cores[:, None], banks]`` lookup, the lazy one from row sections.
 
-    Bitwise contract: row *i* equals the per-VC kernel
-    ``np.cumsum(fracs[None, :] * dist[:, banks], axis=1)[:, -1]`` exactly.
-    Rows are padded to the chunk's widest spread with zero-weight terms;
-    every padded term contributes ``x + 0.0`` to a non-negative partial
-    sum, which is the identity in IEEE float64, so padding width (and
-    hence batch composition) never changes a row's result.
+    Bitwise contract: ``hops[p]`` equals
+    ``np.cumsum(fracs * dist[core, banks])[-1]`` exactly — the scalar
+    reference's sequential sum in spread order.  Rows are padded to the
+    widest spread with zero-weight terms; every padded term contributes
+    ``x + 0.0`` to a non-negative partial sum, which is the identity in
+    IEEE float64, so padding width never changes a result.
     """
-    v = len(spreads)
-    tiles = dist.shape[0]
-    hops = np.empty((v, tiles), dtype=np.float64)
-    mc_hops = np.empty(v, dtype=np.float64)
-    chunk_rows = max(1, _SPREAD_CHUNK_ELEMS // (tiles * tiles))
-    for lo in range(0, v, chunk_rows):
-        chunk = spreads[lo:lo + chunk_rows]
-        width = max(len(banks) for banks, _ in chunk)
-        bank_idx = np.zeros((len(chunk), width), dtype=np.int64)
-        weights = np.zeros((len(chunk), width), dtype=np.float64)
-        for i, (banks, fracs) in enumerate(chunk):
-            bank_idx[i, :len(banks)] = banks
-            weights[i, :len(fracs)] = fracs
-        # (tiles, C, W): distance from every core to every spread's banks.
-        terms = weights[None, :, :] * dist[:, bank_idx]
-        hops[lo:lo + len(chunk)] = np.cumsum(terms, axis=2)[:, :, -1].T
-        mc_hops[lo:lo + len(chunk)] = np.cumsum(
-            weights * mc_dist[bank_idx], axis=1
-        )[:, -1]
-    return hops, mc_hops
+    width = max(len(banks) for banks, _ in spreads)
+    bank_idx = np.zeros((len(spreads), width), dtype=np.int64)
+    weights = np.zeros((len(spreads), width), dtype=np.float64)
+    for i, (banks, fracs) in enumerate(spreads):
+        bank_idx[i, :len(banks)] = banks
+        weights[i, :len(fracs)] = fracs
+    mc_hops = np.cumsum(weights * mc_dist[bank_idx], axis=1)[:, -1]
+    terms = weights[pair_spread] * dist[pair_core[:, None], bank_idx[pair_spread]]
+    return np.cumsum(terms, axis=1)[:, -1], mc_hops
 
 
 # ---------------------------------------------------------------------------

@@ -170,21 +170,36 @@ def test_sharing_batch_bitwise_matches_scalar():
 def test_sharing_grouped_bitwise_matches_per_group_scalar():
     rng = np.random.default_rng(17)
     curves = random_curves(rng, 30)
-    capacity = 2e7
     group_sizes = [4, 1, 7, 0, 9, len(curves) - 21]
     groups, start = [], 0
     for size in group_sizes:
         groups.append(range(start, start + size))
         start += size
-    grouped = shared_cache_occupancies_grouped(
-        MissCurveBatch(curves), groups, capacity
-    )
-    for group in groups:
-        idx = list(group)
-        expected = shared_cache_occupancies(
-            [curves[i].__call__ for i in idx], capacity
-        )
-        assert grouped[idx].tolist() == expected
+    # The mega-batch shape: S-NUCA's chip-wide cache (identity lanes)
+    # merged with R-NUCA's per-bank pools (1/N slice lanes) and a
+    # zero-capacity group, each group at its own capacity.
+    tiles = 16.0
+    scale = [1.0] * 4 + [tiles] * (len(curves) - 4)
+    for batch, capacity, fns in (
+        (MissCurveBatch(curves), 2e7, [c.__call__ for c in curves]),
+        (
+            MissCurveBatch(curves, arg_scale=scale, value_divisor=scale),
+            [5e7, 2e6, 5e6, 2e6, 0.0, 3e6],
+            [
+                (lambda occ, c=c, n=n: float(c(occ * n)) / n)
+                if n != 1.0 else c.__call__
+                for c, n in zip(curves, scale)
+            ],
+        ),
+    ):
+        grouped = shared_cache_occupancies_grouped(batch, groups, capacity)
+        per_group = capacity if isinstance(capacity, list) else [capacity] * len(groups)
+        for group, group_capacity in zip(groups, per_group):
+            idx = list(group)
+            expected = shared_cache_occupancies(
+                [fns[i] for i in idx], group_capacity
+            )
+            assert grouped[idx].tolist() == expected
 
 
 def _random_problem(rng: np.random.Generator, multithreaded: bool = False):
