@@ -34,8 +34,8 @@ from conftest import emit, record_bench_entry
 
 from repro.cache.miss_curve import MissCurve
 from repro.cache.sketch import problem_sketch_bank
+from repro.config import scaled_mesh_config
 from repro.experiments import format_table
-from repro.experiments.scalability import scaled_mesh_config
 from repro.nuca.base import build_problem
 from repro.sched.engine import IncrementalSolve
 from repro.service.messages import (

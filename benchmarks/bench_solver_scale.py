@@ -24,11 +24,9 @@ from datetime import date
 
 from conftest import emit, record_bench_entry
 
+from repro.config import scaled_mesh_config
 from repro.experiments import format_table
-from repro.experiments.scalability import (
-    scalability_point,
-    scaled_mesh_config,
-)
+from repro.experiments.scalability import scalability_point
 from repro.geometry import (
     dense_geometry_bytes,
     geometry_allocation_stats,

@@ -170,6 +170,36 @@ def default_config() -> SystemConfig:
     return SystemConfig()
 
 
+def mesh_width(tiles: int) -> int:
+    """Side length of a square mesh with *tiles* tiles; raises on
+    non-square or sub-2x2 counts (meshes here are square)."""
+    width = math.isqrt(tiles)
+    if width * width != tiles or tiles < 4:
+        raise ValueError(
+            f"tile count must be a perfect square >= 4, got {tiles}"
+        )
+    return width
+
+
+def scaled_mesh_config(tiles: int) -> SystemConfig:
+    """Table 2's chip grown (or shrunk) to *tiles* tiles.
+
+    Memory controllers scale with tile count — ``max(2, tiles // 8)``, one
+    MCU per 8 tiles, anchored at the paper's 8 MCUs for 64 tiles — so
+    per-tile DRAM bandwidth is held fixed along the whole sweep (the floor
+    of 2 only binds below 16 tiles).  Without this, the sweep measures
+    DRAM under-provisioning (8 channels feeding 256 cores) instead of how
+    co-scheduling itself scales; with it, any per-tile IPC loss is
+    attributable to the cache/network layer under study.
+    """
+    width = mesh_width(tiles)
+    config = default_config().with_mesh(width, width)
+    return replace(
+        config,
+        memory=replace(config.memory, controllers=max(2, tiles // 8)),
+    )
+
+
 def case_study_config() -> SystemConfig:
     """The 36-tile (6x6) scaled-down chip of the Sec II-B case study."""
     return SystemConfig(mesh_width=6, mesh_height=6)

@@ -2,11 +2,16 @@
 experiment registry index in docs/REPRODUCING.md).
 
 Every experiment module registers an :class:`~repro.experiments.spec.ExperimentSpec`
-into the process-wide registry (:mod:`repro.experiments.spec`) at import
-time — importing this package populates it.  The registry drives the CLI
-(``python -m repro run <name>``), :class:`repro.api.Session`, and the
-docs cross-checks; specs produce typed, serializable
-:class:`~repro.experiments.results.RunRecord` results.
+into the process-wide registry (:mod:`repro.experiments.spec`) when it
+is imported.  The registry declares each spec name with its module, so
+it imports a module only when one of its specs is asked for.  The
+registry drives the CLI (``python -m repro run <name>``),
+:class:`repro.api.Session`, and the docs cross-checks; specs produce
+typed, serializable :class:`~repro.experiments.results.RunRecord`
+results.
+
+Importing this package imports no experiment module: each name below
+resolves on first access, by importing the module that defines it.
 
 The legacy ``run_*`` entry points (taking an optional ``runner=``) and
 ``*_jobs`` builders remain as compatibility shims over the same job
@@ -15,184 +20,74 @@ experiments by hand before handing them to one runner — or use
 :meth:`repro.api.Session.run_batch`, which does exactly that.
 """
 
-from repro.experiments.results import (
-    FORMATS,
-    ResultSeries,
-    ResultTable,
-    RunRecord,
-    render,
-)
-from repro.experiments.spec import (
-    ExperimentSpec,
-    Param,
-    all_specs,
-    get_spec,
-    register,
-    spec_names,
-)
-from repro.experiments.case_study import (
-    CaseStudyResult,
-    render_chip_map,
-    run_case_study,
-)
-from repro.experiments.factor_analysis import (
-    VARIANTS,
-    FactorResult,
-    factor_jobs,
-    run_factor_analysis,
-)
-from repro.experiments.monitors_study import (
-    GEOMETRIES,
-    MonitorAccuracy,
-    curve_error,
-    monitor_jobs,
-    monitored_curve,
-    run_monitor_comparison,
-)
-from repro.experiments.phase_study import (
-    PERIODS,
-    PhaseStudyResult,
-    phase_point,
-    phase_study_jobs,
-    run_phase_study,
-)
-from repro.experiments.placers_study import (
-    PLACERS,
-    PlacerOutcome,
-    placer_jobs,
-    run_placer_comparison,
-)
-from repro.experiments.scalability import (
-    TILE_POINTS,
-    ScalabilityResult,
-    run_scalability,
-    scalability_jobs,
-    scalability_point,
-)
-from repro.experiments.solver_study import (
-    DYNAMISM_SWEEP,
-    INTERVAL_MCYCLES,
-    STRATEGY_SWEEP,
-    SolverStudyResult,
-    run_solver_study,
-    solver_point,
-    solver_study_jobs,
-)
-from repro.experiments.sketch_study import (
-    BUDGET_SWEEP,
-    SketchStudyResult,
-    run_sketch_study,
-    sketch_point,
-    sketch_study_jobs,
-)
-from repro.experiments.service_study import (
-    ServiceStudyResult,
-    run_service_study,
-    service_load_point,
-    service_study_jobs,
-)
-from repro.experiments.reconfig_study import (
-    PROTOCOLS,
-    PeriodSweepResult,
-    ReconfigTrace,
-    default_trace_mix,
-    period_sweep_from_traces,
-    reconfig_trace_jobs,
-    reconfiguration_penalty_cycles,
-    run_period_sweep,
-    run_reconfig_trace,
-)
-from repro.experiments.report import format_breakdown, format_series, format_table
-from repro.experiments.sweeps import (
-    SweepResult,
-    evaluate_mix,
-    merge_mix_record,
-    mix_record,
-    reduce_sweep_records,
-    run_sweep,
-    sweep_jobs,
-)
-from repro.experiments.table3 import (
-    OPERATING_POINTS,
-    RuntimeRow,
-    run_table3,
-)
+import importlib
 
-__all__ = [
-    "BUDGET_SWEEP",
-    "CaseStudyResult",
-    "DYNAMISM_SWEEP",
-    "ExperimentSpec",
-    "FORMATS",
-    "FactorResult",
-    "GEOMETRIES",
-    "INTERVAL_MCYCLES",
-    "MonitorAccuracy",
-    "OPERATING_POINTS",
-    "PERIODS",
-    "PLACERS",
-    "PROTOCOLS",
-    "Param",
-    "PeriodSweepResult",
-    "PhaseStudyResult",
-    "PlacerOutcome",
-    "ReconfigTrace",
-    "ResultSeries",
-    "ResultTable",
-    "RunRecord",
-    "RuntimeRow",
-    "STRATEGY_SWEEP",
-    "ScalabilityResult",
-    "ServiceStudyResult",
-    "SketchStudyResult",
-    "SolverStudyResult",
-    "SweepResult",
-    "TILE_POINTS",
-    "VARIANTS",
-    "all_specs",
-    "curve_error",
-    "default_trace_mix",
-    "evaluate_mix",
-    "factor_jobs",
-    "format_breakdown",
-    "format_series",
-    "format_table",
-    "get_spec",
-    "merge_mix_record",
-    "mix_record",
-    "monitor_jobs",
-    "monitored_curve",
-    "period_sweep_from_traces",
-    "phase_point",
-    "phase_study_jobs",
-    "placer_jobs",
-    "reconfig_trace_jobs",
-    "reconfiguration_penalty_cycles",
-    "reduce_sweep_records",
-    "register",
-    "render",
-    "render_chip_map",
-    "run_case_study",
-    "run_factor_analysis",
-    "run_monitor_comparison",
-    "run_period_sweep",
-    "run_phase_study",
-    "run_placer_comparison",
-    "run_reconfig_trace",
-    "run_scalability",
-    "run_service_study",
-    "run_sketch_study",
-    "run_solver_study",
-    "run_sweep",
-    "run_table3",
-    "scalability_jobs",
-    "scalability_point",
-    "service_load_point",
-    "service_study_jobs",
-    "sketch_point",
-    "sketch_study_jobs",
-    "solver_point",
-    "solver_study_jobs",
-    "spec_names",
-    "sweep_jobs",
-]
+#: Submodule -> the names this package re-exports from it.
+_EXPORTS = {
+    "results": ("FORMATS", "ResultSeries", "ResultTable", "RunRecord", "render"),
+    "spec": (
+        "ExperimentSpec", "Param", "all_specs", "get_spec", "register",
+        "spec_names",
+    ),
+    "case_study": ("CaseStudyResult", "render_chip_map", "run_case_study"),
+    "factor_analysis": (
+        "VARIANTS", "FactorResult", "factor_jobs", "run_factor_analysis",
+    ),
+    "monitors_study": (
+        "GEOMETRIES", "MonitorAccuracy", "curve_error", "monitor_jobs",
+        "monitored_curve", "run_monitor_comparison",
+    ),
+    "phase_study": (
+        "PERIODS", "PhaseStudyResult", "phase_point", "phase_study_jobs",
+        "run_phase_study",
+    ),
+    "placers_study": (
+        "PLACERS", "PlacerOutcome", "placer_jobs", "run_placer_comparison",
+    ),
+    "scalability": (
+        "TILE_POINTS", "ScalabilityResult", "run_scalability",
+        "scalability_jobs", "scalability_point",
+    ),
+    "solver_study": (
+        "DYNAMISM_SWEEP", "INTERVAL_MCYCLES", "STRATEGY_SWEEP",
+        "SolverStudyResult", "run_solver_study", "solver_point",
+        "solver_study_jobs",
+    ),
+    "sketch_study": (
+        "BUDGET_SWEEP", "SketchStudyResult", "run_sketch_study",
+        "sketch_point", "sketch_study_jobs",
+    ),
+    "service_study": (
+        "ServiceStudyResult", "run_service_study", "service_load_point",
+        "service_study_jobs",
+    ),
+    "reconfig_study": (
+        "PROTOCOLS", "PeriodSweepResult", "ReconfigTrace",
+        "default_trace_mix", "period_sweep_from_traces",
+        "reconfig_trace_jobs", "reconfiguration_penalty_cycles",
+        "run_period_sweep", "run_reconfig_trace",
+    ),
+    "report": ("format_breakdown", "format_series", "format_table"),
+    "sweeps": (
+        "SweepResult", "evaluate_mix", "merge_mix_record", "mix_record",
+        "reduce_sweep_records", "run_sweep", "sweep_jobs",
+    ),
+    "table3": ("OPERATING_POINTS", "RuntimeRow", "run_table3"),
+}
+
+_MODULE_OF = {
+    name: module for module, names in _EXPORTS.items() for name in names
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -32,12 +32,9 @@ lazy geometry keep both the critical path and memory bounded (see
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from dataclasses import replace as dc_replace
-
-from repro.config import SystemConfig, default_config
+from repro.config import mesh_width, scaled_mesh_config
 from repro.experiments.results import ResultTable, RunRecord
 from repro.experiments.spec import ExperimentSpec, Param, register
 from repro.model.system import AnalyticSystem
@@ -51,36 +48,6 @@ from repro.workloads.mixes import random_single_threaded_mix
 #: (a 32x32 mesh) is the partitioned-strategy stretch point — pass it via
 #: ``--tiles`` / ``--param tiles=...`` rather than by default.
 TILE_POINTS = (16, 64, 144, 256)
-
-
-def mesh_width(tiles: int) -> int:
-    """Side length of a square mesh with *tiles* tiles; raises on
-    non-square or sub-2x2 counts (meshes here are square)."""
-    width = math.isqrt(tiles)
-    if width * width != tiles or tiles < 4:
-        raise ValueError(
-            f"tile count must be a perfect square >= 4, got {tiles}"
-        )
-    return width
-
-
-def scaled_mesh_config(tiles: int) -> SystemConfig:
-    """Table 2's chip grown (or shrunk) to *tiles* tiles.
-
-    Memory controllers scale with tile count — ``max(2, tiles // 8)``, one
-    MCU per 8 tiles, anchored at the paper's 8 MCUs for 64 tiles — so
-    per-tile DRAM bandwidth is held fixed along the whole sweep (the floor
-    of 2 only binds below 16 tiles).  Without this, the sweep measures
-    DRAM under-provisioning (8 channels feeding 256 cores) instead of how
-    co-scheduling itself scales; with it, any per-tile IPC loss is
-    attributable to the cache/network layer under study.
-    """
-    width = mesh_width(tiles)
-    config = default_config().with_mesh(width, width)
-    return dc_replace(
-        config,
-        memory=dc_replace(config.memory, controllers=max(2, tiles // 8)),
-    )
 
 
 def scalability_point(
@@ -266,33 +233,6 @@ def reduce_scalability_records(records: list[dict]) -> ScalabilityResult:
     for record in records:
         grouped.setdefault(record["tiles"], []).append(record)
     return ScalabilityResult(grouped)
-
-
-def parse_tiles(text: str) -> tuple[int, ...]:
-    """Parse comma-separated square tile counts (the CLI ``--tiles`` and
-    ``--param tiles=...`` grammar); raises ``argparse.ArgumentTypeError``
-    with a usable message on bad input."""
-    import argparse
-
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError(
-            "--tiles needs at least one tile count"
-        )
-    values = []
-    for part in parts:
-        try:
-            count = int(part)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"--tiles expects comma-separated integers, got {part!r}"
-            ) from None
-        try:
-            mesh_width(count)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        values.append(count)
-    return tuple(values)
 
 
 # -- spec registry -----------------------------------------------------------

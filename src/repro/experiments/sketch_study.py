@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import mesh_width, scaled_mesh_config
 from repro.experiments.results import ResultTable, RunRecord
-from repro.experiments.scalability import mesh_width, scaled_mesh_config
 from repro.experiments.spec import ExperimentSpec, Param, register
 from repro.nuca.base import build_problem
 from repro.runner import Job, ProcessPoolRunner, run_jobs

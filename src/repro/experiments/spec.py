@@ -19,8 +19,11 @@ figure/table it reproduces, a typed parameter schema
 Specs register into a process-wide registry (:func:`register`); the CLI
 (``python -m repro run <name>``), :class:`repro.api.Session`, the
 ``list`` command, and ``tools/docs_check.py`` are all driven from it.
-Importing :mod:`repro.experiments` populates the registry — every
-experiment module registers its spec(s) at import time.
+The registry is lazy: :data:`SPEC_MODULES` declares every spec name with
+the module that registers it, so :func:`spec_names` imports nothing,
+:func:`get_spec` imports only the named spec's module, and
+:func:`all_specs` imports every experiment module.  An experiment's
+heavy dependencies load only when something asks for it.
 
 The legacy ``run_*`` functions remain as thin compatibility shims over
 the same job builders and reducers, so both paths are bitwise-identical
@@ -30,19 +33,38 @@ by construction.
 from __future__ import annotations
 
 import argparse
+import importlib
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from repro.config import mesh_width
 from repro.experiments.results import RunRecord
 from repro.runner import Job
 
 
-def _parse_tiles(text: str) -> tuple[int, ...]:
-    # Imported lazily: scalability itself registers a spec into this
-    # module, so a top-level import would be circular.
-    from repro.experiments.scalability import parse_tiles
-
-    return parse_tiles(text)
+def parse_tiles(text: str) -> tuple[int, ...]:
+    """Parse comma-separated square tile counts (the CLI ``--tiles`` and
+    ``--param tiles=...`` grammar); raises ``argparse.ArgumentTypeError``
+    with a usable message on bad input."""
+    parts = [p.strip() for p in text.split(",") if p.strip()]
+    if not parts:
+        raise argparse.ArgumentTypeError(
+            "--tiles needs at least one tile count"
+        )
+    values = []
+    for part in parts:
+        try:
+            count = int(part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"--tiles expects comma-separated integers, got {part!r}"
+            ) from None
+        try:
+            mesh_width(count)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        values.append(count)
+    return tuple(values)
 
 
 #: Parameter kind -> parser callable (argparse ``type=`` compatible:
@@ -51,7 +73,7 @@ PARAM_KINDS: dict[str, Callable[[str], Any]] = {
     "int": int,
     "float": float,
     "str": str,
-    "tiles": _parse_tiles,
+    "tiles": parse_tiles,
 }
 
 
@@ -119,8 +141,6 @@ class Param:
         return float(value)
 
     def _coerce_tiles(self, value: Any) -> tuple[int, ...]:
-        from repro.experiments.scalability import mesh_width
-
         if isinstance(value, bool):
             raise ValueError(
                 f"parameter {self.name!r} expects tile counts, "
@@ -206,11 +226,47 @@ class ExperimentSpec:
         }
 
 
+#: Every experiment name -> the module that registers it.  The registry
+#: reads names from here and imports a module only when one of its specs
+#: is asked for; :func:`register` rejects any other pairing, so this table
+#: cannot drift from the code.
+SPEC_MODULES: dict[str, str] = {
+    "fig11": "repro.experiments.sweeps",
+    "fig12": "repro.experiments.factor_analysis",
+    "fig13": "repro.experiments.sweeps",
+    "fig14": "repro.experiments.sweeps",
+    "fig15": "repro.experiments.sweeps",
+    "fig16": "repro.experiments.sweeps",
+    "fig17": "repro.experiments.reconfig_study",
+    "fig18": "repro.experiments.reconfig_study",
+    "gmon": "repro.experiments.monitors_study",
+    "phase_study": "repro.experiments.phase_study",
+    "placers": "repro.experiments.placers_study",
+    "scalability": "repro.experiments.scalability",
+    "service_load": "repro.experiments.service_study",
+    "sketch_study": "repro.experiments.sketch_study",
+    "solver_study": "repro.experiments.solver_study",
+    "table1": "repro.experiments.case_study",
+    "table3": "repro.experiments.table3",
+}
+
 _REGISTRY: dict[str, ExperimentSpec] = {}
 
 
 def register(spec: ExperimentSpec) -> ExperimentSpec:
-    """Add *spec* to the registry; duplicate names are a bug."""
+    """Add *spec* to the registry.  Its name must be declared in
+    :data:`SPEC_MODULES` with the module that defines its functions, and
+    may register once."""
+    module = SPEC_MODULES.get(spec.name)
+    if module is None:
+        raise ValueError(
+            f"experiment {spec.name!r} is not declared in SPEC_MODULES"
+        )
+    if spec.build_jobs.__module__ != module:
+        raise ValueError(
+            f"experiment {spec.name!r} is declared in {module}, not "
+            f"{spec.build_jobs.__module__}"
+        )
     if spec.name in _REGISTRY:
         raise ValueError(f"experiment {spec.name!r} registered twice")
     _REGISTRY[spec.name] = spec
@@ -218,27 +274,19 @@ def register(spec: ExperimentSpec) -> ExperimentSpec:
 
 
 def get_spec(name: str) -> ExperimentSpec:
-    _ensure_registered()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+    """The spec registered as *name*, importing only its module."""
+    if name not in SPEC_MODULES:
         raise KeyError(
             f"unknown experiment {name!r} "
             f"(have: {', '.join(spec_names())})"
-        ) from None
+        )
+    importlib.import_module(SPEC_MODULES[name])
+    return _REGISTRY[name]
 
 
 def spec_names() -> list[str]:
-    _ensure_registered()
-    return sorted(_REGISTRY)
+    return sorted(SPEC_MODULES)
 
 
 def all_specs() -> list[ExperimentSpec]:
-    _ensure_registered()
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
-
-
-def _ensure_registered() -> None:
-    # Registration happens when the experiment modules import; pulling in
-    # the package is enough (and a no-op once loaded).
-    import repro.experiments  # noqa: F401
+    return [get_spec(name) for name in spec_names()]

@@ -538,19 +538,10 @@ class AnalyticSystem:
                 )
             )
 
-        process_perf: dict[int, float] = {}
-        process_app: dict[int, str] = {}
-        for proc in mix.processes:
-            ipcs = [t.ipc for t in threads if t.process_id == proc.process_id]
-            process_app[proc.process_id] = proc.profile.name
-            if len(ipcs) == 1:
-                process_perf[proc.process_id] = ipcs[0]
-            else:
-                # Barrier-limited data-parallel progress: harmonic mean.
-                process_perf[proc.process_id] = len(ipcs) / sum(
-                    1.0 / i for i in ipcs
-                )
-
+        process_perf = _process_perf(mix, threads)
+        process_app = {
+            proc.process_id: proc.profile.name for proc in mix.processes
+        }
         total_ipc = sum(t.ipc for t in threads)
 
         def weighted(key: str) -> float:
@@ -590,3 +581,21 @@ class AnalyticSystem:
             dram_utilization=self.dram.utilization(demand),
             energy=energy,
         )
+
+
+def _process_perf(mix: Mix, threads: list[ThreadPerf]) -> dict[int, float]:
+    """Process id -> IPC: a lone thread's IPC, or the harmonic mean of
+    the threads' IPCs (barrier-limited data-parallel progress).  Threads
+    are grouped in one pass, in thread order, so each mean adds the same
+    terms in the same order as a scan per process would."""
+    ipcs_of: dict[int, list[float]] = {}
+    for t in threads:
+        ipcs_of.setdefault(t.process_id, []).append(t.ipc)
+    perf: dict[int, float] = {}
+    for proc in mix.processes:
+        ipcs = ipcs_of.get(proc.process_id, [])
+        if len(ipcs) == 1:
+            perf[proc.process_id] = ipcs[0]
+        else:
+            perf[proc.process_id] = len(ipcs) / sum(1.0 / i for i in ipcs)
+    return perf

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.sched.problem import PlacementProblem, PlacementSolution
 from repro.util.rng import child_rng
 
@@ -47,6 +45,10 @@ def _bisect_graph(
 ) -> tuple[_Region, _Region]:
     """Kernighan-Lin bisection of the thread/VC affinity graph, repaired to
     respect each side's core budget."""
+    # Imported here: networkx is a slow import that only the placers
+    # experiment needs.
+    import networkx as nx
+
     graph = nx.Graph()
     for t in threads:
         graph.add_node(("t", t.thread_id))

@@ -13,7 +13,6 @@ the comparison (ILP beat CDCS by only 0.5%).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.sched.problem import PlacementProblem
 
@@ -28,6 +27,10 @@ def lp_data_placement(
     Returns vc_id -> {bank -> bytes}.  Raises ``RuntimeError`` if the LP
     solver fails (infeasible inputs: total size beyond chip capacity).
     """
+    # Imported here: scipy.optimize is most of a cold start, and only
+    # the placers experiment calls this.
+    from scipy.optimize import linprog
+
     topo = problem.topology
     tiles = topo.tiles
     dist = topo.distance_matrix

@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.config import scaled_mesh_config
 from repro.sched.engine import SolveStrategy, make_strategy
 from repro.service.messages import (
     MalformedTelemetryError,
@@ -201,10 +202,7 @@ class LoadReport:
 def build_chip(spec: LoadSpec, index: int):
     """(chip_id, EpochEngine) for chip *index* of the fleet — seeded, so
     the same spec always builds the same fleet."""
-    # Lazy: repro.service must stay importable without dragging in the
-    # whole experiments package (which itself imports this module via the
-    # service_load spec).
-    from repro.experiments.scalability import scaled_mesh_config
+    # Local: the service itself never loads the epoch simulator.
     from repro.nuca.base import build_problem
     from repro.workloads.mixes import (
         random_phased_mix,

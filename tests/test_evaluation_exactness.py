@@ -1,12 +1,14 @@
 """Exactness of the evaluation-path kernels.
 
-Two kernels compute only what their callers read:
+Three kernels compute only what their callers read:
 
 * :meth:`repro.cache.miss_curve.MissCurveBatch.balance_bisect` searches
   a lane's knots only while the clipped segment index differs between
   the two ends of its bracket, then finishes on gathered operands;
 * :func:`repro.sched.cost_model.reader_hops` sums a VC's access hops only
-  at the cores of the threads that read it.
+  at the cores of the threads that read it;
+* ``AnalyticSystem._finalize`` groups the threads by process in one pass
+  instead of scanning every thread once per process.
 
 Each is compared with ``==`` (on the raw bytes, so ``-0.0`` and ``0.0``
 differ) against the full computation it replaced, kept below as the
@@ -16,7 +18,8 @@ where a segment index changes — and mix single-point, flat and cliff
 curves, capacities past the last knot, zero-capacity lanes, R-NUCA slice
 transforms and per-lane pressures.  The hop sums run over fig11 and
 fig15 items (fig15's process VCs are read from eight cores each), an
-unread VC, the home-bank fallback spread and a lazy distance matrix.
+unread VC, the home-bank fallback spread and a lazy distance matrix.  The
+process grouping runs over the same items and one 256-app chip epoch.
 """
 
 from __future__ import annotations
@@ -31,10 +34,12 @@ from repro.config import default_config, small_test_config
 from repro.geometry import dense_geometry_limit
 from repro.kernels import scalar_reference
 from repro.mem.controller import MemoryControllers
+from repro.model import system as system_module
 from repro.model.system import AnalyticSystem
-from repro.nuca import build_problem, standard_schemes
+from repro.nuca import Cdcs, build_problem, standard_schemes
 from repro.nuca.base import GLOBAL_VC_ID, SchemeResult
 from repro.sched.cost_model import reader_hops
+from repro.service.load import LoadSpec, build_chip
 from repro.workloads.mixes import (
     random_multithreaded_mix,
     random_single_threaded_mix,
@@ -44,8 +49,8 @@ BISECT_CASES = 600
 ITERS = 60
 
 # ---------------------------------------------------------------------------
-# References: the kernels as they were before the settled-segment and
-# reader-core shortcuts.
+# References: the kernels as they were before the settled-segment,
+# reader-core and process-grouping shortcuts.
 # ---------------------------------------------------------------------------
 
 
@@ -105,6 +110,18 @@ def reference_spread_hops_batch(dist, mc_dist, spreads):
             weights * mc_dist[bank_idx], axis=1
         )[:, -1]
     return hops, mc_hops
+
+
+def reference_process_perf(mix, threads):
+    """One scan over every thread per process."""
+    perf = {}
+    for proc in mix.processes:
+        ipcs = [t.ipc for t in threads if t.process_id == proc.process_id]
+        if len(ipcs) == 1:
+            perf[proc.process_id] = ipcs[0]
+        else:
+            perf[proc.process_id] = len(ipcs) / sum(1.0 / i for i in ipcs)
+    return perf
 
 
 def same_bits(got, want) -> bool:
@@ -384,3 +401,40 @@ def test_reader_hops_on_lazy_matrices_match_dense():
             want = system._thread_geometry(*dense)
             assert [g["mean_hops"] for g in got] == [w["mean_hops"] for w in want]
             assert [g["mc_hops"] for g in got] == [w["mc_hops"] for w in want]
+
+
+# ---------------------------------------------------------------------------
+# Process grouping
+# ---------------------------------------------------------------------------
+
+
+def chip_epoch_items():
+    """One epoch of a 256-app phased chip (seed 1) under CDCS placement."""
+    _, sim = build_chip(LoadSpec(tiles=256, seed=1), 0)
+    problem = sim.current_problem()
+    result = Cdcs(seed=1).run(problem)
+    return [(sim.current_mix(), problem, SchemeResult("epoch", result.solution))]
+
+
+@pytest.mark.parametrize("build", [fig11_items, fig15_items, chip_epoch_items])
+def test_process_grouping_matches_per_process_scan(build, monkeypatch):
+    items = build()
+    system = AnalyticSystem(items[0][1].config)
+    got = [system.evaluate_solution(*item) for item in items]
+    monkeypatch.setattr(
+        system_module, "_process_perf", reference_process_perf
+    )
+    want = [system.evaluate_solution(*item) for item in items]
+    for g, w in zip(got, want):
+        assert list(g.process_perf) == list(w.process_perf)
+        for pid, value in g.process_perf.items():
+            assert same_bits(value, w.process_perf[pid]), pid
+        assert g.process_app == w.process_app
+        assert len(g.threads) == len(w.threads)
+        for gt, wt in zip(g.threads, w.threads):
+            assert gt == wt
+    if build is fig15_items:
+        assert any(
+            sum(t.process_id == pid for t in got[0].threads) > 1
+            for pid in got[0].process_perf
+        )

@@ -303,7 +303,7 @@ def test_4096_tile_problem_build_allocates_no_dense_matrix():
     """The PR 7 headline regression: building a full 4096-tile placement
     problem (memory-controller geometry included) must never allocate a
     dense O(N²) geometry block — neither cached nor transient."""
-    from repro.experiments.scalability import scaled_mesh_config
+    from repro.config import scaled_mesh_config
     from repro.nuca.base import build_problem
     from repro.workloads.mixes import random_single_threaded_mix
 
@@ -329,7 +329,7 @@ def test_4096_tile_problem_build_allocates_no_dense_matrix():
 
 
 def _interval_mcycles() -> float:
-    from repro.experiments.scalability import scaled_mesh_config
+    from repro.config import scaled_mesh_config
 
     config = scaled_mesh_config(4096)
     return config.scheduler.reconfigure_interval_cycles / 1e6

@@ -20,7 +20,14 @@ from repro.experiments.results import (
     render_csv,
     render_text,
 )
-from repro.experiments.spec import all_specs, get_spec, spec_names
+from repro.experiments.spec import (
+    SPEC_MODULES,
+    ExperimentSpec,
+    all_specs,
+    get_spec,
+    register,
+    spec_names,
+)
 
 #: Modules of repro.experiments that are infrastructure, not experiments.
 NON_EXPERIMENT_MODULES = {"report", "results", "spec"}
@@ -32,9 +39,12 @@ NON_EXPERIMENT_MODULES = {"report", "results", "spec"}
 
 
 def test_every_experiment_module_registers_a_spec():
-    registered_modules = {
-        spec.build_jobs.__module__ for spec in all_specs()
-    }
+    specs = all_specs()
+    registered_modules = {spec.build_jobs.__module__ for spec in specs}
+    # Each spec comes from the module its name is declared with.
+    assert {
+        spec.name: spec.build_jobs.__module__ for spec in specs
+    } == SPEC_MODULES
     for info in pkgutil.iter_modules(repro.experiments.__path__):
         if info.name in NON_EXPERIMENT_MODULES:
             continue
@@ -43,6 +53,22 @@ def test_every_experiment_module_registers_a_spec():
         assert module in registered_modules, (
             f"{module} registers no ExperimentSpec"
         )
+
+
+def test_register_rejects_undeclared_and_foreign_names():
+    def spec_named(name):
+        return ExperimentSpec(
+            name=name, summary="", figure="", params=(),
+            build_jobs=lambda params: [], reduce=lambda records, params: None,
+            present=lambda result, params: None,
+        )
+
+    with pytest.raises(ValueError, match="not declared"):
+        register(spec_named("fig99"))
+    with pytest.raises(ValueError, match="declared in repro.experiments.sweeps"):
+        register(spec_named("fig11"))
+    with pytest.raises(ValueError, match="registered twice"):
+        register(get_spec("fig11"))
 
 
 def test_registry_covers_the_paper_evaluation():

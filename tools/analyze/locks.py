@@ -131,14 +131,18 @@ ATOMIC_STATE: tuple[AtomicGlobal, ...] = (
     AtomicGlobal(
         module="repro/runner/mega.py",
         name="_BATCHABLE",
-        why="populated only by import-time @batchable registration, "
-        "read-only afterwards",
+        why="written only by register_batchable() calls in a module's "
+        "body, so each write runs inside that module's import, which "
+        "Python's per-module import lock serializes; each function key "
+        "is written once and never changes",
     ),
     AtomicGlobal(
         module="repro/experiments/spec.py",
         name="_REGISTRY",
-        why="populated only by import-time register() calls, read-only "
-        "afterwards",
+        why="written only by register() calls in an experiment module's "
+        "body; get_spec() may trigger that import late and from any "
+        "thread, but each write runs inside the import, which Python's "
+        "per-module import lock serializes, and each name is written once",
     ),
 )
 

@@ -42,7 +42,9 @@ Five metric classes gate, all at ``--max-regression`` (default 25%):
   previously elided.
 
 Metrics absent from either side are reported but never fail (benches
-grow metrics over time).
+grow metrics over time).  Every other numeric leaf (speedup ratios,
+IPCs, hop counts, ...) is not gated; one ``ungated:`` line per compared
+bench names them, so a metric no gate covers is visible, not silent.
 """
 
 from __future__ import annotations
@@ -121,6 +123,17 @@ def memory_metrics(entry: dict) -> dict[str, float]:
         for path, value in numeric_leaves(entry).items()
         if "mib" in path.lower()
     }
+
+
+def ungated_metrics(entry: dict) -> list[str]:
+    """Numeric leaves that none of the five metric classes gates."""
+    gated: set[str] = set()
+    for metrics in (
+        wall_metrics, throughput_metrics, mcycle_metrics,
+        telemetry_metrics, memory_metrics,
+    ):
+        gated.update(metrics(entry))
+    return sorted(set(numeric_leaves(entry)) - gated)
 
 
 def _gate(
@@ -205,6 +218,7 @@ def compare(
             throughput_metrics(candidate), throughput_metrics(baseline),
             float("inf"), " jobs/s", higher_is_better=True,
         )
+    print(f"  ungated: {', '.join(ungated_metrics(candidate)) or 'none'}")
     return problems
 
 
