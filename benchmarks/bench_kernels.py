@@ -7,8 +7,9 @@ measured here, not asserted in prose:
   :class:`MissCurveBatch` call vs one ``np.interp`` per curve;
 * **placement scoring**: Sec IV-D candidate scoring as matrix passes vs
   per-candidate window loops;
-* **sharing fixed point**: the lockstep bisection vs per-stream nested
-  bisection;
+* **sharing fixed point**: S-NUCA's chip-wide cache of the golden mix
+  through ``solve_sharing_plans`` (the path ``SNuca.run`` takes) vs
+  per-stream nested bisection, asserted ``==``;
 * **mega-batch sharing**: one 4-mix fig11 ``solve_sharing_plans`` call
   (S-NUCA's chip-wide caches merged with R-NUCA's per-bank pools: 512
   lanes, 260 caches) vs the scalar per-cache loop, asserted ``==``;
@@ -35,11 +36,7 @@ from repro.experiments.sweeps import SweepResult, evaluate_mix
 from repro.kernels import scalar_reference
 from repro.nuca.base import build_problem
 from repro.nuca.rnuca import RNuca
-from repro.nuca.sharing import (
-    shared_cache_occupancies,
-    shared_cache_occupancies_batch,
-    solve_sharing_plans,
-)
+from repro.nuca.sharing import shared_cache_occupancies, solve_sharing_plans
 from repro.nuca.snuca import SNuca
 from repro.sched.allocation import allocate_latency_aware
 from repro.sched.vc_placement import (
@@ -126,14 +123,13 @@ def test_kernel_speedups(once):
         )
         speedups["placement_scoring"] = scalar_t / vector_t
 
-        # 3. LRU-sharing fixed point (S-NUCA/R-NUCA capacity division).
-        capacity = float(problem.total_bytes)
-        fns = [c.__call__ for c in curves]
-        scalar_t = _best_of(
-            lambda: shared_cache_occupancies(fns, capacity), repeats=2
-        )
-        batch_t = _best_of(
-            lambda: shared_cache_occupancies_batch(batch, capacity), repeats=2
+        # 3. LRU-sharing fixed point: S-NUCA's one chip-wide cache, solved
+        # through solve_sharing_plans as SNuca.run solves it.
+        plan = SNuca(0).sharing_stage(problem)[0]
+        scalar_t = _best_of(lambda: _plan_per_cache_scalar(plan), repeats=2)
+        batch_t = _best_of(lambda: solve_sharing_plans([plan]), repeats=2)
+        assert solve_sharing_plans([plan])[0].tolist() == (
+            _plan_per_cache_scalar(plan)
         )
         speedups["sharing_fixed_point"] = scalar_t / batch_t
 

@@ -17,15 +17,19 @@ unmanaged LLC — the Sec II-B observation that motivates partitioning.
 
 Two implementations solve the same system:
 
-* :func:`shared_cache_occupancies` — the scalar reference: one nested
-  bisection per stream, one ``np.interp`` per probe;
-* :func:`shared_cache_occupancies_batch` — the vectorized kernel: all
+* :func:`shared_cache_occupancies` — the scalar reference for one cache:
+  one nested bisection per stream, one ``np.interp`` per probe;
+* :func:`shared_cache_occupancies_grouped` — the vectorized kernel for
+  any number of independent caches (one group of streams each): all
   streams bisect in lockstep through
   :meth:`~repro.cache.miss_curve.MissCurveBatch.balance_bisect`, which
   searches a stream's curve knots only until its bracket settles on one
   segment and then evaluates that segment elementwise.  Per-stream
   arithmetic and summation order replicate the scalar path exactly, so
-  the two return bitwise-identical occupancies.
+  each group's occupancies are bitwise the scalar solve of that cache.
+
+S-NUCA and R-NUCA reach the kernel through :func:`solve_sharing_plans`,
+which merges many schemes' (and mixes') caches into one lockstep call.
 """
 
 from __future__ import annotations
@@ -137,52 +141,6 @@ def _occupancies_at_pressure_batch(
     mid = batch.balance_bisect(pressure, capacity, _BISECT_ITERS)
     occ = np.where(at_cap, capacity, mid)
     return np.where(inactive, 0.0, occ)
-
-
-def shared_cache_occupancies_batch(
-    batch: MissCurveBatch, capacity: float
-) -> list[float]:
-    """Vectorized :func:`shared_cache_occupancies` over a curve batch.
-
-    Returns bitwise-identical occupancies: probe totals are summed in
-    stream order (so every outer-bisection branch matches), and the final
-    rescale multiplies element-wise like the scalar path.
-    """
-    k = len(batch)
-    if capacity <= 0:
-        return [0.0] * k
-    miss_at_zero = batch(0.0)
-    miss_at_cap = batch(capacity)
-
-    def solve(pressure: float) -> np.ndarray:
-        return _occupancies_at_pressure_batch(
-            batch, pressure, capacity, miss_at_zero, miss_at_cap
-        )
-
-    unconstrained = solve(0.0)
-    if sum(unconstrained.tolist()) <= capacity:
-        return unconstrained.tolist()
-
-    def total_occupancy(pressure: float) -> float:
-        return sum(solve(pressure).tolist())
-
-    lo, hi = 1e-12, 1.0
-    while total_occupancy(hi) > capacity:
-        hi *= 4.0
-        if hi > 1e12:
-            break
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if total_occupancy(mid) > capacity:
-            lo = mid
-        else:
-            hi = mid
-    pressure = 0.5 * (lo + hi)
-    occ = solve(pressure)
-    total = sum(occ.tolist())
-    if total > capacity and total > 0:
-        occ = occ * (capacity / total)
-    return occ.tolist()
 
 
 def shared_cache_occupancies_grouped(

@@ -4,16 +4,14 @@ refinement, and the 4-step reconfiguration pipeline (Fig 4)."""
 
 from repro.sched.allocation import (
     allocate_latency_aware,
-    allocate_latency_aware_subset,
     allocate_miss_driven,
     convex_hull_indices,
 )
 from repro.sched.engine import (
     STRATEGIES,
     EngineState,
-    FullSolve,
+    HierarchicalSolve,
     IncrementalSolve,
-    PartitionedSolve,
     ReconfigEngine,
     SolveStrategy,
     auto_regions,
@@ -47,10 +45,9 @@ from repro.sched.vc_placement import OptimisticPlacement, place_optimistic
 __all__ = [
     "CYCLES_PER_OP",
     "EngineState",
-    "FullSolve",
+    "HierarchicalSolve",
     "IncrementalSolve",
     "OptimisticPlacement",
-    "PartitionedSolve",
     "PlacementProblem",
     "PlacementSolution",
     "ReconfigEngine",
@@ -61,7 +58,6 @@ __all__ = [
     "StepCounter",
     "ThreadSpec",
     "allocate_latency_aware",
-    "allocate_latency_aware_subset",
     "allocate_miss_driven",
     "auto_regions",
     "make_strategy",

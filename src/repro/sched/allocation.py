@@ -161,17 +161,20 @@ def _greedy_hull_allocation(
 
 def _ensure_minimum_quanta(
     problem: PlacementProblem,
+    vcs: list,
     sizes: list[int],
     budget: int,
     curves: list[np.ndarray],
 ) -> None:
     """Every VC with live accessors needs >= 1 quantum: its descriptor must
     point at a real bank partition (Fig 3).  Spare budget covers it; if the
-    chip is fully allocated, the quantum is taken from the donor whose
+    budget is fully allocated, the quantum is taken from the donor whose
     curve loses the least by shrinking (never from the middle of a cliff).
+    *vcs* are the VCs behind *sizes* and *curves*, so donors come only from
+    the VCs being allocated.
     """
     spare = budget - sum(sizes)
-    for i, vc in enumerate(problem.vcs):
+    for i, vc in enumerate(vcs):
         if sizes[i] > 0:
             continue
         rate = sum(problem.accessors_of(vc.vc_id).values())
@@ -194,86 +197,41 @@ def _ensure_minimum_quanta(
 def allocate_latency_aware(
     problem: PlacementProblem,
     counter: StepCounter | None = None,
+    vc_ids: set[int] | None = None,
+    budget_quanta: int | None = None,
 ) -> dict[int, float]:
-    """CDCS capacity allocation: vc_id -> bytes (may not use all capacity)."""
+    """CDCS capacity allocation: vc_id -> bytes (may not use all capacity).
+
+    *vc_ids*/*budget_quanta* are the warm start: only the named VCs are
+    allocated, competing for *budget_quanta* (the capacity the caller's
+    pinned VCs do not hold).  Curve rows are per-VC independent, so all
+    VCs with the whole budget is exactly the default cold allocation.
+    """
     counter = counter if counter is not None else StepCounter()
+    indices = None
+    vcs = problem.vcs
+    if vc_ids is not None:
+        indices = [i for i, vc in enumerate(vcs) if vc.vc_id in vc_ids]
+        vcs = [vcs[i] for i in indices]
+    if not vcs:
+        return {}
     if use_vectorized():
         # One batched build: rows are bitwise the per-VC scalar curves, so
         # the hull walk below makes identical discrete decisions.
-        curves = list(latency_curves_batch(problem))
-    else:
-        curves = [
-            latency_curve(problem, vc.miss_curve, rate)
-            for vc, rate in zip(problem.vcs, vc_access_rates(problem))
-        ]
-    budget = problem.total_bytes // problem.quantum
-    sizes = _greedy_hull_allocation(curves, budget, counter, "allocation")
-    _ensure_minimum_quanta(problem, sizes, budget, curves)
-    return {
-        vc.vc_id: sizes[i] * problem.quantum for i, vc in enumerate(problem.vcs)
-    }
-
-
-def allocate_latency_aware_subset(
-    problem: PlacementProblem,
-    vc_ids: set[int],
-    budget_quanta: int,
-    counter: StepCounter | None = None,
-) -> dict[int, float]:
-    """Warm-start allocation over a subset of VCs (the incremental solve).
-
-    Re-runs the hull walk only for *vc_ids*, competing for *budget_quanta*
-    (the capacity not pinned by clean VCs); every other VC keeps whatever
-    the caller already holds for it.  Curve rows are the same per-VC
-    latency curves the full allocator builds, so a subset equal to all VCs
-    with the full budget reproduces :func:`allocate_latency_aware` exactly.
-    """
-    counter = counter if counter is not None else StepCounter()
-    subset = [
-        (i, vc) for i, vc in enumerate(problem.vcs) if vc.vc_id in vc_ids
-    ]
-    if not subset:
-        return {}
-    if use_vectorized():
-        # Batched build over the dirty rows only: per-VC independent, so
-        # bitwise the full-batch rows at O(dirty) cost.
-        curves = list(
-            latency_curves_batch(problem, vc_indices=[i for i, _ in subset])
-        )
+        curves = list(latency_curves_batch(problem, vc_indices=indices))
     else:
         rates = vc_access_rates(problem)
         curves = [
-            latency_curve(problem, vc.miss_curve, rates[i])
-            for i, vc in subset
+            latency_curve(problem, problem.vcs[i].miss_curve, rates[i])
+            for i in (range(len(vcs)) if indices is None else indices)
         ]
-    budget = max(0, budget_quanta)
+    if budget_quanta is None:
+        budget = problem.total_bytes // problem.quantum
+    else:
+        budget = max(0, budget_quanta)
     sizes = _greedy_hull_allocation(curves, budget, counter, "allocation")
-    # Minimum-quantum guarantee, donors restricted to the subset: a clean
-    # VC's capacity is pinned, so an accessed-but-zero dirty VC can only be
-    # seeded from spare dirty budget or another dirty VC's tail.
-    spare = budget - sum(sizes)
-    for j, (_, vc) in enumerate(subset):
-        if sizes[j] > 0:
-            continue
-        rate = sum(problem.accessors_of(vc.vc_id).values())
-        if rate <= 0:
-            continue
-        if spare > 0:
-            spare -= 1
-        else:
-            candidates = [k for k in range(len(sizes)) if sizes[k] > 1]
-            if not candidates:
-                continue
-            donor = min(
-                candidates,
-                key=lambda k: curves[k][sizes[k] - 1] - curves[k][sizes[k]],
-            )
-            sizes[donor] -= 1
-        sizes[j] = 1
-    return {
-        vc.vc_id: sizes[j] * problem.quantum
-        for j, (_, vc) in enumerate(subset)
-    }
+    _ensure_minimum_quanta(problem, vcs, sizes, budget, curves)
+    return {vc.vc_id: sizes[i] * problem.quantum for i, vc in enumerate(vcs)}
 
 
 def allocate_miss_driven(
@@ -317,7 +275,7 @@ def allocate_miss_driven(
         max_quanta = budget
         for d in range(len(sizes)):
             sizes[d] = min(sizes[d] + floors[d], max_quanta)
-    _ensure_minimum_quanta(problem, sizes, budget, curves)
+    _ensure_minimum_quanta(problem, problem.vcs, sizes, budget, curves)
     return {
         vc.vc_id: sizes[i] * problem.quantum for i, vc in enumerate(problem.vcs)
     }

@@ -4,35 +4,32 @@ The paper's pitch is that co-scheduling runs in near-linear time so
 reconfiguration stays cheap at hundreds of tiles (Sec IV, Table 3) — but a
 single-shot :func:`repro.sched.reconfigure.reconfigure` of a fully
 committed 256-tile mesh costs ~80 Mcycles of modeled runtime, overrunning
-the 50 Mcycle interval.  This module turns the monolithic pipeline into an
-engine with interchangeable :class:`SolveStrategy` implementations:
+the 50 Mcycle interval.  This module runs that one pipeline through
+interchangeable :class:`SolveStrategy` implementations, registered by name
+in :data:`STRATEGIES`:
 
-* :class:`FullSolve` (``"full"``) — the classic 4-step pipeline, bitwise
-  identical to calling ``reconfigure()`` directly.  The pinned equivalence
-  reference for everything else.
 * :class:`IncrementalSolve` (``"incremental"``) — warm-starts from the
   previous epoch's solution.  VCs whose miss curves or access rates moved
   beyond ``dirty_threshold`` (plus new/removed VCs and their threads) are
-  re-allocated and re-placed through the same kernels; everything else
+  re-solved; everything else is passed to ``reconfigure`` as *pinned* and
   keeps its capacity, banks, and cores.  ``dirty_threshold=0`` means "no
   tolerance": every VC is dirty and the solve is exactly the full
   pipeline, which is the degenerate-equivalence contract the tests pin.
-* :class:`PartitionedSolve` (``"partitioned"``) — splits the mesh into
-  ``regions`` × ``regions`` rectangular sub-meshes, solves each region as
-  an independent sub-problem (one runtime core per region, so the modeled
-  critical path is the *slowest region*, not the sum), then stitches with
-  a boundary-trade refinement pass restricted to VCs holding data next to
-  a region seam.  ``regions=1`` is the full pipeline with no stitch, again
-  bitwise identical by construction.
 * :class:`HierarchicalSolve` (``"hierarchical"``, PR 7) — regions of
   regions: recursive splits by the smallest common divisor of the mesh
-  axes down to paper-sized (~8x8) leaves, with the same boundary-trade
-  stitch at every level.  The modeled critical path is the slowest leaf
-  plus one stitch per level, each stitch an anytime pass capped at
-  :data:`STITCH_OPS_BUDGET` ops — that is what keeps 4096-tile and
-  larger meshes inside the 50 Mcycle interval.  ``depth=1`` is bitwise
-  the flat partitioned strategy; ``depth=1, regions=1`` is bitwise
-  ``full``.
+  axes down to paper-sized (~8x8) leaves, each region solved as an
+  independent sub-problem (one runtime core per region, so the modeled
+  critical path is the *slowest region*, not the sum), with a
+  boundary-trade stitch at every level.  The critical path is the slowest
+  leaf plus one stitch per level, each stitch an anytime pass capped at
+  :data:`STITCH_OPS_BUDGET` ops — that is what keeps 4096-tile and larger
+  meshes inside the 50 Mcycle interval.
+* ``"full"`` and ``"partitioned"`` are presets of
+  :class:`HierarchicalSolve`.  ``full`` fixes ``regions=1``: no split, so
+  it is the classic 4-step pipeline, bitwise ``reconfigure()`` and the
+  pinned equivalence reference for everything else.  ``partitioned``
+  fixes ``depth=1``: one flat ``regions`` x ``regions`` split (default
+  :func:`auto_regions`) of full-pipeline leaves plus one stitch.
 
 :class:`ReconfigEngine` carries solver state (the previous problem and
 solution) across epochs, which is what the periodic runtime of Sec IV-G
@@ -53,14 +50,10 @@ import numpy as np
 
 from repro.cache.sketch import DEFAULT_SKETCH_BYTES, problem_sketch_bank
 from repro.geometry.mesh import Mesh
-from repro.geometry.placement_math import center_of_mass
-from repro.sched.allocation import allocate_latency_aware_subset
 from repro.sched.opcount import CYCLES_PER_OP, StepCounter
 from repro.sched.problem import PlacementProblem, PlacementSolution
 from repro.sched.reconfigure import ReconfigPolicy, ReconfigResult, reconfigure
-from repro.sched.refinement import refined_placement, trade_refinement
-from repro.sched.thread_placement import place_threads
-from repro.sched.vc_placement import OptimisticPlacement, place_optimistic
+from repro.sched.refinement import trade_refinement
 
 
 #: Default op budget for one stitch pass (10 Mcycles at CYCLES_PER_OP).
@@ -103,28 +96,6 @@ class SolveStrategy(Protocol):
 def _copy_solution(solution: PlacementSolution) -> PlacementSolution:
     """Deep-enough copy so reusing a solution never aliases engine state."""
     return solution.copy()
-
-
-def _full_solve(
-    problem: PlacementProblem,
-    policy: ReconfigPolicy,
-    external_thread_cores: dict[int, int] | None,
-    strategy: str,
-) -> ReconfigResult:
-    """The shared cold-start/degenerate path: the classic pipeline, tagged
-    with the strategy that requested it."""
-    result = reconfigure(problem, policy, external_thread_cores)
-    result.strategy = strategy
-    return result
-
-
-class FullSolve:
-    """Today's single-shot 4-step pipeline (the equivalence reference)."""
-
-    name = "full"
-
-    def solve(self, problem, policy, external_thread_cores, state):
-        return _full_solve(problem, policy, external_thread_cores, self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +152,9 @@ class IncrementalSolve:
     A VC is dirty when its miss curve or accessor rates moved beyond
     *dirty_threshold* (relative), or it did not exist last epoch.  Dirty
     VCs release their capacity, banks, and their accessor threads' cores;
-    the pipeline then runs over just that released slice: subset hull
-    allocation, warm-started optimistic placement (clean footprints
-    pre-claimed), subset thread placement over the freed cores, greedy
-    seeding into the free capacity, and trades initiated by dirty VCs
-    (clean VCs may still be swap counterparties — the displaced
-    neighbors).
+    everything else is the *pinned* part of the previous solution, and
+    :func:`~repro.sched.reconfigure.reconfigure` runs the pipeline over
+    just the released slice (see its *pinned* argument).
 
     ``dirty_threshold <= 0`` marks every VC dirty, reducing to the full
     pipeline — the pinned degenerate-equivalence case.  Cold starts
@@ -279,8 +247,8 @@ class IncrementalSolve:
         if state.problem is None or state.solution is None:
             return False
         if not policy.latency_aware_allocation:
-            # The warm start re-allocates through the latency-aware subset
-            # kernels; Jigsaw-style miss-driven policies take the full path.
+            # Pinned solves re-allocate through the latency-aware
+            # allocator; Jigsaw-style miss-driven policies take the full path.
             return False
         prev = state.problem
         if prev.topology.tiles != problem.topology.tiles:
@@ -294,165 +262,57 @@ class IncrementalSolve:
     # -- solve --------------------------------------------------------------
 
     def solve(self, problem, policy, external_thread_cores, state):
-        if not self._can_warm_start(problem, policy, state):
-            return _full_solve(
-                problem, policy, external_thread_cores, self.name
-            )
-        if self.use_sketches:
-            dirty = self.dirty_vcs_from_sketches(state.problem, problem)
-        else:
-            dirty = self.dirty_vcs(state.problem, problem)
-        all_ids = {vc.vc_id for vc in problem.vcs}
-        if dirty == all_ids:
-            return _full_solve(
-                problem, policy, external_thread_cores, self.name
-            )
-        prev_sol = state.solution
-        removed = set(prev_sol.vc_allocation) - all_ids
-        if not dirty and not removed:
-            # Nothing moved: the previous placement is this epoch's answer.
-            return ReconfigResult(
-                _copy_solution(prev_sol), StepCounter(), {},
-                strategy=self.name,
-            )
+        pinned = None
+        if self._can_warm_start(problem, policy, state):
+            if self.use_sketches:
+                dirty = self.dirty_vcs_from_sketches(state.problem, problem)
+            else:
+                dirty = self.dirty_vcs(state.problem, problem)
+            all_ids = {vc.vc_id for vc in problem.vcs}
+            if dirty != all_ids:
+                prev_sol = state.solution
+                if not dirty and not set(prev_sol.vc_allocation) - all_ids:
+                    # Nothing moved: the previous placement is this
+                    # epoch's answer.
+                    return ReconfigResult(
+                        _copy_solution(prev_sol), StepCounter(), {},
+                        strategy=self.name,
+                    )
+                pinned = _clean_part(problem, prev_sol, all_ids - dirty, dirty)
+        result = reconfigure(problem, policy, external_thread_cores, pinned)
+        result.strategy = self.name
+        return result
 
-        counter = StepCounter()
-        wall: dict[str, float] = {}
-        topo = problem.topology
-        bank_bytes = float(problem.bank_bytes)
-        quantum = problem.quantum
-        clean_ids = all_ids - dirty
 
-        # 1. Capacity: clean VCs keep their sizes; dirty VCs compete for
-        # everything else through the hull allocator.
-        t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
-        clean_sizes = {
+def _clean_part(
+    problem: PlacementProblem,
+    prev_sol: PlacementSolution,
+    clean_ids: set[int],
+    dirty: set[int],
+) -> PlacementSolution:
+    """What a warm solve pins of the previous solution: the clean VCs'
+    sizes and banks, and the cores of threads that touch no dirty VC."""
+    return PlacementSolution(
+        vc_sizes={
             vc_id: prev_sol.vc_sizes.get(vc_id, 0.0) for vc_id in clean_ids
-        }
-        clean_quanta = sum(
-            int(round(size / quantum)) for size in clean_sizes.values()
-        )
-        budget = problem.total_bytes // quantum - clean_quanta
-        dirty_sizes = allocate_latency_aware_subset(
-            problem, dirty, budget, counter
-        )
-        sizes = {**clean_sizes, **dirty_sizes}
-        wall["allocation"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
-
-        # 2. Optimistic placement of dirty VCs, scored against the clean
-        # VCs' real footprints (claimed capacity in banks).
-        t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
-        claimed = np.zeros(topo.tiles, dtype=np.float64)
-        for vc_id in clean_ids:
-            for bank, amount in prev_sol.vc_allocation.get(vc_id, {}).items():
-                claimed[bank] += amount / bank_bytes
-        optimistic = place_optimistic(
-            problem, sizes, counter, vc_ids=dirty, claimed_init=claimed
-        )
-        # Clean VCs anchor thread placement at their *actual* data's center
-        # of mass (where the previous refinement left it).  Only threads
-        # touching a dirty VC re-place, so only the clean VCs they read
-        # need a centroid.
-        dirty_threads = {
-            t.thread_id
-            for t in problem.threads
-            if t.thread_id not in prev_sol.thread_cores
-            or any(vc_id in dirty for vc_id in t.vc_accesses)
-        }
-        read_clean = {
-            vc_id
-            for t in problem.threads
-            if t.thread_id in dirty_threads
-            for vc_id in t.vc_accesses
-            if vc_id in clean_ids
-        }
-        centroids = dict(optimistic.centroids)
-        for vc_id in sorted(read_clean):
-            per_bank = prev_sol.vc_allocation.get(vc_id)
-            if per_bank:
-                centroids[vc_id] = center_of_mass(
-                    topo,
-                    {b: amt / bank_bytes for b, amt in per_bank.items()},
-                )
-        merged = OptimisticPlacement(
-            footprints=optimistic.footprints,
-            centers=optimistic.centers,
-            centroids=centroids,
-            claimed=optimistic.claimed,
-        )
-        wall["vc_placement"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
-
-        # 3. Threads touching a dirty VC re-place over the cores they
-        # released; everyone else stays put.
-        t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
-        if policy.place_threads:
-            clean_cores = {
-                t.thread_id: prev_sol.thread_cores[t.thread_id]
-                for t in problem.threads
-                if t.thread_id not in dirty_threads
-            }
-            placed = place_threads(
-                problem, sizes, merged, counter,
-                only_threads=dirty_threads,
-                taken_cores=set(clean_cores.values()),
-            )
-            thread_cores = {**clean_cores, **placed}
-        else:
-            if external_thread_cores is None:
-                raise ValueError(
-                    "policy does not place threads; provide "
-                    "external_thread_cores"
-                )
-            missing = {t.thread_id for t in problem.threads} - set(
-                external_thread_cores
-            )
-            if missing:
-                raise ValueError(
-                    f"external placement misses threads {sorted(missing)}"
-                )
-            thread_cores = dict(external_thread_cores)
-        wall["thread_placement"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
-
-        # 4. Data: clean banks pinned, dirty VCs seeded into the remaining
-        # free capacity, trades initiated by the dirty set only.
-        t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
-        preplaced = {
-            vc_id: dict(prev_sol.vc_allocation[vc_id])
+        },
+        vc_allocation={
+            vc_id: prev_sol.vc_allocation[vc_id]
             for vc_id in clean_ids
             if vc_id in prev_sol.vc_allocation
-        }
-        allocation = refined_placement(
-            problem, sizes, thread_cores, counter,
-            trades=policy.trade_refinement,
-            only_vcs=dirty, preplaced=preplaced,
-        )
-        wall["data_placement"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
-
-        solution = PlacementSolution(
-            vc_sizes={
-                vc_id: sum(per.values())
-                for vc_id, per in allocation.items()
-            },
-            vc_allocation=allocation,
-            thread_cores=thread_cores,
-        )
-        return ReconfigResult(
-            solution, counter, wall, strategy=self.name,
-        )
+        },
+        thread_cores={
+            t.thread_id: prev_sol.thread_cores[t.thread_id]
+            for t in problem.threads
+            if t.thread_id in prev_sol.thread_cores
+            and not any(vc_id in dirty for vc_id in t.vc_accesses)
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
-# Partitioned
+# Region splits
 # ---------------------------------------------------------------------------
-
-
-def _solve_region(
-    problem: PlacementProblem,
-    policy: ReconfigPolicy,
-    external_thread_cores: dict[int, int] | None,
-) -> ReconfigResult:
-    """Module-level region solve (picklable, so it can be a runner job)."""
-    return reconfigure(problem, policy, external_thread_cores)
 
 
 def auto_regions(topology) -> int:
@@ -489,14 +349,14 @@ def _map_region_solves(sub_problems, policy, sub_externals, runner):
     over a runner's worker processes (results identical either way)."""
     if runner is None:
         return [
-            _solve_region(sub, policy, ext)
+            reconfigure(sub, policy, ext)
             for sub, ext in zip(sub_problems, sub_externals)
         ]
     from repro.runner import Job  # lazy: sched must not need the runner
 
     jobs = [
         Job(
-            fn=_solve_region,
+            fn=reconfigure,
             kwargs=dict(
                 problem=sub, policy=policy, external_thread_cores=ext
             ),
@@ -519,9 +379,9 @@ def _split_solve(
     """One level of a region split: partition, solve children, merge,
     stitch.
 
-    The shared body of :class:`PartitionedSolve` (children = full-pipeline
-    region solves) and :class:`HierarchicalSolve` (children = recursive
-    split solves).  *solve_children* maps ``(sub_problems, policy,
+    The body of every :class:`HierarchicalSolve` level (children =
+    full-pipeline region solves at the deepest level, recursive split
+    solves above it).  *solve_children* maps ``(sub_problems, policy,
     sub_externals)`` to one :class:`ReconfigResult` per region.  The
     modeled critical path is the slowest child's ``modeled_cycles()``
     plus this level's stitch — for a leaf child that is its op count,
@@ -721,63 +581,6 @@ def _split_solve(
     )
 
 
-class PartitionedSolve:
-    """Solve k x k mesh regions independently, then stitch the seams.
-
-    Each region is a rectangular sub-mesh solved as its own
-    :class:`PlacementProblem` through the unchanged pipeline (one runtime
-    core per region — the modeled critical path is the slowest region's
-    op count, not the total).  Threads follow their process into exactly
-    one region (bin-packed largest-first; with external placements, the
-    region owning the external core), and each process's VCs come along.
-    The stitch is a boundary-trade pass: VCs holding data in a bank
-    adjacent to another region may trade across the seam, with anyone as
-    counterparty — op-counted under the ``stitch`` step and capped at
-    ``stitch_ops_budget`` ops (anytime, hottest VCs first; the default
-    :data:`STITCH_OPS_BUDGET` never binds at 1024 tiles or below).
-
-    ``regions=1`` solves the whole mesh as one region and skips the
-    stitch (there are no seams), making it bitwise-identical to
-    :class:`FullSolve`.  ``regions=None`` (the default) picks
-    :func:`auto_regions` per problem.  An optional
-    :class:`repro.runner.ProcessPoolRunner` fans region solves over
-    worker processes (results are identical either way).
-    """
-
-    name = "partitioned"
-
-    def __init__(
-        self,
-        regions: int | None = None,
-        runner=None,
-        stitch_ops_budget: int | None = STITCH_OPS_BUDGET,
-    ):
-        if regions is not None and regions < 1:
-            raise ValueError(f"regions must be >= 1, got {regions}")
-        if stitch_ops_budget is not None and stitch_ops_budget < 1:
-            raise ValueError(
-                f"stitch_ops_budget must be >= 1, got {stitch_ops_budget}"
-            )
-        self.regions = regions
-        self.runner = runner
-        self.stitch_ops_budget = stitch_ops_budget
-
-    def solve(self, problem, policy, external_thread_cores, state):
-        topo = problem.topology
-        k = self.regions if self.regions is not None else auto_regions(topo)
-        if k <= 1:
-            return _full_solve(
-                problem, policy, external_thread_cores, self.name
-            )
-        return _split_solve(
-            problem, policy, external_thread_cores, k, self.name,
-            lambda subs, pol, exts: _map_region_solves(
-                subs, pol, exts, self.runner
-            ),
-            stitch_ops_budget=self.stitch_ops_budget,
-        )
-
-
 class HierarchicalSolve:
     """Regions of regions: recursive splits down to paper-sized leaves.
 
@@ -797,15 +600,19 @@ class HierarchicalSolve:
     inside the 50 Mcycle interval even for the four-level 128x128 mesh.
 
     ``regions`` fixes the *top-level* split factor (deeper levels stay
-    automatic); ``depth`` caps the number of split levels.  The pinned
-    degenerate contracts: ``depth=1`` is bitwise the flat
-    :class:`PartitionedSolve` with the same split factor (the recursion
-    collapses to one level over full-pipeline leaves, through the same
-    shared body), and ``depth=1, regions=1`` is bitwise
-    :class:`FullSolve`.  Leaves re-solve cold every epoch, exactly like
-    the flat strategy — warm per-leaf engines would break those
-    contracts.  An optional runner fans the deepest level's leaf solves
-    over worker processes.
+    automatic); ``depth`` caps the number of split levels.  A one-level
+    solve without ``regions`` splits by :func:`auto_regions` (~8x8
+    regions), not by the smallest divisor.  The registered presets:
+    ``"full"`` fixes ``regions=1`` (no seams, no stitch: bitwise
+    ``reconfigure()``), and ``"partitioned"`` fixes ``depth=1`` (one flat
+    split of full-pipeline leaves plus one stitch).  Threads follow their
+    process into exactly one region (bin-packed largest-first; with
+    external placements, the region owning the external core), and each
+    process's VCs come along.  Leaves re-solve cold every epoch — warm
+    per-leaf engines would break the presets' bitwise contracts.  An
+    optional :class:`repro.runner.ProcessPoolRunner` fans the deepest
+    level's leaf solves over worker processes (results are identical
+    either way).
     """
 
     name = "hierarchical"
@@ -855,11 +662,16 @@ class HierarchicalSolve:
 
     def solve(self, problem, policy, external_thread_cores, state):
         topo = problem.topology
-        k = self.regions if self.regions is not None else self._auto_k(topo)
+        if self.regions is not None:
+            k = self.regions
+        elif self.depth == 1:
+            k = auto_regions(topo)
+        else:
+            k = self._auto_k(topo)
         if k <= 1:
-            return _full_solve(
-                problem, policy, external_thread_cores, self.name
-            )
+            result = reconfigure(problem, policy, external_thread_cores)
+            result.strategy = self.name
+            return result
         remaining = None if self.depth is None else self.depth - 1
         return _split_solve(
             problem, policy, external_thread_cores, k, self.name,
@@ -895,12 +707,13 @@ class HierarchicalSolve:
 # The engine
 # ---------------------------------------------------------------------------
 
-#: Registered strategy names -> constructors (the scheme/CLI vocabulary).
+#: Registered strategy names (the scheme/CLI vocabulary) -> the class and
+#: the constructor kwargs the name fixes.
 STRATEGIES = {
-    "full": FullSolve,
-    "incremental": IncrementalSolve,
-    "partitioned": PartitionedSolve,
-    "hierarchical": HierarchicalSolve,
+    "full": (HierarchicalSolve, {"regions": 1}),
+    "incremental": (IncrementalSolve, {}),
+    "partitioned": (HierarchicalSolve, {"depth": 1}),
+    "hierarchical": (HierarchicalSolve, {}),
 }
 
 
@@ -909,15 +722,29 @@ def strategy_names() -> list[str]:
 
 
 def make_strategy(name: str, **kwargs) -> SolveStrategy:
-    """Build a strategy from its registered name (kwargs pass through)."""
+    """Build a strategy from its registered name.
+
+    *kwargs* pass through to the constructor, except the ones the name
+    fixes (``ValueError``).  The instance's ``name`` is the registered
+    name, so results carry it as their ``strategy`` tag.
+    """
     try:
-        cls = STRATEGIES[name]
+        cls, fixed = STRATEGIES[name]
     except KeyError:
         raise ValueError(
             f"unknown solve strategy {name!r} "
             f"(have: {', '.join(strategy_names())})"
         ) from None
-    return cls(**kwargs)
+    clash = sorted(set(kwargs) & set(fixed))
+    if clash:
+        raise ValueError(
+            f"strategy {name!r} fixes "
+            + ", ".join(f"{key}={fixed[key]!r}" for key in clash)
+            + "; 'hierarchical' takes any of them"
+        )
+    strategy = cls(**fixed, **kwargs)
+    strategy.name = name
+    return strategy
 
 
 class ReconfigEngine:
@@ -926,9 +753,9 @@ class ReconfigEngine:
     ``engine.solve(problem)`` runs the configured strategy against the
     previous epoch's (problem, solution) pair and records the new pair —
     exactly the warm state the periodic runtime of Sec IV-G keeps between
-    intervals.  Construct with a strategy name (``"full"``,
-    ``"incremental"``, ``"partitioned"``) or a ready
-    :class:`SolveStrategy` instance.
+    intervals.  Construct with a registered name from :data:`STRATEGIES`
+    (``"full"``, ``"incremental"``, ``"partitioned"``, ``"hierarchical"``)
+    plus its kwargs, or a ready :class:`SolveStrategy` instance.
     """
 
     def __init__(

@@ -7,6 +7,11 @@
 3. thread placement                           (Sec IV-E)
 4. refined VC placement (greedy + trades)     (Sec IV-F)
 
+It is the only place the steps are written.  Every strategy of
+:mod:`repro.sched.engine` solves through it: cold, or warm-started with a
+*pinned* part of the previous solution that keeps its place while the
+rest is solved around it (the periodic runtime of Sec IV-G).
+
 :class:`ReconfigPolicy` toggles each CDCS ingredient independently, which
 is exactly the factor analysis of Fig 12: Jigsaw+R is all toggles off with
 random external thread placement; +L enables latency-aware allocation; +T
@@ -18,13 +23,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cache.sketch import problem_sketch_bank
+from repro.geometry.placement_math import center_of_mass
 from repro.sched.allocation import allocate_latency_aware, allocate_miss_driven
 from repro.sched.opcount import StepCounter
 from repro.sched.problem import PlacementProblem, PlacementSolution
 from repro.sched.refinement import refined_placement
 from repro.sched.thread_placement import place_threads
-from repro.sched.vc_placement import place_optimistic
+from repro.sched.vc_placement import OptimisticPlacement, place_optimistic
 
 
 @dataclass(frozen=True)
@@ -144,34 +152,118 @@ def _optimistic_for(
     return private_copy(placement)
 
 
+def _pinned_optimistic(
+    problem: PlacementProblem,
+    sizes: dict[int, float],
+    counter: StepCounter,
+    pinned_banks: dict[int, dict[int, float]],
+    free_vcs: set[int],
+    free_threads: set[int],
+) -> OptimisticPlacement:
+    """Step 2 of a pinned solve: the free VCs' optimistic placement,
+    scored against the capacity the pinned VCs' banks already claim.
+
+    Threads that re-place anchor on the pinned VCs they read at those
+    VCs' actual center of mass, so only those VCs get a centroid.
+    """
+    topo = problem.topology
+    bank_bytes = float(problem.bank_bytes)
+    claimed = np.zeros(topo.tiles, dtype=np.float64)
+    for per_bank in pinned_banks.values():
+        for bank, amount in per_bank.items():
+            claimed[bank] += amount / bank_bytes
+    optimistic = place_optimistic(
+        problem, sizes, counter, vc_ids=free_vcs, claimed_init=claimed
+    )
+    read_pinned = {
+        vc_id
+        for t in problem.threads
+        if t.thread_id in free_threads
+        for vc_id in t.vc_accesses
+        if vc_id in pinned_banks
+    }
+    for vc_id in sorted(read_pinned):
+        if pinned_banks[vc_id]:
+            optimistic.centroids[vc_id] = center_of_mass(
+                topo,
+                {b: amt / bank_bytes for b, amt in pinned_banks[vc_id].items()},
+            )
+    return optimistic
+
+
 def reconfigure(
     problem: PlacementProblem,
     policy: ReconfigPolicy | None = None,
     external_thread_cores: dict[int, int] | None = None,
+    pinned: PlacementSolution | None = None,
 ) -> ReconfigResult:
-    """Run one full reconfiguration.
+    """Run one reconfiguration: the four steps, written once.
 
     If the policy does not place threads, *external_thread_cores* must give
     the fixed assignment (Jigsaw's clustered/random schedulers).
+
+    *pinned* warm-starts the solve from a partial solution of *problem*
+    (the incremental strategy passes the clean part of the previous
+    epoch's).  Its VCs keep their sizes, and their banks unless a trade
+    of an unpinned VC swaps with them; its threads keep their cores.  The
+    steps run over the rest only: allocation of the capacity the pinned
+    VCs leave, optimistic placement scored against their banks, thread
+    placement over the cores they leave, greedy seeding into the free
+    capacity, and trades initiated by unpinned VCs.  An external thread
+    placement still fixes every core.  Pinned solves allocate through the
+    latency-aware allocator, so a policy without it raises
+    ``ValueError``.  With nothing pinned this is the full pipeline.
     """
     policy = policy or ReconfigPolicy.cdcs()
     counter = StepCounter()
     wall: dict[str, float] = {}
+    free_vcs = free_threads = budget = None  # None: nothing is pinned
+    if pinned is None:
+        pinned = PlacementSolution()
+    else:
+        if not policy.latency_aware_allocation:
+            raise ValueError(
+                "pinned solves need latency-aware allocation; policy "
+                f"{policy.label()} allocates miss-driven"
+            )
+        free_vcs = {vc.vc_id for vc in problem.vcs} - set(pinned.vc_sizes)
+        free_threads = {
+            t.thread_id for t in problem.threads
+            if t.thread_id not in pinned.thread_cores
+        }
+        budget = problem.total_bytes // problem.quantum - sum(
+            int(round(size / problem.quantum))
+            for size in pinned.vc_sizes.values()
+        )
 
     t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
     if policy.latency_aware_allocation:
-        sizes = allocate_latency_aware(problem, counter)
+        sizes = {
+            **pinned.vc_sizes,
+            **allocate_latency_aware(problem, counter, free_vcs, budget),
+        }
     else:
         sizes = allocate_miss_driven(problem, counter)
     wall["allocation"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
 
     t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
-    optimistic = _optimistic_for(problem, sizes, counter)
+    if free_vcs is None:
+        optimistic = _optimistic_for(problem, sizes, counter)
+    else:
+        optimistic = _pinned_optimistic(
+            problem, sizes, counter, pinned.vc_allocation, free_vcs,
+            free_threads,
+        )
     wall["vc_placement"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
 
     t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
     if policy.place_threads:
-        thread_cores = place_threads(problem, sizes, optimistic, counter)
+        placed = place_threads(
+            problem, sizes, optimistic, counter,
+            only_threads=free_threads,
+            taken_cores=set(pinned.thread_cores.values()),
+        )
+        thread_cores = {**pinned.thread_cores, **placed}
     else:
         if external_thread_cores is None:
             raise ValueError(
@@ -187,7 +279,13 @@ def reconfigure(
 
     t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
     allocation = refined_placement(
-        problem, sizes, thread_cores, counter, trades=policy.trade_refinement
+        problem, sizes, thread_cores, counter,
+        trades=policy.trade_refinement,
+        only_vcs=free_vcs,
+        preplaced={
+            vc_id: dict(per_bank)
+            for vc_id, per_bank in pinned.vc_allocation.items()
+        },
     )
     wall["data_placement"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
 

@@ -71,18 +71,18 @@ def test_service_patched_problems(served_problems):
 @pytest.mark.parametrize("strategy", ("partitioned", "hierarchical"))
 def test_region_sub_problems(monkeypatch, strategy):
     seen = []
-    solve_region = engine_mod._solve_region
+    reconfigure = engine_mod.reconfigure
     split_solve = engine_mod._split_solve
 
-    def recording_solve_region(problem, *args, **kwargs):
+    def recording_reconfigure(problem, *args, **kwargs):
         seen.append(problem)
-        return solve_region(problem, *args, **kwargs)
+        return reconfigure(problem, *args, **kwargs)
 
     def recording_split_solve(problem, *args, **kwargs):
         seen.append(problem)
         return split_solve(problem, *args, **kwargs)
 
-    monkeypatch.setattr(engine_mod, "_solve_region", recording_solve_region)
+    monkeypatch.setattr(engine_mod, "reconfigure", recording_reconfigure)
     monkeypatch.setattr(engine_mod, "_split_solve", recording_split_solve)
     config = small_test_config(8, 8)
     problem = build_problem(random_multithreaded_mix(4, 3), config)

@@ -8,7 +8,9 @@ The load-bearing contracts (ISSUE 5 acceptance):
 * ``incremental`` with ``dirty_threshold=0`` and ``partitioned`` with one
   region are bitwise-identical to ``full``;
 * warm incremental/partitioned solves stay valid and strictly cheaper in
-  modeled cycles than the full pipeline.
+  modeled cycles than the full pipeline;
+* ``reconfigure(pinned=...)`` keeps the pinned VCs' sizes and the pinned
+  threads' cores and solves the rest around them.
 """
 
 import pytest
@@ -16,13 +18,14 @@ import pytest
 from repro.config import small_test_config
 from repro.nuca.base import build_problem
 from repro.sched.engine import (
+    HierarchicalSolve,
     IncrementalSolve,
-    PartitionedSolve,
     ReconfigEngine,
     auto_regions,
     make_strategy,
     strategy_names,
 )
+from repro.sched.problem import PlacementSolution
 from repro.sched.reconfigure import ReconfigPolicy, reconfigure
 from repro.sched.thread_placement import random_thread_placement
 from repro.testing import (
@@ -256,11 +259,94 @@ def test_make_strategy_vocabulary():
     assert strategy_names() == [
         "full", "hierarchical", "incremental", "partitioned"
     ]
-    assert isinstance(make_strategy("partitioned"), PartitionedSolve)
+    partitioned = make_strategy("partitioned")
+    assert partitioned.name == "partitioned"
+    assert partitioned.depth == 1
     with pytest.raises(ValueError, match="unknown solve strategy"):
         make_strategy("annealed")
     with pytest.raises(ValueError, match="strategy kwargs"):
-        ReconfigEngine(PartitionedSolve(), regions=2)
+        ReconfigEngine(HierarchicalSolve(), regions=2)
+
+
+def test_presets_reject_the_kwargs_they_fix():
+    with pytest.raises(ValueError, match="regions"):
+        make_strategy("full", regions=2)
+    with pytest.raises(ValueError, match="depth"):
+        make_strategy("partitioned", depth=2)
+    full = make_strategy("full")
+    assert (full.name, full.regions) == ("full", 1)
+
+
+# -- the pinned warm start --------------------------------------------------
+
+
+def _pinned_half(problem, trades=True):
+    """Every other VC of a solve around random thread cores (sizes and
+    banks), and the cores of the threads that read none of the unpinned
+    VCs: a placement a cold CDCS solve would not pick."""
+    cold = reconfigure(
+        problem,
+        ReconfigPolicy(place_threads=False, trade_refinement=trades),
+        external_thread_cores=random_thread_placement(problem, seed=3),
+    ).solution
+    vc_ids = [vc.vc_id for vc in problem.vcs][::2]
+    free = {vc.vc_id for vc in problem.vcs} - set(vc_ids)
+    return PlacementSolution(
+        vc_sizes={vc_id: cold.vc_sizes[vc_id] for vc_id in vc_ids},
+        vc_allocation={
+            vc_id: dict(cold.vc_allocation[vc_id]) for vc_id in vc_ids
+        },
+        thread_cores={
+            t.thread_id: cold.thread_cores[t.thread_id]
+            for t in problem.threads
+            if not free & set(t.vc_accesses)
+        },
+    )
+
+
+@pytest.mark.parametrize("trades", (False, True))
+@pytest.mark.parametrize("multithreaded", (False, True))
+def test_reconfigure_keeps_what_is_pinned(multithreaded, trades):
+    from repro.workloads.mixes import random_multithreaded_mix
+
+    if multithreaded:
+        problem = build_problem(
+            random_multithreaded_mix(2, 7), small_test_config(4, 4)
+        )
+    else:
+        problem, _ = small_problem()
+    policy = ReconfigPolicy(trade_refinement=trades)
+    pinned = _pinned_half(problem, trades)
+    assert pinned.vc_sizes and pinned.thread_cores
+    result = reconfigure(problem, policy, pinned=pinned)
+    solution = result.solution
+    solution.validate(problem)
+    for vc_id, size in pinned.vc_sizes.items():
+        assert solution.vc_sizes[vc_id] == size
+        if not trades:
+            # With trades on, a free VC may swap capacity with a pinned one.
+            assert (solution.vc_allocation[vc_id]
+                    == pinned.vc_allocation[vc_id])
+    for thread_id, core in pinned.thread_cores.items():
+        assert solution.thread_cores[thread_id] == core
+    assert set(solution.thread_cores) == {
+        t.thread_id for t in problem.threads
+    }
+    assert result.counter.ops["allocation"] < (
+        reconfigure(problem, policy).counter.ops["allocation"]
+    )
+
+
+def test_pinned_solve_needs_latency_aware_allocation():
+    problem, _ = small_problem()
+    pinned = _pinned_half(problem)
+    with pytest.raises(ValueError, match="latency-aware"):
+        reconfigure(
+            problem,
+            ReconfigPolicy.jigsaw(),
+            external_thread_cores=random_thread_placement(problem),
+            pinned=pinned,
+        )
 
 
 def test_engine_threads_state_across_epochs():

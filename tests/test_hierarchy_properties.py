@@ -13,6 +13,10 @@ this module sweeps the PR 7 hierarchical contracts over 50 seeded random
   never binds at these scales, so passing ``stitch_ops_budget=None``
   changes nothing — while a tiny explicit budget provably truncates.
 
+``full`` and ``partitioned`` are presets of ``HierarchicalSolve``, so the
+first two sweeps compare the class with itself; the split-strategy
+records of ``tests/golden/placement_steps.json`` are the frozen oracle.
+
 The sweep is deterministic: cases are drawn once from a fixed master
 seed, so a failure reproduces by its parametrize id.
 """

@@ -18,6 +18,7 @@ Property-style: inputs are drawn from seeded RNGs, so failures reproduce.
 
 from __future__ import annotations
 
+import importlib
 import json
 from pathlib import Path
 
@@ -46,7 +47,6 @@ from repro.nuca import standard_schemes
 from repro.nuca.base import build_problem
 from repro.nuca.sharing import (
     shared_cache_occupancies,
-    shared_cache_occupancies_batch,
     shared_cache_occupancies_grouped,
 )
 from repro.sched.allocation import allocate_latency_aware, allocate_miss_driven
@@ -163,8 +163,10 @@ def test_sharing_batch_bitwise_matches_scalar():
         scalar = shared_cache_occupancies(
             [c.__call__ for c in curves], capacity
         )
-        batch = shared_cache_occupancies_batch(MissCurveBatch(curves), capacity)
-        assert batch == scalar
+        batch = shared_cache_occupancies_grouped(
+            MissCurveBatch(curves), [range(len(curves))], capacity
+        )
+        assert batch.tolist() == scalar
 
 
 def test_sharing_grouped_bitwise_matches_per_group_scalar():
@@ -271,18 +273,22 @@ def _warm_optimistic_inputs(monkeypatch, epochs: int = 4) -> list[tuple]:
     """(problem, sizes, vc_ids, claimed_init) of every warm optimistic
     placement a sketch-driven incremental engine runs on a phased
     256-tile chip."""
-    from repro.sched import engine as engine_module
     from repro.sched.engine import ReconfigEngine
     from repro.service.load import DEFAULT_EPOCH_MCYCLES, LoadSpec, build_chip
 
+    # The package re-exports the function under the module's name.
+    reconfigure_module = importlib.import_module("repro.sched.reconfigure")
     calls = []
-    place = engine_module.place_optimistic
+    place = reconfigure_module.place_optimistic
 
-    def recording(problem, sizes, counter, vc_ids, claimed_init):
-        calls.append((problem, dict(sizes), set(vc_ids), claimed_init.copy()))
+    def recording(problem, sizes, counter=None, vc_ids=None, claimed_init=None):
+        if vc_ids is not None:
+            calls.append(
+                (problem, dict(sizes), set(vc_ids), claimed_init.copy())
+            )
         return place(problem, sizes, counter, vc_ids, claimed_init)
 
-    monkeypatch.setattr(engine_module, "place_optimistic", recording)
+    monkeypatch.setattr(reconfigure_module, "place_optimistic", recording)
     _, sim = build_chip(LoadSpec(chips=1, tiles=256, seed=42), 0)
     engine = ReconfigEngine("incremental", use_sketches=True)
     for _ in range(epochs):

@@ -253,6 +253,47 @@ def test_docs_check_rejects_flag_on_wrong_experiment():
     assert problems == []
 
 
+def test_docs_check_rejects_stale_python_imports():
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).parent.parent / "tools" / "docs_check.py"
+    module_spec = importlib.util.spec_from_file_location("docs_check", path)
+    docs_check = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(docs_check)
+    fresh = (
+        "```python\n"
+        "import repro.sched\n"
+        "from repro.sched import reconfigure\n"
+        "from repro.nuca.sharing import (\n"
+        "    shared_cache_occupancies_grouped,\n"
+        "    solve_sharing_plans,\n"
+        ")\n"
+        "from numpy import gone_from_numpy\n"
+        "```\n"
+    )
+    problems: list[str] = []
+    docs_check.check_python_imports(fresh, "t.md", problems)
+    assert problems == []
+    stale = (
+        "```python\n"
+        "from repro.nuca.sharing import solve_sharing_plans, no_such_kernel\n"
+        "import repro.no_such_module\n"
+        "```\n"
+        "```sh\n"
+        "from repro.nuca.sharing import not_python\n"
+        "```\n"
+        "```python\n"
+        "print(\n"
+        "```\n"
+    )
+    docs_check.check_python_imports(stale, "t.md", problems)
+    assert len(problems) == 3
+    assert "no_such_kernel" in problems[0]
+    assert "repro.no_such_module" in problems[1]
+    assert "does not parse" in problems[2]
+
+
 def test_docs_check_requires_golden_regeneration_rows(tmp_path):
     import importlib.util
     import pathlib

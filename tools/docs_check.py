@@ -1,7 +1,7 @@
 """Check that the documentation only references things that exist.
 
 Scans the fenced code blocks (and inline code spans) of README.md,
-docs/*.md, and examples/README.md for three kinds of claims, and fails if
+docs/*.md, and examples/README.md for four kinds of claims, and fails if
 any is stale:
 
 * ``python -m repro <experiment> --flag ...`` invocations — the experiment
@@ -13,7 +13,11 @@ any is stale:
   ``repro.sched.cost_model.latency_curves_batch``) — the longest module
   prefix must import and any remaining attribute chain must resolve;
 * repo file paths (``benchmarks/bench_fig11_single_threaded.py``,
-  ``src/repro/...``) — must exist (shell globs are expanded).
+  ``src/repro/...``) — must exist (shell globs are expanded);
+* imports in ``python`` code blocks — each block must parse, and every
+  name imported from ``repro`` must resolve, so a block that still
+  imports a deleted function fails (the dotted-path check sees only the
+  module in ``from repro.x import name``).
 
 Four structural checks ride along: the documented CLI grammar is probed
 against the generated parser, the experiment registry is cross-checked
@@ -31,6 +35,7 @@ with one line per problem.
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
 import importlib
 import re
@@ -65,6 +70,7 @@ SHAPE_CONVENTION_MODULES = [
 ]
 
 _FENCE = re.compile(r"```.*?\n(.*?)```", re.S)
+_PYTHON_FENCE = re.compile(r"```(?:python|py)[ \t]*\n(.*?)```", re.S)
 _INLINE = re.compile(r"`([^`\n]+)`")
 _MODULE = re.compile(r"^repro(\.[A-Za-z_][A-Za-z0-9_]*)+$")
 _PATHISH = re.compile(
@@ -192,9 +198,51 @@ def check_modules_and_paths(
                 problems.append(f"{origin}: path {span!r} does not exist")
 
 
+def _repro_imports(tree: ast.AST) -> list[str]:
+    """Dotted ``repro`` names the module imports, in source order."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            module = node.module or ""
+            if module == "repro" or module.startswith("repro."):
+                names += [
+                    f"{module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name != "*"
+                ]
+        elif isinstance(node, ast.Import):
+            names += [
+                alias.name
+                for alias in node.names
+                if alias.name == "repro" or alias.name.startswith("repro.")
+            ]
+    return names
+
+
+def check_python_imports(
+    text: str, origin: str, problems: list[str]
+) -> None:
+    """Every ``python`` code block parses, and every ``repro`` name it
+    imports resolves (module, or module plus attribute chain)."""
+    for block in _PYTHON_FENCE.findall(text):
+        try:
+            tree = ast.parse(block)
+        except SyntaxError as exc:
+            problems.append(
+                f"{origin}: python code block does not parse "
+                f"(line {exc.lineno}: {exc.msg})"
+            )
+            continue
+        for name in _repro_imports(tree):
+            problem = resolve_dotted_path(name)
+            if problem is not None:
+                problems.append(f"{origin}: stale import: {problem}")
+
+
 def check_file(path: Path, problems: list[str]) -> None:
     text = path.read_text()
     origin = path.relative_to(REPO).as_posix()
+    check_python_imports(text, origin, problems)
     for block in _FENCE.findall(text):
         check_cli_commands(block, origin, problems)
         check_modules_and_paths(block, origin, problems)

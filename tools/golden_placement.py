@@ -11,14 +11,26 @@ The corpus:
   cold by the full pipeline;
 * one phased ``repro.service.load.build_chip`` chip at 64 and at 256
   tiles, driven through a sketch-driven incremental engine: one cold
-  epoch, then six warm ones, each simulated under its own placement.
+  epoch, then six warm ones, each simulated under its own placement;
+* the golden problem under the eight Fig 12 policies (every subset of
+  latency-aware allocation, thread placement and trades) through the
+  ``Cdcs`` scheme, then Jigsaw+C, all on one problem object as the
+  factor-analysis sweep runs them;
+* one fig15 multithreaded mix (8 apps of 8 threads on the paper chip)
+  through an incremental engine: one cold solve, then warm ones in which
+  a shared VC's miss curve moves;
+* a 64-app mix on a 16x16 mesh through ``partitioned`` (automatic and
+  two regions) and ``hierarchical`` with 16-tile leaves, whose records
+  also pin the strategy tag and ``modeled_cycles()``.
 
 Each record holds only discrete values, so the file does not depend on
 the numpy version: VC sizes, optimistic centers, thread cores, each VC's
 banks and byte amounts (integer-valued by construction: quanta and bank
-sizes are whole bytes), the trade count, and ``StepCounter.ops``.  An
-epoch whose engine reused the previous placement has empty center and
-trade lists.
+sizes are whole bytes), the trade count, and ``StepCounter.ops``; the
+split solves add their strategy tag and ``modeled_cycles()``, op counts
+times a fixed cycles-per-op.  An epoch whose engine reused the previous
+placement has empty center and trade lists, and so does a solve whose
+optimistic placement the per-problem memo replayed.
 
 Run from the repository root, only when a change of placement is
 intended::
@@ -42,6 +54,19 @@ GOLDEN = (
 #: (tiles, seed) of the warm-epoch chips, and the epochs each runs.
 CHIPS = ((64, 42), (256, 42))
 EPOCHS = 7
+
+#: Epochs of the fig15 mix.  Epoch ``e > 0`` scales the miss curve of
+#: shared VC ``e - 1`` (problem order) by :data:`SHARED_SCALE`, so every
+#: warm epoch moves one shared VC and puts the previous one back.
+FIG15_EPOCHS = 4
+SHARED_SCALE = 1.5
+
+#: (case suffix, strategy, kwargs) of the split solves on the 16x16 mesh.
+SPLIT_SOLVES = (
+    ("partitioned-auto", "partitioned", {}),
+    ("partitioned-r2", "partitioned", {"regions": 2}),
+    ("hierarchical-leaf16", "hierarchical", {"leaf_tiles": 16}),
+)
 
 
 def _whole(value: float) -> int:
@@ -85,12 +110,53 @@ def _recorded_steps(calls: dict[str, list]):
         refinement.trade_refinement = trade
 
 
-def _solve_record(case: str, solve) -> dict:
-    """Run *solve* (-> ReconfigResult) and pin its discrete outputs."""
+@contextmanager
+def _returns_of(owner, name: str, results: list):
+    """Append every return value of ``owner.name`` to *results*."""
+    function = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        result = function(*args, **kwargs)
+        results.append(result)
+        return result
+
+    setattr(owner, name, recorded)
+    try:
+        yield
+    finally:
+        setattr(owner, name, function)
+
+
+def _scheme_solve(scheme, problem):
+    """The ReconfigResult behind ``scheme.run(problem)``: ``Cdcs`` solves
+    through its engine, ``Jigsaw`` through its module's ``reconfigure``."""
+    import repro.nuca.jigsaw as jigsaw
+
+    results: list = []
+    engine = getattr(scheme, "engine", None)
+    if engine is not None:
+        owner, name = engine, "solve"
+    else:
+        owner, name = jigsaw, "reconfigure"
+    with _returns_of(owner, name, results):
+        scheme.run(problem)
+    (result,) = results
+    return result
+
+
+def _solve_record(case: str, solve, modeled: bool = False) -> dict:
+    """Run *solve* (-> ReconfigResult) and pin its discrete outputs;
+    *modeled* adds the strategy tag and ``modeled_cycles()``."""
     calls: dict[str, list] = {"centers": [], "trades": []}
     with _recorded_steps(calls):
         result = solve()
     solution = result.solution
+    extra = {}
+    if modeled:
+        extra = {
+            "strategy": result.strategy,
+            "modeled_cycles": result.modeled_cycles(),
+        }
     return {
         "case": case,
         "vc_sizes": [
@@ -107,15 +173,45 @@ def _solve_record(case: str, solve) -> dict:
         ],
         "trades": calls["trades"],
         "ops": dict(sorted(result.counter.ops.items())),
+        **extra,
     }
+
+
+def _fig15_problems():
+    """The fig15 mix's problem per epoch (see :data:`FIG15_EPOCHS`)."""
+    from repro.cache.miss_curve import MissCurve
+    from repro.config import default_config
+    from repro.nuca.base import build_problem
+    from repro.workloads.mixes import random_multithreaded_mix
+
+    mix = random_multithreaded_mix(8, 42, 0)
+    for epoch in range(FIG15_EPOCHS):
+        problem = build_problem(mix, default_config())
+        if epoch:
+            shared = [
+                vc for vc in problem.vcs
+                if len(problem.accessors_of(vc.vc_id)) > 1
+            ]
+            vc = shared[epoch - 1]
+            vc.miss_curve = MissCurve(
+                vc.miss_curve.sizes, vc.miss_curve.values * SHARED_SCALE
+            )
+        yield epoch, problem
 
 
 def placement_records() -> list[dict]:
     """Every corpus record, in a fixed order."""
+    from itertools import product
+
+    from repro.config import small_test_config
+    from repro.nuca.base import build_problem
+    from repro.nuca.cdcs import factor_variant
+    from repro.nuca.jigsaw import Jigsaw
     from repro.sched.engine import ReconfigEngine
     from repro.sched.reconfigure import reconfigure
     from repro.service.load import DEFAULT_EPOCH_MCYCLES, LoadSpec, build_chip
     from repro.testing import golden_problem
+    from repro.workloads.mixes import random_single_threaded_mix
 
     problem = golden_problem()
     records = [_solve_record("fig11-mix0", lambda: reconfigure(problem))]
@@ -130,6 +226,31 @@ def placement_records() -> list[dict]:
             )
             records.append(record)
             sim.run_epoch(engine.last_solution(), DEFAULT_EPOCH_MCYCLES * 1e6)
+
+    problem = golden_problem()
+    schemes = [factor_variant(*flags) for flags in product((False, True), repeat=3)]
+    for scheme in schemes + [Jigsaw("clustered")]:
+        records.append(_solve_record(
+            f"scheme-{scheme.name}",
+            lambda scheme=scheme: _scheme_solve(scheme, problem),
+        ))
+
+    engine = ReconfigEngine("incremental")
+    for epoch, problem in _fig15_problems():
+        records.append(_solve_record(
+            f"fig15-mix0-epoch{epoch}",
+            lambda problem=problem: engine.solve(problem),
+        ))
+
+    problem = build_problem(
+        random_single_threaded_mix(64, 7, 3), small_test_config(16, 16)
+    )
+    for name, strategy, kwargs in SPLIT_SOLVES:
+        engine = ReconfigEngine(strategy, **kwargs)
+        records.append(_solve_record(
+            f"mesh16-{name}", lambda engine=engine: engine.solve(problem),
+            modeled=True,
+        ))
     return records
 
 
