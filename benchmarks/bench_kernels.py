@@ -13,6 +13,10 @@ measured here, not asserted in prose:
 * **mega-batch sharing**: one 4-mix fig11 ``solve_sharing_plans`` call
   (S-NUCA's chip-wide caches merged with R-NUCA's per-bank pools: 512
   lanes, 260 caches) vs the scalar per-cache loop, asserted ``==``;
+* **seed anchors**: the greedy seed's 1-medians of every accessed VC of
+  a 256-tile ``build_chip`` problem as ``(B, N)`` blocks through
+  ``weighted_center_tiles`` vs one ``weighted_center_tile`` per VC,
+  asserted ``==`` (reported, not floored);
 * **end-to-end**: one fig11 (64-app) and one fig15 (multithreaded) sweep
   point through ``repro.kernels.scalar_reference`` vs the default path.
 
@@ -33,12 +37,17 @@ from conftest import emit, record_bench_entry
 from repro.cache.miss_curve import MissCurveBatch
 from repro.config import default_config
 from repro.experiments.sweeps import SweepResult, evaluate_mix
+from repro.geometry.placement_math import (
+    weighted_center_tile,
+    weighted_center_tiles,
+)
 from repro.kernels import scalar_reference
 from repro.nuca.base import build_problem
 from repro.nuca.rnuca import RNuca
 from repro.nuca.sharing import shared_cache_occupancies, solve_sharing_plans
 from repro.nuca.snuca import SNuca
 from repro.sched.allocation import allocate_latency_aware
+from repro.service.load import LoadSpec, build_chip
 from repro.sched.vc_placement import (
     place_optimistic_scalar,
     place_optimistic_vectorized,
@@ -154,7 +163,31 @@ def test_kernel_speedups(once):
         )
         speedups["sharing_mega_batch"] = scalar_t / batch_t
 
-        # 5. End-to-end sweep points (fig11 single-threaded, fig15 MT).
+        # 5. Greedy-seed anchors: the 1-median of every accessed VC of a
+        # fully committed 256-tile chip (thread t on core t), batched vs
+        # one weighted_center_tile per VC.
+        _, sim = build_chip(LoadSpec(chips=1, tiles=256, seed=1), 0)
+        chip = sim.current_problem()
+        cores = {t.thread_id: i for i, t in enumerate(chip.threads)}
+        maps = []
+        for vc in chip.vcs:
+            weights: dict[int, float] = {}
+            for thread_id, rate in chip.accessor_rates(vc.vc_id).items():
+                core = cores[thread_id]
+                weights[core] = weights.get(core, 0.0) + rate
+            if weights:
+                maps.append(weights)
+        assert len(maps) == 256
+        assert weighted_center_tiles(chip.topology, maps) == [
+            weighted_center_tile(chip.topology, w) for w in maps
+        ]
+        scalar_t = _best_of(
+            lambda: [weighted_center_tile(chip.topology, w) for w in maps]
+        )
+        batch_t = _best_of(lambda: weighted_center_tiles(chip.topology, maps))
+        speedups["seed_anchors"] = scalar_t / batch_t
+
+        # 6. End-to-end sweep points (fig11 single-threaded, fig15 MT).
         def point(multithreaded: bool) -> None:
             if multithreaded:
                 mix = random_multithreaded_mix(8, 7, 0)

@@ -568,9 +568,14 @@ class Topology(ABC):
         return float(self.distance_matrix[origin].mean())
 
     def center_tile(self) -> int:
-        """The tile minimizing mean distance to all others."""
-        means = self.distance_matrix.mean(axis=1)
-        return int(np.argmin(means))
+        """The tile minimizing mean distance to all others.  Memoized: it
+        depends only on the topology, dense row means are an O(N²) pass,
+        and thread placement asks on every solve."""
+        return self._center_tile
+
+    @cached_property
+    def _center_tile(self) -> int:
+        return int(np.argmin(self.distance_matrix.mean(axis=1)))
 
 
 class Mesh(Topology):

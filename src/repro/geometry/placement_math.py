@@ -27,13 +27,19 @@ topology's precomputed matrices (``N = topology.tiles``):
   :func:`window_contention` / :func:`placement_mean_distance` pair;
 * :func:`tile_cost_vector` — ``(N,) float64``; capacity-weighted total
   distance from every tile to a ``{bank: weight}`` mapping (the
-  1-median objective of :func:`weighted_center_tile`).
+  1-median objective of :func:`weighted_center_tile`);
+* :func:`weighted_center_tiles` — the same objective for many mappings
+  at once, as ``(B, N) float64`` blocks of at most 256 rows, each row
+  summed in its mapping's order like :func:`tile_cost_vector`.
 
 Selections over those vectors (:func:`nearest_tile`,
-:func:`weighted_center_tile`) keep the scalar first-strict-improvement
-scan, so tie-breaking matches the scalar reference exactly; an array
-prefix-minimum pass first drops every entry the scan could never accept,
-and the Python loop runs over the few that remain.
+:func:`weighted_center_tile`, :func:`weighted_center_tiles`) keep the
+scalar first-strict-improvement scan, so tie-breaking matches the scalar
+reference exactly.  An array prefix-minimum pass settles most rows
+outright: when no strict prefix minimum sits within the scan's ``1e-12``
+margin, the scan's answer is ``np.argmin``.  Elsewhere it drops every
+entry the scan could never accept, and the Python loop runs over the few
+that remain.
 """
 
 from __future__ import annotations
@@ -158,6 +164,20 @@ def center_of_mass(
     return tuple(out)
 
 
+def _scan_prefix_minima(costs: np.ndarray, below: np.ndarray) -> int:
+    """The reference scan over one ``(n,)`` cost row, visiting only its
+    strict prefix minima (*below* flags ``costs[1:]`` entries under the
+    running minimum before them)."""
+    keep = np.flatnonzero(np.concatenate(([True], below)))
+    best_index = 0
+    best_cost = float("inf")
+    for index, cost in zip(keep.tolist(), costs[keep].tolist()):
+        if cost < best_cost - 1e-12:
+            best_cost = cost
+            best_index = index
+    return best_index
+
+
 def _first_strict_improvement_scan(costs: np.ndarray) -> int:
     """Index selected by the reference scan: ascending order, accept only
     improvements bigger than 1e-12 — NOT a plain argmin (a later entry a
@@ -169,18 +189,35 @@ def _first_strict_improvement_scan(costs: np.ndarray) -> int:
     one was at least its then running best minus 1e-12, and the running
     best only falls).  A rejected entry leaves the running best
     unchanged, so scanning just the strict prefix minima returns the
-    full scan's index.  *costs* is a NaN-free ``(n,)`` vector with
-    ``n >= 1`` (both callers pass distances).
+    full scan's index.
+
+    When every strict prefix minimum also passes the scan's own test
+    ``cost < best - 1e-12`` against the prefix minimum before it, the
+    scan accepts each one in turn and ends on the first index of the
+    minimum: ``np.argmin``.  Only a vector with a strict prefix minimum
+    inside the margin runs the loop.  *costs* is a NaN-free ``(n,)``
+    vector with ``n >= 1`` (both callers pass distances).
     """
-    below = costs[1:] < np.minimum.accumulate(costs)[:-1]
-    keep = np.flatnonzero(np.concatenate(([True], below)))
-    best_index = 0
-    best_cost = float("inf")
-    for index, cost in zip(keep.tolist(), costs[keep].tolist()):
-        if cost < best_cost - 1e-12:
-            best_cost = cost
-            best_index = index
-    return best_index
+    running = np.minimum.accumulate(costs)[:-1]
+    later = costs[1:]
+    below = later < running
+    if not (below != (later < running - 1e-12)).any():
+        return int(costs.argmin())
+    return _scan_prefix_minima(costs, below)
+
+
+def _first_strict_improvement_rows(costs: np.ndarray) -> np.ndarray:
+    """:func:`_first_strict_improvement_scan` of every row of a ``(B, n)``
+    matrix -> ``(B,) int64``: one array pass with the same shortcut, and
+    the loop only on the rows it does not settle."""
+    running = np.minimum.accumulate(costs, axis=1)[:, :-1]
+    later = costs[:, 1:]
+    below = later < running
+    picks = costs.argmin(axis=1)
+    near_ties = (below != (later < running - 1e-12)).any(axis=1)
+    for row in np.flatnonzero(near_ties).tolist():
+        picks[row] = _scan_prefix_minima(costs[row], below[row])
+    return picks
 
 
 def squared_point_distances(topology: Topology, point: Iterable[float]) -> np.ndarray:
@@ -235,6 +272,44 @@ def weighted_center_tile(topology: Topology, weights: Mapping[int, float]) -> in
     if total <= 0:
         raise ValueError("weighted center of empty placement is undefined")
     return _first_strict_improvement_scan(tile_cost_vector(topology, weights))
+
+
+#: Weight maps scored per block by :func:`weighted_center_tiles`: the
+#: ``(256, N)`` cost block stays a sliver of the dense matrix even at
+#: 16384 tiles, like the refinement's accessor chunks.
+_CENTER_BLOCK = 256
+
+
+def weighted_center_tiles(
+    topology: Topology, weight_maps: list[Mapping[int, float]]
+) -> list[int]:
+    """:func:`weighted_center_tile` of every map, as ``(B, N)`` cost blocks.
+
+    Row *i* of a block adds map *i*'s ``weight * dist[:, bank]`` columns
+    in the map's order onto zeros, exactly as :func:`tile_cost_vector`
+    does.  Maps are taken longest first, so the rows that have a *k*-th
+    term are a prefix of the block and shorter maps add nothing past
+    their last term.  Each row then goes through the reference scan.
+    Every map needs a positive total weight.
+    """
+    if any(sum(weights.values()) <= 0 for weights in weight_maps):
+        raise ValueError("weighted center of empty placement is undefined")
+    dist = topology.distance_matrix
+    terms = [list(weights.items()) for weights in weight_maps]
+    order = sorted(range(len(terms)), key=lambda i: -len(terms[i]))
+    centers = [0] * len(terms)
+    for lo in range(0, len(order), _CENTER_BLOCK):
+        block = order[lo:lo + _CENTER_BLOCK]
+        costs = np.zeros((len(block), topology.tiles), dtype=np.float64)
+        for k in range(len(terms[block[0]])):
+            column = [terms[i][k] for i in block if len(terms[i]) > k]
+            n = len(column)
+            banks = np.fromiter((b for b, _ in column), np.int64, count=n)
+            weights = np.fromiter((w for _, w in column), np.float64, count=n)
+            costs[:n] = costs[:n] + weights[:, None] * dist[:, banks].T
+        for i, center in zip(block, _first_strict_improvement_rows(costs).tolist()):
+            centers[i] = center
+    return centers
 
 
 # ---------------------------------------------------------------------------

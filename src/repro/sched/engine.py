@@ -43,6 +43,7 @@ vectorized and scalar-reference paths (see docs/PERFORMANCE.md).
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -127,14 +128,15 @@ def curve_distance(a, b) -> float:
     return float(np.max(np.abs(va - vb))) / max(peak, 1e-12)
 
 
-def _rate_distance(a: dict[int, float], b: dict[int, float]) -> float:
+def _rate_distance(a: Mapping[int, float], b: Mapping[int, float]) -> float:
     """Relative change between two accessor-rate maps (union of threads).
 
-    Two empty maps (a VC nobody accesses, before and after) are
-    identical; a thread present on only one side counts as a full
-    relative move of that thread's rate.
+    Equal maps (two empty ones included: a VC nobody accesses, before
+    and after) are identical, which is also what the loop returns for
+    them; a thread present on only one side counts as a full relative
+    move of that thread's rate.
     """
-    if not a and not b:
+    if a == b:
         return 0.0
     worst = 0.0
     # Pure max-reduction: the result is identical under any visit order,
@@ -201,7 +203,7 @@ class IncrementalSolve:
                 dirty.add(vc.vc_id)
                 continue
             delta = _rate_distance(
-                prev.accessors_of(vc.vc_id), problem.accessors_of(vc.vc_id)
+                prev.accessor_rates(vc.vc_id), problem.accessor_rates(vc.vc_id)
             )
             if delta > self.dirty_threshold:
                 dirty.add(vc.vc_id)
@@ -237,7 +239,7 @@ class IncrementalSolve:
                 dirty.add(vc.vc_id)
                 continue
             moved = _rate_distance(
-                prev.accessors_of(vc.vc_id), problem.accessors_of(vc.vc_id)
+                prev.accessor_rates(vc.vc_id), problem.accessor_rates(vc.vc_id)
             )
             if moved > self.dirty_threshold:
                 dirty.add(vc.vc_id)

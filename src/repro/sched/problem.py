@@ -13,6 +13,7 @@ latency in cycles.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.config import SystemConfig
@@ -96,6 +97,11 @@ class PlacementProblem:
         """thread_id -> access rate into this VC (positive rates only, in
         thread order).  A fresh dict: callers may mutate it."""
         return dict(self._accessors.get(vc_id, ()))
+
+    def accessor_rates(self, vc_id: int) -> Mapping[int, float]:
+        """:meth:`accessors_of` without the copy, for callers that only
+        read it: the index's own map, which must not be mutated."""
+        return self._accessors.get(vc_id, {})
 
 
 @dataclass

@@ -282,10 +282,7 @@ def reconfigure(
         problem, sizes, thread_cores, counter,
         trades=policy.trade_refinement,
         only_vcs=free_vcs,
-        preplaced={
-            vc_id: dict(per_bank)
-            for vc_id, per_bank in pinned.vc_allocation.items()
-        },
+        preplaced=pinned.vc_allocation,  # greedy seeding copies each map
     )
     wall["data_placement"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
 

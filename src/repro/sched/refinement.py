@@ -3,10 +3,11 @@
 
 With thread locations fixed, data placement becomes concrete:
 
-1. **Greedy round-robin** (Jigsaw's placer, reused as the seed): VCs take
-   turns claiming one quantum from the closest bank (to their accessors)
-   with free capacity.  Round-robin means every thread VC gets its local
-   bank first — reasonable, but blind to intensity.
+1. **Greedy round-robin** (Jigsaw's placer, reused as the seed): each VC
+   is anchored at the access-weighted 1-median of its accessors' cores,
+   and VCs take turns claiming everything they still want from the
+   closest bank with free capacity.  Round-robin means every thread VC
+   gets its local bank first — reasonable, but blind to intensity.
 2. **Trades**: each VC spirals outward from its data's center of mass,
    keeping a list of *desirable banks* (banks it does not fully own) and
    trying to move its far data into closer desirable banks, either into
@@ -21,28 +22,39 @@ Shape conventions
 All trade valuation runs against per-VC arrays (``N = topology.tiles``):
 
 * ``dvec[vc_id]`` — ``(N,) float64``; access-weighted mean hops from the
-  VC's accessors to every bank (``D(VC, b)``, Sec IV-F).  Built as an
-  ``(accessors, N)`` row stack of ``(rate / total) * dist[core]`` reduced
-  with ``np.cumsum`` along the accessor axis, so each entry matches the
-  scalar accumulation loop bitwise — trade accept/reject decisions are
-  therefore identical between paths;
+  VC's accessors to every bank (``D(VC, b)``, Sec IV-F).  A VC with one
+  accessor (every thread VC) gets the single product ``(rate / total) *
+  dist[core]``; more accessors build an ``(accessors, N)`` row stack of
+  those products reduced with ``np.cumsum`` along the accessor axis.
+  Either way each entry matches the scalar accumulation loop bitwise (a
+  one-row cumsum is its row, and the loop adds it to zeros), so trade
+  accept/reject decisions are identical between paths;
 * ``used`` — ``(N,) float64`` bytes occupied per bank;
-* the 1-median anchors come from the vectorized
-  :func:`repro.geometry.placement_math.weighted_center_tile`.
+* the greedy seed's anchors are the 1-medians of every seeded VC at once,
+  ``(B, N)`` cost blocks from
+  :func:`repro.geometry.placement_math.weighted_center_tiles`; each trade
+  initiator's spiral center is one
+  :func:`~repro.geometry.placement_math.weighted_center_tile`.
 
 The trade scan itself (spiral walk, swap bookkeeping) stays sequential:
 its decisions feed back into the very capacities it iterates over.  It
 reads the initiator's ``dist[com]`` row and ``dvec`` as Python lists
-(one conversion per initiator, not a NumPy scalar per lookup), and
+(one conversion per initiator, not a NumPy scalar per lookup),
 recomputes the initiator's data extent only after a trade moved its
-data.
+data, and counts its ops in a local that reaches the counter once per
+initiator.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
-from repro.geometry.placement_math import weighted_center_tile
+from repro.geometry.placement_math import (
+    weighted_center_tile,
+    weighted_center_tiles,
+)
 from repro.kernels import use_vectorized
 from repro.sched.opcount import StepCounter
 from repro.sched.problem import PlacementProblem
@@ -92,7 +104,7 @@ class DistanceVectors:
         self,
         topology,
         thread_cores: dict[int, int],
-        eligible: dict[int, dict[int, float]],
+        eligible: dict[int, Mapping[int, float]],
         vectorized: bool,
     ):
         self._topology = topology
@@ -124,9 +136,19 @@ class DistanceVectors:
             return default
         return self[vc_id]
 
-    def _compute(self, accessors: dict[int, float]) -> np.ndarray:
+    def _compute(self, accessors: Mapping[int, float]) -> np.ndarray:
         total_rate = sum(accessors.values())
         dist = self._topology.distance_matrix
+        if len(accessors) == 1:
+            # One term: a one-row cumsum is its row, and the scalar loop
+            # adds it to zeros, so both paths equal this product (a new
+            # array, never a view of the shared geometry).  A lazy matrix
+            # is read as a one-row stack, which stays transient like the
+            # chunked path's blocks.
+            ((thread_id, rate),) = accessors.items()
+            core = self._thread_cores[thread_id]
+            row = dist[[core]][0] if getattr(dist, "is_lazy", False) else dist[core]
+            return (rate / total_rate) * row
         if self._vectorized:
             cores = np.fromiter(
                 (self._thread_cores[t] for t in accessors),
@@ -160,10 +182,10 @@ def access_distance_vectors(
     (see :class:`DistanceVectors`).
     """
     vectorized = use_vectorized()
-    eligible: dict[int, dict[int, float]] = {}
+    eligible: dict[int, Mapping[int, float]] = {}
     rate_per_byte: dict[int, float] = {}
     for vc in problem.vcs:
-        accessors = problem.accessors_of(vc.vc_id)
+        accessors = problem.accessor_rates(vc.vc_id)
         total_rate = sum(accessors.values())
         size = sum(allocation.get(vc.vc_id, {}).values())
         if total_rate <= 0 or size <= 0:
@@ -174,19 +196,6 @@ def access_distance_vectors(
         problem.topology, thread_cores, eligible, vectorized
     )
     return dvec, rate_per_byte
-
-
-def _vc_anchor(problem: PlacementProblem, vc_id: int, thread_cores: dict[int, int]) -> int:
-    """Tile a VC's data gravitates to: the access-weighted 1-median of its
-    accessors' cores (a thread VC's anchor is simply its owner's core)."""
-    accessors = problem.accessors_of(vc_id)
-    weights: dict[int, float] = {}
-    for thread_id, rate in accessors.items():
-        core = thread_cores[thread_id]
-        weights[core] = weights.get(core, 0.0) + rate
-    if not weights:
-        return problem.topology.center_tile()
-    return weighted_center_tile(problem.topology, weights)
 
 
 def _data_extent(per_bank: dict[int, float], dist_com: list) -> int | None:
@@ -223,6 +232,7 @@ def greedy_placement(
             free[bank] -= amount
 
     states = []
+    core_weights: list[dict[int, float]] = []
     for vc in problem.vcs:
         if only_vcs is not None and vc.vc_id not in only_vcs:
             continue
@@ -230,15 +240,20 @@ def greedy_placement(
         allocation[vc.vc_id] = {}
         if size <= 0:
             continue
-        anchor = _vc_anchor(problem, vc.vc_id, thread_cores)
-        states.append(
-            {
-                "vc_id": vc.vc_id,
-                "order": topo.tiles_by_distance(anchor),
-                "ptr": 0,
-                "remaining": float(size),
-            }
-        )
+        weights: dict[int, float] = {}
+        for thread_id, rate in problem.accessor_rates(vc.vc_id).items():
+            core = thread_cores[thread_id]
+            weights[core] = weights.get(core, 0.0) + rate
+        core_weights.append(weights)
+        states.append({"vc_id": vc.vc_id, "ptr": 0, "remaining": float(size)})
+
+    # A VC's data gravitates to the access-weighted 1-median of its
+    # accessors' cores (a thread VC's anchor is simply its owner's core);
+    # a VC nobody accesses anchors at the chip center.
+    anchors = iter(weighted_center_tiles(topo, [w for w in core_weights if w]))
+    for state, weights in zip(states, core_weights):
+        anchor = next(anchors) if weights else topo.center_tile()
+        state["order"] = topo.tiles_by_distance(anchor)
 
     # Each turn a VC claims everything it still wants from its closest
     # non-full bank (not one quantum): Jigsaw's greedy is first-claimant-
@@ -322,10 +337,13 @@ def trade_refinement(
 
     trades = 0
     # Hot VCs (most accesses per byte) refine first: their data is the most
-    # latency-sensitive and other VCs' data is cheap to displace.
-    order = sorted(dvec, key=lambda v: (-rate_per_byte[v], v))
-    if initiators is not None:
-        order = [v for v in order if v in initiators]
+    # latency-sensitive and other VCs' data is cheap to displace.  The key
+    # is a total order, so sorting just the initiators is the full order
+    # filtered to them.
+    order = sorted(
+        (v for v in dvec if initiators is None or v in initiators),
+        key=lambda v: (-rate_per_byte[v], v),
+    )
     for vc1 in order:
         if (ops_budget is not None
                 and sum(counter.ops.values()) - ops_at_entry >= ops_budget):
@@ -340,6 +358,9 @@ def trade_refinement(
         # only after one of them (re-measured below, not every step).
         max_dist = _data_extent(per_bank1, dist_com)
         desirable: list[int] = []
+        # This scan's data_placement ops, added to the counter once it
+        # ends (before the next budget check reads the totals).
+        ops = 0
         for bank in topo.tiles_by_distance(com):
             if max_dist is None:
                 break
@@ -354,7 +375,7 @@ def trade_refinement(
             for target in desirable:
                 if target == bank:
                     continue
-                counter.add("data_placement")
+                ops += 1
                 gain1 = d1[target] - d1[bank]  # negative: target is closer
                 if gain1 >= -1e-12:
                     continue
@@ -372,7 +393,7 @@ def trade_refinement(
                 for vc2 in list(holders[target]):
                     if vc2 == vc1:
                         continue
-                    counter.add("data_placement")
+                    ops += 1
                     d2 = dvec.get(vc2)
                     # Unaccessed VCs trade for free (no latency stake).
                     delta2 = 0.0
@@ -396,6 +417,8 @@ def trade_refinement(
                     break
             if trades != trades_before:
                 max_dist = _data_extent(per_bank1, dist_com)
+        if ops:
+            counter.add("data_placement", ops)
     return trades
 
 

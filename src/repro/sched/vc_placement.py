@@ -22,7 +22,8 @@ topology's ``(N, N)`` order/sorted-distance matrices.  The running
 (:func:`_least_contended`) replicates the scalar key ``(round(contention,
 9), spread, candidate)``: an array preselection keeps the candidates
 within ``2e-9`` of the least contention, the only ones that can share the
-minimum rounded key, and a lexicographic sort over them picks the center.
+minimum rounded key, and a lexicographic sort over them picks the center
+(a lone survivor wins outright).
 The chosen centers — and therefore the whole downstream placement — are
 identical to the scalar reference's.
 """
@@ -90,9 +91,12 @@ def _least_contended(contention: np.ndarray, spread: np.ndarray) -> int:
     plus one ulp of *m*: under ``2e-9`` below ``2**23``, and above that
     (ulps over ``1e-9``) equal keys mean equal values.  The survivors
     are in id order and ``lexsort`` is stable, so full ties settle on
-    the lowest candidate id like the scalar scan.
+    the lowest candidate id like the scalar scan.  A lone survivor holds
+    the minimum key by itself and wins without either.
     """
     near = np.flatnonzero(contention <= contention.min() + 2e-9)
+    if len(near) == 1:
+        return int(near[0])
     rounded = np.array([round(c, 9) for c in contention[near].tolist()])
     return int(near[np.lexsort((spread[near], rounded))[0]])
 

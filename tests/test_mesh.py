@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import numpy as np
+
 from repro.geometry.mesh import Mesh, Torus
 
 tiles_strategy = st.tuples(
@@ -54,6 +56,16 @@ def test_center_tile_is_central():
     mesh = Mesh(8, 8)
     x, y = mesh.coords(mesh.center_tile())
     assert 3 <= x <= 4 and 3 <= y <= 4
+
+
+def test_center_tile_is_memoized():
+    """The center depends only on the topology: each instance computes
+    it once, from the row means."""
+    mesh = Mesh(9, 7)
+    expected = int(np.argmin(mesh.distance_matrix.mean(axis=1)))
+    assert mesh.center_tile() == expected
+    mesh.distance_matrix = None  # a second computation would now fail
+    assert mesh.center_tile() == expected
 
 
 def test_tiles_by_distance_sorted_and_cached():

@@ -1,12 +1,16 @@
-"""Exactness of the array preselections in the CDCS placement steps.
+"""Exactness of the array preselections and fast paths in the CDCS
+placement steps.
 
 Two selections run a Python loop over only the candidates that can win,
 after an array pass has dropped the rest:
 
 * :func:`repro.sched.vc_placement._least_contended` rounds and sorts
-  only the contentions within ``2e-9`` of the least one;
+  only the contentions within ``2e-9`` of the least one, and returns a
+  lone survivor outright;
 * :func:`repro.geometry.placement_math._first_strict_improvement_scan`
-  scans only the strict prefix minima.
+  (and its batched form, :func:`_first_strict_improvement_rows`)
+  returns ``np.argmin`` when no strict prefix minimum falls inside the
+  1e-12 margin, and otherwise scans only the strict prefix minima.
 
 Each is compared with ``==`` against the full loop it replaced, kept
 below as the reference, over seeded cases built to hit the edges: ties
@@ -14,13 +18,34 @@ planted on 9th-decimal rounding boundaries (``k * 1e-9 + 0.5e-9`` give
 or take a few ulps) at magnitudes up to 1e4, and costs with exact ties,
 descending chains in steps under the 1e-12 acceptance margin, constant
 and one-element vectors.
+
+The warm solve's other fast paths are pinned the same way: the greedy
+seed's batched 1-medians (:func:`weighted_center_tiles`) against the
+reference scan of each map's cost vector, a one-accessor distance
+vector against the chunked ``cumsum`` row, byte for byte, and
+``_rate_distance`` on equal maps.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from repro.geometry.placement_math import _first_strict_improvement_scan
+from repro.geometry.mesh import (
+    Mesh,
+    dense_geometry_limit,
+    geometry_allocation_stats,
+)
+from repro.geometry.placement_math import (
+    _CENTER_BLOCK,
+    _first_strict_improvement_rows,
+    _first_strict_improvement_scan,
+    tile_cost_vector,
+    weighted_center_tile,
+    weighted_center_tiles,
+)
+from repro.sched.engine import _rate_distance
+from repro.sched.refinement import DistanceVectors, _sequential_weighted_row_sum
 from repro.sched.vc_placement import _least_contended
 
 CASES = 600
@@ -43,6 +68,19 @@ def reference_scan(costs) -> int:
             best_cost = cost
             best_index = index
     return best_index
+
+
+def takes_shortcut(costs: list[float]) -> bool:
+    """Whether the scan's answer is ``np.argmin`` by the shortcut's
+    condition: no strict prefix minimum lies within the 1e-12 margin
+    below the running minimum before it."""
+    best = costs[0]
+    for cost in costs[1:]:
+        if cost < best:
+            if not cost < best - 1e-12:
+                return False
+            best = cost
+    return True
 
 
 def _nudge(values: np.ndarray, ulps: np.ndarray) -> np.ndarray:
@@ -111,6 +149,26 @@ def test_least_contended_matches_full_round_and_lexsort():
     assert boundary_ties > CASES // 2
 
 
+def test_least_contended_lone_survivor():
+    """Contentions spread like a chip's (a unique least one, the next
+    ones a few ulps to 3e-9 above it): a lone survivor within 2e-9 is
+    returned without rounding, and a pair goes through the sort."""
+    rng = np.random.default_rng(777)
+    lone = 0
+    for _ in range(CASES):
+        n = int(rng.integers(1, 300))
+        contention = rng.uniform(0.0, 64.0, n)
+        low = int(np.argmin(contention))
+        gap = float(rng.choice([5e-16, 1e-9, 1.9e-9, 2.1e-9, 3e-9]))
+        contention[(low + 1) % n] = contention[low] + gap
+        spread = rng.choice([1.0, 1.5, 2.0], n)
+        lone += int(np.sum(contention <= contention.min() + 2e-9)) == 1
+        assert _least_contended(contention, spread) == reference_least_contended(
+            contention, spread
+        )
+    assert CASES // 4 < lone < CASES - CASES // 4
+
+
 def test_least_contended_on_chip_scale_values():
     """Magnitude edges: the 2**23 ulp crossover and tiny contentions."""
     for base in (0.0, 1e-9, 0.5e-9, 2.0**23 - 1.0, 2.0**23, 3e7):
@@ -125,13 +183,29 @@ def test_least_contended_on_chip_scale_values():
 def test_prefix_minimum_scan_matches_full_scan():
     rng = np.random.default_rng(31337)
     kinds = set()
+    shortcut = 0
     for _ in range(CASES):
         costs = cost_case(rng)
         kinds.add(len(costs) == 1 or bool(np.all(costs == costs[0])))
-        assert _first_strict_improvement_scan(costs) == reference_scan(
-            costs.tolist()
-        )
+        expected = reference_scan(costs.tolist())
+        assert _first_strict_improvement_scan(costs) == expected
+        if takes_shortcut(costs.tolist()):
+            shortcut += 1
+            assert expected == int(np.argmin(costs))
     assert kinds == {True, False}
+    # The corpus sits on both sides of the argmin shortcut's condition:
+    # 423 vectors take it, and the loop runs on the other 177.
+    assert (shortcut, CASES - shortcut) == (423, 177)
+
+
+def test_batched_scan_matches_full_scan_per_row():
+    rng = np.random.default_rng(4242)
+    for _ in range(CASES // 2):
+        costs = cost_case(rng)
+        rows = np.stack([costs, costs[::-1], np.roll(costs, 1)])
+        picks = _first_strict_improvement_rows(rows)
+        assert picks.dtype == np.int64
+        assert picks.tolist() == [reference_scan(row) for row in rows.tolist()]
 
 
 def test_prefix_minimum_scan_rejects_sub_margin_prefix_minima():
@@ -142,3 +216,109 @@ def test_prefix_minimum_scan_rejects_sub_margin_prefix_minima():
     assert reference_scan(chain.tolist()) == 2
     assert _first_strict_improvement_scan(chain) == 2
     assert _first_strict_improvement_scan(np.array([3.0, 1.0, 1.0, 2.0])) == 1
+
+
+# -- the greedy seed's batched 1-medians ---------------------------------------
+
+
+def anchor_maps(rng: np.random.Generator, tiles: int, count: int) -> list:
+    """Seeded 1-median weight maps of four kinds, in random order: one
+    bank (a thread VC), several accessors' rates summed on one core,
+    several banks, and near-ties — equal weights a few ulps apart, whose
+    costs differ by far less than the 1e-12 margin."""
+    maps = []
+    for _ in range(count):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            maps.append({int(rng.integers(tiles)): float(rng.uniform(0.01, 80.0))})
+        elif kind == 1:
+            core = int(rng.integers(tiles))
+            weights: dict[int, float] = {}
+            for rate in rng.uniform(0.01, 80.0, int(rng.integers(2, 6))).tolist():
+                weights[core] = weights.get(core, 0.0) + rate
+            maps.append(weights)
+        elif kind == 2:
+            banks = rng.choice(tiles, int(rng.integers(2, 9)), replace=False)
+            rates = rng.uniform(0.01, 80.0, len(banks))
+            maps.append(dict(zip(banks.tolist(), rates.tolist())))
+        else:
+            banks = rng.choice(tiles, int(rng.integers(2, 5)), replace=False)
+            base = float(rng.choice([0.5, 1.0, 3.0]))
+            maps.append({
+                bank: base * (1.0 + k * 2.0**-50)
+                for k, bank in enumerate(banks.tolist())
+            })
+    return maps
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["dense-8x8", "lazy-4x4"])
+def test_batched_anchors_match_one_median_per_map(lazy):
+    side = 4 if lazy else 8
+    maps = anchor_maps(np.random.default_rng(97 + side), side * side, 600)
+    assert len(maps) > 2 * _CENTER_BLOCK  # several blocks
+    with dense_geometry_limit(10**9):
+        dense = Mesh(side, side)
+        costs = [tile_cost_vector(dense, weights).tolist() for weights in maps]
+    reference = [reference_scan(row) for row in costs]
+    fallback = sum(not takes_shortcut(row) for row in costs)
+    # Some rows really take the loop, and most the argmin shortcut.
+    assert 20 < fallback < len(maps) // 2
+    with dense_geometry_limit(0 if lazy else 10**9):
+        mesh = Mesh(side, side)
+        assert getattr(mesh.distance_matrix, "is_lazy", False) == lazy
+        assert weighted_center_tiles(mesh, maps) == reference
+        assert [weighted_center_tile(mesh, weights) for weights in maps] == reference
+    assert weighted_center_tiles(mesh, []) == []
+    with pytest.raises(ValueError):
+        weighted_center_tiles(mesh, [{0: 1.0}, {}])
+
+
+# -- one-accessor distance vectors ----------------------------------------------
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+def test_one_term_distance_vector_is_the_chunked_row(lazy):
+    side_x, side_y = 3, 5
+    rng = np.random.default_rng(5)
+    tiles = side_x * side_y
+    thread_cores = dict(enumerate(rng.permutation(tiles).tolist()))
+    eligible = {
+        tid + 100: {tid: rate}
+        for tid, rate in enumerate(rng.uniform(0.01, 80.0, tiles).tolist())
+    }
+    with dense_geometry_limit(0 if lazy else 10**9):
+        mesh = Mesh(side_x, side_y)
+        dist = mesh.distance_matrix
+        assert getattr(dist, "is_lazy", False) == lazy
+        for vectorized in (True, False):
+            dvec = DistanceVectors(mesh, thread_cores, eligible, vectorized)
+            rows_before = geometry_allocation_stats().lazy_rows
+            vecs = {vc_id: dvec[vc_id] for vc_id in eligible}
+            # Like the chunked path, the read caches no lazy row.
+            assert geometry_allocation_stats().lazy_rows == rows_before
+            for vc_id, accessors in eligible.items():
+                ((tid, rate),) = accessors.items()
+                core = thread_cores[tid]
+                chunked = _sequential_weighted_row_sum(
+                    dist, np.array([core]), np.array([rate / rate])
+                )
+                scalar = np.zeros(tiles, dtype=np.float64)
+                scalar += (rate / rate) * dist[core]
+                vec = vecs[vc_id]
+                assert vec.dtype == np.float64
+                assert vec.tobytes() == chunked.tobytes() == scalar.tobytes()
+                assert vec.flags.writeable
+                if not lazy:
+                    assert not np.shares_memory(vec, dist)
+
+
+# -- dirty detection on equal rate maps -----------------------------------------
+
+
+def test_rate_distance_is_zero_for_equal_maps_in_any_order():
+    forward = {3: 1.5, 7: 0.25, 11: 40.0}
+    backward = dict(reversed(list(forward.items())))
+    assert list(forward) != list(backward)
+    assert _rate_distance(forward, backward) == 0.0
+    # A moved rate still goes through the loop.
+    assert _rate_distance(forward, {**backward, 7: 0.5}) == 0.5
