@@ -21,7 +21,9 @@ so every VC's curve is evaluated in one NumPy call:
 * ``lengths`` — ``(K,) int64``; each row's true point count;
 * ``batch(x)`` with scalar or ``(K,)`` *x* returns ``(K,)`` (one query per
   curve); ``batch.at_grid(grid)`` with a ``(Q,)`` grid returns ``(K, Q)``
-  (all curves on a shared capacity grid).
+  (all curves on a shared capacity grid);
+* ``batch.query_knots()`` returns ``(sizes, values)``, ``(K, P)`` each:
+  the banks with each row's slice transform applied.
 
 Batch evaluation is bitwise-identical to per-curve ``np.interp`` (it runs
 the same ``slope * (x - x0) + y0`` arithmetic), which the equivalence
@@ -415,6 +417,23 @@ class MissCurveBatch:
                 j_hi = np.where(cond, j_hi, j)
                 unsettled = np.flatnonzero(j_lo != j_hi)
         return 0.5 * (lo + hi)
+
+    def query_knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's knots in query space -> ``(sizes, values)``, (K, P).
+
+        Row ``i`` evaluates ``curve_i(x * arg_scale[i]) / value_divisor[i]``,
+        a piecewise-linear function of ``x`` that bends at
+        ``sizes2d[i] / arg_scale[i]`` with values
+        ``values2d[i] / value_divisor[i]`` (padded like the banks).  The
+        divisions round, so the knots suit estimates only; exact queries
+        go through ``__call__`` and :meth:`balance_bisect`.
+        """
+        sizes, values = self.sizes2d, self.values2d
+        if self._arg_scale is not None:
+            sizes = sizes / self._arg_scale[:, None]
+        if self._value_divisor is not None:
+            values = values / self._value_divisor[:, None]
+        return sizes, values
 
     def at_grid(self, grid: Sequence[float] | np.ndarray) -> np.ndarray:
         """Evaluate every curve on a shared capacity grid -> (K, Q).

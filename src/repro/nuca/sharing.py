@@ -20,21 +20,25 @@ Two implementations solve the same system:
 * :func:`shared_cache_occupancies` — the scalar reference for one cache:
   one nested bisection per stream, one ``np.interp`` per probe;
 * :func:`shared_cache_occupancies_grouped` — the vectorized kernel for
-  any number of independent caches (one group of streams each): all
-  streams bisect in lockstep through
-  :meth:`~repro.cache.miss_curve.MissCurveBatch.balance_bisect`, which
-  searches a stream's curve knots only until its bracket settles on one
-  segment and then evaluates that segment elementwise.  Per-stream
-  arithmetic and summation order replicate the scalar path exactly, so
-  each group's occupancies are bitwise the scalar solve of that cache.
+  any number of independent caches (one group of streams each).  Its
+  inner solves run every stream in lockstep through
+  :meth:`~repro.cache.miss_curve.MissCurveBatch.balance_bisect`, with
+  per-stream arithmetic and summation order replicating the scalar path,
+  so each group's occupancies are bitwise the scalar solve of that cache.
+  Its outer pressure search makes an inner solve only for a probe that
+  no earlier exact result has decided: a group's exact total occupancy
+  is non-increasing in ``P``, so one exact answer settles every probe on
+  one side of it.  A closed-form estimate of each cache's root picks the
+  pressures worth solving; when it is right, one stacked lockstep call
+  decides every cache's search instead of one call per probe.
 
 S-NUCA and R-NUCA reach the kernel through :func:`solve_sharing_plans`,
-which merges many schemes' (and mixes') caches into one lockstep call.
+which merges many schemes' (and mixes') caches into one call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +49,9 @@ MissFn = Callable[[float], float]
 
 #: Bisection iterations (both solvers; enough for double precision).
 _BISECT_ITERS = 60
+
+#: Cap on the estimate's Newton steps (it settles in a handful).
+_NEWTON_ITERS = 100
 
 
 def _occupancy_at_pressure(
@@ -143,6 +150,154 @@ def _occupancies_at_pressure_batch(
     return np.where(inactive, 0.0, occ)
 
 
+def _check_groups(groups: Iterable[Iterable[int]], k: int) -> None:
+    """Raise ``ValueError`` unless *groups* hold disjoint lanes of ``range(k)``."""
+    seen: set[int] = set()
+    for group in groups:
+        for lane in group:
+            if not 0 <= lane < k:
+                raise ValueError(f"group lane {lane} is outside range({k})")
+            if lane in seen:
+                raise ValueError(f"lane {lane} belongs to two groups")
+            seen.add(lane)
+
+
+def _pressure_search(
+    count: int, above: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """The scalar solver's outer pressure search for *count* groups -> (count,).
+
+    ``above(which, pressures)`` answers, for each listed group, whether its
+    total occupancy at that pressure exceeds its capacity.  The search
+    expands each group's bracket ``[1e-12, 1]`` by ``hi *= 4.0`` while the
+    answer is yes (at most past ``1e12``), then halves it
+    ``_BISECT_ITERS`` times, with the scalar loop's float expressions — so
+    the same answers yield the same final pressures, bitwise.
+    """
+    lo = np.full(count, 1e-12)
+    hi = np.ones(count)
+    expanding = np.arange(count)
+    while expanding.size:
+        grow = expanding[above(expanding, hi[expanding])]
+        hi[grow] *= 4.0
+        expanding = grow[hi[grow] <= 1e12]
+    every = np.arange(count)
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        over = above(every, mid)
+        lo = np.where(over, mid, lo)
+        hi = np.where(over, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+class _ClosedFormRoots:
+    """Closed-form estimates of where pressured groups stop overflowing.
+
+    A lane's transformed curve ``h(o) = m(o * s) / d`` is linear between
+    its query-space knots, so its balance root ``h(o) = P * o`` solves one
+    linear equation on the segment that ends at the first knot below the
+    line ``P * o`` (the flat start when that is the first knot, the flat
+    end when no knot is below it).  For a non-increasing curve that is the
+    only root; for others the bisection may settle on another one, and
+    the estimate is wrong.  Lanes at capacity and inactive lanes follow
+    the exact rules.  :meth:`thresholds` finds the pressure at which each
+    group's estimated total meets its capacity.  The estimates only choose
+    which pressures the exact solve checks, so their rounding never
+    reaches a result.
+    """
+
+    def __init__(
+        self,
+        batch: MissCurveBatch,
+        sizes: np.ndarray,
+        lane_cap: np.ndarray,
+        miss_at_zero: np.ndarray,
+        miss_at_cap: np.ndarray,
+    ):
+        xs, ys = batch.query_knots()
+        k, width = xs.shape
+        real = np.arange(width) < batch.lengths[:, None]
+        # Knot i lies on or above P * o exactly while P <= ys / xs; padded
+        # knots and a sentinel column lie below every line.
+        knot_p = np.divide(ys, xs, out=np.full((k, width), np.inf), where=xs > 0)
+        self.knots = xs
+        self.knot_pressure = np.pad(
+            np.where(real, knot_p, -np.inf), ((0, 0), (0, 1)),
+            constant_values=-np.inf,
+        )
+        # On column c, h(o) = num + rate * o: column 0 is the flat start,
+        # column c the segment (c - 1, c); padded segments and the extra
+        # last column are the flat end.
+        dx = np.diff(xs, axis=1)
+        rate = np.divide(np.diff(ys, axis=1), dx, out=np.zeros_like(dx), where=dx > 0)
+        num = np.empty((k, width + 1))
+        num[:, 0] = ys[:, 0]
+        num[:, 1:width] = ys[:, :-1] - rate * xs[:, :-1]
+        num[:, width] = ys[:, -1]
+        self.num = num.ravel()
+        self.rate = np.pad(rate, ((0, 0), (1, 1))).ravel()
+        self.base = np.arange(k) * (width + 1)
+        self.sizes = sizes
+        self.starts = np.cumsum(sizes) - sizes
+        self.lane_cap = lane_cap
+        self.inactive = miss_at_zero <= 0.0
+        self.miss_at_cap = miss_at_cap
+
+    def _lanes(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each lane's estimated occupancy at pressure *p* and its slope
+        ``d occ / d P`` -> two (K,) arrays."""
+        # The first knot below the line P * o ends the root's segment.
+        below = self.knot_pressure < p[:, None]
+        column = self.base + below.argmax(axis=1)
+        denom = p - self.rate.take(column)
+        ok = denom > 0
+        occ = np.divide(self.num.take(column), denom, out=np.zeros(len(p)), where=ok)
+        slope = np.divide(-occ, denom, out=np.zeros(len(p)), where=ok)
+        cap = self.lane_cap
+        at_cap = self.miss_at_cap >= p * cap
+        pinned = ~ok | (occ < 0.0) | (occ >= cap) | at_cap | self.inactive
+        occ = np.where(at_cap, cap, np.clip(occ, 0.0, cap))
+        occ[self.inactive] = 0.0
+        slope[pinned] = 0.0
+        return occ, slope
+
+    def thresholds(self, capacity: np.ndarray) -> np.ndarray:
+        """Each group's estimated pressure at which its total falls to
+        *capacity* -> (G,).
+
+        Newton's method on ``log total`` against ``log P`` (each lane's
+        root goes as ``1 / P`` on a flat end, so the step is nearly exact),
+        kept inside a bracket that it halves geometrically whenever a step
+        leaves it.  The start ``P = sum h(C / n) / C`` balances an even
+        split of the capacity.
+        """
+        even = np.repeat(capacity / self.sizes, self.sizes)
+        column = self.base + (self.knots <= even[:, None]).sum(axis=1)
+        height = self.num.take(column) + self.rate.take(column) * even
+        p = np.add.reduceat(height, self.starts) / capacity
+        lo = np.full(len(p), 1e-12)
+        hi = np.full(len(p), 4.0**21)  # past the search's reach
+        p = np.where((p > lo) & (p < hi), p, 1.0)
+        live = np.ones(len(p), dtype=bool)
+        for _ in range(_NEWTON_ITERS):
+            occ, slope = self._lanes(np.repeat(p, self.sizes))
+            total = np.add.reduceat(occ, self.starts)
+            over = total > capacity
+            lo = np.where(over, p, lo)
+            hi = np.where(over, hi, p)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                elasticity = p * np.add.reduceat(slope, self.starts) / total
+                newton = p * np.exp(-np.log(total / capacity) / elasticity)
+            tolerance = 4.0 * np.spacing(p)
+            live &= (np.abs(newton - p) > tolerance) | np.isnan(newton)
+            live &= hi - lo > tolerance
+            inside = (newton > lo) & (newton < hi)
+            p = np.where(live, np.where(inside, newton, np.sqrt(lo * hi)), p)
+            if not live.any():
+                break
+        return p
+
+
 def shared_cache_occupancies_grouped(
     batch: MissCurveBatch,
     groups: Sequence[Sequence[int]],
@@ -151,19 +306,47 @@ def shared_cache_occupancies_grouped(
     """Many independent sharing fixed points solved in lockstep -> (K,).
 
     *groups* partitions the batch's curve indices into independent caches
-    (R-NUCA: one group of participants per bank).  *capacity* is one float
-    shared by every group, or a per-group sequence — mixed capacities let
-    the mega-batch path merge the sharing solves of *different* caches
-    (S-NUCA's chip-wide LLC next to R-NUCA's per-bank pools, across many
-    mixes) into one lockstep call.  Every group's nested bisection
-    advances simultaneously — one batched curve evaluation covers every
-    stream of every cache — and each group's probe sequence (expansion,
-    branch decisions, final rescale) replicates running
-    :func:`shared_cache_occupancies` on that group alone with that group's
-    capacity, so the per-stream results are bitwise-identical to the
-    scalar per-cache loop.
+    (R-NUCA: one group of participants per bank); lanes in no group solve
+    to 0, and a lane outside the batch or in two groups raises
+    ``ValueError``.  *capacity* is one float shared by every group, or a
+    per-group sequence — mixed capacities let the mega-batch path merge
+    the sharing solves of *different* caches (S-NUCA's chip-wide LLC next
+    to R-NUCA's per-bank pools, across many mixes) into one call.  Each
+    group's results are bitwise what :func:`shared_cache_occupancies`
+    returns for that group alone at that capacity.
+
+    The outer pressure search (:func:`_pressure_search`) asks, probe by
+    probe, whether a group's total occupancy exceeds its capacity.  That
+    answer is monotone in the pressure ``P``:
+
+    * an inner bisection step keeps ``lo = mid`` when
+      ``m(mid) >= fl(P * mid)``; ``m(mid)`` does not depend on ``P`` and
+      ``fl(P * mid)`` does not fall as ``P`` grows, so each step's answer
+      is non-increasing in ``P``;
+    * so two inner paths at ``P1 < P2`` first differ where ``P1`` keeps
+      ``lo = mid`` and ``P2`` keeps ``hi = mid``, and since a midpoint
+      stays inside its bracket, ``occ(P1) >= mid >= occ(P2)``;
+    * the at-capacity rule is non-increasing in ``P`` and yields the
+      largest value, the capacity; the stream-order ``sum`` is monotone
+      in each term.
+
+    A group's exact total is therefore non-increasing in ``P``: one exact
+    "above" at ``t`` answers every probe ``<= t`` and one exact "not
+    above" at ``f`` every probe ``>= f``.  The solve first runs the search
+    on :class:`_ClosedFormRoots` estimates (the dry run), then makes one
+    lockstep :meth:`~repro.cache.miss_curve.MissCurveBatch.balance_bisect`
+    call on each group's largest "above" probe, smallest "not above" probe
+    and final pressure, stacked with
+    :meth:`~repro.cache.miss_curve.MissCurveBatch.take`.  Those results
+    seed each group's proven window ``(t, f)``; the real search answers a
+    probe outside it for free and solves a probe inside it exactly (one
+    lockstep call for every group that needs one), narrowing the window.
+    When the dry run guessed right, no probe needs a solve and the final
+    pressure's occupancies come from the stacked call.  A wrong guess
+    costs extra exact probes, never a different answer.
     """
     k = len(batch)
+    _check_groups(groups, k)
     index_lists = [np.asarray(list(g), dtype=np.int64) for g in groups]
     if np.isscalar(capacity) or isinstance(capacity, (int, float)):
         caps = [float(capacity)] * len(index_lists)
@@ -184,86 +367,83 @@ def shared_cache_occupancies_grouped(
     miss_at_zero = batch(0.0)
     miss_at_cap = batch(lane_cap)
 
-    def solve(pressures: np.ndarray) -> np.ndarray:
-        """Per-stream occupancies at per-stream pressures -> (K,)."""
-        return _occupancies_at_pressure_batch(
-            batch, pressures, lane_cap, miss_at_zero, miss_at_cap
-        )
-
-    def group_totals(occ: np.ndarray) -> list[float]:
-        # Stream-order sequential sums, like the scalar per-cache sum().
-        return [sum(occ[idx].tolist()) for idx in index_lists]
-
-    unconstrained = solve(np.zeros(k))
+    unconstrained = _occupancies_at_pressure_batch(
+        batch, np.zeros(k), lane_cap, miss_at_zero, miss_at_cap
+    )
     result = unconstrained.copy()
     pressured = [
-        g for g, total in enumerate(group_totals(unconstrained))
-        if caps[g] > 0 and total > caps[g]
+        g for g, idx in enumerate(index_lists)
+        if caps[g] > 0 and sum(unconstrained[idx].tolist()) > caps[g]
     ]
     if not pressured:
         return result
 
-    # Every probe from here on only reads pressured groups' lanes, so the
-    # bisection iterates a row-subset batch of just those lanes.  Each
-    # lane's arithmetic (and each group's stream-order total) is
-    # element-for-element what the full-width solve computes — unpressured
-    # lanes keep their unconstrained occupancies in *result* either way.
-    lanes = np.concatenate([index_lists[g] for g in pressured])
-    sub_batch = batch.take(lanes)
-    sub_cap = lane_cap[lanes]
-    sub_zero = miss_at_zero[lanes]
-    sub_cap_miss = miss_at_cap[lanes]
-    local: dict[int, np.ndarray] = {}
-    pos = 0
-    for g in pressured:
-        n = len(index_lists[g])
-        local[g] = np.arange(pos, pos + n)
-        pos += n
+    # From here on, group i is pressured group pressured[i].  Every lane's
+    # arithmetic is its own, so solving any row subset of the batch (rows
+    # repeated, too) gives each row bitwise its full-width result.
+    members = [index_lists[g] for g in pressured]
+    sizes = np.array([len(m) for m in members])
+    group_cap = [caps[g] for g in pressured]
+    solved: dict[tuple[int, float], np.ndarray] = {}
+    proven_over = np.full(len(members), -np.inf)  # t: "above" up to here
+    proven_under = np.full(len(members), np.inf)  # f: "not above" from here
 
-    lane_pressure = np.zeros(len(lanes))
-
-    def solve_sub(pressures: np.ndarray) -> np.ndarray:
-        return _occupancies_at_pressure_batch(
-            sub_batch, pressures, sub_cap, sub_zero, sub_cap_miss
+    def settle(which: np.ndarray, pressures: np.ndarray) -> np.ndarray:
+        """Exact answers for groups *which* at *pressures*, in one call."""
+        rows = np.concatenate([members[i] for i in which])
+        occ = _occupancies_at_pressure_batch(
+            batch.take(rows),
+            np.repeat(pressures, sizes[which]),
+            lane_cap[rows],
+            miss_at_zero[rows],
+            miss_at_cap[rows],
         )
-
-    lo_g = {g: 1e-12 for g in pressured}
-    hi_g = {g: 1.0 for g in pressured}
-
-    def probe(values: dict[int, float]) -> dict[int, float]:
-        """Evaluate pressured groups' totals at per-group pressures."""
-        for g, p in values.items():
-            lane_pressure[local[g]] = p
-        occ = solve_sub(lane_pressure)
-        return {g: sum(occ[local[g]].tolist()) for g in values}
-
-    # Bracket expansion, in lockstep (settled groups drop out but the
-    # per-group hi sequence matches the scalar while-loop's).
-    expanding = list(pressured)
-    while expanding:
-        totals = probe({g: hi_g[g] for g in expanding})
-        still = []
-        for g in expanding:
-            if totals[g] > caps[g]:
-                hi_g[g] *= 4.0
-                if hi_g[g] <= 1e12:
-                    still.append(g)
-        expanding = still
-
-    for _ in range(_BISECT_ITERS):
-        mids = {g: 0.5 * (lo_g[g] + hi_g[g]) for g in pressured}
-        totals = probe(mids)
-        for g in pressured:
-            if totals[g] > caps[g]:
-                lo_g[g] = mids[g]
+        parts = np.split(occ, np.cumsum(sizes[which])[:-1])
+        over = []
+        for i, p, part in zip(which.tolist(), pressures.tolist(), parts):
+            solved[i, p] = part
+            # Stream-order sequential sum, like the scalar per-cache sum().
+            over.append(sum(part.tolist()) > group_cap[i])
+            if over[-1]:
+                proven_over[i] = max(proven_over[i], p)
             else:
-                hi_g[g] = mids[g]
+                proven_under[i] = min(proven_under[i], p)
+        return np.array(over)
 
-    for g in pressured:
-        lane_pressure[local[g]] = 0.5 * (lo_g[g] + hi_g[g])
-    occ = solve_sub(lane_pressure)
-    for g in pressured:
-        rows = occ[local[g]]
+    # Dry run on estimates, recording the probes that decide its path.
+    lanes = np.concatenate(members)
+    threshold = _ClosedFormRoots(
+        batch.take(lanes), sizes, lane_cap[lanes], miss_at_zero[lanes],
+        miss_at_cap[lanes],
+    ).thresholds(np.array(group_cap))
+    last_over = np.full(len(members), -np.inf)
+    first_under = np.full(len(members), np.inf)
+
+    def estimated(which: np.ndarray, pressures: np.ndarray) -> np.ndarray:
+        over = pressures < threshold[which]
+        hit, miss = which[over], which[~over]
+        last_over[hit] = np.maximum(last_over[hit], pressures[over])
+        first_under[miss] = np.minimum(first_under[miss], pressures[~over])
+        return over
+
+    guess = _pressure_search(len(members), estimated)
+    seeds = np.stack([last_over, first_under, guess], axis=1)
+    finite = np.isfinite(seeds)
+    settle(np.nonzero(finite)[0], seeds[finite])
+
+    def proven(which: np.ndarray, pressures: np.ndarray) -> np.ndarray:
+        over = pressures <= proven_over[which]
+        unknown = ~over & (pressures < proven_under[which])
+        if unknown.any():
+            over[unknown] = settle(which[unknown], pressures[unknown])
+        return over
+
+    final = _pressure_search(len(members), proven).tolist()
+    missing = [i for i, p in enumerate(final) if (i, p) not in solved]
+    if missing:
+        settle(np.array(missing), np.take(final, missing))
+    for i, g in enumerate(pressured):
+        rows = solved[i, final[i]]
         total = sum(rows.tolist())
         if total > caps[g] and total > 0:
             result[index_lists[g]] = rows * (caps[g] / total)
@@ -298,6 +478,14 @@ class SharingPlan:
     def __post_init__(self):
         if len(self.groups) != len(self.capacities):
             raise ValueError("need one capacity per group")
+        n = len(self.curves)
+        for name in ("arg_scale", "value_divisor"):
+            values = getattr(self, name)
+            if values is not None and len(values) != n:
+                raise ValueError(
+                    f"{name} needs one entry per curve: {len(values)} for {n}"
+                )
+        _check_groups(self.groups, n)
 
 
 def solve_sharing_plans(plans: Sequence[SharingPlan]) -> list[np.ndarray]:

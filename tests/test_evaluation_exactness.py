@@ -36,7 +36,7 @@ from repro.kernels import scalar_reference
 from repro.mem.controller import MemoryControllers
 from repro.model import system as system_module
 from repro.model.system import AnalyticSystem
-from repro.nuca import Cdcs, build_problem, standard_schemes
+from repro.nuca import Cdcs, build_problem, sharing, standard_schemes
 from repro.nuca.base import GLOBAL_VC_ID, SchemeResult
 from repro.sched.cost_model import reader_hops
 from repro.service.load import LoadSpec, build_chip
@@ -233,6 +233,91 @@ def test_bisect_cases_cover_the_edges():
         vector_p += np.ndim(pressure) == 1
     assert BISECT_CASES >= 500
     assert min(knot_hits, transformed, zero_caps, past_last, vector_p) >= 50
+
+
+# ---------------------------------------------------------------------------
+# Monotonicity of the sharing solve in the pressure
+# ---------------------------------------------------------------------------
+
+MONOTONE_CASES = 240
+
+
+def sharing_case(seed: int):
+    """(batch, groups, per-lane capacity, seeded pressures) for one case:
+    lane_curve lanes split into up to four caches at mixed capacities."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 40))
+    capacity = float(int(rng.integers(1, 64)) * 2 ** int(rng.integers(10, 30)))
+    rnuca = rng.random() < 0.4
+    tiles = float(rng.choice([16.0, 36.0, 64.0]))
+    scale = np.where(rng.random(k) < 0.5, tiles, 1.0) if rnuca else np.ones(k)
+    cuts = rng.choice(np.arange(1, k), min(k - 1, int(rng.integers(0, 4))),
+                      replace=False)
+    groups = np.split(np.arange(k), np.sort(cuts))
+    group_cap = capacity * rng.choice([1.0, 0.5, 0.25], len(groups))
+    lane_cap = np.repeat(group_cap, [len(g) for g in groups])
+    curves = [lane_curve(rng, lane_cap[i] * scale[i]) for i in range(k)]
+    transform = scale if rnuca else None
+    batch = MissCurveBatch(curves, arg_scale=transform, value_divisor=transform)
+    pressures = batch(lane_cap * rng.uniform(0.05, 1.0, k)) / lane_cap
+    return batch, groups, lane_cap, pressures
+
+
+def pressure_ladder(batch, lane_cap, pressures) -> np.ndarray:
+    """Probe pressures, ascending: each seeded pressure with its float
+    neighbours, ``1e-12``, and each lane's at-capacity threshold
+    ``m(C) / C`` with the float just past it."""
+    at_cap = batch(lane_cap) / lane_cap
+    ladder = np.concatenate([
+        pressures,
+        np.nextafter(pressures, 0.0),
+        np.nextafter(pressures, np.inf),
+        [1e-12],
+        at_cap,
+        np.nextafter(at_cap, np.inf),
+    ])
+    return np.unique(ladder[ladder > 0.0])
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_sharing_occupancies_fall_as_pressure_rises(block):
+    """The premise of the sharing solve's proven windows: at ascending
+    pressures, every lane's exact occupancy and every cache's stream-order
+    total never rise."""
+    per_block = MONOTONE_CASES // 4
+    for seed in range(block * per_block, (block + 1) * per_block):
+        batch, groups, lane_cap, pressures = sharing_case(seed)
+        ladder = pressure_ladder(batch, lane_cap, pressures)
+        k = len(batch)
+        # Every ladder pressure in one lockstep solve: rung r is rows
+        # r * k .. (r + 1) * k - 1 of the stacked batch.
+        rows = np.tile(np.arange(k), len(ladder))
+        occ = sharing._occupancies_at_pressure_batch(
+            batch.take(rows),
+            np.repeat(ladder, k),
+            lane_cap[rows],
+            batch(0.0)[rows],
+            batch(lane_cap)[rows],
+        ).reshape(len(ladder), k)
+        assert np.all(np.diff(occ, axis=0) <= 0.0), seed
+        for group in groups:
+            totals = [sum(rung[group].tolist()) for rung in occ]
+            assert all(b <= a for a, b in zip(totals, totals[1:])), seed
+
+
+def test_sharing_cases_cover_the_edges():
+    """The monotonicity cases mix transforms, several caches at different
+    capacities, and ladders that cross at-capacity thresholds."""
+    transformed = multi_cache = mixed_caps = crossings = 0
+    for seed in range(MONOTONE_CASES):
+        batch, groups, lane_cap, pressures = sharing_case(seed)
+        ladder = pressure_ladder(batch, lane_cap, pressures)
+        at_cap = batch(lane_cap) >= ladder[:, None] * lane_cap
+        transformed += batch._arg_scale is not None
+        multi_cache += len(groups) > 1
+        mixed_caps += len(np.unique(lane_cap)) > 1
+        crossings += int(np.any(at_cap[0] & ~at_cap[-1]))
+    assert min(transformed, multi_cache, mixed_caps, crossings) >= 40
 
 
 # ---------------------------------------------------------------------------

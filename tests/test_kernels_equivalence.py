@@ -43,12 +43,16 @@ from repro.geometry.placement_math import (
     window_contention,
 )
 from repro.kernels import EQUIV_RTOL, scalar_reference, use_vectorized
-from repro.nuca import standard_schemes
+from repro.nuca import sharing, standard_schemes
 from repro.nuca.base import build_problem
+from repro.nuca.rnuca import RNuca
 from repro.nuca.sharing import (
+    SharingPlan,
     shared_cache_occupancies,
     shared_cache_occupancies_grouped,
+    solve_sharing_plans,
 )
+from repro.nuca.snuca import SNuca
 from repro.sched.allocation import allocate_latency_aware, allocate_miss_driven
 from repro.sched.cost_model import (
     latency_curve,
@@ -155,21 +159,18 @@ def test_batched_window_scores_match_scalar_scoring():
                 )
 
 
-def test_sharing_batch_bitwise_matches_scalar():
+def sharing_cases():
+    """(batch, groups, capacity, per-lane scalar closures) for the grouped
+    solve: six random one-cache corpora, then the mega-batch shape —
+    S-NUCA's chip-wide cache (identity lanes) merged with R-NUCA's
+    per-bank pools (1/N slice lanes) and a zero-capacity group, at one
+    shared and at per-group capacities."""
     rng = np.random.default_rng(13)
-    for trial in range(6):
+    for _ in range(6):
         curves = random_curves(rng, int(rng.integers(2, 40)))
         capacity = float(rng.uniform(1e6, 5e8))
-        scalar = shared_cache_occupancies(
-            [c.__call__ for c in curves], capacity
-        )
-        batch = shared_cache_occupancies_grouped(
-            MissCurveBatch(curves), [range(len(curves))], capacity
-        )
-        assert batch.tolist() == scalar
-
-
-def test_sharing_grouped_bitwise_matches_per_group_scalar():
+        fns = [c.__call__ for c in curves]
+        yield MissCurveBatch(curves), [range(len(curves))], capacity, fns
     rng = np.random.default_rng(17)
     curves = random_curves(rng, 30)
     group_sizes = [4, 1, 7, 0, 9, len(curves) - 21]
@@ -177,31 +178,141 @@ def test_sharing_grouped_bitwise_matches_per_group_scalar():
     for size in group_sizes:
         groups.append(range(start, start + size))
         start += size
-    # The mega-batch shape: S-NUCA's chip-wide cache (identity lanes)
-    # merged with R-NUCA's per-bank pools (1/N slice lanes) and a
-    # zero-capacity group, each group at its own capacity.
     tiles = 16.0
     scale = [1.0] * 4 + [tiles] * (len(curves) - 4)
-    for batch, capacity, fns in (
-        (MissCurveBatch(curves), 2e7, [c.__call__ for c in curves]),
-        (
-            MissCurveBatch(curves, arg_scale=scale, value_divisor=scale),
-            [5e7, 2e6, 5e6, 2e6, 0.0, 3e6],
-            [
-                (lambda occ, c=c, n=n: float(c(occ * n)) / n)
-                if n != 1.0 else c.__call__
-                for c, n in zip(curves, scale)
-            ],
-        ),
-    ):
-        grouped = shared_cache_occupancies_grouped(batch, groups, capacity)
+    yield MissCurveBatch(curves), groups, 2e7, [c.__call__ for c in curves]
+    yield (
+        MissCurveBatch(curves, arg_scale=scale, value_divisor=scale),
+        groups,
+        [5e7, 2e6, 5e6, 2e6, 0.0, 3e6],
+        [
+            (lambda occ, c=c, n=n: float(c(occ * n)) / n)
+            if n != 1.0 else c.__call__
+            for c, n in zip(curves, scale)
+        ],
+    )
+
+
+@pytest.fixture(scope="module")
+def sharing_expected():
+    """Each sharing case with its per-group scalar occupancies."""
+    cases = []
+    for batch, groups, capacity, fns in sharing_cases():
         per_group = capacity if isinstance(capacity, list) else [capacity] * len(groups)
-        for group, group_capacity in zip(groups, per_group):
-            idx = list(group)
-            expected = shared_cache_occupancies(
-                [fns[i] for i in idx], group_capacity
-            )
-            assert grouped[idx].tolist() == expected
+        expected = [
+            shared_cache_occupancies([fns[i] for i in group], group_capacity)
+            for group, group_capacity in zip(groups, per_group)
+        ]
+        cases.append((batch, groups, capacity, expected))
+    return cases
+
+
+def check_sharing_cases(cases) -> None:
+    for batch, groups, capacity, expected in cases:
+        grouped = shared_cache_occupancies_grouped(batch, groups, capacity)
+        for group, want in zip(groups, expected):
+            assert grouped[list(group)].tolist() == want
+
+
+def test_sharing_batch_bitwise_matches_scalar(sharing_expected):
+    check_sharing_cases(sharing_expected[:6])
+
+
+def test_sharing_grouped_bitwise_matches_per_group_scalar(sharing_expected):
+    check_sharing_cases(sharing_expected[6:])
+
+
+@pytest.mark.parametrize("wrong", ["up", "down", "zero", "inf", "other"])
+def test_sharing_grouped_exact_under_misprediction(
+    sharing_expected, monkeypatch, wrong
+):
+    """A wrong estimate of where a cache stops overflowing costs exact
+    probes, never a different answer: thresholds off by 1e-9 either way,
+    at 0 and at infinity, or swapped between caches all still give each
+    group bitwise its scalar occupancies."""
+    estimate = sharing._ClosedFormRoots.thresholds
+
+    def mispredicted(self, capacity):
+        right = estimate(self, capacity)
+        return {
+            "up": right * (1.0 + 1e-9),
+            "down": right * (1.0 - 1e-9),
+            "zero": np.zeros_like(right),
+            "inf": np.full_like(right, np.inf),
+            "other": np.roll(right, 1),
+        }[wrong]
+
+    monkeypatch.setattr(sharing._ClosedFormRoots, "thresholds", mispredicted)
+    calls = []
+    bisect = MissCurveBatch.balance_bisect
+    monkeypatch.setattr(
+        MissCurveBatch, "balance_bisect",
+        lambda self, *args: calls.append(len(self)) or bisect(self, *args),
+    )
+    check_sharing_cases(sharing_expected)
+    # The wrong estimates really sent probes down the exact path.
+    assert len(calls) > len(sharing_expected)
+
+
+def test_fig11_merged_sharing_makes_at_most_two_exact_calls(monkeypatch):
+    """The 4-mix fig11 merged call of ``make bench-kernels`` (seed 42:
+    512 lanes in 260 caches, four of them pressured) runs at most two
+    lockstep bisections; the 62-probe pressure search ran 62."""
+    config = default_config()
+    plans = []
+    for mix_id in range(4):
+        problem = build_problem(random_single_threaded_mix(64, 42, mix_id), config)
+        for scheme in (SNuca(mix_id), RNuca(mix_id)):
+            plans.append(scheme.sharing_stage(problem)[0])
+    assert sum(len(p.curves) for p in plans) == 512
+    assert sum(len(p.groups) for p in plans) == 260
+    calls = []
+    bisect = MissCurveBatch.balance_bisect
+    monkeypatch.setattr(
+        MissCurveBatch, "balance_bisect",
+        lambda self, *args: calls.append(len(self)) or bisect(self, *args),
+    )
+    merged = solve_sharing_plans(plans)
+    assert 1 <= len(calls) <= 2
+    alone = [solve_sharing_plans([plan])[0] for plan in plans]
+    assert [m.tobytes() for m in merged] == [a.tobytes() for a in alone]
+
+
+CURVES3 = (flat_curve(1e6, 3.0),) * 3
+
+
+@pytest.mark.parametrize("group", [(0, 1, 5), (0, -1)], ids=["past-end", "negative"])
+def test_sharing_plan_rejects_lanes_outside_its_curves(group):
+    # (0, 1, 5) would take lane 2 of the next plan once merged; -1 would
+    # wrap around to this plan's last lane.
+    with pytest.raises(ValueError, match="outside"):
+        SharingPlan(CURVES3, (group,), (1e6,))
+
+
+def test_sharing_plan_rejects_a_lane_in_two_groups():
+    with pytest.raises(ValueError, match="two groups"):
+        SharingPlan(CURVES3, ((0, 1), (1, 2)), (1e6, 1e6))
+
+
+@pytest.mark.parametrize("field", ["arg_scale", "value_divisor"])
+def test_sharing_plan_rejects_transforms_of_the_wrong_length(field):
+    with pytest.raises(ValueError, match=field):
+        SharingPlan(CURVES3, ((0, 1, 2),), (1e6,), **{field: (16.0, 16.0)})
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [[(0, 1, 5)], [(0, -1)], [(0, 1), (1, 2)]],
+    ids=["past-end", "negative", "overlapping"],
+)
+def test_grouped_sharing_rejects_malformed_groups(groups):
+    with pytest.raises(ValueError):
+        shared_cache_occupancies_grouped(MissCurveBatch(CURVES3), groups, 1e6)
+
+
+def test_grouped_sharing_solves_ungrouped_lanes_to_zero():
+    occ = shared_cache_occupancies_grouped(MissCurveBatch(CURVES3), [(0, 1)], 1e6)
+    assert occ[2] == 0.0 and occ[0] > 0.0
 
 
 def _random_problem(rng: np.random.Generator, multithreaded: bool = False):
