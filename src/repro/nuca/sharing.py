@@ -50,9 +50,6 @@ MissFn = Callable[[float], float]
 #: Bisection iterations (both solvers; enough for double precision).
 _BISECT_ITERS = 60
 
-#: Cap on the estimate's Newton steps (it settles in a handful).
-_NEWTON_ITERS = 100
-
 
 def _occupancy_at_pressure(
     miss_fn: MissFn, pressure: float, capacity: float
@@ -191,7 +188,7 @@ def _pressure_search(
 
 
 class _ClosedFormRoots:
-    """Closed-form estimates of where pressured groups stop overflowing.
+    """Closed-form estimates of whether pressured groups overflow.
 
     A lane's transformed curve ``h(o) = m(o * s) / d`` is linear between
     its query-space knots, so its balance root ``h(o) = P * o`` solves one
@@ -200,16 +197,17 @@ class _ClosedFormRoots:
     end when no knot is below it).  For a non-increasing curve that is the
     only root; for others the bisection may settle on another one, and
     the estimate is wrong.  Lanes at capacity and inactive lanes follow
-    the exact rules.  :meth:`thresholds` finds the pressure at which each
-    group's estimated total meets its capacity.  The estimates only choose
-    which pressures the exact solve checks, so their rounding never
-    reaches a result.
+    the exact rules.  :meth:`above` sums a group's estimates and compares
+    the total with the group's capacity.  The estimates only choose which
+    pressures the exact solve checks, so their rounding (and the order of
+    their sums) never reaches a result.
     """
 
     def __init__(
         self,
         batch: MissCurveBatch,
         sizes: np.ndarray,
+        capacity: np.ndarray,
         lane_cap: np.ndarray,
         miss_at_zero: np.ndarray,
         miss_at_cap: np.ndarray,
@@ -220,7 +218,6 @@ class _ClosedFormRoots:
         # Knot i lies on or above P * o exactly while P <= ys / xs; padded
         # knots and a sentinel column lie below every line.
         knot_p = np.divide(ys, xs, out=np.full((k, width), np.inf), where=xs > 0)
-        self.knots = xs
         self.knot_pressure = np.pad(
             np.where(real, knot_p, -np.inf), ((0, 0), (0, 1)),
             constant_values=-np.inf,
@@ -239,63 +236,52 @@ class _ClosedFormRoots:
         self.base = np.arange(k) * (width + 1)
         self.sizes = sizes
         self.starts = np.cumsum(sizes) - sizes
+        self.capacity = capacity
         self.lane_cap = lane_cap
         self.inactive = miss_at_zero <= 0.0
         self.miss_at_cap = miss_at_cap
 
-    def _lanes(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each lane's estimated occupancy at pressure *p* and its slope
-        ``d occ / d P`` -> two (K,) arrays."""
+    def occupancies(self, p: np.ndarray) -> np.ndarray:
+        """Each lane's estimated occupancy at pressure *p* -> (K,)."""
         # The first knot below the line P * o ends the root's segment.
         below = self.knot_pressure < p[:, None]
         column = self.base + below.argmax(axis=1)
         denom = p - self.rate.take(column)
-        ok = denom > 0
-        occ = np.divide(self.num.take(column), denom, out=np.zeros(len(p)), where=ok)
-        slope = np.divide(-occ, denom, out=np.zeros(len(p)), where=ok)
+        occ = np.divide(
+            self.num.take(column), denom, out=np.zeros(len(p)), where=denom > 0
+        )
         cap = self.lane_cap
-        at_cap = self.miss_at_cap >= p * cap
-        pinned = ~ok | (occ < 0.0) | (occ >= cap) | at_cap | self.inactive
-        occ = np.where(at_cap, cap, np.clip(occ, 0.0, cap))
+        occ = np.where(self.miss_at_cap >= p * cap, cap, np.clip(occ, 0.0, cap))
         occ[self.inactive] = 0.0
-        slope[pinned] = 0.0
-        return occ, slope
+        return occ
 
-    def thresholds(self, capacity: np.ndarray) -> np.ndarray:
-        """Each group's estimated pressure at which its total falls to
-        *capacity* -> (G,).
+    def above(self, which: np.ndarray, pressures: np.ndarray) -> np.ndarray:
+        """Whether groups *which* overflow their capacities at *pressures*,
+        by estimate -> (len(which),)."""
+        p = np.ones(len(self.sizes))
+        p[which] = pressures
+        total = np.add.reduceat(
+            self.occupancies(np.repeat(p, self.sizes)), self.starts
+        )
+        return total[which] > self.capacity[which]
 
-        Newton's method on ``log total`` against ``log P`` (each lane's
-        root goes as ``1 / P`` on a flat end, so the step is nearly exact),
-        kept inside a bracket that it halves geometrically whenever a step
-        leaves it.  The start ``P = sum h(C / n) / C`` balances an even
-        split of the capacity.
-        """
-        even = np.repeat(capacity / self.sizes, self.sizes)
-        column = self.base + (self.knots <= even[:, None]).sum(axis=1)
-        height = self.num.take(column) + self.rate.take(column) * even
-        p = np.add.reduceat(height, self.starts) / capacity
-        lo = np.full(len(p), 1e-12)
-        hi = np.full(len(p), 4.0**21)  # past the search's reach
-        p = np.where((p > lo) & (p < hi), p, 1.0)
-        live = np.ones(len(p), dtype=bool)
-        for _ in range(_NEWTON_ITERS):
-            occ, slope = self._lanes(np.repeat(p, self.sizes))
-            total = np.add.reduceat(occ, self.starts)
-            over = total > capacity
-            lo = np.where(over, p, lo)
-            hi = np.where(over, hi, p)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                elasticity = p * np.add.reduceat(slope, self.starts) / total
-                newton = p * np.exp(-np.log(total / capacity) / elasticity)
-            tolerance = 4.0 * np.spacing(p)
-            live &= (np.abs(newton - p) > tolerance) | np.isnan(newton)
-            live &= hi - lo > tolerance
-            inside = (newton > lo) & (newton < hi)
-            p = np.where(live, np.where(inside, newton, np.sqrt(lo * hi)), p)
-            if not live.any():
-                break
-        return p
+    def seed_probes(self) -> np.ndarray:
+        """The search run on estimates (the dry run) -> (G, 3): each group's
+        largest "above" probe, its smallest "not above" probe (-inf and inf
+        when it made none) and its final pressure."""
+        count = len(self.sizes)
+        last_over = np.full(count, -np.inf)
+        first_under = np.full(count, np.inf)
+
+        def estimated(which: np.ndarray, pressures: np.ndarray) -> np.ndarray:
+            over = self.above(which, pressures)
+            hit, miss = which[over], which[~over]
+            last_over[hit] = np.maximum(last_over[hit], pressures[over])
+            first_under[miss] = np.minimum(first_under[miss], pressures[~over])
+            return over
+
+        guess = _pressure_search(count, estimated)
+        return np.stack([last_over, first_under, guess], axis=1)
 
 
 def shared_cache_occupancies_grouped(
@@ -378,25 +364,36 @@ def shared_cache_occupancies_grouped(
     if not pressured:
         return result
 
-    # From here on, group i is pressured group pressured[i].  Every lane's
-    # arithmetic is its own, so solving any row subset of the batch (rows
+    # From here on, group i is pressured group pressured[i], and its lanes
+    # are rows local[i] of the pressured lanes' sub-batch.  Every lane's
+    # arithmetic is its own, so solving any row subset of a batch (rows
     # repeated, too) gives each row bitwise its full-width result.
     members = [index_lists[g] for g in pressured]
     sizes = np.array([len(m) for m in members])
     group_cap = [caps[g] for g in pressured]
+    lanes = np.concatenate(members)
+    sub = batch.take(lanes)
+    sub_cap = lane_cap[lanes]
+    sub_zero = miss_at_zero[lanes]
+    sub_at_cap = miss_at_cap[lanes]
+    local = np.split(np.arange(len(lanes)), np.cumsum(sizes)[:-1])
     solved: dict[tuple[int, float], np.ndarray] = {}
     proven_over = np.full(len(members), -np.inf)  # t: "above" up to here
     proven_under = np.full(len(members), np.inf)  # f: "not above" from here
 
     def settle(which: np.ndarray, pressures: np.ndarray) -> np.ndarray:
         """Exact answers for groups *which* at *pressures*, in one call."""
-        rows = np.concatenate([members[i] for i in which])
+        if np.array_equal(which, np.arange(len(members))):
+            rows_batch, rows = sub, slice(None)
+        else:
+            rows = np.concatenate([local[i] for i in which])
+            rows_batch = sub.take(rows)
         occ = _occupancies_at_pressure_batch(
-            batch.take(rows),
+            rows_batch,
             np.repeat(pressures, sizes[which]),
-            lane_cap[rows],
-            miss_at_zero[rows],
-            miss_at_cap[rows],
+            sub_cap[rows],
+            sub_zero[rows],
+            sub_at_cap[rows],
         )
         parts = np.split(occ, np.cumsum(sizes[which])[:-1])
         over = []
@@ -410,24 +407,9 @@ def shared_cache_occupancies_grouped(
                 proven_under[i] = min(proven_under[i], p)
         return np.array(over)
 
-    # Dry run on estimates, recording the probes that decide its path.
-    lanes = np.concatenate(members)
-    threshold = _ClosedFormRoots(
-        batch.take(lanes), sizes, lane_cap[lanes], miss_at_zero[lanes],
-        miss_at_cap[lanes],
-    ).thresholds(np.array(group_cap))
-    last_over = np.full(len(members), -np.inf)
-    first_under = np.full(len(members), np.inf)
-
-    def estimated(which: np.ndarray, pressures: np.ndarray) -> np.ndarray:
-        over = pressures < threshold[which]
-        hit, miss = which[over], which[~over]
-        last_over[hit] = np.maximum(last_over[hit], pressures[over])
-        first_under[miss] = np.minimum(first_under[miss], pressures[~over])
-        return over
-
-    guess = _pressure_search(len(members), estimated)
-    seeds = np.stack([last_over, first_under, guess], axis=1)
+    seeds = _ClosedFormRoots(
+        sub, sizes, np.array(group_cap), sub_cap, sub_zero, sub_at_cap
+    ).seed_probes()
     finite = np.isfinite(seeds)
     settle(np.nonzero(finite)[0], seeds[finite])
 

@@ -226,23 +226,25 @@ def test_sharing_grouped_bitwise_matches_per_group_scalar(sharing_expected):
 def test_sharing_grouped_exact_under_misprediction(
     sharing_expected, monkeypatch, wrong
 ):
-    """A wrong estimate of where a cache stops overflowing costs exact
-    probes, never a different answer: thresholds off by 1e-9 either way,
-    at 0 and at infinity, or swapped between caches all still give each
-    group bitwise its scalar occupancies."""
-    estimate = sharing._ClosedFormRoots.thresholds
+    """A wrong estimate of whether a cache overflows costs exact probes,
+    never a different answer: estimates at pressures off by 1e-9 either
+    way, "never" (as at pressure 0) and "always" (as at infinity), or
+    taken from another cache all still give each group bitwise its
+    scalar occupancies."""
+    estimate = sharing._ClosedFormRoots.above
 
-    def mispredicted(self, capacity):
-        right = estimate(self, capacity)
-        return {
-            "up": right * (1.0 + 1e-9),
-            "down": right * (1.0 - 1e-9),
-            "zero": np.zeros_like(right),
-            "inf": np.full_like(right, np.inf),
-            "other": np.roll(right, 1),
-        }[wrong]
+    def mispredicted(self, which, pressures):
+        if wrong == "up":
+            return estimate(self, which, pressures * (1.0 + 1e-9))
+        if wrong == "down":
+            return estimate(self, which, pressures * (1.0 - 1e-9))
+        if wrong == "zero":
+            return np.zeros(len(which), dtype=bool)
+        if wrong == "inf":
+            return np.ones(len(which), dtype=bool)
+        return estimate(self, (which + 1) % len(self.sizes), pressures)
 
-    monkeypatch.setattr(sharing._ClosedFormRoots, "thresholds", mispredicted)
+    monkeypatch.setattr(sharing._ClosedFormRoots, "above", mispredicted)
     calls = []
     bisect = MissCurveBatch.balance_bisect
     monkeypatch.setattr(
