@@ -17,6 +17,10 @@ measured here, not asserted in prose:
   a 256-tile ``build_chip`` problem as ``(B, N)`` blocks through
   ``weighted_center_tiles`` vs one ``weighted_center_tile`` per VC,
   asserted ``==`` (reported, not floored);
+* **evaluation batch**: the 20 (mix, scheme) items of the same 4-mix
+  fig11 plan scored in one stacked ``evaluate_solutions_batch`` call vs
+  20 one-item ``evaluate_solution`` calls, asserted ``==`` (reported,
+  not floored);
 * **end-to-end**: one fig11 (64-app) and one fig15 (multithreaded) sweep
   point through ``repro.kernels.scalar_reference`` vs the default path.
 
@@ -43,6 +47,8 @@ from repro.geometry.placement_math import (
     weighted_center_tiles,
 )
 from repro.kernels import scalar_reference
+from repro.model.system import AnalyticSystem
+from repro.nuca import standard_schemes
 from repro.nuca.base import build_problem
 from repro.nuca.rnuca import RNuca
 from repro.nuca.sharing import shared_cache_occupancies, solve_sharing_plans
@@ -188,7 +194,37 @@ def test_kernel_speedups(once):
         batch_t = _best_of(lambda: weighted_center_tiles(chip.topology, maps))
         speedups["seed_anchors"] = scalar_t / batch_t
 
-        # 6. End-to-end sweep points (fig11 single-threaded, fig15 MT).
+        # 6. Evaluation: every (mix, scheme) item of the 4-mix fig11 plan
+        # in one stacked call vs one call per item.
+        items = []
+        for mix_id in range(4):
+            mix = random_single_threaded_mix(64, 42, mix_id)
+            mix_problem = build_problem(mix, config)
+            items += [
+                (mix, mix_problem, scheme.run(mix_problem))
+                for scheme in standard_schemes(mix_id)
+            ]
+        assert len(items) == 20
+        system = AnalyticSystem(config)
+
+        def one_by_one() -> list:
+            return [system.evaluate_solution(*item) for item in items]
+
+        for got, want in zip(system.evaluate_solutions_batch(items), one_by_one()):
+            assert got == want and got.threads == want.threads
+            assert got.traffic_per_instr() == want.traffic_per_instr()
+            assert (
+                got.mean_onchip_latency_per_access(),
+                got.offchip_latency_per_kiloinstr(),
+            ) == (
+                want.mean_onchip_latency_per_access(),
+                want.offchip_latency_per_kiloinstr(),
+            )
+        batch_t = _best_of(lambda: system.evaluate_solutions_batch(items), 5)
+        single_t = _best_of(one_by_one, 5)
+        speedups["evaluation_batch"] = single_t / batch_t
+
+        # 7. End-to-end sweep points (fig11 single-threaded, fig15 MT).
         def point(multithreaded: bool) -> None:
             if multithreaded:
                 mix = random_multithreaded_mix(8, 7, 0)

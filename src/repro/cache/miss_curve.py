@@ -212,20 +212,20 @@ class MissCurveBatch:
             raise ValueError("batch needs at least one curve")
         self.curves = list(curves)
         k = len(self.curves)
+        lengths = np.fromiter(
+            (len(c.sizes) for c in self.curves), dtype=np.int64, count=k
+        )
         # >= 2 columns so segment indexing (j, j+1) is always in bounds,
         # even when every curve is a single point.
-        p = max(2, max(len(c.sizes) for c in self.curves))
+        p = max(2, int(lengths.max()))
         # Pack into locals first; the banks only become shared (and are
-        # frozen) once published on self at the end of construction.
-        lengths = np.array([len(c.sizes) for c in self.curves], dtype=np.int64)
-        sizes2d = np.empty((k, p), dtype=np.float64)
-        values2d = np.empty((k, p), dtype=np.float64)
-        for i, curve in enumerate(self.curves):
-            n = len(curve.sizes)
-            sizes2d[i, :n] = curve.sizes
-            sizes2d[i, n:] = curve.sizes[-1]
-            values2d[i, :n] = curve.values
-            values2d[i, n:] = curve.values[-1]
+        # frozen) once published on self at the end of construction.  Row
+        # i gathers its points from the concatenation, then its last one.
+        gather = (np.cumsum(lengths) - lengths)[:, None] + np.minimum(
+            np.arange(p), (lengths - 1)[:, None]
+        )
+        sizes2d = np.concatenate([c.sizes for c in self.curves])[gather]
+        values2d = np.concatenate([c.values for c in self.curves])[gather]
         self.lengths = lengths
         self.sizes2d = sizes2d
         self.values2d = values2d

@@ -59,14 +59,15 @@ def run_case_study(
     system = AnalyticSystem(config)
     alone = system.alone_performance(mix)
     problem = build_problem(mix, config)
-    evaluations: dict[str, MixEvaluation] = {}
-    solutions: dict[str, PlacementSolution] = {}
-    for scheme in standard_schemes(seed):
-        outcome = scheme.run(problem)
-        evaluations[scheme.name] = system.evaluate_solution(
-            mix, problem, outcome
-        )
-        solutions[scheme.name] = outcome.solution
+    outcomes = {s.name: s.run(problem) for s in standard_schemes(seed)}
+    evaluations: dict[str, MixEvaluation] = dict(zip(
+        outcomes, system.evaluate_solutions_batch(
+            [(mix, problem, outcome) for outcome in outcomes.values()]
+        ),
+    ))
+    solutions: dict[str, PlacementSolution] = {
+        name: outcome.solution for name, outcome in outcomes.items()
+    }
     baseline = evaluations["S-NUCA"]
     app_speedups = {}
     weighted = {}

@@ -398,15 +398,15 @@ def evaluate_mix(
     system = system or AnalyticSystem(config)
     scheme_list = schemes if schemes is not None else standard_schemes(seed)
     alone = system.alone_performance(mix)
-    evaluations: dict[str, MixEvaluation] = {}
-    for scheme in scheme_list:
-        evaluations[scheme.name] = system.evaluate(mix, scheme)
-    baseline = evaluations.get(BASELINE)
-    if baseline is None:
+    if not any(scheme.name == BASELINE for scheme in scheme_list):
         from repro.nuca.snuca import SNuca
 
-        baseline = system.evaluate(mix, SNuca(seed))
-        evaluations[BASELINE] = baseline
+        scheme_list = [*scheme_list, SNuca(seed)]
+    scored = system.evaluate_schemes([(mix, scheme) for scheme in scheme_list])
+    evaluations: dict[str, MixEvaluation] = {
+        scheme.name: evaluation for scheme, evaluation in zip(scheme_list, scored)
+    }
+    baseline = evaluations[BASELINE]
     for name, evaluation in evaluations.items():
         if name != BASELINE:
             result.speedups.setdefault(name, []).append(

@@ -2,7 +2,8 @@
 
 Every hot inner loop of the epoch pipeline (miss-curve evaluation, the
 LRU-sharing fixed point, candidate scoring in VC placement, the Eq 1/Eq 2
-cost model, thread geometry) exists in two implementations:
+cost model) exists in two implementations (the analytic evaluation has
+one, its per-thread oracle kept in ``tests/test_evaluation_exactness.py``):
 
 * the **vectorized** kernels — NumPy array math, the default;
 * the **scalar reference** kernels — the original, loop-at-a-time code,

@@ -11,6 +11,7 @@ fixed point (model/system.py).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,26 +56,29 @@ class DramModel:
         """
         if demand_bytes_per_cycle < 0:
             raise ValueError("demand cannot be negative")
-        capacity = self.total_bytes_per_cycle()
+        capacity, service = self._constants
         rho = min(demand_bytes_per_cycle / capacity, 0.99)
-        service = self.service_cycles_per_line()
         return service * rho / (2.0 * (1.0 - rho))
 
     def queueing_delay_batch(self, demand_bytes_per_cycle: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`queueing_delay` over a demand vector.
+        """Elementwise :meth:`queueing_delay` over a float64 demand array.
 
         Element *i* is bitwise-identical to
         ``queueing_delay(float(demand[i]))`` — the same divide, clamp, and
-        M/D/1 expression applied elementwise, so the mega-batch bandwidth
-        fixed point reproduces the per-mix solve exactly.
+        M/D/1 expression applied elementwise, so the stacked bandwidth
+        fixed point reproduces the per-thread solve exactly.
         """
-        demand = np.asarray(demand_bytes_per_cycle, dtype=np.float64)
-        if np.any(demand < 0):
+        demand = demand_bytes_per_cycle
+        if (demand < 0).any():
             raise ValueError("demand cannot be negative")
-        capacity = self.total_bytes_per_cycle()
+        capacity, service = self._constants
         rho = np.minimum(demand / capacity, 0.99)
-        service = self.service_cycles_per_line()
         return service * rho / (2.0 * (1.0 - rho))
+
+    @cached_property
+    def _constants(self) -> tuple[float, float]:
+        """(bytes per cycle, cycles per line), read once per model."""
+        return self.total_bytes_per_cycle(), self.service_cycles_per_line()
 
     def access_latency(self, demand_bytes_per_cycle: float = 0.0) -> float:
         """Average DRAM access latency (excluding on-chip hops to the MC)."""

@@ -193,41 +193,45 @@ def vc_mean_distance(
 # Evaluation hop sums (Eq 2 at the cores that read each VC)
 # ---------------------------------------------------------------------------
 
+#: Elements per ``(pairs, width)`` block of :func:`reader_hops`'s gathers.
+_HOP_BLOCK = 1 << 22
+
+
 def reader_hops(
     dist,
     mc_dist: np.ndarray,
-    spreads: list[tuple[np.ndarray, np.ndarray]],
-    pair_spread: np.ndarray,
+    bank_idx: np.ndarray,
+    weights: np.ndarray,
+    pair_row: np.ndarray,
     pair_core: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected access hops of VC spreads, summed only at reader cores.
 
-    *spreads* holds one ``(banks, fracs)`` pair per VC — the banks its
-    accesses spread over and the normalized access fractions.  Pair *p*
-    asks for spread ``pair_spread[p]`` seen from core ``pair_core[p]``
+    Row *i* of the ``(R, W)`` matrices *bank_idx* and *weights* is one
+    VC's spread: the banks its accesses go to and the normalized access
+    fractions, in spread order, padded past its end with zero weights.
+    Pair *p* asks for row ``pair_row[p]`` seen from core ``pair_core[p]``
     (the evaluation reads a VC only from the cores of threads that
     access it).  Returns ``(hops, mc_hops)``: ``hops[p]`` is pair *p*'s
-    expected access distance and ``mc_hops[i]`` spread *i*'s expected
+    expected access distance and ``mc_hops[i]`` row *i*'s expected
     memory-controller distance.  *dist* may be a dense matrix or a
     :class:`~repro.geometry.mesh.LazyGeometryMatrix`; both serve the
     ``[cores[:, None], banks]`` lookup, the lazy one from row sections.
 
     Bitwise contract: ``hops[p]`` equals
     ``np.cumsum(fracs * dist[core, banks])[-1]`` exactly — the scalar
-    reference's sequential sum in spread order.  Rows are padded to the
-    widest spread with zero-weight terms; every padded term contributes
-    ``x + 0.0`` to a non-negative partial sum, which is the identity in
-    IEEE float64, so padding width never changes a result.
+    reference's sequential sum in spread order.  Every padded term
+    contributes ``x + 0.0`` to a non-negative partial sum, which is the
+    identity in IEEE float64, so padding width never changes a result.
     """
-    width = max(len(banks) for banks, _ in spreads)
-    bank_idx = np.zeros((len(spreads), width), dtype=np.int64)
-    weights = np.zeros((len(spreads), width), dtype=np.float64)
-    for i, (banks, fracs) in enumerate(spreads):
-        bank_idx[i, :len(banks)] = banks
-        weights[i, :len(fracs)] = fracs
     mc_hops = np.cumsum(weights * mc_dist[bank_idx], axis=1)[:, -1]
-    terms = weights[pair_spread] * dist[pair_core[:, None], bank_idx[pair_spread]]
-    return np.cumsum(terms, axis=1)[:, -1], mc_hops
+    hops = np.empty(len(pair_row), dtype=np.float64)
+    step = max(1, _HOP_BLOCK // weights.shape[1])
+    for lo in range(0, len(pair_row), step):
+        rows, cores = pair_row[lo:lo + step], pair_core[lo:lo + step, None]
+        terms = weights[rows] * dist[cores, bank_idx[rows]]
+        hops[lo:lo + step] = np.cumsum(terms, axis=1)[:, -1]
+    return hops, mc_hops
 
 
 # ---------------------------------------------------------------------------

@@ -345,43 +345,48 @@ class EpochEngine:
         #: phase-index tuple -> (snapshot mix, snapshot problem); phases
         #: revisit (schedules cycle), so snapshots are reused across epochs.
         self._snapshots: dict[tuple[int, ...], tuple[Mix, PlacementProblem]] = {}
+        #: (phase clock, phases) at the coming epoch boundary, computed once:
+        #: only :meth:`run_epoch` changes ``instructions``, and drops them.
+        self._boundary: tuple[dict[int, float], dict[int, int]] | None = None
 
     # -- phase bookkeeping ---------------------------------------------------
+
+    def _epoch_boundary(self) -> tuple[dict[int, float], dict[int, int]]:
+        if self._boundary is None:
+            clock = {}
+            for pid, idxs in self._process_threads.items():
+                total = 0.0
+                for i in idxs:
+                    total += float(self.instructions[i])
+                clock[pid] = total / len(idxs)
+            phases = {}
+            for proc in self.mix.processes:
+                phase_at = getattr(proc.profile, "phase_index", None)
+                if phase_at is not None:
+                    phases[proc.process_id] = phase_at(clock[proc.process_id])
+            self._boundary = clock, phases
+        return self._boundary
 
     def process_instructions(self) -> dict[int, float]:
         """process_id -> mean cumulative instructions of its threads (the
         phase clock).  The mean is an ordered sum over thread index, so it
         is bitwise-identical between kernel paths."""
-        out = {}
-        for pid, idxs in self._process_threads.items():
-            total = 0.0
-            for i in idxs:
-                total += float(self.instructions[i])
-            out[pid] = total / len(idxs)
-        return out
+        return dict(self._epoch_boundary()[0])
 
     def current_phases(self) -> dict[int, int]:
         """process_id -> active phase index, for phased processes only."""
-        if not self._phased:
-            return {}
-        clock = self.process_instructions()
-        out = {}
-        for proc in self.mix.processes:
-            phase_at = getattr(proc.profile, "phase_index", None)
-            if phase_at is not None:
-                out[proc.process_id] = phase_at(clock[proc.process_id])
-        return out
+        return dict(self._epoch_boundary()[1]) if self._phased else {}
 
     def _snapshot(self) -> tuple[Mix, PlacementProblem]:
         """The active (mix, problem) for the epoch about to run."""
         if not self._phased:
             return self.mix, self.problem
-        phases = self.current_phases()
+        clock, phases = self._epoch_boundary()
         key = tuple(sorted(phases.items()))
         if key not in self._snapshots:
             from repro.nuca.base import build_problem
 
-            mix = snapshot_mix(self.mix, self.process_instructions())
+            mix = snapshot_mix(self.mix, clock)
             self._snapshots[key] = (
                 mix,
                 build_problem(mix, self.problem.config, self.problem.topology),
@@ -429,24 +434,22 @@ class EpochEngine:
         evaluation = self.system.evaluate_solution(
             mix, problem, SchemeResult("epoch", solution)
         )
+        columns = evaluation.columns
+        index = [self._thread_index[t] for t in columns["thread_id"].tolist()]
         ipc = np.zeros(len(self.instructions))
-        traffic_pki = {cls: np.zeros(len(self.instructions)) for cls in TrafficClass}
-        for perf in evaluation.threads:
-            idx = self._thread_index[perf.thread_id]
-            ipc[idx] = perf.ipc
-            for cls in TrafficClass:
-                traffic_pki[cls][idx] = perf.traffic_pki[cls.value]
+        ipc[index] = columns["ipc"]
+        traffic_pki = np.zeros((len(TrafficClass), len(self.instructions)))
+        traffic_pki[:, index] = columns["traffic_pki"]
         retired = ipc * cycles
         self.instructions += retired
+        self._boundary = None
         self.cycles += cycles
         # Flit-hops this epoch: per-thread (flit-hops/kilo-instruction x
         # kilo-instructions retired), one dot per traffic class.  The
         # traffic_pki values are already flit-priced by the analytic
         # engine, so they go through the raw accumulator.
-        for cls in TrafficClass:
-            self.traffic.add_flit_hops(
-                cls, float(traffic_pki[cls] @ (retired / 1000.0))
-            )
+        for cls, row in zip(TrafficClass, traffic_pki):
+            self.traffic.add_flit_hops(cls, float(row @ (retired / 1000.0)))
         vc_sizes = np.array(
             [solution.vc_sizes.get(vc.vc_id, 0.0) for vc in problem.vcs]
         )

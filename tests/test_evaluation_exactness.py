@@ -1,46 +1,63 @@
 """Exactness of the evaluation-path kernels.
 
-Three kernels compute only what their callers read:
-
 * :meth:`repro.cache.miss_curve.MissCurveBatch.balance_bisect` searches
   a lane's knots only while the clipped segment index differs between
   the two ends of its bracket, then finishes on gathered operands;
-* :func:`repro.sched.cost_model.reader_hops` sums a VC's access hops only
-  at the cores of the threads that read it;
-* ``AnalyticSystem._finalize`` groups the threads by process in one pass
-  instead of scanning every thread once per process.
+* the LRU-sharing solve's premise: exact occupancies never rise with the
+  pressure;
+* :class:`repro.model.system.AnalyticSystem` evaluates every item of a
+  call in one stacked pass: spread rows, reader-core hop sums
+  (:func:`repro.sched.cost_model.reader_hops`), padded thread geometry,
+  the DRAM fixed point on ``(items, threads)`` rows, and every aggregate
+  as an ordered column sum.
 
 Each is compared with ``==`` (on the raw bytes, so ``-0.0`` and ``0.0``
-differ) against the full computation it replaced, kept below as the
-reference.  The bisection cases put knots at dyadic fractions of the
-capacity, so bisection midpoints land exactly on knots — the boundary
-where a segment index changes — and mix single-point, flat and cliff
-curves, capacities past the last knot, zero-capacity lanes, R-NUCA slice
-transforms and per-lane pressures.  The hop sums run over fig11 and
-fig15 items (fig15's process VCs are read from eight cores each), an
-unread VC, the home-bank fallback spread and a lazy distance matrix.  The
-process grouping runs over the same items and one 256-app chip epoch.
+differ) against the computation it replaced, kept below as the
+reference.  The evaluation's reference is the oracle: the per-thread
+evaluation, thread by thread, with ``sum()`` written as a left-to-right
+loop so it means the same on every Python.  The bisection cases put
+knots at dyadic fractions of the capacity, so bisection midpoints land
+exactly on knots — the boundary where a segment index changes — and mix
+single-point, flat and cliff curves, capacities past the last knot,
+zero-capacity lanes, R-NUCA slice transforms and per-lane pressures.  The
+oracle corpus covers fig11, fig13, fig14, fig15 and fig16 items at
+several seeds, a 4x4 chip, lazy geometry, home-bank fallbacks, threads
+without accesses, a problem with no read VC, 256-tile chip epochs and a
+batch mixing topologies and thread counts; every item is also checked
+alone (the one-item call) against its batch result.
 """
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from repro.cache.miss_curve import MissCurve, MissCurveBatch, flat_curve
 from repro.config import default_config, small_test_config
+from repro.experiments.sweeps import SweepResult, evaluate_mix
 from repro.geometry import dense_geometry_limit
 from repro.kernels import scalar_reference
 from repro.mem.controller import MemoryControllers
 from repro.model import system as system_module
-from repro.model.system import AnalyticSystem
+from repro.model.energy import energy_per_instruction
+from repro.model.system import (
+    MONITOR_SAMPLE_RATE,
+    TRAFFIC_KEYS,
+    AnalyticSystem,
+    ThreadPerf,
+)
 from repro.nuca import Cdcs, build_problem, sharing, standard_schemes
 from repro.nuca.base import GLOBAL_VC_ID, SchemeResult
+from repro.sched import cost_model
 from repro.sched.cost_model import reader_hops
 from repro.service.load import LoadSpec, build_chip
+from repro.util.units import CACHE_LINE_BYTES
 from repro.workloads.mixes import (
+    make_mix,
     random_multithreaded_mix,
     random_single_threaded_mix,
 )
@@ -49,8 +66,8 @@ BISECT_CASES = 600
 ITERS = 60
 
 # ---------------------------------------------------------------------------
-# References: the kernels as they were before the settled-segment,
-# reader-core and process-grouping shortcuts.
+# References: the kernels as they were before the settled-segment and
+# reader-core shortcuts.
 # ---------------------------------------------------------------------------
 
 
@@ -110,18 +127,6 @@ def reference_spread_hops_batch(dist, mc_dist, spreads):
             weights * mc_dist[bank_idx], axis=1
         )[:, -1]
     return hops, mc_hops
-
-
-def reference_process_perf(mix, threads):
-    """One scan over every thread per process."""
-    perf = {}
-    for proc in mix.processes:
-        ipcs = [t.ipc for t in threads if t.process_id == proc.process_id]
-        if len(ipcs) == 1:
-            perf[proc.process_id] = ipcs[0]
-        else:
-            perf[proc.process_id] = len(ipcs) / sum(1.0 / i for i in ipcs)
-    return perf
 
 
 def same_bits(got, want) -> bool:
@@ -321,13 +326,292 @@ def test_sharing_cases_cover_the_edges():
 
 
 # ---------------------------------------------------------------------------
-# Hop sums
+# The oracle: the per-thread evaluation the stacked pass replaced
 # ---------------------------------------------------------------------------
 
 
-def _items(config, mix):
+def ordered_sum(values) -> float:
+    """Left-to-right sum from ``0.0``: what ``sum()`` computes up to
+    Python 3.11, on any interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def reference_process_perf(mix, threads):
+    """One scan over every thread per process."""
+    perf = {}
+    for proc in mix.processes:
+        ipcs = [t.ipc for t in threads if t.process_id == proc.process_id]
+        if len(ipcs) == 1:
+            perf[proc.process_id] = ipcs[0]
+        else:
+            perf[proc.process_id] = len(ipcs) / ordered_sum(1.0 / i for i in ipcs)
+    return perf
+
+
+def oracle_spreads(problem, solution):
+    """Per read VC, in problem order: its normalized access spread over
+    banks (the owner's core, or the chip center, when it holds no
+    capacity) and its miss ratio."""
+    spreads, miss_ratios = {}, {}
+    for vc in problem.vcs:
+        rate = ordered_sum(problem.accessors_of(vc.vc_id).values())
+        if rate <= 0:
+            continue
+        alloc = solution.vc_allocation.get(vc.vc_id, {})
+        total = ordered_sum(alloc.values())
+        if total > 0:
+            spreads[vc.vc_id] = {b: v / total for b, v in alloc.items()}
+        else:
+            owner = vc.owner_thread if vc.owner_thread is not None else -1
+            home = solution.thread_cores.get(
+                owner, problem.topology.center_tile()
+            )
+            spreads[vc.vc_id] = {home: 1.0}
+        size = solution.vc_sizes.get(vc.vc_id, 0.0)
+        miss_ratios[vc.vc_id] = min(float(vc.miss_curve(size)), rate) / rate
+    return spreads, miss_ratios
+
+
+def oracle_geometry(system, mix, problem, solution, core_hops=None, dist=None):
+    """Per thread: core, profile, process, and the access-weighted hops,
+    memory-controller hops given a miss, and miss ratio.  Hop sums run
+    over the spread at every read, unless *core_hops* maps
+    ``(vc_id, core)`` to them."""
+    spreads, miss_ratios = oracle_spreads(problem, solution)
+    topo = problem.topology
+    dist = topo.distance_matrix if dist is None else dist
+    mc_dist = MemoryControllers(topo, system.config.memory).mean_distance_matrix
+    profile_of = {p.process_id: p.profile for p in mix.processes}
+    process_of = {t: p.process_id for p in mix.processes for t in p.thread_ids}
+    geometry = []
+    for thread in problem.threads:
+        core = solution.thread_cores[thread.thread_id]
+        total_rate = ordered_sum(thread.vc_accesses.values())
+        hops = mc_hops = miss_ratio = 0.0
+        if total_rate > 0:
+            for vc_id, rate in thread.vc_accesses.items():
+                w = rate / total_rate
+                mu = miss_ratios.get(vc_id, 0.0)
+                spread = spreads.get(vc_id, {})
+                if core_hops is not None and vc_id in spreads:
+                    d = core_hops[vc_id, core]
+                else:
+                    d = ordered_sum(f * dist[core, b] for b, f in spread.items())
+                dm = ordered_sum(f * mc_dist[b] for b, f in spread.items())
+                hops += w * d
+                mc_hops += w * mu * dm
+                miss_ratio += w * mu
+            if miss_ratio > 0:
+                mc_hops /= miss_ratio
+        pid = process_of[thread.thread_id]
+        geometry.append({
+            "thread": thread, "core": core, "profile": profile_of[pid],
+            "process_id": pid, "mean_hops": hops, "mc_hops": mc_hops,
+            "miss_ratio": miss_ratio,
+        })
+    return geometry
+
+
+def oracle_latency(system, geo, extra):
+    """(on-chip, off-chip) cycles per LLC access and the IPC of a thread."""
+    noc = system.config.noc
+    onchip = (
+        2.0 * noc.hop_latency * geo["mean_hops"]
+        + system.config.cache.bank_latency
+    )
+    mem_lat = (
+        2.0 * noc.hop_latency * geo["mc_hops"]
+        + system.config.memory.zero_load_latency
+        + extra
+    )
+    offchip = geo["miss_ratio"] * mem_lat
+    profile = geo["profile"]
+    ipc = system.core_model.ipc(
+        profile.base_cpi, profile.llc_apki, onchip, offchip
+    )
+    return onchip, offchip, ipc
+
+
+def oracle_demand(system, geometry, extra):
+    """DRAM bytes/cycle demanded at the given extra latency."""
+    demand = 0.0
+    for geo in geometry:
+        profile = geo["profile"]
+        ipc = oracle_latency(system, geo, extra)[2]
+        misses_per_cycle = ipc * (profile.llc_apki * geo["miss_ratio"]) / 1000.0
+        demand += (
+            misses_per_cycle * CACHE_LINE_BYTES * (1.0 + profile.write_fraction)
+        )
+    return demand
+
+
+@dataclasses.dataclass
+class OracleEvaluation:
+    """The oracle's result, read through MixEvaluation's interface."""
+
+    scheme: str
+    threads: list
+    process_perf: dict
+    process_app: dict
+    dram_extra_latency: float
+    dram_utilization: float
+    energy: object
+    onchip: float
+    offchip: float
+    traffic: dict
+    total_traffic: float
+
+    def mean_onchip_latency_per_access(self):
+        return self.onchip
+
+    def offchip_latency_per_kiloinstr(self):
+        return self.offchip
+
+    def traffic_per_instr(self):
+        return dict(self.traffic)
+
+    def total_traffic_per_instr(self):
+        return self.total_traffic
+
+
+def oracle_evaluation(system, mix, problem, result, **geometry_kwargs):
+    """One item, thread by thread: geometry, the scalar damped fixed
+    point, then each thread's latencies, IPC and traffic."""
+    geometry = oracle_geometry(
+        system, mix, problem, result.solution, **geometry_kwargs
+    )
+    extra = 0.0
+    for _ in range(system.iterations):
+        target = system.dram.queueing_delay(oracle_demand(system, geometry, extra))
+        extra = system.damping * extra + (1.0 - system.damping) * target
+    monitored = result.name not in ("S-NUCA", "R-NUCA")
+    data_flits = system.config.noc.flits_for_bytes(CACHE_LINE_BYTES)
+    threads = []
+    for geo in geometry:
+        profile = geo["profile"]
+        onchip, offchip, ipc = oracle_latency(system, geo, extra)
+        apki = profile.llc_apki
+        mpki = apki * geo["miss_ratio"]
+        l2_llc = apki * (1 + data_flits) * geo["mean_hops"]
+        l2_llc += apki * profile.write_fraction * data_flits * geo["mean_hops"]
+        llc_mem = mpki * (1 + data_flits) * geo["mc_hops"]
+        llc_mem += mpki * profile.write_fraction * data_flits * geo["mc_hops"]
+        other = 0.0
+        if monitored:
+            other = apki * MONITOR_SAMPLE_RATE * geo["mean_hops"]
+        threads.append(ThreadPerf(
+            thread_id=geo["thread"].thread_id, process_id=geo["process_id"],
+            app=profile.name, core=geo["core"], ipc=ipc, cpi=1.0 / ipc,
+            apki=apki, mpki=mpki, mean_hops=geo["mean_hops"],
+            onchip_latency=onchip, offchip_latency=offchip,
+            traffic_pki=dict(zip(TRAFFIC_KEYS, (l2_llc, llc_mem, other))),
+        ))
+    total_ipc = ordered_sum(t.ipc for t in threads)
+    traffic = dict.fromkeys(TRAFFIC_KEYS, 0.0)
+    if total_ipc > 0:
+        for t in threads:
+            for key, value in t.traffic_pki.items():
+                traffic[key] += t.ipc * value / 1000.0
+        traffic = {key: v / total_ipc for key, v in traffic.items()}
+    flit_hops = ordered_sum(traffic.values())
+    llc = dram = 0.0
+    if total_ipc:
+        llc = ordered_sum(t.ipc * t.apki / 1000.0 for t in threads) / total_ipc
+        dram = ordered_sum(t.ipc * t.mpki / 1000.0 for t in threads) / total_ipc
+    apki_sum = ordered_sum(t.apki for t in threads)
+    return OracleEvaluation(
+        scheme=result.name,
+        threads=threads,
+        process_perf=reference_process_perf(mix, threads),
+        process_app={p.process_id: p.profile.name for p in mix.processes},
+        dram_extra_latency=extra,
+        dram_utilization=system.dram.utilization(
+            oracle_demand(system, geometry, extra)
+        ),
+        energy=energy_per_instruction(
+            system.energy_params,
+            aggregate_cpi=1.0 / total_ipc if total_ipc > 0 else 1.0,
+            llc_accesses_per_instr=llc,
+            flit_hops_per_instr=flit_hops,
+            dram_accesses_per_instr=dram,
+        ),
+        onchip=(
+            ordered_sum(t.apki * t.onchip_latency for t in threads) / apki_sum
+            if apki_sum else 0.0
+        ),
+        offchip=ordered_sum(
+            t.apki * t.offchip_latency for t in threads
+        ) / max(len(threads), 1),
+        traffic=traffic,
+        total_traffic=flit_hops,
+    )
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def fingerprint(evaluation) -> dict:
+    """Every field, every ThreadPerf and the four aggregates of an
+    evaluation, floats as raw bytes (so ``-0.0`` and ``0.0`` differ)."""
+    return {
+        "scheme": evaluation.scheme,
+        "process_perf": [
+            (pid, bits(v)) for pid, v in evaluation.process_perf.items()
+        ],
+        "process_app": list(evaluation.process_app.items()),
+        "dram": (
+            bits(evaluation.dram_extra_latency),
+            bits(evaluation.dram_utilization),
+        ),
+        "energy": [bits(v) for v in evaluation.energy.as_dict().values()],
+        "aggregates": (
+            bits(evaluation.mean_onchip_latency_per_access()),
+            bits(evaluation.offchip_latency_per_kiloinstr()),
+            [(k, bits(v)) for k, v in evaluation.traffic_per_instr().items()],
+            bits(evaluation.total_traffic_per_instr()),
+        ),
+        "threads": [
+            (
+                t.thread_id, t.process_id, t.app, t.core,
+                *(bits(getattr(t, name)) for name in (
+                    "ipc", "cpi", "apki", "mpki", "mean_hops",
+                    "onchip_latency", "offchip_latency",
+                )),
+                [(k, bits(v)) for k, v in t.traffic_pki.items()],
+            )
+            for t in evaluation.threads
+        ],
+    }
+
+
+def assert_matches_oracle(system, items):
+    """The batch, and each item alone, equal the oracle on raw bytes."""
+    batch = system.evaluate_solutions_batch(items)
+    assert len(batch) == len(items)
+    for item, got in zip(items, batch):
+        want = fingerprint(oracle_evaluation(system, *item))
+        assert fingerprint(got) == want, item[2].name
+        assert fingerprint(system.evaluate_solution(*item)) == want
+    return batch
+
+
+# ---------------------------------------------------------------------------
+# Items
+# ---------------------------------------------------------------------------
+
+
+def _items(config, mix, seed=1):
     problem = build_problem(mix, config)
-    return [(mix, problem, s.run(problem)) for s in standard_schemes(seed=1)]
+    return [(mix, problem, s.run(problem)) for s in standard_schemes(seed=seed)]
+
+
+def sweep_items(n_apps, seed, multithreaded=False, config=None):
+    make = random_multithreaded_mix if multithreaded else random_single_threaded_mix
+    return _items(config or default_config(), make(n_apps, seed, 0), seed)
 
 
 def fig11_items():
@@ -363,6 +647,188 @@ def fallback_item():
     return mix, problem, SchemeResult(result.name, solution)
 
 
+def chip_epoch_items(epochs: int = 1):
+    """*epochs* consecutive epochs of a 256-app phased chip (seed 1), each
+    under its CDCS placement."""
+    _, sim = build_chip(LoadSpec(tiles=256, seed=1), 0)
+    items = []
+    for _ in range(epochs):
+        problem = sim.current_problem()
+        solution = Cdcs(seed=1).run(problem).solution
+        items.append((sim.current_mix(), problem, SchemeResult("epoch", solution)))
+        sim.run_epoch(solution, 50e6)
+    return items
+
+
+def idle_items():
+    """A fig14 mix where one thread has no accesses at all and another
+    names its VC at rate zero, and the same mix with no read VC left."""
+    mix, problem, result = sweep_items(4, 5)[4]
+    threads = list(problem.threads)
+    threads[1] = dataclasses.replace(threads[1], vc_accesses={})
+    threads[2] = dataclasses.replace(
+        threads[2], vc_accesses=dict.fromkeys(threads[2].vc_accesses, 0.0)
+    )
+    partial = dataclasses.replace(problem, threads=threads)
+    unread = dataclasses.replace(problem, threads=[
+        dataclasses.replace(t, vc_accesses=dict.fromkeys(t.vc_accesses, 0.0))
+        for t in problem.threads
+    ])
+    assert not unread.accessor_rates(problem.threads[0].thread_id)
+    return [(mix, partial, result), (mix, unread, result)]
+
+
+def lazy_items():
+    with dense_geometry_limit(0):
+        items = _items(small_test_config(4, 4), random_multithreaded_mix(2, 5, 0))
+    assert getattr(items[0][1].topology.distance_matrix, "is_lazy", False)
+    return items
+
+
+CORPUS = {
+    **{f"fig11-seed{s}": (lambda s=s: sweep_items(64, s)) for s in (1, 2, 42)},
+    **{
+        f"fig13-{n}apps": (lambda n=n: sweep_items(n, 3))
+        for n in (1, 2, 4, 8, 16, 32, 64)
+    },
+    **{f"fig14-seed{s}": (lambda s=s: sweep_items(4, s)) for s in (1, 2, 3)},
+    **{
+        f"fig15-seed{s}": (lambda s=s: sweep_items(8, s, multithreaded=True))
+        for s in (1, 2, 3)
+    },
+    **{
+        f"fig16-seed{s}": (lambda s=s: sweep_items(4, s, multithreaded=True))
+        for s in (1, 2, 3)
+    },
+    "4x4": lambda: sweep_items(2, 5, True, small_test_config(4, 4)),
+    "lazy-geometry": lazy_items,
+    "fallback": lambda: [fallback_item()],
+    "idle-threads": idle_items,
+    "chip-epochs": lambda: chip_epoch_items(2),
+}
+
+
+@pytest.mark.parametrize("label", list(CORPUS))
+def test_evaluation_matches_oracle(label):
+    items = CORPUS[label]()
+    assert_matches_oracle(AnalyticSystem(items[0][1].config), items)
+
+
+def test_mixed_batch_matches_oracle():
+    """One call over two topologies, several thread counts, and items
+    that share a problem with others or have it alone."""
+    items = [
+        *sweep_items(2, 5, True, small_test_config(4, 4)),
+        *sweep_items(1, 3)[:2],
+        *sweep_items(4, 1)[:2],
+        *sweep_items(8, 1, multithreaded=True)[3:],
+        *idle_items(),
+        fallback_item(),
+    ]
+    assert len({len(p.threads) for _, p, _ in items}) >= 4
+    assert len({p.topology.tiles for _, p, _ in items}) == 2
+    assert_matches_oracle(AnalyticSystem(default_config()), items)
+
+
+def test_corpus_covers_the_edges():
+    """The corpus really holds what the oracle test names: home-bank
+    fallbacks, a thread without accesses, a problem with no read VC,
+    multi-reader VCs, and 1- to 64-thread items."""
+    fallback = fallback_item()
+    spreads, _ = oracle_spreads(fallback[1], fallback[2].solution)
+    assert sum(list(s.values()) == [1.0] for s in spreads.values()) >= 2
+    partial, unread = (p for _, p, _ in idle_items())
+    assert any(not t.vc_accesses for t in partial.threads)
+    assert not oracle_spreads(unread, idle_items()[1][2].solution)[0]
+    fig15 = sweep_items(8, 1, multithreaded=True)[0]
+    readers = [len(fig15[1].accessor_rates(vc.vc_id)) for vc in fig15[1].vcs]
+    assert max(readers) == 8
+    assert {len(sweep_items(n, 3)[0][1].threads) for n in (1, 64)} == {1, 64}
+
+
+def _patched_sum_python_312(iterable, /, start=0):
+    """``sum()`` as CPython 3.12 computes it: exact ``float`` items are
+    added with Neumaier compensation, added back at the end (or before
+    the first item that is neither an int nor an exact float, from which
+    on items are added one by one, as ``np.float64`` items are)."""
+    it = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in it:
+            if type(item) is int or type(item) is bool:
+                result += item
+                continue
+            result = result + item
+            break
+        else:
+            return result
+    if type(result) is float:
+        total, comp = result, 0.0
+        for item in it:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    comp += (total - t) + item
+                else:
+                    comp += (item - t) + total
+                total = t
+                continue
+            if isinstance(item, int) and -2**63 <= item < 2**63:
+                total += float(item)
+                continue
+            if comp and math.isfinite(comp):
+                total += comp
+            result = total + item
+            break
+        else:
+            if comp and math.isfinite(comp):
+                total += comp
+            return total
+    for item in it:
+        result = result + item
+    return result
+
+
+def test_evaluation_does_not_depend_on_the_sum_builtin(monkeypatch):
+    """Python 3.12's ``sum()`` compensates exact floats but adds
+    ``np.float64`` items one by one; with it patched in, the sweep point
+    is still identical through both kernel paths and the evaluation
+    still equals the oracle."""
+    patched = _patched_sum_python_312
+    assert patched([0.1] * 10) == 1.0
+    assert patched([np.float64(0.1)] * 10) == ordered_sum([0.1] * 10) != 1.0
+    monkeypatch.setattr(builtins, "sum", patched)
+
+    config = small_test_config(4, 4)
+    mix = make_mix(["omnet", "milc", "gcc", "astar"])
+    fast, slow = SweepResult(4, 1), SweepResult(4, 1)
+    evaluate_mix(config, mix, fast, seed=0)
+    with scalar_reference():
+        evaluate_mix(config, mix, slow, seed=0)
+    assert fast.speedups == slow.speedups
+    assert fast.onchip_latency == slow.onchip_latency
+    assert fast.offchip_latency == slow.offchip_latency
+    assert fast.traffic == slow.traffic
+    assert fast.energy == slow.energy
+
+    items = sweep_items(8, 1, multithreaded=True)
+    system = AnalyticSystem(default_config())
+    for item, got in zip(items, system.evaluate_solutions_batch(items)):
+        assert fingerprint(got) == fingerprint(oracle_evaluation(system, *item))
+
+
+# ---------------------------------------------------------------------------
+# Hop sums
+# ---------------------------------------------------------------------------
+
+
+def kernel_geometry(system, item):
+    """The stacked pass's geometry of one item, and its read VCs."""
+    mix, problem, result = item
+    tables = system_module._ProblemTables(mix, problem)
+    return system._geometry([tables], [result.solution]), tables
+
+
 def reads(problem, solution, vc_spread) -> set[tuple[int, int]]:
     """The (VC, core) lookups the geometry pass makes into the hop table."""
     return {
@@ -375,45 +841,48 @@ def reads(problem, solution, vc_spread) -> set[tuple[int, int]]:
 
 
 def check_item(system, item, reference_dist=None):
-    """The reader-core tables equal the all-cores reference at every
-    read, and the geometry built from either is identical."""
+    """The kernel's spread rows are the oracle's spreads, its reader-core
+    hop sums equal the all-cores reference at every read, and the
+    geometry built from either is identical."""
     mix, problem, result = item
     topo = problem.topology
-    dist = topo.distance_matrix
     mc_dist = MemoryControllers(topo, system.config.memory).mean_distance_matrix
-    vc_spread, vc_miss_ratio = system._spread_tables(problem, result)
-    core_hops, mc_hops = system._vc_hop_tables(
-        problem, result, dist, mc_dist, vc_spread
-    )
-    assert set(core_hops) == reads(problem, result.solution, vc_spread)
-    assert list(mc_hops) == list(vc_spread)
+    vc_spread, _ = oracle_spreads(problem, result.solution)
+    geometry, tables = kernel_geometry(system, item)
+    assert tables.vc_ids == list(vc_spread)
+    for row, spread in enumerate(vc_spread.values()):
+        n = len(spread)
+        assert geometry["bank_idx"][row, :n].tolist() == list(spread)
+        assert same_bits(geometry["weights"][row, :n], np.array(list(spread.values())))
+        assert not geometry["weights"][row, n:].any()
+    pairs = [
+        (tables.vc_ids[row], core)
+        for row, core in zip(geometry["pair_row"].tolist(), geometry["pair_core"].tolist())
+    ]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == reads(problem, result.solution, vc_spread)
     spreads = [
         (np.array(list(s.keys()), dtype=np.int64),
          np.array(list(s.values()), dtype=np.float64))
         for s in vc_spread.values()
     ]
-    dense = dist if reference_dist is None else reference_dist
+    dense = topo.distance_matrix if reference_dist is None else reference_dist
     all_hops, all_mc = reference_spread_hops_batch(dense, mc_dist, spreads)
-    row = {vc_id: i for i, vc_id in enumerate(vc_spread)}
-    for (vc_id, core), value in core_hops.items():
-        assert same_bits(value, all_hops[row[vc_id], core]), (vc_id, core)
-    for vc_id, value in mc_hops.items():
-        assert type(value) is float and value == float(all_mc[row[vc_id]])
+    for (vc_id, core), value in zip(pairs, geometry["pair_hops"]):
+        row = tables.vc_ids.index(vc_id)
+        assert same_bits(value, all_hops[row, core]), (vc_id, core)
+    assert same_bits(geometry["row_mc_hops"], all_mc)
     full_table = {
         (vc_id, core): all_hops[i, core]
-        for vc_id, i in row.items()
+        for i, vc_id in enumerate(vc_spread)
         for core in range(topo.tiles)
     }
-    want = system._geometry_from_spreads(
-        mix, problem, result, dense, mc_dist, vc_spread, vc_miss_ratio,
-        full_table, mc_hops,
+    want = oracle_geometry(
+        system, mix, problem, result.solution, core_hops=full_table, dist=dense
     )
-    got = system._thread_geometry(mix, problem, result)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        for key in ("mean_hops", "mc_hops", "miss_ratio"):
-            assert type(g[key]) is type(w[key]) and same_bits(g[key], w[key])
-    return got
+    for row, key in enumerate(("mean_hops", "mc_hops", "miss_ratio")):
+        assert same_bits(geometry["threads"][row], np.array([w[key] for w in want]))
+    return geometry
 
 
 @pytest.mark.parametrize("build", [fig11_items, fig15_items])
@@ -425,7 +894,7 @@ def test_reader_hops_match_all_cores_reference(build):
     if build is fig15_items:
         # Process VCs are read from several cores (the multi-reader case).
         _, problem, result = items[0]
-        spread, _ = system._spread_tables(problem, result)
+        spread, _ = oracle_spreads(problem, result.solution)
         readers: dict[int, int] = {}
         for vc_id, _ in reads(problem, result.solution, spread):
             readers[vc_id] = readers.get(vc_id, 0) + 1
@@ -436,15 +905,25 @@ def test_reader_hops_fallback_spreads_and_unread_vcs():
     system = AnalyticSystem(default_config())
     item = fallback_item()
     mix, problem, result = item
-    spread, _ = system._spread_tables(problem, result)
+    spread, _ = oracle_spreads(problem, result.solution)
     home = [s for s in spread.values() if list(s.values()) == [1.0]]
     assert len(home) >= 2
     assert GLOBAL_VC_ID not in spread  # named by a thread, but never read
     got = check_item(system, item)
-    with scalar_reference():
-        slow = system._thread_geometry(mix, problem, result)
-    assert [g["mean_hops"] for g in got] == [s["mean_hops"] for s in slow]
-    assert [g["mc_hops"] for g in got] == [s["mc_hops"] for s in slow]
+    slow = oracle_geometry(system, mix, problem, result.solution)
+    assert got["threads"][0].tolist() == [s["mean_hops"] for s in slow]
+    assert got["threads"][1].tolist() == [s["mc_hops"] for s in slow]
+
+
+def padded_spreads(spreads):
+    """``(bank_idx, weights)`` rows of ``(banks, fracs)`` spreads."""
+    width = max(len(banks) for banks, _ in spreads)
+    bank_idx = np.zeros((len(spreads), width), dtype=np.int64)
+    weights = np.zeros((len(spreads), width), dtype=np.float64)
+    for i, (banks, fracs) in enumerate(spreads):
+        bank_idx[i, :len(banks)] = banks
+        weights[i, :len(fracs)] = fracs
+    return bank_idx, weights
 
 
 def test_reader_hops_kernel_skips_unread_spreads():
@@ -462,14 +941,27 @@ def test_reader_hops_kernel_skips_unread_spreads():
         spreads.append((banks, fracs))
     pair_spread = np.array([0, 2, 2, 3], dtype=np.int64)
     pair_core = np.array([5, 0, 63, 17], dtype=np.int64)
-    hops, mc = reader_hops(dist, mc_dist, spreads, pair_spread, pair_core)
+    bank_idx, weights = padded_spreads(spreads)
+    hops, mc = reader_hops(dist, mc_dist, bank_idx, weights, pair_spread, pair_core)
     all_hops, all_mc = reference_spread_hops_batch(dist, mc_dist, spreads)
     assert same_bits(hops, all_hops[pair_spread, pair_core])
     assert same_bits(mc, all_mc)
     none, mc_only = reader_hops(
-        dist, mc_dist, spreads, np.zeros(0, np.int64), np.zeros(0, np.int64)
+        dist, mc_dist, bank_idx, weights,
+        np.zeros(0, np.int64), np.zeros(0, np.int64),
     )
     assert none.shape == (0,) and same_bits(mc_only, all_mc)
+
+
+def test_reader_hops_blocks_match_one_block(monkeypatch):
+    """Pairs summed in several bounded blocks equal one block."""
+    item = fig15_items()[0]
+    system = AnalyticSystem(default_config())
+    geometry, _ = kernel_geometry(system, item)
+    monkeypatch.setattr(cost_model, "_HOP_BLOCK", geometry["weights"].shape[1] * 3)
+    blocked, _ = kernel_geometry(system, item)
+    assert len(geometry["pair_row"]) > 3
+    assert same_bits(blocked["pair_hops"], geometry["pair_hops"])
 
 
 def test_reader_hops_on_lazy_matrices_match_dense():
@@ -483,9 +975,8 @@ def test_reader_hops_on_lazy_matrices_match_dense():
         assert getattr(lazy_items[0][1].topology.distance_matrix, "is_lazy", False)
         for lazy, dense in zip(lazy_items, dense_items):
             got = check_item(system, lazy, reference_dist=dense_dist)
-            want = system._thread_geometry(*dense)
-            assert [g["mean_hops"] for g in got] == [w["mean_hops"] for w in want]
-            assert [g["mc_hops"] for g in got] == [w["mc_hops"] for w in want]
+            want, _ = kernel_geometry(system, dense)
+            assert got["threads"].tolist() == want["threads"].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -493,31 +984,19 @@ def test_reader_hops_on_lazy_matrices_match_dense():
 # ---------------------------------------------------------------------------
 
 
-def chip_epoch_items():
-    """One epoch of a 256-app phased chip (seed 1) under CDCS placement."""
-    _, sim = build_chip(LoadSpec(tiles=256, seed=1), 0)
-    problem = sim.current_problem()
-    result = Cdcs(seed=1).run(problem)
-    return [(sim.current_mix(), problem, SchemeResult("epoch", result.solution))]
-
-
 @pytest.mark.parametrize("build", [fig11_items, fig15_items, chip_epoch_items])
-def test_process_grouping_matches_per_process_scan(build, monkeypatch):
+def test_process_grouping_matches_per_process_scan(build):
     items = build()
     system = AnalyticSystem(items[0][1].config)
-    got = [system.evaluate_solution(*item) for item in items]
-    monkeypatch.setattr(
-        system_module, "_process_perf", reference_process_perf
-    )
-    want = [system.evaluate_solution(*item) for item in items]
-    for g, w in zip(got, want):
-        assert list(g.process_perf) == list(w.process_perf)
-        for pid, value in g.process_perf.items():
-            assert same_bits(value, w.process_perf[pid]), pid
-        assert g.process_app == w.process_app
-        assert len(g.threads) == len(w.threads)
-        for gt, wt in zip(g.threads, w.threads):
-            assert gt == wt
+    got = system.evaluate_solutions_batch(items)
+    for (mix, _, _), evaluation in zip(items, got):
+        want = reference_process_perf(mix, evaluation.threads)
+        assert list(evaluation.process_perf) == list(want)
+        for pid, value in evaluation.process_perf.items():
+            assert same_bits(value, want[pid]), pid
+        assert evaluation.process_app == {
+            p.process_id: p.profile.name for p in mix.processes
+        }
     if build is fig15_items:
         assert any(
             sum(t.process_id == pid for t in got[0].threads) > 1

@@ -209,6 +209,47 @@ def test_epoch_engine_stationary_mix_unchanged():
     assert epoch.phases == {}
 
 
+def test_epoch_engine_phase_clock_is_fresh_after_every_epoch():
+    """The phase clock is computed once per epoch; after each epoch the
+    phases and the snapshot equal those of a clock computed afresh from
+    the instruction counters, and callers get copies."""
+    config = small_test_config(4, 4)
+    mix = make_mix(["omnet~milc", "xalancbmk~gcc", "astar", "milc"])
+    engine = EpochEngine(mix, build_problem(mix, config))
+    index = {t.thread_id: i for i, t in enumerate(engine.problem.threads)}
+
+    def fresh_clock() -> dict[int, float]:
+        clock = {}
+        for proc in mix.processes:
+            total = 0.0
+            for thread_id in proc.thread_ids:
+                total += float(engine.instructions[index[thread_id]])
+            clock[proc.process_id] = total / len(proc.thread_ids)
+        return clock
+
+    seen = []
+    for _ in range(10):
+        clock = fresh_clock()
+        phases = {
+            proc.process_id: proc.profile.phase_index(clock[proc.process_id])
+            for proc in mix.processes
+            if hasattr(proc.profile, "phase_index")
+        }
+        engine.process_instructions().clear()
+        engine.current_phases().clear()
+        assert engine.process_instructions() == clock
+        assert engine.current_phases() == phases
+        assert [p.profile.name for p in engine.current_mix().processes] == [
+            p.profile.name for p in snapshot_mix(mix, clock).processes
+        ]
+        result, _ = reconfigure_epoch(
+            engine.current_mix(), config, topology=engine.problem.topology
+        )
+        assert engine.run_epoch(result.solution, 250e6).phases == phases
+        seen.append(phases)
+    assert any(a != b for a, b in zip(seen, seen[1:]))
+
+
 def test_epoch_engine_snapshot_reuse_across_cycling_phases():
     config = small_test_config(4, 4)
     mix = make_mix(["omnet~milc"])
