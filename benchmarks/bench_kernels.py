@@ -1,7 +1,8 @@
-"""Kernel microbenchmarks: vectorized epoch kernels vs the scalar path.
+"""Kernel microbenchmarks: the vectorized epoch kernels vs their scalar
+oracles (``tests/oracles.py``).
 
-PR 2's tentpole claim — the inner epoch loop is array math now — is
-measured here, not asserted in prose:
+The claim that the inner epoch loop is array math is measured here, not
+asserted in prose:
 
 * **miss-curve batch**: all VCs' curves on the allocation grid in one
   :class:`MissCurveBatch` call vs one ``np.interp`` per curve;
@@ -22,7 +23,7 @@ measured here, not asserted in prose:
   20 one-item ``evaluate_solution`` calls, asserted ``==`` (reported,
   not floored);
 * **end-to-end**: one fig11 (64-app) and one fig15 (multithreaded) sweep
-  point through ``repro.kernels.scalar_reference`` vs the default path.
+  point with the oracles patched in (``scalar_reference``) vs the kernels.
 
 The acceptance gates (>= 3x on batched miss-curve evaluation and placement
 scoring, >= 80x on the mega-batch sharing call, > 1.5x on the end-to-end
@@ -33,7 +34,9 @@ points) are asserted.  Results are appended to
 
 from __future__ import annotations
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -46,24 +49,28 @@ from repro.geometry.placement_math import (
     weighted_center_tile,
     weighted_center_tiles,
 )
-from repro.kernels import scalar_reference
 from repro.model.system import AnalyticSystem
 from repro.nuca import standard_schemes
 from repro.nuca.base import build_problem
-from repro.nuca.rnuca import RNuca
-from repro.nuca.sharing import shared_cache_occupancies, solve_sharing_plans
+from repro.nuca.sharing import solve_sharing_plans
 from repro.nuca.snuca import SNuca
 from repro.sched.allocation import allocate_latency_aware
 from repro.service.load import LoadSpec, build_chip
-from repro.sched.vc_placement import (
-    place_optimistic_scalar,
-    place_optimistic_vectorized,
-)
-from repro.testing import golden_mix
+from repro.sched.vc_placement import place_optimistic
+from repro.testing import fig11_sharing_plans, golden_mix
 from repro.workloads.mixes import (
     random_multithreaded_mix,
     random_single_threaded_mix,
 )
+
+
+# tests/oracles.py, loaded by path: putting tests/ on sys.path would let
+# its conftest shadow this directory's.
+_spec = importlib.util.spec_from_file_location(
+    "oracles", Path(__file__).resolve().parent.parent / "tests" / "oracles.py"
+)
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -74,22 +81,6 @@ def _best_of(fn, repeats: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _plan_per_cache_scalar(plan) -> list[float]:
-    """One sharing plan through the scalar solver, cache by cache, with
-    R-NUCA's 1/N slice transforms as closures (its scalar path)."""
-    scale = plan.arg_scale or (1.0,) * len(plan.curves)
-    fns = [
-        (lambda occ, c=c, n=n: float(c(occ * n)) / n) if n != 1.0 else c.__call__
-        for c, n in zip(plan.curves, scale)
-    ]
-    out = [0.0] * len(plan.curves)
-    for group, capacity in zip(plan.groups, plan.capacities):
-        occ = shared_cache_occupancies([fns[i] for i in group], capacity)
-        for i, o in zip(group, occ):
-            out[i] = o
-    return out
 
 
 def test_kernel_speedups(once):
@@ -128,45 +119,39 @@ def test_kernel_speedups(once):
         # 2. Placement candidate scoring (Sec IV-D).
         vc_sizes = allocate_latency_aware(problem)
         scalar_t = _best_of(
-            lambda: place_optimistic_scalar(problem, vc_sizes), repeats=2
+            lambda: oracles.place_optimistic(problem, vc_sizes), repeats=2
         )
         vector_t = _best_of(
-            lambda: place_optimistic_vectorized(problem, vc_sizes), repeats=2
+            lambda: place_optimistic(problem, vc_sizes), repeats=2
         )
         assert (
-            place_optimistic_vectorized(problem, vc_sizes).centers
-            == place_optimistic_scalar(problem, vc_sizes).centers
+            place_optimistic(problem, vc_sizes).centers
+            == oracles.place_optimistic(problem, vc_sizes).centers
         )
         speedups["placement_scoring"] = scalar_t / vector_t
 
         # 3. LRU-sharing fixed point: S-NUCA's one chip-wide cache, solved
         # through solve_sharing_plans as SNuca.run solves it.
         plan = SNuca(0).sharing_stage(problem)[0]
-        scalar_t = _best_of(lambda: _plan_per_cache_scalar(plan), repeats=2)
+        scalar_t = _best_of(lambda: oracles.plan_per_cache(plan), repeats=2)
         batch_t = _best_of(lambda: solve_sharing_plans([plan]), repeats=2)
         assert solve_sharing_plans([plan])[0].tolist() == (
-            _plan_per_cache_scalar(plan)
+            oracles.plan_per_cache(plan)
         )
         speedups["sharing_fixed_point"] = scalar_t / batch_t
 
         # 4. Mega-batch sharing: every S-NUCA and R-NUCA fixed point of a
         # 4-mix fig11 request in one lockstep call.
-        plans = []
-        for mix_id in range(4):
-            mix_problem = build_problem(
-                random_single_threaded_mix(64, 42, mix_id), config
-            )
-            for scheme in (SNuca(mix_id), RNuca(mix_id)):
-                plans.append(scheme.sharing_stage(mix_problem)[0])
+        plans = fig11_sharing_plans()
         assert sum(len(p.curves) for p in plans) == 512
         assert sum(len(p.groups) for p in plans) == 260
         merged = solve_sharing_plans(plans)
         assert [m.tolist() for m in merged] == [
-            _plan_per_cache_scalar(p) for p in plans
+            oracles.plan_per_cache(p) for p in plans
         ]
         batch_t = _best_of(lambda: solve_sharing_plans(plans))
         scalar_t = _best_of(
-            lambda: [_plan_per_cache_scalar(p) for p in plans], repeats=1
+            lambda: [oracles.plan_per_cache(p) for p in plans], repeats=1
         )
         speedups["sharing_mega_batch"] = scalar_t / batch_t
 
@@ -236,8 +221,9 @@ def test_kernel_speedups(once):
 
         for label, multithreaded in (("fig11_point", False), ("fig15_point", True)):
             vector_t = _best_of(lambda: point(multithreaded), repeats=2)
-            with scalar_reference():
+            with oracles.scalar_reference() as calls:
                 scalar_t = _best_of(lambda: point(multithreaded), repeats=1)
+            assert calls["repro.sched.reconfigure.place_optimistic"] >= 1
             speedups[label] = scalar_t / vector_t
         return speedups
 

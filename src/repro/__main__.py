@@ -37,12 +37,7 @@ from repro.api import Session
 from repro.experiments.results import FORMATS, RunRecord, render
 from repro.experiments.spec import all_specs, get_spec, spec_names
 from repro.nuca import SCHEMES  # noqa: F401  (re-export for compatibility)
-from repro.runner import (
-    DEFAULT_CACHE_DIR,
-    MegaBatchRunner,
-    ProcessPoolRunner,
-    ResultStore,
-)
+from repro.runner import DEFAULT_CACHE_DIR
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,21 +156,6 @@ def _progress_printer(stream=None):
         )
 
     return show
-
-
-def build_runner(
-    jobs: int = 1,
-    cache_dir: str | Path | None = DEFAULT_CACHE_DIR,
-    no_cache: bool = False,
-    quiet: bool = False,
-) -> ProcessPoolRunner:
-    """Construct a runner the way the CLI does (kept for tests/tools).
-
-    A :class:`MegaBatchRunner`, so figure sweeps launched through the
-    CLI stack compatible jobs into mega-batch kernel passes."""
-    store = None if (no_cache or cache_dir is None) else ResultStore(cache_dir)
-    progress = None if quiet else _progress_printer()
-    return MegaBatchRunner(jobs=jobs, store=store, progress=progress)
 
 
 def _build_session(args) -> Session:

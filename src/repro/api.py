@@ -52,9 +52,8 @@ class Session:
 
     The session's runner is a :class:`~repro.runner.MegaBatchRunner`:
     sweep jobs that share a chip digest are stacked into mega-batch
-    kernel passes (bitwise-identical per mix, and off by default only
-    under ``REPRO_MEGA_BATCH=0``), with hot arrays shipped to workers
-    through shared memory.  Call :meth:`close` (or use the session as a
+    kernel passes (bitwise-identical per mix), with hot arrays shipped to
+    workers through shared memory.  Call :meth:`close` (or use the session as a
     context manager) to release the worker pool and shared segments;
     an ``atexit`` hook covers sessions that never do.
     """

@@ -1,6 +1,5 @@
-"""Core models: analytic CPI model and the blocking trace core."""
+"""Core model: the analytic CPI model."""
 
 from repro.cores.ooo_core import CoreModel
-from repro.cores.trace_core import TraceCore, TraceCoreStats
 
-__all__ = ["CoreModel", "TraceCore", "TraceCoreStats"]
+__all__ = ["CoreModel"]

@@ -31,6 +31,7 @@ from repro.nuca.sharing import solve_sharing_plans
 from repro.runner import Job, ProcessPoolRunner, register_batchable, run_jobs
 from repro.util.hashing import content_digest
 from repro.util.rng import reseed_global
+from repro.util.sums import ordered_sums
 from repro.workloads.mixes import (
     Mix,
     random_multithreaded_mix,
@@ -38,6 +39,11 @@ from repro.workloads.mixes import (
 )
 
 BASELINE = "S-NUCA"
+
+
+def _mean(values: list[float]) -> float:
+    """Mean with an ordered sum, the same on every Python."""
+    return float(ordered_sums(values)) / len(values)
 
 
 @dataclass
@@ -68,22 +74,18 @@ class SweepResult:
         return inverse_cdf(self.speedups[scheme])
 
     def mean_onchip(self, scheme: str) -> float:
-        vals = self.onchip_latency[scheme]
-        return sum(vals) / len(vals)
+        return _mean(self.onchip_latency[scheme])
 
     def mean_offchip(self, scheme: str) -> float:
-        vals = self.offchip_latency[scheme]
-        return sum(vals) / len(vals)
+        return _mean(self.offchip_latency[scheme])
 
     def mean_traffic(self, scheme: str) -> dict[str, float]:
         rows = self.traffic[scheme]
-        keys = rows[0].keys()
-        return {k: sum(r[k] for r in rows) / len(rows) for k in keys}
+        return {k: _mean([r[k] for r in rows]) for k in rows[0]}
 
     def mean_energy(self, scheme: str) -> dict[str, float]:
         rows = self.energy[scheme]
-        keys = rows[0].keys()
-        return {k: sum(r[k] for r in rows) / len(rows) for k in keys}
+        return {k: _mean([r[k] for r in rows]) for k in rows[0]}
 
     def schemes(self) -> list[str]:
         return [s for s in self.speedups if s != BASELINE]

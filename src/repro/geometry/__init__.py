@@ -1,6 +1,6 @@
 """Chip topologies (mesh/torus) and the geometric primitives used by
-CDCS's placement steps (compact placement, contention windows, spirals,
-centers of mass)."""
+CDCS's placement steps (compact windows scored at every center, centers
+of mass, weighted 1-medians)."""
 
 from repro.geometry.mesh import (
     DENSE_GEOMETRY_TILE_LIMIT,
@@ -16,14 +16,8 @@ from repro.geometry.mesh import (
 )
 from repro.geometry.placement_math import (
     center_of_mass,
-    compact_mean_distance,
-    compact_placement,
-    contention_window,
     nearest_tile,
-    placement_mean_distance,
-    spiral,
     weighted_center_tile,
-    window_contention,
 )
 
 __all__ = [
@@ -38,12 +32,6 @@ __all__ = [
     "geometry_allocation_stats",
     "reset_geometry_allocation_stats",
     "center_of_mass",
-    "compact_mean_distance",
-    "compact_placement",
-    "contention_window",
     "nearest_tile",
-    "placement_mean_distance",
-    "spiral",
     "weighted_center_tile",
-    "window_contention",
 ]

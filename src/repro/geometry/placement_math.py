@@ -2,29 +2,28 @@
 
 These implement the pictures in the paper:
 
-* **Fig 6** — *compact placement*: fill banks outward from a center tile,
-  possibly fractionally, and compute the resulting average access distance.
-  Used for the optimistic on-chip latency curves of Sec IV-C.
-* **Fig 7** — *contention windows*: the set of banks a compactly-placed VC
-  would cover, used to tally claimed capacity in Sec IV-D.
-* **Fig 8** — *outward spirals*: visit banks in increasing distance from a
-  center, used by the trade-based refinement of Sec IV-F.
+* **Fig 6** — *compact placement*: fill banks outward from a center tile
+  (the topology's spiral order), possibly fractionally, and compute the
+  resulting average access distance;
+* **Fig 7** — *contention windows*: the claimed capacity under the banks
+  a compactly-placed VC would cover, used in Sec IV-D;
 * **centers of mass** of capacity distributions, used by thread placement
   (Sec IV-E).
 
 Shape conventions
 -----------------
-The vectorized helpers score **all candidate centers at once** against the
+The helpers score **all candidate centers at once** against the
 topology's precomputed matrices (``N = topology.tiles``):
 
 * :func:`compact_window_weights` — ``(m,) float64``; per-rank bank
   fractions of a compact footprint of ``size_banks`` (ones then one
-  partial), identical to the fill loop in :func:`compact_placement`;
+  partial), identical to filling banks one at a time;
 * :func:`batched_window_scores` — two ``(N,)`` vectors ``(contention,
   spread)``; entry *c* scores a compact window centered at tile *c*
   against a ``(N,)`` claimed-capacity tally.  Terms accumulate in spiral
-  order via ``np.cumsum`` so each entry is bitwise the scalar
-  :func:`window_contention` / :func:`placement_mean_distance` pair;
+  order via ``np.cumsum`` so each entry is bitwise the window's
+  bank-by-bank contention and mean distance (the loops
+  ``tests/oracles.py`` keeps);
 * :func:`tile_cost_vector` — ``(N,) float64``; capacity-weighted total
   distance from every tile to a ``{bank: weight}`` mapping (the
   1-median objective of :func:`weighted_center_tile`);
@@ -46,100 +45,11 @@ from __future__ import annotations
 
 import math
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
 from repro.geometry.mesh import Topology
-
-
-def compact_placement(
-    topology: Topology, center: int, size_banks: float
-) -> dict[int, float]:
-    """Place *size_banks* of capacity as close to *center* as possible.
-
-    Banks are filled in increasing distance from *center* (deterministic
-    tie-break by tile id); the last bank may receive a fraction.  Returns
-    ``{tile: fraction_of_bank}`` with fractions in ``(0, 1]`` summing to
-    *size_banks* (clamped to the chip size).
-
-    This is the idealized, contention-free placement of Fig 6: an
-    8.2-bank VC centered mid-chip covers the center bank fully, its
-    neighbors fully, and tapers at the edge of the covered region.
-    """
-    if size_banks < 0:
-        raise ValueError(f"size must be non-negative, got {size_banks}")
-    remaining = min(float(size_banks), float(topology.tiles))
-    placement: dict[int, float] = {}
-    for tile in topology.tiles_by_distance(center):
-        if remaining <= 1e-12:
-            break
-        take = min(1.0, remaining)
-        placement[tile] = take
-        remaining -= take
-    return placement
-
-
-def placement_mean_distance(
-    topology: Topology, origin: int, placement: Mapping[int, float]
-) -> float:
-    """Capacity-weighted average distance from *origin* to a placement.
-
-    For a VC accessed by a single thread at *origin*, this is the expected
-    hop count of an LLC access (the VTB spreads accesses in proportion to
-    per-bank capacity, Sec III).
-    """
-    total = sum(placement.values())
-    if total <= 0:
-        return 0.0
-    weighted = sum(
-        frac * topology.distance(origin, tile) for tile, frac in placement.items()
-    )
-    return weighted / total
-
-
-def compact_mean_distance(topology: Topology, center: int, size_banks: float) -> float:
-    """Average access distance of a compact placement of *size_banks* around
-    *center* for an accessor at *center* (the Fig 6 computation: an
-    8.2-bank VC at mesh center averages ~1.27 hops)."""
-    placement = compact_placement(topology, center, size_banks)
-    return placement_mean_distance(topology, center, placement)
-
-
-def contention_window(
-    topology: Topology, center: int, size_banks: float
-) -> dict[int, float]:
-    """Banks (with fractions) that a compactly-placed VC would claim.
-
-    Identical footprint to :func:`compact_placement`; named separately
-    because Sec IV-D uses it to *estimate* contention (summing already-
-    claimed capacity over the window) rather than to place data.
-    """
-    return compact_placement(topology, center, size_banks)
-
-
-def window_contention(
-    claimed: Mapping[int, float] | "list[float]",
-    window: Mapping[int, float],
-) -> float:
-    """Contention of a placement window against a claimed-capacity tally.
-
-    *claimed* maps bank -> capacity already claimed (in banks; may exceed
-    1.0 since Sec IV-D relaxes capacity constraints).  The contention is the
-    claimed capacity under the window, weighted by window coverage — the
-    hatched-area sum of Fig 7b.
-    """
-    return sum(frac * claimed[tile] for tile, frac in window.items())
-
-
-def spiral(topology: Topology, center: int) -> Iterator[int]:
-    """Yield tiles in increasing distance from *center*.
-
-    This is the "outward spiral" of the refinement step (Fig 8).  On a mesh
-    the visit order is by Manhattan ring; within a ring the order is
-    deterministic (tile id).
-    """
-    yield from topology.tiles_by_distance(center)
 
 
 def center_of_mass(
@@ -323,10 +233,10 @@ def compact_window_weights(topology: Topology, size_banks: float) -> np.ndarray:
     Entry j is the fraction claimed from the j-th-closest bank: ones for
     full banks, then one partial.  Every candidate center shares this
     vector (only the visit order differs), which is what makes whole-chip
-    candidate scoring a matrix operation.  The values replicate the fill
-    loop of :func:`compact_placement` exactly (repeated ``-= 1.0`` on a
-    float of this magnitude is exact, and sub-``1e-12`` tails are dropped
-    just like the loop's break).
+    candidate scoring a matrix operation.  The values replicate filling
+    banks one at a time exactly (repeated ``-= 1.0`` on a float of this
+    magnitude is exact, and sub-``1e-12`` tails are dropped just like the
+    fill loop's break).
     """
     if size_banks < 0:
         raise ValueError(f"size must be non-negative, got {size_banks}")
@@ -353,9 +263,8 @@ def batched_window_scores(
     ``contention[c]`` is the claimed capacity under the window centered at
     *c* (the hatched-area sum of Fig 7b); ``spread[c]`` is the window's
     mean access distance from *c* (the Fig 6 average).  Rows reduce in
-    spiral order with ``np.cumsum``, so both vectors are bitwise what the
-    scalar :func:`window_contention` + :func:`placement_mean_distance`
-    compute candidate by candidate.
+    spiral order with ``np.cumsum``, so both vectors are bitwise what
+    building and scoring each window bank by bank computes.
     """
     weights = compact_window_weights(topology, size_banks)
     m = len(weights)

@@ -12,6 +12,7 @@ import math
 from collections.abc import Iterable, Sequence
 
 from repro.model.system import MixEvaluation
+from repro.util.sums import ordered_sums
 
 
 def weighted_speedup(
@@ -35,16 +36,16 @@ def weighted_speedup(
             evaluation.process_perf[pid] / baseline.process_perf[pid]
             for pid in evaluation.process_perf
         ]
-        return sum(ratios) / len(ratios)
-    ws_eval = sum(
+        return float(ordered_sums(ratios)) / len(ratios)
+    ws_eval = ordered_sums([
         evaluation.process_perf[pid] / alone_perf[pid]
         for pid in evaluation.process_perf
-    )
-    ws_base = sum(
+    ])
+    ws_base = ordered_sums([
         baseline.process_perf[pid] / alone_perf[pid]
         for pid in baseline.process_perf
-    )
-    return ws_eval / ws_base
+    ])
+    return float(ws_eval / ws_base)
 
 
 def per_process_speedups(
@@ -73,7 +74,7 @@ def gmean(values: Iterable[float]) -> float:
         raise ValueError("gmean of no values")
     if any(v <= 0 for v in vals):
         raise ValueError("gmean requires positive values")
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
+    return math.exp(float(ordered_sums([math.log(v) for v in vals])) / len(vals))
 
 
 def inverse_cdf(values: Sequence[float]) -> list[float]:

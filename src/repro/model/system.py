@@ -17,9 +17,9 @@ aggregates that Figs 11, 14 and 15 report.
 Every call scores its ``(mix, problem, result)`` items in one stacked pass
 (:meth:`AnalyticSystem.evaluate_solution` is the one-item call), each stage
 a fixed number of NumPy calls per batch.  Every reduction is a
-left-to-right sum (:func:`_ordered_sums`), bitwise a Python loop from
-``0.0``: ``sum()`` compensates float additions from Python 3.12 on, so it
-is never used on floats here.
+left-to-right sum (:func:`repro.util.sums.ordered_sums`), bitwise a
+Python loop from ``0.0``: ``sum()`` compensates float additions from
+Python 3.12 on, so it is never used on floats here.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from repro.noc.traffic import TrafficClass
 from repro.nuca.base import NucaScheme, SchemeResult, build_problem
 from repro.sched.cost_model import reader_hops
 from repro.sched.problem import PlacementProblem, PlacementSolution
+from repro.util.sums import ordered_sums
 from repro.util.units import CACHE_LINE_BYTES
 from repro.workloads.mixes import Mix
 
@@ -129,14 +130,6 @@ class MixEvaluation:
         return self.aggregates[3]
 
 
-def _ordered_sums(terms: np.ndarray) -> np.ndarray:
-    """Left-to-right sums along the last axis, bitwise a Python loop from
-    ``0.0``: ``cumsum`` adds in order, and the final ``+ 0.0`` turns the
-    one case where the two differ (every term ``-0.0``) into the loop's
-    ``0.0``.  Zero padding past a row's end therefore changes nothing."""
-    return terms.cumsum(axis=-1)[..., -1] + 0.0
-
-
 def _padded(lengths: np.ndarray, values, dtype, fill=0) -> np.ndarray:
     """``(len(lengths), width)`` rows, width at least 1: row *i* holds the
     next ``lengths[i]`` items of the iterable *values*, then *fill*."""
@@ -171,7 +164,7 @@ class _ProblemTables:
         self.topology = problem.topology
         # The read VCs: positive total accessor rate, in problem order.
         readers = [problem.accessor_rates(vc.vc_id) for vc in problem.vcs]
-        rates = _ordered_sums(_padded(
+        rates = ordered_sums(_padded(
             _lengths(readers),
             chain.from_iterable(r.values() for r in readers), np.float64,
         ))
@@ -192,7 +185,7 @@ class _ProblemTables:
             counts, chain.from_iterable(a.values() for a in accesses),
             np.float64,
         )
-        total = _ordered_sums(rates2d)[:, None]
+        total = ordered_sums(rates2d)[:, None]
         self.weights = np.divide(
             rates2d, total, out=np.zeros_like(rates2d), where=total > 0
         )
@@ -344,7 +337,7 @@ class AnalyticSystem:
             lengths, chain.from_iterable(a.values() for a in allocs),
             np.float64,
         )
-        total = _ordered_sums(nbytes)[:, None]
+        total = ordered_sums(nbytes)[:, None]
         # In place: the loop below rewrites every row not divided.
         weights = np.divide(nbytes, total, out=nbytes, where=total > 0)
         for row in (~(total[:, 0] > 0)).nonzero()[0].tolist():
@@ -404,7 +397,7 @@ class AnalyticSystem:
         hops[pairs] = pair_hops
         miss_w = access_w * np.concatenate((row_miss_ratio, [0.0]))[rows]
         # Per thread, ordered over its accesses: hops, MC hops, miss ratio.
-        mean_hops, mc_hops, miss_ratio = _ordered_sums(np.array([
+        mean_hops, mc_hops, miss_ratio = ordered_sums(np.array([
             access_w * hops.reshape(access_w.shape),
             miss_w * np.concatenate((row_mc_hops, [0.0]))[rows],
             miss_w,
@@ -495,7 +488,7 @@ class AnalyticSystem:
             base_cpi
             + apki_k * (onchip_exposed + offchip / self.core_model.config.mlp_offchip)
         )
-        demand = _ordered_sums(ipc * mpki / 1000.0 * line_bytes)
+        demand = ordered_sums(ipc * mpki / 1000.0 * line_bytes)
         data_flits = noc.flits_for_bytes(CACHE_LINE_BYTES)
         # L2<->LLC: request (1 flit) + data response, plus L2 writebacks;
         # LLC<->Mem: miss request + fill + dirty writebacks to memory.
@@ -511,7 +504,7 @@ class AnalyticSystem:
         traffic = np.concatenate([moved, other[None]])
 
         # Aggregates, each a thread-order sum per item.
-        sums = _ordered_sums(np.concatenate([
+        sums = ordered_sums(np.concatenate([
             ipc[None],
             ipc * rates / 1000.0,
             ipc * traffic / 1000.0,
@@ -524,7 +517,7 @@ class AnalyticSystem:
         per_class = np.divide(
             sums[3:6], total_ipc, out=np.zeros((3, n)), where=~(total_ipc <= 0)
         )
-        flit_hops = _ordered_sums(per_class.T)
+        flit_hops = ordered_sums(per_class.T)
         cpi = np.divide(1.0, total_ipc, out=np.ones(n), where=total_ipc > 0)
         onchip_per_access = np.divide(
             sums[7], sums[6], out=np.zeros(n), where=sums[6] != 0
@@ -544,7 +537,7 @@ class AnalyticSystem:
         )]
         size = (members >= 0).sum(axis=1)
         perf = np.where(
-            size == 1, member_ipc[:, 0], size / _ordered_sums(1.0 / member_ipc)
+            size == 1, member_ipc[:, 0], size / ordered_sums(1.0 / member_ipc)
         ).tolist()
 
         per_thread = {

@@ -1,6 +1,5 @@
-"""On-chip network: zero-load latency model and traffic-class accounting."""
+"""On-chip network: traffic-class accounting."""
 
-from repro.noc.router import NocModel
 from repro.noc.traffic import TrafficClass, TrafficCounter
 
-__all__ = ["NocModel", "TrafficClass", "TrafficCounter"]
+__all__ = ["TrafficClass", "TrafficCounter"]

@@ -5,6 +5,7 @@ from repro.nuca.base import (
     GLOBAL_VC_ID,
     NucaScheme,
     SchemeResult,
+    SharingScheme,
     build_problem,
     default_mem_latency,
     process_vc_id,
@@ -13,7 +14,6 @@ from repro.nuca.cdcs import Cdcs, factor_variant
 from repro.nuca.jigsaw import Jigsaw
 from repro.nuca.partitioned import PartitionedShared
 from repro.nuca.rnuca import RNuca, rotational_cluster
-from repro.nuca.sharing import shared_cache_occupancies
 from repro.nuca.snuca import SNuca
 
 #: The comparison schemes of the paper's tables/figures, in presentation
@@ -45,11 +45,11 @@ __all__ = [
     "SCHEMES",
     "SNuca",
     "SchemeResult",
+    "SharingScheme",
     "build_problem",
     "default_mem_latency",
     "factor_variant",
     "process_vc_id",
     "rotational_cluster",
-    "shared_cache_occupancies",
     "standard_schemes",
 ]

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Any
+
+import numpy as np
 
 from repro.config import SystemConfig
 from repro.geometry.mesh import Mesh, Topology
+from repro.nuca.sharing import SharingPlan, solve_sharing_plans
 from repro.sched.problem import PlacementProblem, PlacementSolution, ThreadSpec
 from repro.vcache.virtual_cache import VCKind, VirtualCache
 from repro.workloads.mixes import Mix
@@ -127,3 +131,32 @@ class NucaScheme(ABC):
     @abstractmethod
     def run(self, problem: PlacementProblem) -> SchemeResult:
         """Produce sizes, placements, and thread assignment for *problem*."""
+
+
+class SharingScheme(NucaScheme):
+    """A scheme whose capacity split is an LRU-sharing solve (S-NUCA,
+    R-NUCA).
+
+    :meth:`sharing_stage` states the solve as a :class:`SharingPlan`
+    (``None`` when no stream takes part) and :meth:`finish_sharing`
+    turns its occupancies into the solution; a sweep's mega-batch merges
+    many mixes' plans into one :func:`solve_sharing_plans` call between
+    the two.
+    """
+
+    @abstractmethod
+    def sharing_stage(
+        self, problem: PlacementProblem
+    ) -> tuple[SharingPlan | None, Any]: ...
+
+    @abstractmethod
+    def finish_sharing(
+        self, problem: PlacementProblem, context: Any, occupancies: np.ndarray
+    ) -> SchemeResult: ...
+
+    def run(self, problem: PlacementProblem) -> SchemeResult:
+        plan, context = self.sharing_stage(problem)
+        occupancies = (
+            np.zeros(0) if plan is None else solve_sharing_plans([plan])[0]
+        )
+        return self.finish_sharing(problem, context, occupancies)

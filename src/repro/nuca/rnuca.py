@@ -25,13 +25,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.kernels import use_vectorized
-from repro.nuca.base import NucaScheme, SchemeResult
-from repro.nuca.sharing import (
-    SharingPlan,
-    shared_cache_occupancies,
-    solve_sharing_plans,
-)
+from repro.nuca.base import SchemeResult, SharingScheme
+from repro.nuca.sharing import SharingPlan
 from repro.sched.problem import PlacementProblem, PlacementSolution
 from repro.sched.thread_placement import random_thread_placement
 from repro.vcache.virtual_cache import VCKind
@@ -49,7 +44,7 @@ def rotational_cluster(tile: int, mesh_width: int, degree: int = 4) -> list[int]
     return cluster[:degree]
 
 
-class RNuca(NucaScheme):
+class RNuca(SharingScheme):
     name = "R-NUCA"
 
     def __init__(self, seed: int = 0):
@@ -152,61 +147,3 @@ class RNuca(NucaScheme):
 
         solution = PlacementSolution(vc_sizes, vc_allocation, thread_cores)
         return SchemeResult(self.name, solution)
-
-    def run(self, problem: PlacementProblem) -> SchemeResult:
-        # Per-bank LRU sharing between the local thread's private data and
-        # every shared VC's 1/N slice.  Each bank is an independent sharing
-        # fixed point; the vectorized path solves all of them in lockstep
-        # through one grouped curve batch (bitwise-identical occupancies).
-        if use_vectorized():
-            plan, context = self.sharing_stage(problem)
-            occupancies = (
-                solve_sharing_plans([plan])[0] if plan is not None
-                else np.zeros(0)
-            )
-            return self.finish_sharing(problem, context, occupancies)
-
-        topo = problem.topology
-        tiles = topo.tiles
-        bank_bytes = float(problem.bank_bytes)
-        thread_cores = random_thread_placement(problem, self.seed)
-        thread_vcs = {
-            vc.owner_thread: vc
-            for vc in problem.vcs
-            if vc.kind is VCKind.THREAD and vc.owner_thread is not None
-        }
-        shared_vcs = [
-            vc
-            for vc in problem.vcs
-            if vc.kind is not VCKind.THREAD
-            and sum(problem.accessors_of(vc.vc_id).values()) > 0
-        ]
-        thread_on_bank = {core: t for t, core in thread_cores.items()}
-        all_labels: list[tuple[str, int]] = []
-        occupancies = []
-        for bank in range(tiles):
-            participants = []
-            local_thread = thread_on_bank.get(bank)
-            if local_thread is not None and local_thread in thread_vcs:
-                curve = thread_vcs[local_thread].miss_curve
-                participants.append(curve.__call__)
-                all_labels.append(("private", local_thread))
-            for vc in shared_vcs:
-                curve = vc.miss_curve
-
-                def slice_fn(occ: float, curve=curve, n=tiles) -> float:
-                    return float(curve(occ * n)) / n
-
-                participants.append(slice_fn)
-                all_labels.append(("shared", vc.vc_id))
-            if participants:
-                occupancies.extend(
-                    shared_cache_occupancies(participants, bank_bytes)
-                )
-        context = {
-            "thread_cores": thread_cores,
-            "thread_vcs": thread_vcs,
-            "shared_vcs": shared_vcs,
-            "labels": all_labels,
-        }
-        return self.finish_sharing(problem, context, np.asarray(occupancies))

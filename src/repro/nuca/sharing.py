@@ -15,22 +15,21 @@ set).  Both equations are monotone, so nested bisection converges fast.
 This is how streaming apps (milc) crowd fitting apps (omnet) out of an
 unmanaged LLC — the Sec II-B observation that motivates partitioning.
 
-Two implementations solve the same system:
-
-* :func:`shared_cache_occupancies` — the scalar reference for one cache:
-  one nested bisection per stream, one ``np.interp`` per probe;
-* :func:`shared_cache_occupancies_grouped` — the vectorized kernel for
-  any number of independent caches (one group of streams each).  Its
-  inner solves run every stream in lockstep through
-  :meth:`~repro.cache.miss_curve.MissCurveBatch.balance_bisect`, with
-  per-stream arithmetic and summation order replicating the scalar path,
-  so each group's occupancies are bitwise the scalar solve of that cache.
-  Its outer pressure search makes an inner solve only for a probe that
-  no earlier exact result has decided: a group's exact total occupancy
-  is non-increasing in ``P``, so one exact answer settles every probe on
-  one side of it.  A closed-form estimate of each cache's root picks the
-  pressures worth solving; when it is right, one stacked lockstep call
-  decides every cache's search instead of one call per probe.
+:func:`shared_cache_occupancies_grouped` solves any number of
+independent caches (one group of streams each) at once.  Its inner
+solves run every stream in lockstep through
+:meth:`~repro.cache.miss_curve.MissCurveBatch.balance_bisect`, each
+stream's arithmetic its own, so a group's occupancies are bitwise what
+solving that cache alone gives (``tests/oracles.py`` keeps the
+one-stream-at-a-time solve they are checked against).  Its outer
+pressure search makes an inner solve only for a probe that no earlier
+exact result has decided: a group's exact total occupancy is
+non-increasing in ``P``, so one exact answer settles every probe on one
+side of it.  A closed-form estimate of each cache's root picks the
+pressures worth solving; when it is right, one stacked lockstep call
+decides every cache's search instead of one call per probe.  Totals
+are ordered sums (:func:`repro.util.sums.ordered_sums`), so the result
+is the same on every Python.
 
 S-NUCA and R-NUCA reach the kernel through :func:`solve_sharing_plans`,
 which merges many schemes' (and mixes') caches into one call.
@@ -44,76 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.miss_curve import MissCurveBatch
+from repro.util.sums import ordered_sums
 
-MissFn = Callable[[float], float]
-
-#: Bisection iterations (both solvers; enough for double precision).
+#: Bisection iterations (enough for double precision).
 _BISECT_ITERS = 60
-
-
-def _occupancy_at_pressure(
-    miss_fn: MissFn, pressure: float, capacity: float
-) -> float:
-    """Solve ``m(o) = P * o`` for one stream (clamped to [0, capacity])."""
-    if miss_fn(0.0) <= 0.0:
-        return 0.0
-    if pressure <= 0.0 or miss_fn(capacity) >= pressure * capacity:
-        return capacity
-    lo, hi = 0.0, capacity
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if miss_fn(mid) >= pressure * mid:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def shared_cache_occupancies(
-    miss_fns: Sequence[MissFn], capacity: float
-) -> list[float]:
-    """Steady-state occupancy of each stream in a shared LRU cache.
-
-    *miss_fns* give each stream's miss rate as a function of its own
-    occupancy (units are arbitrary but must be common across streams).
-    """
-    if capacity <= 0:
-        return [0.0] * len(miss_fns)
-    # If everything fits at zero pressure, footprints are the answer.
-    unconstrained = [
-        _occupancy_at_pressure(fn, 0.0, capacity) for fn in miss_fns
-    ]
-    if sum(unconstrained) <= capacity:
-        return unconstrained
-
-    def total_occupancy(pressure: float) -> float:
-        return sum(
-            _occupancy_at_pressure(fn, pressure, capacity) for fn in miss_fns
-        )
-
-    lo, hi = 1e-12, 1.0
-    while total_occupancy(hi) > capacity:
-        hi *= 4.0
-        if hi > 1e12:
-            break
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if total_occupancy(mid) > capacity:
-            lo = mid
-        else:
-            hi = mid
-    pressure = 0.5 * (lo + hi)
-    occ = [_occupancy_at_pressure(fn, pressure, capacity) for fn in miss_fns]
-    total = sum(occ)
-    if total > capacity and total > 0:
-        scale = capacity / total
-        occ = [o * scale for o in occ]
-    return occ
-
-
-# ---------------------------------------------------------------------------
-# Vectorized kernel
-# ---------------------------------------------------------------------------
 
 
 def _occupancies_at_pressure_batch(
@@ -126,14 +59,15 @@ def _occupancies_at_pressure_batch(
     """All streams' ``m(o) = P * o`` solutions at once -> (K,).
 
     Lockstep bisection: every iteration evaluates all K curves in one
-    batched call; per-lane arithmetic is element-for-element the scalar
-    solver's, so each lane lands on the scalar result bitwise.  *pressure*
-    is a scalar shared by every stream (one cache) or a ``(K,)`` vector of
-    per-stream pressures (the grouped many-caches solve); *capacity* is
+    batched call; per-lane arithmetic is element-for-element the
+    one-stream bisection's, so each lane lands on its one-stream result
+    bitwise.  *pressure* is a scalar shared by every stream (one cache)
+    or a ``(K,)`` vector of per-stream pressures (the grouped many-caches
+    solve); *capacity* is
     likewise a scalar or a ``(K,)`` vector of per-stream cache capacities
     (lanes of different caches bisect over different brackets — each
     lane's arithmetic only ever sees its own capacity, so mixed-capacity
-    solves stay bitwise equal to per-cache scalar solves).
+    solves stay bitwise equal to per-cache solves).
     """
     k = len(batch)
     at_cap = (pressure <= 0.0) | (miss_at_cap >= pressure * capacity)
@@ -162,14 +96,14 @@ def _check_groups(groups: Iterable[Iterable[int]], k: int) -> None:
 def _pressure_search(
     count: int, above: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    """The scalar solver's outer pressure search for *count* groups -> (count,).
+    """The one-cache outer pressure search for *count* groups -> (count,).
 
     ``above(which, pressures)`` answers, for each listed group, whether its
     total occupancy at that pressure exceeds its capacity.  The search
     expands each group's bracket ``[1e-12, 1]`` by ``hi *= 4.0`` while the
     answer is yes (at most past ``1e12``), then halves it
-    ``_BISECT_ITERS`` times, with the scalar loop's float expressions — so
-    the same answers yield the same final pressures, bitwise.
+    ``_BISECT_ITERS`` times, with the one-cache loop's float expressions —
+    so the same answers yield the same final pressures, bitwise.
     """
     lo = np.full(count, 1e-12)
     hi = np.ones(count)
@@ -298,8 +232,8 @@ def shared_cache_occupancies_grouped(
     per-group sequence — mixed capacities let the mega-batch path merge
     the sharing solves of *different* caches (S-NUCA's chip-wide LLC next
     to R-NUCA's per-bank pools, across many mixes) into one call.  Each
-    group's results are bitwise what :func:`shared_cache_occupancies`
-    returns for that group alone at that capacity.
+    group's results are bitwise what solving that group alone at that
+    capacity gives.
 
     The outer pressure search (:func:`_pressure_search`) asks, probe by
     probe, whether a group's total occupancy exceeds its capacity.  That
@@ -313,8 +247,8 @@ def shared_cache_occupancies_grouped(
       ``lo = mid`` and ``P2`` keeps ``hi = mid``, and since a midpoint
       stays inside its bracket, ``occ(P1) >= mid >= occ(P2)``;
     * the at-capacity rule is non-increasing in ``P`` and yields the
-      largest value, the capacity; the stream-order ``sum`` is monotone
-      in each term.
+      largest value, the capacity; the stream-order sum is monotone in
+      each term.
 
     A group's exact total is therefore non-increasing in ``P``: one exact
     "above" at ``t`` answers every probe ``<= t`` and one exact "not
@@ -346,7 +280,7 @@ def shared_cache_occupancies_grouped(
     if all(c <= 0 for c in caps):
         return np.zeros(k)
     # Lanes of zero-capacity groups (and lanes outside every group) solve
-    # against capacity 0 -> occupancy 0, matching the scalar early return.
+    # against capacity 0 -> occupancy 0, like a zero-capacity cache.
     lane_cap = np.zeros(k)
     for idx, cap in zip(index_lists, caps):
         lane_cap[idx] = max(cap, 0.0)
@@ -359,7 +293,7 @@ def shared_cache_occupancies_grouped(
     result = unconstrained.copy()
     pressured = [
         g for g, idx in enumerate(index_lists)
-        if caps[g] > 0 and sum(unconstrained[idx].tolist()) > caps[g]
+        if caps[g] > 0 and ordered_sums(unconstrained[idx]) > caps[g]
     ]
     if not pressured:
         return result
@@ -399,8 +333,7 @@ def shared_cache_occupancies_grouped(
         over = []
         for i, p, part in zip(which.tolist(), pressures.tolist(), parts):
             solved[i, p] = part
-            # Stream-order sequential sum, like the scalar per-cache sum().
-            over.append(sum(part.tolist()) > group_cap[i])
+            over.append(bool(ordered_sums(part) > group_cap[i]))
             if over[-1]:
                 proven_over[i] = max(proven_over[i], p)
             else:
@@ -426,7 +359,7 @@ def shared_cache_occupancies_grouped(
         settle(np.array(missing), np.take(final, missing))
     for i, g in enumerate(pressured):
         rows = solved[i, final[i]]
-        total = sum(rows.tolist())
+        total = float(ordered_sums(rows))
         if total > caps[g] and total > 0:
             result[index_lists[g]] = rows * (caps[g] / total)
         else:

@@ -12,18 +12,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.kernels import use_vectorized
-from repro.nuca.base import NucaScheme, SchemeResult
-from repro.nuca.sharing import (
-    SharingPlan,
-    shared_cache_occupancies,
-    solve_sharing_plans,
-)
+from repro.nuca.base import SchemeResult, SharingScheme
+from repro.nuca.sharing import SharingPlan
 from repro.sched.problem import PlacementProblem, PlacementSolution
 from repro.sched.thread_placement import random_thread_placement
 
 
-class SNuca(NucaScheme):
+class SNuca(SharingScheme):
     name = "S-NUCA"
 
     def __init__(self, seed: int = 0):
@@ -73,17 +68,3 @@ class SNuca(NucaScheme):
         thread_cores = random_thread_placement(problem, self.seed)
         solution = PlacementSolution(vc_sizes, vc_allocation, thread_cores)
         return SchemeResult(self.name, solution)
-
-    def run(self, problem: PlacementProblem) -> SchemeResult:
-        plan, context = self.sharing_stage(problem)
-        if use_vectorized() and plan is not None:
-            occupancies = solve_sharing_plans([plan])[0]
-        else:
-            miss_fns = [vc.miss_curve for vc in context]
-            occupancies = np.asarray(
-                shared_cache_occupancies(
-                    [fn.__call__ for fn in miss_fns],
-                    float(problem.total_bytes),
-                )
-            )
-        return self.finish_sharing(problem, context, occupancies)

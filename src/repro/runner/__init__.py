@@ -21,7 +21,6 @@ from repro.runner.job import Job
 from repro.runner.mega import (
     BatchableSpec,
     MegaBatchRunner,
-    batchable_spec,
     register_batchable,
 )
 from repro.runner.pool import ProcessPoolRunner, RunnerStats, run_jobs
@@ -47,7 +46,6 @@ __all__ = [
     "SegmentHandle",
     "SharedArrayPool",
     "StoreStats",
-    "batchable_spec",
     "register_batchable",
     "run_jobs",
 ]

@@ -19,9 +19,8 @@ dispatch.  :class:`MegaBatchRunner` removes all three:
   being pickled per job.
 
 Results are still persisted under each original job's digest, so the
-cache stays interchangeable with the per-job path, and
-``REPRO_MEGA_BATCH=0`` (or :func:`repro.kernels.per_mix_reference`)
-reverts to the classic runner behavior.
+cache stays interchangeable with the per-job path.  The per-job
+reference is the base class, :class:`ProcessPoolRunner`.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.kernels import use_mega_batch
 from repro.runner.job import Job
 from repro.runner.pool import ProcessPoolRunner, _preserved_global_rng
 from repro.runner.shm import SegmentHandle, SharedArrayPool, attach
@@ -79,10 +77,6 @@ def register_batchable(
         array_bank=array_bank,
         install_bank=install_bank,
     )
-
-
-def batchable_spec(fn: Callable) -> BatchableSpec | None:
-    return _BATCHABLE.get(fn)
 
 
 def _run_mega_chunk(
@@ -158,8 +152,6 @@ class MegaBatchRunner(ProcessPoolRunner):
     def _execute_pending(
         self, jobs: list[Job], pending: list[int], results: list[Any]
     ) -> None:
-        if not use_mega_batch():
-            return super()._execute_pending(jobs, pending, results)
         groups, singles = self._group_pending(jobs, pending)
         for idxs in groups:
             self._run_group(jobs, idxs, results)

@@ -25,7 +25,6 @@ from repro.sched.cost_model import (
     on_chip_latency,
     optimistic_on_chip_curve,
     total_latency,
-    vc_mean_distance,
 )
 from repro.sched.opcount import CYCLES_PER_OP, StepCounter
 from repro.sched.problem import PlacementProblem, PlacementSolution, ThreadSpec
@@ -77,5 +76,4 @@ __all__ = [
     "refined_placement",
     "total_latency",
     "trade_refinement",
-    "vc_mean_distance",
 ]

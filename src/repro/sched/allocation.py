@@ -26,11 +26,8 @@ import heapq
 
 import numpy as np
 
-from repro.kernels import use_vectorized
 from repro.sched.cost_model import (
-    latency_curve,
     latency_curves_batch,
-    miss_only_curve,
     miss_only_curves_batch,
     vc_access_rates,
 )
@@ -215,16 +212,8 @@ def allocate_latency_aware(
         vcs = [vcs[i] for i in indices]
     if not vcs:
         return {}
-    if use_vectorized():
-        # One batched build: rows are bitwise the per-VC scalar curves, so
-        # the hull walk below makes identical discrete decisions.
-        curves = list(latency_curves_batch(problem, vc_indices=indices))
-    else:
-        rates = vc_access_rates(problem)
-        curves = [
-            latency_curve(problem, problem.vcs[i].miss_curve, rates[i])
-            for i in (range(len(vcs)) if indices is None else indices)
-        ]
+    # One batched build: rows are bitwise the per-VC curves.
+    curves = list(latency_curves_batch(problem, vc_indices=indices))
     if budget_quanta is None:
         budget = problem.total_bytes // problem.quantum
     else:
@@ -248,13 +237,7 @@ def allocate_miss_driven(
     """
     counter = counter if counter is not None else StepCounter()
     rates = vc_access_rates(problem)
-    if use_vectorized():
-        curves = list(miss_only_curves_batch(problem, rates))
-    else:
-        curves = [
-            miss_only_curve(problem, vc.miss_curve, rate)
-            for vc, rate in zip(problem.vcs, rates)
-        ]
+    curves = list(miss_only_curves_batch(problem, rates))
     budget = problem.total_bytes // problem.quantum
     sizes = _greedy_hull_allocation(curves, budget, counter, "allocation")
     leftover = budget - sum(sizes)

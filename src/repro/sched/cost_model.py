@@ -26,13 +26,10 @@ With ``K = len(problem.vcs)``, ``N = topology.tiles`` and
 * ``optimistic_on_chip_curve`` — ``(Q+1,)`` mean hops per allocation size;
 * ``reader_hops`` — ``(P,)`` expected hops, one per (VC spread, reader
   core) pair the evaluation reads, plus ``(V,)`` memory-controller hops;
-* the vectorized Eq 1/Eq 2 evaluators flatten their ``(threads, banks)``
-  term matrices in the scalar loop's iteration order and reduce with
-  ``np.cumsum`` (sequential adds), so totals equal the scalar reference
-  bitwise, not just approximately.
-
-Scalar and vectorized paths are both exported; the public entry points
-dispatch on :func:`repro.kernels.use_vectorized`.
+* :func:`off_chip_latency` / :func:`on_chip_latency` flatten their
+  ``(threads, banks)`` term matrices in (VC, thread, bank) loop order
+  and reduce with :func:`repro.util.sums.ordered_sums` (sequential adds),
+  so totals are bitwise the one-term-at-a-time loop's.
 """
 
 from __future__ import annotations
@@ -43,8 +40,8 @@ import numpy as np
 
 from repro.cache.miss_curve import MissCurve, MissCurveBatch
 from repro.geometry.mesh import Topology
-from repro.kernels import use_vectorized
 from repro.sched.problem import PlacementProblem, PlacementSolution
+from repro.util.sums import ordered_sums
 
 
 def round_trip_cycles_per_hop(problem: PlacementProblem) -> float:
@@ -52,93 +49,48 @@ def round_trip_cycles_per_hop(problem: PlacementProblem) -> float:
     return 2.0 * problem.config.noc.hop_latency
 
 
-def off_chip_latency_scalar(
-    problem: PlacementProblem, solution: PlacementSolution
-) -> float:
-    """Eq 1, scalar reference: one miss-curve probe per VC."""
-    total = 0.0
-    for vc in problem.vcs:
-        size = solution.vc_sizes.get(vc.vc_id, 0.0)
-        accessors = problem.accessors_of(vc.vc_id)
-        rate = sum(accessors.values())
-        if rate <= 0:
-            continue
-        miss_fraction = min(float(vc.miss_curve(size)), rate) / rate
-        total += rate * miss_fraction * problem.mem_latency
-    return total
+def off_chip_latency(problem: PlacementProblem, solution: PlacementSolution) -> float:
+    """Eq 1: total off-chip latency (access-rate units x cycles).
 
-
-def off_chip_latency_vectorized(
-    problem: PlacementProblem, solution: PlacementSolution
-) -> float:
-    """Eq 1, vectorized: all VCs' miss curves probed in one batched call.
-
-    Terms are reduced in VC order with sequential adds, so the result is
-    bitwise the scalar reference's.
+    All VCs' miss curves are probed in one batched call; the terms are
+    reduced in VC order with sequential adds.
     """
     vcs = problem.vcs
     if not vcs:
         return 0.0
-    rates = [sum(problem.accessors_of(vc.vc_id).values()) for vc in vcs]
     sizes = np.array(
         [solution.vc_sizes.get(vc.vc_id, 0.0) for vc in vcs], dtype=np.float64
     )
     misses = MissCurveBatch([vc.miss_curve for vc in vcs])(sizes)
-    rate_arr = np.array(rates, dtype=np.float64)
+    rate_arr = np.array(vc_access_rates(problem), dtype=np.float64)
     active = rate_arr > 0
     if not np.any(active):
         return 0.0
     fractions = np.minimum(misses[active], rate_arr[active]) / rate_arr[active]
     terms = rate_arr[active] * fractions * problem.mem_latency
-    return float(np.cumsum(terms)[-1])
+    return float(ordered_sums(terms))
 
 
-def off_chip_latency(problem: PlacementProblem, solution: PlacementSolution) -> float:
-    """Eq 1: total off-chip latency (access-rate units x cycles)."""
-    if use_vectorized():
-        return off_chip_latency_vectorized(problem, solution)
-    return off_chip_latency_scalar(problem, solution)
+def on_chip_latency(problem: PlacementProblem, solution: PlacementSolution) -> float:
+    """Eq 2: total on-chip (L2 <-> LLC) latency under a placement.
 
-
-def on_chip_latency_scalar(
-    problem: PlacementProblem, solution: PlacementSolution
-) -> float:
-    """Eq 2, scalar reference: Python loops over (VC, thread, bank)."""
-    per_hop = round_trip_cycles_per_hop(problem)
-    dist = problem.topology.distance_matrix
-    total = 0.0
-    for vc in problem.vcs:
-        per_bank = solution.vc_allocation.get(vc.vc_id, {})
-        size = sum(per_bank.values())
-        if size <= 0:
-            continue
-        accessors = problem.accessors_of(vc.vc_id)
-        for thread_id, rate in accessors.items():
-            core = solution.thread_cores[thread_id]
-            for bank, cap in per_bank.items():
-                total += rate * (cap / size) * dist[core, bank] * per_hop
-    return total
-
-
-def on_chip_latency_vectorized(
-    problem: PlacementProblem, solution: PlacementSolution
-) -> float:
-    """Eq 2, vectorized: per VC, an (accessors x banks) outer-product term
-    matrix against the distance matrix, flattened in the scalar loop's
-    row-major order and reduced sequentially (bitwise-equal totals)."""
+    Per VC, an (accessors x banks) outer-product term matrix against the
+    distance matrix, flattened in (thread, bank) row-major order and
+    reduced with sequential adds.
+    """
     per_hop = round_trip_cycles_per_hop(problem)
     dist = problem.topology.distance_matrix
     term_blocks: list[np.ndarray] = []
     for vc in problem.vcs:
         per_bank = solution.vc_allocation.get(vc.vc_id, {})
-        size = sum(per_bank.values())
+        caps = np.fromiter(per_bank.values(), dtype=np.float64, count=len(per_bank))
+        size = float(ordered_sums(caps))
         if size <= 0:
             continue
         accessors = problem.accessors_of(vc.vc_id)
         if not accessors:
             continue
         banks = np.fromiter(per_bank.keys(), dtype=np.int64, count=len(per_bank))
-        caps = np.fromiter(per_bank.values(), dtype=np.float64, count=len(per_bank))
         rates = np.fromiter(accessors.values(), dtype=np.float64, count=len(accessors))
         cores = np.fromiter(
             (solution.thread_cores[t] for t in accessors),
@@ -151,42 +103,12 @@ def on_chip_latency_vectorized(
         )
     if not term_blocks:
         return 0.0
-    return float(np.cumsum(np.concatenate(term_blocks))[-1])
-
-
-def on_chip_latency(problem: PlacementProblem, solution: PlacementSolution) -> float:
-    """Eq 2: total on-chip (L2 <-> LLC) latency under a placement."""
-    if use_vectorized():
-        return on_chip_latency_vectorized(problem, solution)
-    return on_chip_latency_scalar(problem, solution)
+    return float(ordered_sums(np.concatenate(term_blocks)))
 
 
 def total_latency(problem: PlacementProblem, solution: PlacementSolution) -> float:
     """The objective CDCS minimizes: Eq 1 + Eq 2."""
     return off_chip_latency(problem, solution) + on_chip_latency(problem, solution)
-
-
-def vc_mean_distance(
-    problem: PlacementProblem,
-    solution: PlacementSolution,
-    vc_id: int,
-) -> float:
-    """Access-weighted average hops between a VC's accessors and its data
-    (the D(VC, b) aggregate used when valuing trades, Sec IV-F)."""
-    problem.vc_by_id(vc_id)  # validates the id
-    per_bank = solution.vc_allocation.get(vc_id, {})
-    size = sum(per_bank.values())
-    accessors = problem.accessors_of(vc_id)
-    rate = sum(accessors.values())
-    if size <= 0 or rate <= 0:
-        return 0.0
-    dist = problem.topology.distance_matrix
-    acc = 0.0
-    for thread_id, r in accessors.items():
-        core = solution.thread_cores[thread_id]
-        for bank, cap in per_bank.items():
-            acc += (r / rate) * (cap / size) * dist[core, bank]
-    return float(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +174,8 @@ def _optimistic_distance_table(
     Built from one prefix sum over the center's spiral distances: a
     q-quanta footprint covers ``n`` full banks plus a fractional one, so
     its weighted distance is ``prefix[n-1] + frac * D[n]``.  Full-bank
-    hop sums are integer-exact in float64, so every entry is bitwise what
-    :func:`~repro.geometry.placement_math.compact_mean_distance` returns.
+    hop sums are integer-exact in float64, so every entry is bitwise the
+    mean distance of the footprint's banks, summed one at a time.
     """
     center = topology.center_tile()
     max_quanta = topology.tiles * (bank_bytes // quantum)

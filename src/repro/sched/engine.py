@@ -34,10 +34,6 @@ in :data:`STRATEGIES`:
 :class:`ReconfigEngine` carries solver state (the previous problem and
 solution) across epochs, which is what the periodic runtime of Sec IV-G
 actually does — it never solves a frozen problem from scratch.
-
-All strategies run through the dual-path kernels of
-:mod:`repro.kernels`; their discrete decisions are identical between the
-vectorized and scalar-reference paths (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations

@@ -55,7 +55,6 @@ from repro.geometry.placement_math import (
     weighted_center_tile,
     weighted_center_tiles,
 )
-from repro.kernels import use_vectorized
 from repro.sched.opcount import StepCounter
 from repro.sched.problem import PlacementProblem
 
@@ -105,12 +104,10 @@ class DistanceVectors:
         topology,
         thread_cores: dict[int, int],
         eligible: dict[int, Mapping[int, float]],
-        vectorized: bool,
     ):
         self._topology = topology
         self._thread_cores = thread_cores
         self._eligible = eligible
-        self._vectorized = vectorized
         self._vecs: dict[int, np.ndarray] = {}
 
     def __iter__(self):
@@ -140,31 +137,26 @@ class DistanceVectors:
         total_rate = sum(accessors.values())
         dist = self._topology.distance_matrix
         if len(accessors) == 1:
-            # One term: a one-row cumsum is its row, and the scalar loop
-            # adds it to zeros, so both paths equal this product (a new
-            # array, never a view of the shared geometry).  A lazy matrix
+            # One term: a one-row cumsum is its row, and adding it to
+            # zeros gives it back, so this product is the chunked sum's
+            # value (a new array, never a view of the shared geometry).  A lazy matrix
             # is read as a one-row stack, which stays transient like the
             # chunked path's blocks.
             ((thread_id, rate),) = accessors.items()
             core = self._thread_cores[thread_id]
             row = dist[[core]][0] if getattr(dist, "is_lazy", False) else dist[core]
             return (rate / total_rate) * row
-        if self._vectorized:
-            cores = np.fromiter(
-                (self._thread_cores[t] for t in accessors),
-                dtype=np.int64,
-                count=len(accessors),
-            )
-            coeffs = np.fromiter(
-                ((rate / total_rate) for rate in accessors.values()),
-                dtype=np.float64,
-                count=len(accessors),
-            )
-            return _sequential_weighted_row_sum(dist, cores, coeffs)
-        vec = np.zeros(self._topology.tiles, dtype=np.float64)
-        for thread_id, rate in accessors.items():
-            vec += (rate / total_rate) * dist[self._thread_cores[thread_id]]
-        return vec
+        cores = np.fromiter(
+            (self._thread_cores[t] for t in accessors),
+            dtype=np.int64,
+            count=len(accessors),
+        )
+        coeffs = np.fromiter(
+            ((rate / total_rate) for rate in accessors.values()),
+            dtype=np.float64,
+            count=len(accessors),
+        )
+        return _sequential_weighted_row_sum(dist, cores, coeffs)
 
 
 def access_distance_vectors(
@@ -181,7 +173,6 @@ def access_distance_vectors(
     ``vec += ...`` loop — and only when a VC's vector is actually read
     (see :class:`DistanceVectors`).
     """
-    vectorized = use_vectorized()
     eligible: dict[int, Mapping[int, float]] = {}
     rate_per_byte: dict[int, float] = {}
     for vc in problem.vcs:
@@ -192,9 +183,7 @@ def access_distance_vectors(
             continue
         eligible[vc.vc_id] = accessors
         rate_per_byte[vc.vc_id] = total_rate / size
-    dvec = DistanceVectors(
-        problem.topology, thread_cores, eligible, vectorized
-    )
+    dvec = DistanceVectors(problem.topology, thread_cores, eligible)
     return dvec, rate_per_byte
 
 

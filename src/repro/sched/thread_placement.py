@@ -25,7 +25,6 @@ itself is sequential by design (each pick removes a core from ``free``).
 from __future__ import annotations
 
 from repro.geometry.placement_math import squared_point_distances
-from repro.kernels import use_vectorized
 from repro.sched.opcount import StepCounter
 from repro.sched.problem import PlacementProblem
 from repro.sched.vc_placement import OptimisticPlacement
@@ -86,26 +85,17 @@ def place_threads(
     else:
         free = set(range(topo.tiles))
     assignment: dict[int, int] = {}
-    vectorized = use_vectorized()
     for thread in order:
-        point = ideal_point(thread)
-        if vectorized:
-            # One (N,) distance vector per thread; the scan below indexes
-            # it instead of recomputing coordinates core by core.
-            distances = squared_point_distances(topo, point).tolist()
-        else:
-            distances = None
+        # One (N,) distance vector per thread; the scan below indexes it
+        # instead of recomputing coordinates core by core.
+        distances = squared_point_distances(topo, ideal_point(thread)).tolist()
         best_core = -1
         best_dist = float("inf")
         # The scan visits every free core (it never exits early), so one
         # bulk add equals the per-core unit adds.
         counter.add("thread_placement", len(free))
         for core in free:
-            if distances is not None:
-                dist = distances[core]
-            else:
-                coords = topo.coords(core)  # type: ignore[attr-defined]
-                dist = sum((c - p) ** 2 for c, p in zip(coords, point))
+            dist = distances[core]
             if dist < best_dist - 1e-12 or (
                 abs(dist - best_dist) <= 1e-12 and core < best_core
             ):

@@ -12,20 +12,19 @@ not to be the final placement (which step 4 refines).
 
 Shape conventions
 -----------------
-The vectorized step scores **every** candidate center of one VC as two
+The step scores **every** candidate center of one VC as two
 ``(N,)`` ``float64`` vectors (``N = topology.tiles``): ``contention`` (the
 claimed capacity under the candidate's compact window) and ``spread`` (the
 window's mean access distance), both produced by
 :func:`repro.geometry.placement_math.batched_window_scores` from the
 topology's ``(N, N)`` order/sorted-distance matrices.  The running
 ``claimed`` tally is a ``(N,)`` ``float64`` vector.  Candidate selection
-(:func:`_least_contended`) replicates the scalar key ``(round(contention,
-9), spread, candidate)``: an array preselection keeps the candidates
-within ``2e-9`` of the least contention, the only ones that can share the
+(:func:`_least_contended`) minimizes the key ``(round(contention, 9),
+spread, candidate)``: an array preselection keeps the candidates within
+``2e-9`` of the least contention, the only ones that can share the
 minimum rounded key, and a lexicographic sort over them picks the center
-(a lone survivor wins outright).
-The chosen centers — and therefore the whole downstream placement — are
-identical to the scalar reference's.
+(a lone survivor wins outright).  The chosen centers are those of the
+one-window-per-candidate scan that ``tests/oracles.py`` keeps.
 """
 
 from __future__ import annotations
@@ -37,11 +36,8 @@ import numpy as np
 from repro.geometry.placement_math import (
     batched_window_scores,
     center_of_mass,
-    compact_placement,
     compact_window_weights,
-    placement_mean_distance,
 )
-from repro.kernels import use_vectorized
 from repro.sched.opcount import StepCounter
 from repro.sched.problem import PlacementProblem
 
@@ -80,18 +76,18 @@ def _initial_claimed(topo, claimed_init) -> np.ndarray:
 
 
 def _least_contended(contention: np.ndarray, spread: np.ndarray) -> int:
-    """Candidate minimizing the scalar key ``(round(contention, 9),
-    spread, candidate)``.
+    """Candidate minimizing the key ``(round(contention, 9), spread,
+    candidate)``.
 
     Python ``round`` (not ``np.round``) keeps the noise-absorbing primary
-    key digit-for-digit the scalar one, but it is one interpreted call
-    per candidate, so it runs only on candidates within ``2e-9`` of the
-    least contention *m*.  ``round`` is monotone, so ``round(m, 9)`` is
+    key digit-for-digit the one-candidate scan's, but it is one
+    interpreted call per candidate, so it runs only on candidates within
+    ``2e-9`` of the least contention *m*.  ``round`` is monotone, so ``round(m, 9)`` is
     the minimum key, and a contention sharing it lies within ``1e-9``
     plus one ulp of *m*: under ``2e-9`` below ``2**23``, and above that
     (ulps over ``1e-9``) equal keys mean equal values.  The survivors
     are in id order and ``lexsort`` is stable, so full ties settle on
-    the lowest candidate id like the scalar scan.  A lone survivor holds
+    the lowest candidate id like that scan.  A lone survivor holds
     the minimum key by itself and wins without either.
     """
     near = np.flatnonzero(contention <= contention.min() + 2e-9)
@@ -101,71 +97,24 @@ def _least_contended(contention: np.ndarray, spread: np.ndarray) -> int:
     return int(near[np.lexsort((spread[near], rounded))[0]])
 
 
-def place_optimistic_scalar(
+def place_optimistic(
     problem: PlacementProblem,
     vc_sizes: dict[int, float],
     counter: StepCounter | None = None,
     vc_ids: set[int] | None = None,
     claimed_init: np.ndarray | None = None,
 ) -> OptimisticPlacement:
-    """Scalar reference: one compact window built and scored per candidate.
+    """Run the Sec IV-D placement for all VCs with non-zero size.
+
+    Per VC, every candidate center is scored in one matrix pass over the
+    precomputed spiral-order matrices.  The selection key is
+    ``(round(contention, 9), spread, candidate)``
+    (:func:`_least_contended`); spiral-ordered ``cumsum`` reductions make
+    both score vectors bitwise the per-candidate window loops'.
 
     *vc_ids*/*claimed_init* are the incremental warm start: only the named
     VCs are placed, scored against a claimed-capacity tally pre-seeded with
     the footprints of the VCs that are staying put.
-    """
-    counter = counter if counter is not None else StepCounter()
-    topo = problem.topology
-    bank_bytes = problem.bank_bytes
-    claimed = _initial_claimed(topo, claimed_init)
-    footprints: dict[int, dict[int, float]] = {}
-    centers: dict[int, int] = {}
-    centroids: dict[int, tuple[float, ...]] = {}
-
-    order = _placement_order(problem, vc_sizes, vc_ids)
-    for vc in order:
-        size_banks = vc_sizes[vc.vc_id] / bank_bytes
-        best_bank = -1
-        best_key: tuple[float, float] | None = None
-        for candidate in range(topo.tiles):
-            window = compact_placement(topo, candidate, size_banks)
-            contention = sum(frac * claimed[t] for t, frac in window.items())
-            # Tie-break toward geometrically compact windows (edge/corner
-            # centers spread the same capacity over longer distances).
-            spread = placement_mean_distance(topo, candidate, window)
-            counter.add("vc_placement", len(window))
-            key = (round(contention, 9), spread)
-            if best_key is None or key < best_key or (
-                key == best_key and candidate < best_bank
-            ):
-                best_key = key
-                best_bank = candidate
-        window = compact_placement(topo, best_bank, size_banks)
-        for t, frac in window.items():
-            claimed[t] += frac
-        footprints[vc.vc_id] = {t: frac * bank_bytes for t, frac in window.items()}
-        centers[vc.vc_id] = best_bank
-        centroids[vc.vc_id] = center_of_mass(topo, window)
-    return OptimisticPlacement(footprints, centers, centroids, claimed)
-
-
-def place_optimistic_vectorized(
-    problem: PlacementProblem,
-    vc_sizes: dict[int, float],
-    counter: StepCounter | None = None,
-    vc_ids: set[int] | None = None,
-    claimed_init: np.ndarray | None = None,
-) -> OptimisticPlacement:
-    """Vectorized Sec IV-D: per VC, every candidate center is scored in one
-    matrix pass over the precomputed spiral-order matrices.
-
-    The selection key is the scalar reference's ``(round(contention, 9),
-    spread, candidate)`` (:func:`_least_contended`); spiral-ordered
-    ``cumsum`` reductions make both score vectors bitwise-equal to the
-    per-candidate loops, so the chosen centers (and footprints,
-    centroids, claimed tally) are identical.
-    *vc_ids*/*claimed_init* warm-start an incremental re-place exactly as
-    in :func:`place_optimistic_scalar`.
     """
     counter = counter if counter is not None else StepCounter()
     topo = problem.topology
@@ -191,21 +140,3 @@ def place_optimistic_vectorized(
         centers[vc.vc_id] = best_bank
         centroids[vc.vc_id] = center_of_mass(topo, window)
     return OptimisticPlacement(footprints, centers, centroids, claimed)
-
-
-def place_optimistic(
-    problem: PlacementProblem,
-    vc_sizes: dict[int, float],
-    counter: StepCounter | None = None,
-    vc_ids: set[int] | None = None,
-    claimed_init: np.ndarray | None = None,
-) -> OptimisticPlacement:
-    """Run the Sec IV-D placement for all VCs with non-zero size (or, with
-    *vc_ids*/*claimed_init*, an incremental warm-started subset)."""
-    if use_vectorized():
-        return place_optimistic_vectorized(
-            problem, vc_sizes, counter, vc_ids, claimed_init
-        )
-    return place_optimistic_scalar(
-        problem, vc_sizes, counter, vc_ids, claimed_init
-    )

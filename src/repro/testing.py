@@ -35,6 +35,21 @@ def golden_problem():
     return build_problem(golden_mix(), default_config())
 
 
+def fig11_sharing_plans() -> list:
+    """The S-NUCA and R-NUCA sharing plans of the seed-42 4-mix fig11
+    request (512 lanes in 260 caches), which a mega-batch merges."""
+    from repro.nuca.rnuca import RNuca
+    from repro.nuca.snuca import SNuca
+
+    plans = []
+    for mix_id in range(4):
+        mix = random_single_threaded_mix(64, GOLDEN_MIX["seed"], mix_id)
+        problem = build_problem(mix, default_config())
+        for scheme in (SNuca(mix_id), RNuca(mix_id)):
+            plans.append(scheme.sharing_stage(problem)[0])
+    return plans
+
+
 def small_problem(apps: int = 16, side: int = 4, seed: int = 42,
                   mix_id: int = 0):
     """(problem, config) on a ``side x side`` test mesh — the cheap

@@ -4,7 +4,6 @@ realizing a target miss curve."""
 
 from repro.workloads.generator import (
     StackDistanceStream,
-    measure_miss_curve,
     random_phased_profile,
     suggested_footprint,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "get_profile",
     "get_static_profile",
     "make_mix",
-    "measure_miss_curve",
     "mix_is_phased",
     "random_multithreaded_mix",
     "random_phased_mix",

@@ -188,44 +188,3 @@ def random_phased_profile(
         previous = app
     label = "~".join(p.profile.name for p in phases)
     return PhasedProfile(name=f"{label}#{seed}.{index}", phases=tuple(phases))
-
-
-def measure_miss_curve(
-    addresses: list[int], sizes_bytes: list[float]
-) -> MissCurve:
-    """Exact LRU miss counts of an address stream at the given cache sizes.
-
-    One pass with an LRU stack; a hit at recency depth d is a hit for every
-    size >= d lines (stack inclusion).  Used by tests and the monitor study
-    to validate generated streams and monitors against ground truth.
-    """
-    if not addresses:
-        raise ValueError("empty address stream")
-    depth_hist: dict[int, int] = {}
-    stack: list[int] = []
-    index: dict[int, None] = {}
-    for addr in addresses:
-        try:
-            depth = stack.index(addr)
-        except ValueError:
-            depth = -1
-        if depth >= 0:
-            stack.pop(depth)
-            depth_hist[depth + 1] = depth_hist.get(depth + 1, 0) + 1
-        stack.insert(0, addr)
-    index.clear()
-    total = len(addresses)
-    sizes_lines = [max(int(s // CACHE_LINE_BYTES), 0) for s in sizes_bytes]
-    values = []
-    for size_lines in sizes_lines:
-        hits = sum(c for d, c in depth_hist.items() if d <= size_lines)
-        values.append(total - hits)
-    # Deduplicate any equal sizes to keep strict monotonicity.
-    out_sizes: list[float] = []
-    out_values: list[float] = []
-    for s, v in sorted(zip(sizes_bytes, values)):
-        if out_sizes and s <= out_sizes[-1]:
-            continue
-        out_sizes.append(float(s))
-        out_values.append(float(v))
-    return MissCurve(out_sizes, out_values)

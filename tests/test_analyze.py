@@ -68,10 +68,11 @@ def test_lock_discipline_reports_stale_registry_entries(tmp_path):
     # A module that matches a registry suffix but no longer defines the
     # registered name must produce a stale-entry finding, so removals
     # deregister in the same change.
-    entry = next(g for g in GUARDED_STATE if g.module == "repro/kernels.py")
-    fake = tmp_path / "repro" / "kernels.py"
+    module = "repro/geometry/mesh.py"
+    entry = next(g for g in GUARDED_STATE if g.module == module)
+    fake = tmp_path / module
     fake.parent.mkdir(parents=True)
-    other = [g.name for g in GUARDED_STATE if g.module == "repro/kernels.py"]
+    other = [g.name for g in GUARDED_STATE if g.module == module]
     other.remove(entry.name)
     body = "\n".join(f"{name} = True" for name in other)
     fake.write_text(body + "\n")

@@ -13,7 +13,6 @@ from repro.sched.cost_model import (
     on_chip_latency,
     optimistic_on_chip_curve,
     total_latency,
-    vc_mean_distance,
 )
 from repro.sched.problem import PlacementProblem, PlacementSolution, ThreadSpec
 from repro.util.units import kb
@@ -64,17 +63,6 @@ def test_on_chip_latency_eq2():
         on_chip_latency(problem, solution)
         + off_chip_latency(problem, solution)
     )
-
-
-def test_vc_mean_distance():
-    problem = tiny_problem()
-    solution = PlacementSolution(
-        vc_sizes={0: kb(256)},
-        vc_allocation={0: {0: kb(64), 3: kb(192)}},
-        thread_cores={0: 0},
-    )
-    # 25% at 0 hops, 75% at 2 hops.
-    assert vc_mean_distance(problem, solution, 0) == pytest.approx(1.5)
 
 
 def test_optimistic_curve_monotone_nondecreasing():

@@ -15,7 +15,7 @@ import pytest
 from repro.cache.miss_curve import cliff_curve, flat_curve
 from repro.config import small_test_config
 from repro.nuca.base import build_problem
-from repro.nuca.sharing import shared_cache_occupancies
+from repro.nuca.sharing import SharingPlan, solve_sharing_plans
 from repro.sched.allocation import allocate_latency_aware, convex_hull_indices
 from repro.sched.cost_model import latency_curve
 from repro.util.units import kb
@@ -52,9 +52,8 @@ def test_sharing_fixed_point_matches_trace_lru():
     streaming_curve = flat_curve(kb(64), 20.0)
     capacity = kb(32)
 
-    predicted = shared_cache_occupancies(
-        [fitting_curve.__call__, streaming_curve.__call__], capacity
-    )
+    plan = SharingPlan((fitting_curve, streaming_curve), ((0, 1),), (capacity,))
+    predicted = solve_sharing_plans([plan])[0].tolist()
     streams = [
         StackDistanceStream(fitting_curve, apki=20.0, seed=11),
         StackDistanceStream(streaming_curve, apki=20.0, seed=12),

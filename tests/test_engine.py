@@ -215,7 +215,7 @@ def test_auto_regions_targets_8x8_regions():
 
 
 def test_strategies_identical_through_both_kernel_paths():
-    from repro.kernels import scalar_reference
+    from oracles import scalar_reference
 
     def run_all():
         problem, config = small_problem()
@@ -237,8 +237,9 @@ def test_strategies_identical_through_both_kernel_paths():
         return out
 
     fast = run_all()
-    with scalar_reference():
+    with scalar_reference() as calls:
         slow = run_all()
+    assert calls["repro.sched.reconfigure.place_optimistic"] >= 1
     for name in fast:
         assert fast[name].solution.vc_sizes == slow[name].solution.vc_sizes
         assert (

@@ -31,16 +31,24 @@ from __future__ import annotations
 
 import builtins
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 
+from oracles import ordered_sum, scalar_reference
 from repro.cache.miss_curve import MissCurve, MissCurveBatch, flat_curve
 from repro.config import default_config, small_test_config
-from repro.experiments.sweeps import SweepResult, evaluate_mix
+from repro.experiments import sweeps
+from repro.experiments.sweeps import (
+    SweepResult,
+    evaluate_mix,
+    merge_mix_record,
+    mix_record,
+)
 from repro.geometry import dense_geometry_limit
-from repro.kernels import scalar_reference
 from repro.mem.controller import MemoryControllers
 from repro.model import system as system_module
 from repro.model.energy import energy_per_instruction
@@ -55,6 +63,8 @@ from repro.nuca.base import GLOBAL_VC_ID, SchemeResult
 from repro.sched import cost_model
 from repro.sched.cost_model import reader_hops
 from repro.service.load import LoadSpec, build_chip
+from repro.testing import golden_mix
+from repro.util.sums import ordered_sums
 from repro.util.units import CACHE_LINE_BYTES
 from repro.workloads.mixes import (
     make_mix,
@@ -328,15 +338,6 @@ def test_sharing_cases_cover_the_edges():
 # ---------------------------------------------------------------------------
 # The oracle: the per-thread evaluation the stacked pass replaced
 # ---------------------------------------------------------------------------
-
-
-def ordered_sum(values) -> float:
-    """Left-to-right sum from ``0.0``: what ``sum()`` computes up to
-    Python 3.11, on any interpreter."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 def reference_process_perf(mix, threads):
@@ -746,6 +747,20 @@ def test_corpus_covers_the_edges():
     assert {len(sweep_items(n, 3)[0][1].threads) for n in (1, 64)} == {1, 64}
 
 
+def test_ordered_sums_match_a_loop_from_zero():
+    """``ordered_sums`` is bitwise ``ordered_sum`` row by row: random
+    rows, rows of ``-0.0`` (the loop gives ``0.0``) and empty rows (an
+    R-NUCA bank with no stream) included."""
+    rng = np.random.default_rng(43)
+    rows = rng.standard_normal((40, 17)) * 10.0 ** rng.integers(-8, 9, (40, 1))
+    rows[3] = -0.0
+    sums = ordered_sums(rows)
+    assert [bits(s) for s in sums] == [bits(ordered_sum(r.tolist())) for r in rows]
+    assert bits(ordered_sums(rows[3])) == bits(0.0)
+    assert bits(ordered_sums([])) == bits(0.0)
+    assert ordered_sums(np.zeros((5, 0))).tolist() == [0.0] * 5
+
+
 def _patched_sum_python_312(iterable, /, start=0):
     """``sum()`` as CPython 3.12 computes it: exact ``float`` items are
     added with Neumaier compensation, added back at the end (or before
@@ -789,27 +804,72 @@ def _patched_sum_python_312(iterable, /, start=0):
     return result
 
 
+def _sum_left_to_right(iterable, /, start=0):
+    """``sum()`` as CPython computes it up to 3.11: one add at a time."""
+    return functools.reduce(operator.add, iterable, start)
+
+
+def sum_corpus(monkeypatch) -> dict:
+    """Every scheme solution and sweep record of the golden fig11 mix and
+    a fig15 mix, and the records and ``SweepResult`` aggregates of a
+    4-mix fig11 mega-batch call, from cold caches."""
+    monkeypatch.setattr(sweeps, "_SYSTEM_CACHE", {})
+    config = default_config()
+    out = {}
+    fig15 = random_multithreaded_mix(8, 1, 0)
+    for label, mix in (("fig11", golden_mix()), ("fig15", fig15)):
+        problem = build_problem(mix, config)
+        for scheme in standard_schemes(0):
+            s = scheme.run(problem).solution
+            out[f"{label}/{scheme.name}"] = s.vc_sizes, s.vc_allocation, s.thread_cores
+        result = SweepResult(len(mix.processes), 1)
+        evaluate_mix(config, mix, result, seed=0)
+        out[f"{label}/record"] = mix_record(result)
+    jobs = sweeps.sweep_jobs(config, n_apps=64, n_mixes=4, seed=1)
+    records = sweeps._mix_points_batched(
+        [job.kwargs["mix_id"] for job in jobs], [job.digest() for job in jobs],
+        config=config, n_apps=64, seed=1, multithreaded=False,
+    )
+    result = SweepResult(64, 4)
+    for i, record in enumerate(records):
+        out[f"batched/record{i}"] = record
+        merge_mix_record(result, record)
+    for name in result.onchip_latency:
+        out[f"batched/{name}"] = (
+            result.mean_onchip(name), result.mean_offchip(name),
+            result.mean_traffic(name), result.mean_energy(name),
+            result.gmean_speedup(name) if name in result.speedups else None,
+        )
+    return out
+
+
 def test_evaluation_does_not_depend_on_the_sum_builtin(monkeypatch):
     """Python 3.12's ``sum()`` compensates exact floats but adds
-    ``np.float64`` items one by one; with it patched in, the sweep point
-    is still identical through both kernel paths and the evaluation
-    still equals the oracle."""
+    ``np.float64`` items one by one.  With it patched in, every scheme
+    solution, sweep record and sweep aggregate equals the one under a
+    left-to-right ``sum()`` (patching both makes the check mean the same
+    on every Python), the sweep point is still identical with the
+    oracles patched in, and the evaluation still equals its oracle."""
     patched = _patched_sum_python_312
     assert patched([0.1] * 10) == 1.0
     assert patched([np.float64(0.1)] * 10) == ordered_sum([0.1] * 10) != 1.0
+    assert _sum_left_to_right([0.1] * 10) == ordered_sum([0.1] * 10)
+    monkeypatch.setattr(builtins, "sum", _sum_left_to_right)
+    left_to_right = sum_corpus(monkeypatch)
     monkeypatch.setattr(builtins, "sum", patched)
+    python_312 = sum_corpus(monkeypatch)
+    assert python_312.keys() == left_to_right.keys()
+    for key, want in left_to_right.items():
+        assert python_312[key] == want, key
 
     config = small_test_config(4, 4)
     mix = make_mix(["omnet", "milc", "gcc", "astar"])
     fast, slow = SweepResult(4, 1), SweepResult(4, 1)
     evaluate_mix(config, mix, fast, seed=0)
-    with scalar_reference():
+    with scalar_reference() as calls:
         evaluate_mix(config, mix, slow, seed=0)
-    assert fast.speedups == slow.speedups
-    assert fast.onchip_latency == slow.onchip_latency
-    assert fast.offchip_latency == slow.offchip_latency
-    assert fast.traffic == slow.traffic
-    assert fast.energy == slow.energy
+    assert calls["repro.nuca.base.solve_sharing_plans"] >= 2
+    assert fast == slow  # every SweepResult field
 
     items = sweep_items(8, 1, multithreaded=True)
     system = AnalyticSystem(default_config())

@@ -15,14 +15,12 @@ import pytest
 
 from repro.config import default_config
 from repro.experiments.sweeps import sweep_jobs
-from repro.kernels import per_mix_reference, use_mega_batch
 from repro.runner import MegaBatchRunner, ProcessPoolRunner
 
 
 def _reference(jobs):
-    """Per-mix payloads through the classic runner (mega path disabled)."""
-    with per_mix_reference():
-        return ProcessPoolRunner(jobs=1).map(jobs)
+    """Per-mix payloads through the classic one-job-at-a-time runner."""
+    return ProcessPoolRunner(jobs=1).map(jobs)
 
 
 def _mega(jobs, workers=1):
@@ -31,10 +29,6 @@ def _mega(jobs, workers=1):
         return runner.map(jobs)
     finally:
         runner.close()
-
-
-def test_mega_batch_enabled_by_default():
-    assert use_mega_batch()
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ from repro.config import MemoryConfig, NocConfig
 from repro.geometry.mesh import Mesh
 from repro.mem.controller import MemoryControllers
 from repro.mem.dram import DramModel
-from repro.noc.router import NocModel
 from repro.noc.traffic import TrafficClass, TrafficCounter
 
 
@@ -19,20 +18,6 @@ def test_flits_for_line_and_control():
     noc = NocConfig()
     assert noc.flits_for_bytes(0) == 1  # header-only request
     assert noc.flits_for_bytes(64) == 5  # 64B line on 128-bit flits + header
-
-
-def test_noc_model_latency():
-    mesh = Mesh(4, 4)
-    model = NocModel(mesh)
-    assert model.latency(0, 0) == 0
-    assert model.latency(0, 5) == 2 * 4
-    assert model.round_trip(0, 5) == 16
-
-
-def test_mean_latency_to_all():
-    mesh = Mesh(8, 8)
-    model = NocModel(mesh)
-    assert model.mean_latency_to_all(0) == pytest.approx(28.0)  # 7 hops x 4
 
 
 def test_traffic_counter_accumulates_by_class():

@@ -150,6 +150,15 @@ def test_snapshot_mix_materializes_active_phases():
     assert later.processes[0].process_id == 0
     assert list(later.processes[0].thread_ids) == [0]
     assert later.total_threads == mix.total_threads
+    # The same clock always materializes the same curves.
+    phased = random_phased_mix(3, 7, 2)
+    clock = {p.process_id: 3.3e8 for p in phased.processes}
+    first, again = (snapshot_mix(phased, clock).processes for _ in range(2))
+    for a, b in zip(first, again, strict=True):
+        curve, same = a.profile.private_curve, b.profile.private_curve
+        assert a.profile.name == b.profile.name
+        assert curve.sizes.tobytes() == same.sizes.tobytes()
+        assert curve.values.tobytes() == same.values.tobytes()
 
 
 def test_snapshot_problem_drops_in_for_original():

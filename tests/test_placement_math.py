@@ -1,55 +1,57 @@
-"""Placement geometry: compact placement, contention, centers (Fig 6-8)."""
+"""Placement geometry: compact windows, contention, centers (Fig 6-8)."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry.mesh import Mesh
 from repro.geometry.placement_math import (
+    batched_window_scores,
     center_of_mass,
-    compact_mean_distance,
-    compact_placement,
-    contention_window,
+    compact_window_weights,
     nearest_tile,
-    placement_mean_distance,
-    spiral,
     weighted_center_tile,
-    window_contention,
 )
 
 
+def mean_distance(mesh, center: int, size_banks: float) -> float:
+    """Mean access distance of a compact *size_banks* window around
+    *center*, for an accessor at *center* (the Fig 6 computation)."""
+    claimed = np.zeros(mesh.tiles)
+    return float(batched_window_scores(mesh, claimed, size_banks)[1][center])
+
+
 def test_compact_placement_fractions_sum_to_size():
-    mesh = Mesh(6, 6)
-    placement = compact_placement(mesh, 14, 8.2)
-    assert sum(placement.values()) == pytest.approx(8.2)
-    assert all(0 < f <= 1 for f in placement.values())
+    weights = compact_window_weights(Mesh(6, 6), 8.2)
+    assert weights.sum() == pytest.approx(8.2)
+    assert all(0 < f <= 1 for f in weights)
 
 
 def test_compact_placement_fills_center_first():
     mesh = Mesh(6, 6)
-    placement = compact_placement(mesh, 14, 3.0)
-    assert placement[14] == 1.0
+    weights = compact_window_weights(mesh, 3.0)
+    banks = mesh.order_matrix[14, : len(weights)]
+    assert banks[0] == 14 and weights[0] == 1.0
     # All full banks are at distance <= the partial bank's distance.
-    dists = sorted(mesh.distance(14, t) for t in placement)
+    dists = sorted(mesh.distance(14, int(t)) for t in banks)
     assert dists == [0, 1, 1]
 
 
 def test_paper_fig6_average_distance():
     # Fig 6: an 8.2-bank VC compactly placed mid-chip averages ~1.27 hops.
     mesh = Mesh(8, 8)
-    d = compact_mean_distance(mesh, mesh.center_tile(), 8.2)
+    d = mean_distance(mesh, mesh.center_tile(), 8.2)
     assert d == pytest.approx(1.27, abs=0.02)
 
 
 def test_compact_placement_clamps_to_chip():
-    mesh = Mesh(2, 2)
-    placement = compact_placement(mesh, 0, 10.0)
-    assert sum(placement.values()) == pytest.approx(4.0)
+    assert compact_window_weights(Mesh(2, 2), 10.0).sum() == pytest.approx(4.0)
 
 
 def test_compact_placement_rejects_negative():
     with pytest.raises(ValueError):
-        compact_placement(Mesh(2, 2), 0, -1.0)
+        compact_window_weights(Mesh(2, 2), -1.0)
 
 
 @given(
@@ -61,28 +63,23 @@ def test_compact_mean_distance_monotone_in_size(side, size):
     on-chip term)."""
     mesh = Mesh(side, side)
     center = mesh.center_tile()
-    small = compact_mean_distance(mesh, center, min(size, mesh.tiles))
-    bigger = compact_mean_distance(
-        mesh, center, min(size * 1.5, mesh.tiles)
-    )
+    small = mean_distance(mesh, center, min(size, mesh.tiles))
+    bigger = mean_distance(mesh, center, min(size * 1.5, mesh.tiles))
     assert bigger >= small - 1e-9
 
 
 def test_placement_mean_distance_zero_for_local():
-    mesh = Mesh(4, 4)
-    assert placement_mean_distance(mesh, 5, {5: 1.0}) == 0.0
+    assert mean_distance(Mesh(4, 4), 5, 1.0) == 0.0
 
 
 def test_window_contention_weighted_sum():
-    mesh = Mesh(4, 4)
-    window = contention_window(mesh, 5, 2.0)
-    claimed = [1.0] * 16
-    assert window_contention(claimed, window) == pytest.approx(2.0)
+    contention, _ = batched_window_scores(Mesh(4, 4), np.ones(16), 2.0)
+    assert contention[5] == pytest.approx(2.0)
 
 
 def test_spiral_order_is_by_distance():
     mesh = Mesh(5, 5)
-    order = list(spiral(mesh, 12))
+    order = list(mesh.tiles_by_distance(12))
     dists = [mesh.distance(12, t) for t in order]
     assert dists == sorted(dists)
     assert order[0] == 12

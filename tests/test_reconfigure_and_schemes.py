@@ -12,10 +12,11 @@ from repro.nuca import (
     build_problem,
     factor_variant,
     rotational_cluster,
-    shared_cache_occupancies,
     standard_schemes,
 )
+from repro.nuca.sharing import SharingPlan, solve_sharing_plans
 from repro.sched.reconfigure import ReconfigPolicy, reconfigure
+from repro.testing import assert_solutions_equal
 from repro.util.units import kb, mb
 from repro.workloads.mixes import make_mix
 
@@ -145,11 +146,20 @@ def test_rotational_cluster_degree4():
 # -- LRU sharing fixed point -----------------------------------------------------
 
 
+def one_cache(curves, capacity) -> list[float]:
+    """Occupancies of one shared LRU cache of *capacity*, solved as the
+    schemes solve it."""
+    plan = SharingPlan(
+        tuple(curves), (tuple(range(len(curves))),), (float(capacity),)
+    )
+    return solve_sharing_plans([plan])[0].tolist()
+
+
 def test_sharing_everything_fits():
     from repro.cache.miss_curve import cliff_curve
 
     small = cliff_curve(kb(512), 10.0, kb(64), 0.0)
-    occ = shared_cache_occupancies([small.__call__, small.__call__], kb(512))
+    occ = one_cache([small, small], kb(512))
     assert all(kb(60) <= o <= kb(70) for o in occ)
 
 
@@ -158,9 +168,7 @@ def test_sharing_streaming_expands():
 
     fitting = cliff_curve(mb(4), 10.0, kb(256), 0.5)
     streaming = flat_curve(mb(4), 30.0)
-    occ = shared_cache_occupancies(
-        [fitting.__call__, streaming.__call__], mb(1)
-    )
+    occ = one_cache([fitting, streaming], mb(1))
     assert sum(occ) <= mb(1) * 1.001
     assert occ[1] > occ[0]  # the stream crowds the fitting app
 
@@ -168,13 +176,28 @@ def test_sharing_streaming_expands():
 def test_sharing_occupancies_fill_capacity_under_pressure():
     from repro.cache.miss_curve import flat_curve
 
-    streams = [flat_curve(mb(4), 20.0).__call__ for _ in range(4)]
-    occ = shared_cache_occupancies(streams, mb(2))
+    streams = [flat_curve(mb(4), 20.0) for _ in range(4)]
+    occ = one_cache(streams, mb(2))
     assert sum(occ) == pytest.approx(mb(2), rel=0.01)
 
 
 def test_sharing_zero_capacity():
     from repro.cache.miss_curve import flat_curve
 
-    occ = shared_cache_occupancies([flat_curve(mb(1), 5.0).__call__], 0.0)
+    occ = one_cache([flat_curve(mb(1), 5.0)], 0.0)
     assert occ == [0.0]
+
+
+def test_sharing_schemes_run_is_stage_solve_finish():
+    """S-NUCA and R-NUCA run as their plan, one solve and the finish; on
+    a 4x4 chip with four single-threaded apps, R-NUCA stages an empty
+    group for each of the twelve banks without a local thread, and
+    those solve to nothing."""
+    _, problem = setup_problem(["omnet", "milc", "gcc", "astar"])
+    for scheme in (SNuca(3), RNuca(3)):
+        plan, context = scheme.sharing_stage(problem)
+        occupancies = solve_sharing_plans([plan])[0]
+        want = scheme.finish_sharing(problem, context, occupancies).solution
+        assert_solutions_equal(scheme.run(problem).solution, want)
+    plan, _ = RNuca(3).sharing_stage(problem)
+    assert sum(1 for group in plan.groups if not group) == 12

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import sequential_weighted_row_sum
 from repro.geometry.mesh import (
     Mesh,
     dense_geometry_limit,
@@ -290,26 +291,22 @@ def test_one_term_distance_vector_is_the_chunked_row(lazy):
         mesh = Mesh(side_x, side_y)
         dist = mesh.distance_matrix
         assert getattr(dist, "is_lazy", False) == lazy
-        for vectorized in (True, False):
-            dvec = DistanceVectors(mesh, thread_cores, eligible, vectorized)
-            rows_before = geometry_allocation_stats().lazy_rows
-            vecs = {vc_id: dvec[vc_id] for vc_id in eligible}
-            # Like the chunked path, the read caches no lazy row.
-            assert geometry_allocation_stats().lazy_rows == rows_before
-            for vc_id, accessors in eligible.items():
-                ((tid, rate),) = accessors.items()
-                core = thread_cores[tid]
-                chunked = _sequential_weighted_row_sum(
-                    dist, np.array([core]), np.array([rate / rate])
-                )
-                scalar = np.zeros(tiles, dtype=np.float64)
-                scalar += (rate / rate) * dist[core]
-                vec = vecs[vc_id]
-                assert vec.dtype == np.float64
-                assert vec.tobytes() == chunked.tobytes() == scalar.tobytes()
-                assert vec.flags.writeable
-                if not lazy:
-                    assert not np.shares_memory(vec, dist)
+        dvec = DistanceVectors(mesh, thread_cores, eligible)
+        rows_before = geometry_allocation_stats().lazy_rows
+        vecs = {vc_id: dvec[vc_id] for vc_id in eligible}
+        # Like the chunked path, the read caches no lazy row.
+        assert geometry_allocation_stats().lazy_rows == rows_before
+        for vc_id, accessors in eligible.items():
+            ((tid, rate),) = accessors.items()
+            core, coeff = np.array([thread_cores[tid]]), np.array([rate / rate])
+            chunked = _sequential_weighted_row_sum(dist, core, coeff)
+            loop = sequential_weighted_row_sum(dist, core, coeff)
+            vec = vecs[vc_id]
+            assert vec.dtype == np.float64
+            assert vec.tobytes() == chunked.tobytes() == loop.tobytes()
+            assert vec.flags.writeable
+            if not lazy:
+                assert not np.shares_memory(vec, dist)
 
 
 # -- dirty detection on equal rate maps -----------------------------------------

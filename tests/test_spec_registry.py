@@ -2,7 +2,9 @@
 structured export, and the `repro.api.Session` facade."""
 
 import importlib
+import importlib.util
 import json
+import pathlib
 import pkgutil
 
 import pytest
@@ -232,14 +234,17 @@ def test_resolve_type_checks_programmatic_overrides():
         spec.resolve({"tiles": 1.5})
 
 
-def test_docs_check_rejects_flag_on_wrong_experiment():
-    import importlib.util
-    import pathlib
-
+@pytest.fixture(scope="module")
+def docs_check():
+    """``tools/docs_check.py``, loaded by path (``tools/`` is no package)."""
     path = pathlib.Path(__file__).parent.parent / "tools" / "docs_check.py"
     module_spec = importlib.util.spec_from_file_location("docs_check", path)
-    docs_check = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(docs_check)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+def test_docs_check_rejects_flag_on_wrong_experiment(docs_check):
     problems: list[str] = []
     docs_check.check_cli_commands(
         "```\npython -m repro table1 --mixes 2\n```", "t.md", problems
@@ -253,14 +258,7 @@ def test_docs_check_rejects_flag_on_wrong_experiment():
     assert problems == []
 
 
-def test_docs_check_rejects_stale_python_imports():
-    import importlib.util
-    import pathlib
-
-    path = pathlib.Path(__file__).parent.parent / "tools" / "docs_check.py"
-    module_spec = importlib.util.spec_from_file_location("docs_check", path)
-    docs_check = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(docs_check)
+def test_docs_check_rejects_stale_python_imports(docs_check):
     fresh = (
         "```python\n"
         "import repro.sched\n"
@@ -294,14 +292,25 @@ def test_docs_check_rejects_stale_python_imports():
     assert "does not parse" in problems[2]
 
 
-def test_docs_check_requires_golden_regeneration_rows(tmp_path):
-    import importlib.util
-    import pathlib
+def test_docs_check_resolves_every_dotted_name_in_prose(docs_check):
+    fresh = (
+        "`repro.nuca.sharing.solve_sharing_plans([plan])` merges plans; "
+        "`repro.sched.cost_model` and `src/repro/nuca/sharing.py` exist.\n"
+    )
+    problems: list[str] = []
+    docs_check.check_modules_and_paths(fresh, "t.md", problems)
+    assert problems == []
+    stale = (
+        "`repro.nuca.sharing.no_such_kernel(fns, 1.0)` is gone, "
+        "and so is `with repro.no_such_module.switch():`.\n"
+    )
+    docs_check.check_modules_and_paths(stale, "t.md", problems)
+    assert len(problems) == 2
+    assert "no_such_kernel" in problems[0]
+    assert "repro.no_such_module" in problems[1]
 
-    path = pathlib.Path(__file__).parent.parent / "tools" / "docs_check.py"
-    module_spec = importlib.util.spec_from_file_location("docs_check", path)
-    docs_check = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(docs_check)
+
+def test_docs_check_requires_golden_regeneration_rows(docs_check, tmp_path):
     (tmp_path / "docs").mkdir()
     (tmp_path / "tests" / "golden").mkdir(parents=True)
     for name in ("a.json", "b.json", "c.json"):

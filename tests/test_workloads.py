@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.miss_curve import cliff_curve
-from repro.util.units import kb, mb
-from repro.workloads.generator import StackDistanceStream, measure_miss_curve
+from repro.cache.miss_curve import MissCurve, cliff_curve
+from repro.util.units import CACHE_LINE_BYTES, kb, mb
+from repro.workloads.generator import StackDistanceStream
 from repro.workloads.mixes import (
     case_study_mix,
     fig16_case_study_mix,
@@ -20,6 +20,33 @@ from repro.workloads.profiles import (
     SINGLE_THREADED,
     get_profile,
 )
+
+
+def measure_miss_curve(addresses: list[int], sizes_bytes: list[float]) -> MissCurve:
+    """Exact LRU miss counts of an address stream at the given (ascending)
+    cache sizes: the ground truth the generated streams are checked
+    against.  One pass with an LRU stack; a hit at recency depth d is a
+    hit for every size >= d lines (stack inclusion)."""
+    if not addresses:
+        raise ValueError("empty address stream")
+    depth_hist: dict[int, int] = {}
+    stack: list[int] = []
+    for addr in addresses:
+        try:
+            depth = stack.index(addr)
+        except ValueError:
+            depth = -1
+        if depth >= 0:
+            stack.pop(depth)
+            depth_hist[depth + 1] = depth_hist.get(depth + 1, 0) + 1
+        stack.insert(0, addr)
+    values = []
+    for size in sizes_bytes:
+        size_lines = max(int(size // CACHE_LINE_BYTES), 0)
+        hits = sum(c for d, c in depth_hist.items() if d <= size_lines)
+        values.append(float(len(addresses) - hits))
+    return MissCurve([float(s) for s in sizes_bytes], values)
+
 
 # -- profiles ----------------------------------------------------------------
 

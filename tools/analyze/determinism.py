@@ -64,7 +64,6 @@ _CLOCK_CALLS = {
 #: Layers whose results are modeled, not measured: wall-clock reads and
 #: unordered iteration here are findings (path-suffix match).
 CLOCK_SCOPE = (
-    "repro/kernels.py",
     "repro/sched/",
     "repro/nuca/",
     "repro/cache/",

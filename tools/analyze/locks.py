@@ -1,7 +1,7 @@
 """Rule ``lock-discipline``: guarded process-wide state stays guarded.
 
 The repo has a small amount of deliberately process-wide mutable state
-(geometry memos, shm attachment refcounts, kernel dispatch flags).  Each
+(geometry memos, shm attachment refcounts, the sketch grid cache).  Each
 piece is registered here with its owning lock; the checker then enforces
 that **every lexical mention** of the guarded name sits either inside a
 ``with <lock>:`` block or inside one of its registered lock-free
@@ -80,18 +80,6 @@ GUARDED_STATE: tuple[GuardedGlobal, ...] = (
         module="repro/cache/sketch.py",
         name="_GRID_CACHE",
         lock="_GRID_LOCK",
-    ),
-    GuardedGlobal(
-        module="repro/kernels.py",
-        name="_VECTORIZED",
-        lock="_KERNEL_STATE_LOCK",
-        accessors=("use_vectorized", "use_mega_batch"),
-    ),
-    GuardedGlobal(
-        module="repro/kernels.py",
-        name="_MEGA_BATCH",
-        lock="_KERNEL_STATE_LOCK",
-        accessors=("use_mega_batch",),
     ),
 )
 

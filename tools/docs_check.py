@@ -11,7 +11,9 @@ any is stale:
 * dotted module/function paths (``repro.runner.pool``,
   ``repro.experiments.run_sweep``,
   ``repro.sched.cost_model.latency_curves_batch``) — the longest module
-  prefix must import and any remaining attribute chain must resolve;
+  prefix must import and any remaining attribute chain must resolve.
+  Every dotted ``repro`` name inside an inline code span counts, also
+  one followed by a call or other text (``repro.x.f(...)``);
 * repo file paths (``benchmarks/bench_fig11_single_threaded.py``,
   ``src/repro/...``) — must exist (shell globs are expanded);
 * imports in ``python`` code blocks — each block must parse, and every
@@ -73,6 +75,8 @@ _FENCE = re.compile(r"```.*?\n(.*?)```", re.S)
 _PYTHON_FENCE = re.compile(r"```(?:python|py)[ \t]*\n(.*?)```", re.S)
 _INLINE = re.compile(r"`([^`\n]+)`")
 _MODULE = re.compile(r"^repro(\.[A-Za-z_][A-Za-z0-9_]*)+$")
+#: A dotted ``repro`` name anywhere in a code span (not part of a path).
+_DOTTED = re.compile(r"(?<![\w./])repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 _PATHISH = re.compile(
     r"^(?:src|docs|benchmarks|tests|examples|tools)/[\w./*\-]+$"
 )
@@ -180,12 +184,12 @@ def resolve_dotted_path(span: str) -> str | None:
 def check_modules_and_paths(
     text: str, origin: str, problems: list[str]
 ) -> None:
-    for span in _INLINE.findall(text) + text.split():
+    spans = _INLINE.findall(text)
+    names = {name: None for span in spans for name in _DOTTED.findall(span)}
+    for span in spans + text.split():
         span = span.strip().rstrip(".,;:)")
         if _MODULE.match(span):
-            problem = resolve_dotted_path(span)
-            if problem is not None:
-                problems.append(f"{origin}: {problem}")
+            names[span] = None
         elif _PATHISH.match(span):
             if span in _BUILD_OUTPUTS:
                 continue
@@ -196,6 +200,10 @@ def check_modules_and_paths(
                     )
             elif not (REPO / span).exists():
                 problems.append(f"{origin}: path {span!r} does not exist")
+    for name in names:
+        problem = resolve_dotted_path(name)
+        if problem is not None:
+            problems.append(f"{origin}: {problem}")
 
 
 def _repro_imports(tree: ast.AST) -> list[str]:

@@ -80,13 +80,17 @@ def _recorded_steps(calls: dict[str, list]):
     """Record the optimistic centers and trade counts of every solve.
 
     Neither is part of a solve's result, so the two step functions are
-    wrapped in their own modules for the duration; the full and the
-    incremental solve reach them through those module globals.
+    wrapped, for the duration, under the names the pipeline calls them
+    by: ``place_optimistic`` in ``repro.sched.reconfigure`` and
+    ``trade_refinement`` in its own module.
     """
-    import repro.sched.refinement as refinement
-    import repro.sched.vc_placement as vc_placement
+    import importlib
 
-    place = vc_placement.place_optimistic_vectorized
+    import repro.sched.refinement as refinement
+
+    # The package re-exports the function under the module's name.
+    reconfigure = importlib.import_module("repro.sched.reconfigure")
+    place = reconfigure.place_optimistic
     trade = refinement.trade_refinement
 
     def recorded_place(*args, **kwargs):
@@ -101,12 +105,12 @@ def _recorded_steps(calls: dict[str, list]):
         calls["trades"].append(trades)
         return trades
 
-    vc_placement.place_optimistic_vectorized = recorded_place
+    reconfigure.place_optimistic = recorded_place
     refinement.trade_refinement = recorded_trade
     try:
         yield
     finally:
-        vc_placement.place_optimistic_vectorized = place
+        reconfigure.place_optimistic = place
         refinement.trade_refinement = trade
 
 
@@ -254,7 +258,7 @@ def placement_records() -> list[dict]:
     return records
 
 
-def _dump(records: list[dict]) -> str:
+def dump_records(records: list[dict]) -> str:
     """One line per record field: diffs point at the step that moved."""
     rows = [
         "{\n  " + ",\n  ".join(
@@ -268,7 +272,7 @@ def _dump(records: list[dict]) -> str:
 
 def main() -> None:
     records = placement_records()
-    GOLDEN.write_text(_dump(records))
+    GOLDEN.write_text(dump_records(records))
     print(f"golden_placement: wrote {len(records)} records to {GOLDEN}")
 
 
