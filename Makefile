@@ -5,7 +5,7 @@ PY      := python
 PYPATH  := PYTHONPATH=src
 JOBS    ?= 2
 
-.PHONY: test test-fast test-locks coverage lint analyze bench-smoke run-smoke bench bench-kernels bench-runner bench-solver bench-solver-scale bench-sketch bench-compare perfbench-selftest docs-check check clean
+.PHONY: test test-fast test-sum312 test-locks coverage lint analyze bench-smoke run-smoke bench bench-kernels bench-runner bench-solver bench-solver-scale bench-sketch bench-compare perfbench-selftest docs-check check clean
 
 ## Tier-1 verification: the full unit/integration suite, then the docs
 ## checker — stale docs fail `make test` locally, not just in review.
@@ -16,6 +16,12 @@ test:
 ## The same suite minus the slow end-to-end tests.
 test-fast:
 	$(PYPATH) $(PY) -m pytest -x -q -m "not slow"
+
+## The fast suite under CPython 3.12's sum(), which compensates float
+## additions: tests/sum312.py patches it in for the whole session, so
+## any Python shows that no result depends on which sum() ran.
+test-sum312:
+	PYTHONPATH=src:tests $(PY) -m pytest -x -q -m "not slow" -p sum312
 
 ## The concurrency suites under the REPRO_CHECK_LOCKS=1 harness: every
 ## access to registered shared state asserts its owning lock is held

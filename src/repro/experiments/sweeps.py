@@ -26,9 +26,10 @@ from repro.geometry.mesh import Mesh, seed_shared_geometry
 from repro.model.metrics import gmean, inverse_cdf, weighted_speedup
 from repro.model.system import AnalyticSystem, MixEvaluation
 from repro.nuca import SCHEMES, standard_schemes
-from repro.nuca.base import NucaScheme, build_problem
+from repro.nuca.base import NucaScheme, SchemeResult, build_problem
 from repro.nuca.sharing import solve_sharing_plans
 from repro.runner import Job, ProcessPoolRunner, register_batchable, run_jobs
+from repro.sched.reconfigure import reconfigure_schemes
 from repro.util.hashing import content_digest
 from repro.util.rng import reseed_global
 from repro.util.sums import ordered_sums
@@ -202,8 +203,10 @@ def _mix_points_batched(
 
     1. per slice (reseeded like ``Job.execute``): build the mix, warm the
        alone cache, run each scheme up to its sharing solve — S-NUCA and
-       R-NUCA *stage* their solves as :class:`SharingPlan`s, the
-       placement schemes run fully;
+       R-NUCA *stage* their solves as :class:`SharingPlan`s, Jigsaw+C
+       and Jigsaw+R solve as the two lanes of one
+       :func:`~repro.sched.reconfigure.reconfigure_schemes` call (one
+       miss-driven allocation between them), CDCS runs fully;
     2. one :func:`solve_sharing_plans` call merges every staged solve
        into a single lockstep bisection, then each scheme's
        ``finish_sharing`` folds its occupancy slice back in;
@@ -229,8 +232,10 @@ def _mix_points_batched(
         # four redundant constructions (and lets the evaluator group all
         # five solutions under one geometry object).
         problem = build_problem(mix, config)
+        lanes = []  # (entry_idx, scheme name, reconfigure_schemes lane)
         for scheme in standard_schemes(mix_id):
             stage = getattr(scheme, "sharing_stage", None)
+            lane = getattr(scheme, "lane", None)
             if stage is not None:
                 plan, context = stage(problem)
                 if plan is None:
@@ -245,8 +250,16 @@ def _mix_points_batched(
                          context)
                     )
                     plans.append(plan)
+            elif lane is not None:
+                entries.append([scheme, problem, None])
+                lanes.append((len(entries) - 1, scheme.name, lane(problem)))
             else:
                 entries.append([scheme, problem, scheme.run(problem)])
+        solved = reconfigure_schemes(problem, [lane for _, _, lane in lanes])
+        for (e, name, _), result in zip(lanes, solved):
+            entries[e][2] = SchemeResult(
+                name, result.solution, result.step_cycles()
+            )
         per_slice.append((mix, alone, entries))
 
     for (s, e, scheme, problem, context), occupancies in zip(

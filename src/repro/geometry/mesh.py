@@ -554,7 +554,7 @@ class Topology(ABC):
         center would quietly dominate the sparse footprint."""
         cached = self._distance_order_cache.get(center)
         if cached is None:
-            cached = [int(t) for t in self.order_matrix[center]]
+            cached = self.order_matrix[center].tolist()
             if not getattr(self.order_matrix, "is_lazy", False):
                 self._distance_order_cache[center] = cached
         return cached

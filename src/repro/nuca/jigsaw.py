@@ -34,10 +34,13 @@ class Jigsaw(NucaScheme):
             return clustered_thread_placement(problem)
         return random_thread_placement(problem, self.seed)
 
+    def lane(
+        self, problem: PlacementProblem
+    ) -> tuple[ReconfigPolicy, dict[int, int]]:
+        """This scheme's ``(policy, external_thread_cores)`` lane of a
+        :func:`~repro.sched.reconfigure.reconfigure_schemes` call."""
+        return ReconfigPolicy.jigsaw(), self.thread_cores(problem)
+
     def run(self, problem: PlacementProblem) -> SchemeResult:
-        result = reconfigure(
-            problem,
-            ReconfigPolicy.jigsaw(),
-            external_thread_cores=self.thread_cores(problem),
-        )
+        result = reconfigure(problem, *self.lane(problem))
         return SchemeResult(self.name, result.solution, result.step_cycles())

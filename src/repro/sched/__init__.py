@@ -28,7 +28,12 @@ from repro.sched.cost_model import (
 )
 from repro.sched.opcount import CYCLES_PER_OP, StepCounter
 from repro.sched.problem import PlacementProblem, PlacementSolution, ThreadSpec
-from repro.sched.reconfigure import ReconfigPolicy, ReconfigResult, reconfigure
+from repro.sched.reconfigure import (
+    ReconfigPolicy,
+    ReconfigResult,
+    reconfigure,
+    reconfigure_schemes,
+)
 from repro.sched.refinement import (
     greedy_placement,
     refined_placement,
@@ -73,6 +78,7 @@ __all__ = [
     "place_threads",
     "random_thread_placement",
     "reconfigure",
+    "reconfigure_schemes",
     "refined_placement",
     "total_latency",
     "trade_refinement",

@@ -169,8 +169,20 @@ def _ensure_minimum_quanta(
     curve loses the least by shrinking (never from the middle of a cliff).
     *vcs* are the VCs behind *sizes* and *curves*, so donors come only from
     the VCs being allocated.
+
+    Donors come off a heap of ``(loss, index)``, built when the spare
+    budget first runs out: it pops the lowest index among equal losses,
+    as a ``min`` scan over the candidates would.  Only a donor's size and
+    loss change, and a VC given its one quantum never becomes a donor,
+    so a donor goes back on with its new loss while its size stays
+    above 1 and every entry on the heap is current.
     """
+
+    def loss(j: int):
+        return curves[j][sizes[j] - 1] - curves[j][sizes[j]]
+
     spare = budget - sum(sizes)
+    donors = None
     for i, vc in enumerate(vcs):
         if sizes[i] > 0:
             continue
@@ -180,14 +192,15 @@ def _ensure_minimum_quanta(
         if spare > 0:
             spare -= 1
         else:
-            candidates = [j for j in range(len(sizes)) if sizes[j] > 1]
-            if not candidates:
+            if donors is None:
+                donors = [(loss(j), j) for j in range(len(sizes)) if sizes[j] > 1]
+                heapq.heapify(donors)
+            if not donors:
                 continue  # nothing sensible to steal
-            donor = min(
-                candidates,
-                key=lambda j: curves[j][sizes[j] - 1] - curves[j][sizes[j]],
-            )
+            _, donor = heapq.heappop(donors)
             sizes[donor] -= 1
+            if sizes[donor] > 1:
+                heapq.heappush(donors, (loss(donor), donor))
         sizes[i] = 1
 
 

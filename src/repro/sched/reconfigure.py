@@ -7,10 +7,14 @@
 3. thread placement                           (Sec IV-E)
 4. refined VC placement (greedy + trades)     (Sec IV-F)
 
-It is the only place the steps are written.  Every strategy of
-:mod:`repro.sched.engine` solves through it: cold, or warm-started with a
-*pinned* part of the previous solution that keeps its place while the
-rest is solved around it (the periodic runtime of Sec IV-G).
+The steps are written once, for this and for
+:func:`reconfigure_schemes`, which solves several schemes of one problem
+in one call and runs what depends on the allocator alone once.  Every
+strategy of :mod:`repro.sched.engine` solves through ``reconfigure``:
+cold, or warm-started with a *pinned* part of the previous solution that
+keeps its place while the rest is solved around it (the periodic runtime
+of Sec IV-G).  A policy that does not place threads never reads the
+optimistic placement, so its solve only counts that step's ops.
 
 :class:`ReconfigPolicy` toggles each CDCS ingredient independently, which
 is exactly the factor analysis of Fig 12: Jigsaw+R is all toggles off with
@@ -21,7 +25,9 @@ enables thread placement; +D enables trade refinement; +LTD is CDCS.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +38,11 @@ from repro.sched.opcount import StepCounter
 from repro.sched.problem import PlacementProblem, PlacementSolution
 from repro.sched.refinement import refined_placement
 from repro.sched.thread_placement import place_threads
-from repro.sched.vc_placement import OptimisticPlacement, place_optimistic
+from repro.sched.vc_placement import (
+    OptimisticPlacement,
+    count_optimistic_ops,
+    place_optimistic,
+)
 
 
 @dataclass(frozen=True)
@@ -110,48 +120,6 @@ class ReconfigResult:
         return self.counter.total_cycles()
 
 
-def _optimistic_for(
-    problem: PlacementProblem,
-    sizes: dict[int, float],
-    counter: StepCounter,
-):
-    """:func:`place_optimistic`, memoized per problem object.
-
-    The optimistic placement depends only on (problem, sizes) — policies
-    that share both (Jigsaw's clustered and random variants differ only in
-    thread placement, which runs later) recompute it identically.  The
-    memo lives on the problem object, so it ends with the problem; hits
-    replay the recorded op counts (``StepCounter.add`` aggregates, so a
-    bulk add equals the loop's unit adds) and every caller gets a private
-    copy, since refinement treats the placement as scratch state.
-    """
-    key = tuple(sorted(sizes.items()))
-    memo = getattr(problem, "_optimistic_memo", None)
-    if memo is None:
-        memo = problem._optimistic_memo = {}
-
-    def private_copy(placement):
-        return type(placement)(
-            {vc: dict(banks) for vc, banks in placement.footprints.items()},
-            dict(placement.centers),
-            dict(placement.centroids),
-            placement.claimed.copy(),
-        )
-
-    hit = memo.get(key)
-    if hit is not None:
-        placement, ops = hit
-        for step, count in ops.items():
-            counter.add(step, count)
-        return private_copy(placement)
-    sub = StepCounter()
-    placement = place_optimistic(problem, sizes, sub)
-    memo[key] = (placement, dict(sub.ops))
-    for step, count in sub.ops.items():
-        counter.add(step, count)
-    return private_copy(placement)
-
-
 def _pinned_optimistic(
     problem: PlacementProblem,
     sizes: dict[int, float],
@@ -191,13 +159,36 @@ def _pinned_optimistic(
     return optimistic
 
 
+def _private_copy(placement: OptimisticPlacement) -> OptimisticPlacement:
+    return OptimisticPlacement(
+        {vc: dict(banks) for vc, banks in placement.footprints.items()},
+        dict(placement.centers),
+        dict(placement.centroids),
+        placement.claimed.copy(),
+    )
+
+
+def _once(memo: dict, key, counter: StepCounter, compute):
+    """``compute(sub_counter)`` the first time a call asks for *key*;
+    every asker adds the op counts it recorded to *counter*
+    (``StepCounter.add`` aggregates, so the bulk adds equal the loop's
+    unit adds, key order included)."""
+    if key not in memo:
+        sub = StepCounter()
+        memo[key] = compute(sub), sub.ops
+    value, ops = memo[key]
+    for step, count in ops.items():
+        counter.add(step, count)
+    return value
+
+
 def reconfigure(
     problem: PlacementProblem,
     policy: ReconfigPolicy | None = None,
     external_thread_cores: dict[int, int] | None = None,
     pinned: PlacementSolution | None = None,
 ) -> ReconfigResult:
-    """Run one reconfiguration: the four steps, written once.
+    """Run one reconfiguration: the four steps.
 
     If the policy does not place threads, *external_thread_cores* must give
     the fixed assignment (Jigsaw's clustered/random schedulers).
@@ -212,20 +203,41 @@ def reconfigure(
     capacity, and trades initiated by unpinned VCs.  An external thread
     placement still fixes every core.  Pinned solves allocate through the
     latency-aware allocator, so a policy without it raises
-    ``ValueError``.  With nothing pinned this is the full pipeline.
+    ``ValueError``.  With nothing pinned this is the one-lane
+    :func:`reconfigure_schemes` call.
     """
-    policy = policy or ReconfigPolicy.cdcs()
-    counter = StepCounter()
-    wall: dict[str, float] = {}
+    return _solve_lanes(problem, [(policy, external_thread_cores)], pinned)[0]
+
+
+def reconfigure_schemes(
+    problem: PlacementProblem,
+    lanes: Sequence[tuple[ReconfigPolicy | None, dict[int, int] | None]],
+) -> list[ReconfigResult]:
+    """Solve several schemes of one problem, nothing pinned: one result
+    per ``(policy, external_thread_cores)`` lane, each equal to
+    ``reconfigure(problem, policy, external_thread_cores)`` in solution,
+    op counts and modeled cycles (only its wall times differ).
+
+    What depends on the allocator alone runs once per call: each
+    allocator, and the optimistic placement of its sizes when a lane
+    places threads.  Later lanes add the recorded op counts to their own
+    counters and get private copies.  Jigsaw+C and Jigsaw+R differ only
+    in their external thread placement, so they share both.
+    """
+    return _solve_lanes(problem, lanes, None)
+
+
+def _solve_lanes(
+    problem: PlacementProblem,
+    lanes: Sequence[tuple[ReconfigPolicy | None, dict[int, int] | None]],
+    pinned: PlacementSolution | None,
+) -> list[ReconfigResult]:
+    """The four steps, the only place they are written, for every lane
+    of one problem (see :func:`reconfigure` for *pinned*)."""
     free_vcs = free_threads = budget = None  # None: nothing is pinned
     if pinned is None:
         pinned = PlacementSolution()
     else:
-        if not policy.latency_aware_allocation:
-            raise ValueError(
-                "pinned solves need latency-aware allocation; policy "
-                f"{policy.label()} allocates miss-driven"
-            )
         free_vcs = {vc.vc_id for vc in problem.vcs} - set(pinned.vc_sizes)
         free_threads = {
             t.thread_id for t in problem.threads
@@ -236,62 +248,94 @@ def reconfigure(
             for size in pinned.vc_sizes.values()
         )
 
-    t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
-    if policy.latency_aware_allocation:
-        sizes = {
-            **pinned.vc_sizes,
-            **allocate_latency_aware(problem, counter, free_vcs, budget),
-        }
-    else:
-        sizes = allocate_miss_driven(problem, counter)
-    wall["allocation"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
+    def allocate(latency_aware: bool, counter: StepCounter):
+        if latency_aware:
+            return {
+                **pinned.vc_sizes,
+                **allocate_latency_aware(problem, counter, free_vcs, budget),
+            }
+        return allocate_miss_driven(problem, counter)
 
-    t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
-    if free_vcs is None:
-        optimistic = _optimistic_for(problem, sizes, counter)
-    else:
-        optimistic = _pinned_optimistic(
+    def place(sizes: dict[int, float], counter: StepCounter):
+        if free_vcs is None:
+            return place_optimistic(problem, sizes, counter)
+        return _pinned_optimistic(
             problem, sizes, counter, pinned.vc_allocation, free_vcs,
             free_threads,
         )
-    wall["vc_placement"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
 
-    t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
-    if policy.place_threads:
-        placed = place_threads(
-            problem, sizes, optimistic, counter,
-            only_threads=free_threads,
-            taken_cores=set(pinned.thread_cores.values()),
-        )
-        thread_cores = {**pinned.thread_cores, **placed}
-    else:
-        if external_thread_cores is None:
+    # Keyed by the allocator: within one call it fixes the sizes.
+    allocations: dict[bool, tuple] = {}
+    placements: dict[bool, tuple] = {}
+    results = []
+    for policy, external_thread_cores in lanes:
+        policy = policy or ReconfigPolicy.cdcs()
+        latency_aware = policy.latency_aware_allocation
+        if free_vcs is not None and not latency_aware:
             raise ValueError(
-                "policy does not place threads; provide external_thread_cores"
+                "pinned solves need latency-aware allocation; policy "
+                f"{policy.label()} allocates miss-driven"
             )
-        missing = {t.thread_id for t in problem.threads} - set(
-            external_thread_cores
+        counter = StepCounter()
+        wall: dict[str, float] = {}
+
+        t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
+        sizes = dict(_once(
+            allocations, latency_aware, counter, partial(allocate, latency_aware)
+        ))
+        wall["allocation"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
+
+        t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
+        if policy.place_threads:
+            optimistic = _private_copy(_once(
+                placements, latency_aware, counter, partial(place, sizes)
+            ))
+        else:
+            # Only thread placement reads the optimistic placement.
+            count_optimistic_ops(problem, sizes, counter, free_vcs)
+        wall["vc_placement"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
+
+        t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
+        if policy.place_threads:
+            placed = place_threads(
+                problem, sizes, optimistic, counter,
+                only_threads=free_threads,
+                taken_cores=set(pinned.thread_cores.values()),
+            )
+            thread_cores = {**pinned.thread_cores, **placed}
+        else:
+            if external_thread_cores is None:
+                raise ValueError(
+                    "policy does not place threads; provide external_thread_cores"
+                )
+            missing = {t.thread_id for t in problem.threads} - set(
+                external_thread_cores
+            )
+            if missing:
+                raise ValueError(
+                    f"external placement misses threads {sorted(missing)}"
+                )
+            thread_cores = dict(external_thread_cores)
+        wall["thread_placement"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
+
+        t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
+        allocation = refined_placement(
+            problem, sizes, thread_cores, counter,
+            trades=policy.trade_refinement,
+            only_vcs=free_vcs,
+            preplaced=pinned.vc_allocation,  # greedy seeding copies each map
         )
-        if missing:
-            raise ValueError(f"external placement misses threads {sorted(missing)}")
-        thread_cores = dict(external_thread_cores)
-    wall["thread_placement"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
+        wall["data_placement"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
 
-    t0 = time.perf_counter()  # repro: allow[determinism] reported wall time, never a decision input
-    allocation = refined_placement(
-        problem, sizes, thread_cores, counter,
-        trades=policy.trade_refinement,
-        only_vcs=free_vcs,
-        preplaced=pinned.vc_allocation,  # greedy seeding copies each map
-    )
-    wall["data_placement"] = time.perf_counter() - t0  # repro: allow[determinism] reported wall time, never a decision input
-
-    solution = PlacementSolution(
-        vc_sizes={vc_id: sum(per.values()) for vc_id, per in allocation.items()},
-        vc_allocation=allocation,
-        thread_cores=thread_cores,
-    )
-    return ReconfigResult(solution, counter, wall)
+        solution = PlacementSolution(
+            vc_sizes={
+                vc_id: sum(per.values()) for vc_id, per in allocation.items()
+            },
+            vc_allocation=allocation,
+            thread_cores=thread_cores,
+        )
+        results.append(ReconfigResult(solution, counter, wall))
+    return results
 
 
 def reconfigure_epoch(

@@ -219,6 +219,7 @@ def greedy_placement(
         allocation[vc_id] = dict(per_bank)
         for bank, amount in per_bank.items():
             free[bank] -= amount
+    free = free.tolist()  # the same doubles, read without NumPy scalars
 
     states = []
     core_weights: list[dict[int, float]] = []
@@ -250,6 +251,7 @@ def greedy_placement(
     # between neighboring big VCs hurts (Fig 1b) — a fairer interleaving
     # would mask the pathology CDCS exists to fix.
     active = [s for s in states if s["remaining"] > 0]
+    takes = 0
     while active:
         still_active = []
         for state in active:
@@ -261,8 +263,8 @@ def greedy_placement(
             if state["ptr"] >= len(state["order"]):
                 continue  # chip full: drop the tail of this VC's demand
             bank = state["order"][state["ptr"]]
-            take = min(state["remaining"], float(free[bank]))
-            counter.add("data_placement")
+            take = min(state["remaining"], free[bank])
+            takes += 1
             free[bank] -= take
             state["remaining"] -= take
             alloc = allocation[state["vc_id"]]
@@ -270,6 +272,8 @@ def greedy_placement(
             if state["remaining"] > 1e-9:
                 still_active.append(state)
         active = still_active
+    if takes:  # no take creates no key, as with one add per take
+        counter.add("data_placement", takes)
     return allocation
 
 

@@ -88,13 +88,41 @@ def _least_contended(contention: np.ndarray, spread: np.ndarray) -> int:
     (ulps over ``1e-9``) equal keys mean equal values.  The survivors
     are in id order and ``lexsort`` is stable, so full ties settle on
     the lowest candidate id like that scan.  A lone survivor holds
-    the minimum key by itself and wins without either.
+    the minimum key by itself and wins without either, and survivors
+    of one exact contention value skip the rounding.
     """
     near = np.flatnonzero(contention <= contention.min() + 2e-9)
     if len(near) == 1:
         return int(near[0])
-    rounded = np.array([round(c, 9) for c in contention[near].tolist()])
+    values = contention[near]
+    if values.min() == values.max():
+        # Equal values round to one key: the least spread wins, and
+        # ``argmin`` keeps the lowest id among equal spreads.
+        return int(near[spread[near].argmin()])
+    rounded = np.array([round(c, 9) for c in values.tolist()])
     return int(near[np.lexsort((spread[near], rounded))[0]])
+
+
+def count_optimistic_ops(
+    problem: PlacementProblem,
+    vc_sizes: dict[int, float],
+    counter: StepCounter,
+    vc_ids: set[int] | None = None,
+) -> None:
+    """Count the ``vc_placement`` ops :func:`place_optimistic` would,
+    without placing: ``tiles x window length`` per VC it visits.
+    Neither factor reads the claimed tally, so the count is exact, and
+    the counter gains the key exactly when the loop would create it.
+    """
+    topo = problem.topology
+    order = _placement_order(problem, vc_sizes, vc_ids)
+    if order:
+        counter.add("vc_placement", sum(
+            topo.tiles * len(compact_window_weights(
+                topo, vc_sizes[vc.vc_id] / problem.bank_bytes
+            ))
+            for vc in order
+        ))
 
 
 def place_optimistic(

@@ -145,8 +145,11 @@ def place_optimistic(
         for candidate in range(topo.tiles):
             window = compact_placement(topo, candidate, size_banks)
             counter.add("vc_placement", len(window))
+            # Python's round of a float: round() of an np.float64 is
+            # NumPy's scale-and-rint, not correctly rounded, and can fall
+            # on the other side of a 9th-decimal half-way point.
             key = (
-                round(window_contention(claimed, window), 9),
+                round(float(window_contention(claimed, window)), 9),
                 placement_mean_distance(topo, candidate, window),
             )
             if best_key is None or key < best_key:

@@ -134,3 +134,66 @@ def test_hull_memos_key_on_dtype_not_just_bytes():
     assert allocation._hull_of(alias) == tuple(convex_hull_indices(alias))
     assert walk(alias) == cold_alias
     assert all(isinstance(h, tuple) for h in allocation._HULL_CACHE.values())
+
+
+def reference_minimum_quanta(rates, sizes, budget, curves) -> None:
+    """The donor pick the heap replaced: a ``min`` scan over every VC
+    above one quantum, the lowest index among equal losses."""
+    spare = budget - sum(sizes)
+    for i in range(len(sizes)):
+        if sizes[i] > 0 or rates[i] <= 0:
+            continue
+        if spare > 0:
+            spare -= 1
+        else:
+            candidates = [j for j in range(len(sizes)) if sizes[j] > 1]
+            if not candidates:
+                continue
+            donor = min(
+                candidates,
+                key=lambda j: curves[j][sizes[j] - 1] - curves[j][sizes[j]],
+            )
+            sizes[donor] -= 1
+        sizes[i] = 1
+
+
+def test_minimum_quanta_donors_match_the_min_scan():
+    """Seeded cases with many starved VCs, little or no spare budget,
+    and losses drawn from a few values so ties are common: the heap's
+    donors leave every size equal to the scan's."""
+
+    class Rates:
+        def __init__(self, rates):
+            self.rates = rates
+
+        def accessors_of(self, vc_id):
+            return {0: self.rates[vc_id]}
+
+    class Vc:
+        def __init__(self, vc_id):
+            self.vc_id = vc_id
+
+    rng = np.random.default_rng(11)
+    steals = ties = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        quanta = 12
+        steps = rng.choice([0.0, 0.5, 1.0, 2.0], (n, quanta))
+        curves = [np.cumsum(row[::-1])[::-1].copy() for row in steps]
+        sizes = [
+            int(s) if rng.random() < 0.6 else 0
+            for s in rng.integers(1, quanta, n)
+        ]
+        rates = rng.choice([0.0, 1.0, 3.0], n).tolist()
+        budget = sum(sizes) + int(rng.integers(0, 3))
+        want = list(sizes)
+        reference_minimum_quanta(rates, want, budget, curves)
+        got = list(sizes)
+        allocation._ensure_minimum_quanta(
+            Rates(rates), [Vc(i) for i in range(n)], got, budget, curves
+        )
+        assert got == want
+        steals += any(g < s for g, s in zip(got, sizes))
+        losses = [c[s - 1] - c[s] for c, s in zip(curves, sizes) if s > 1]
+        ties += len(set(losses)) < len(losses)
+    assert steals > 100 and ties > 100

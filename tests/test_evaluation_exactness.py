@@ -32,13 +32,13 @@ from __future__ import annotations
 import builtins
 import dataclasses
 import functools
-import math
 import operator
 
 import numpy as np
 import pytest
 
 from oracles import ordered_sum, scalar_reference
+from sum312 import sum_python_312
 from repro.cache.miss_curve import MissCurve, MissCurveBatch, flat_curve
 from repro.config import default_config, small_test_config
 from repro.experiments import sweeps
@@ -761,49 +761,6 @@ def test_ordered_sums_match_a_loop_from_zero():
     assert ordered_sums(np.zeros((5, 0))).tolist() == [0.0] * 5
 
 
-def _patched_sum_python_312(iterable, /, start=0):
-    """``sum()`` as CPython 3.12 computes it: exact ``float`` items are
-    added with Neumaier compensation, added back at the end (or before
-    the first item that is neither an int nor an exact float, from which
-    on items are added one by one, as ``np.float64`` items are)."""
-    it = iter(iterable)
-    result = start
-    if type(result) is int:
-        for item in it:
-            if type(item) is int or type(item) is bool:
-                result += item
-                continue
-            result = result + item
-            break
-        else:
-            return result
-    if type(result) is float:
-        total, comp = result, 0.0
-        for item in it:
-            if type(item) is float:
-                t = total + item
-                if abs(total) >= abs(item):
-                    comp += (total - t) + item
-                else:
-                    comp += (item - t) + total
-                total = t
-                continue
-            if isinstance(item, int) and -2**63 <= item < 2**63:
-                total += float(item)
-                continue
-            if comp and math.isfinite(comp):
-                total += comp
-            result = total + item
-            break
-        else:
-            if comp and math.isfinite(comp):
-                total += comp
-            return total
-    for item in it:
-        result = result + item
-    return result
-
-
 def _sum_left_to_right(iterable, /, start=0):
     """``sum()`` as CPython computes it up to 3.11: one add at a time."""
     return functools.reduce(operator.add, iterable, start)
@@ -850,7 +807,7 @@ def test_evaluation_does_not_depend_on_the_sum_builtin(monkeypatch):
     left-to-right ``sum()`` (patching both makes the check mean the same
     on every Python), the sweep point is still identical with the
     oracles patched in, and the evaluation still equals its oracle."""
-    patched = _patched_sum_python_312
+    patched = sum_python_312
     assert patched([0.1] * 10) == 1.0
     assert patched([np.float64(0.1)] * 10) == ordered_sum([0.1] * 10) != 1.0
     assert _sum_left_to_right([0.1] * 10) == ordered_sum([0.1] * 10)

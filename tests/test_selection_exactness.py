@@ -28,9 +28,12 @@ vector against the chunked ``cumsum`` row, byte for byte, and
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from oracles import place_optimistic as oracle_place_optimistic
 from oracles import sequential_weighted_row_sum
 from repro.geometry.mesh import (
     Mesh,
@@ -45,9 +48,13 @@ from repro.geometry.placement_math import (
     weighted_center_tile,
     weighted_center_tiles,
 )
+from repro.sched import vc_placement
+from repro.sched.allocation import allocate_latency_aware
 from repro.sched.engine import _rate_distance
+from repro.sched.opcount import StepCounter
 from repro.sched.refinement import DistanceVectors, _sequential_weighted_row_sum
-from repro.sched.vc_placement import _least_contended
+from repro.sched.vc_placement import _least_contended, place_optimistic
+from repro.testing import golden_problem, small_problem
 
 CASES = 600
 
@@ -179,6 +186,49 @@ def test_least_contended_on_chip_scale_values():
         assert _least_contended(values, spread) == reference_least_contended(
             values, spread
         )
+
+
+def test_least_contended_branches_match_the_oracle_placement(monkeypatch):
+    """Both sorting branches inside whole placements, against the
+    window-by-window scan of ``tests/oracles.py``: survivors of one
+    exact contention value (the least spread wins without rounding) and
+    distinct survivors within ``2e-9`` (rounded and sorted).  The golden
+    fig11 problem's cold placement takes the first; a 4x4 problem whose
+    claimed tally starts on 9th-decimal rounding boundaries, a few ulps
+    either side, takes the second."""
+    branches = Counter()
+
+    def classified(contention, spread):
+        near = contention[contention <= contention.min() + 2e-9]
+        if len(near) == 1:
+            branches["lone"] += 1
+        elif near.min() == near.max():
+            branches["equal"] += 1
+        else:
+            branches["rounded"] += 1
+        return _least_contended(contention, spread)
+
+    monkeypatch.setattr(vc_placement, "_least_contended", classified)
+    cases = [(golden_problem(), None)]
+    problem, _ = small_problem()
+    tiles = problem.topology.tiles
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        claimed = 1.0 + rng.integers(0, 3, tiles) * 1e-9 + rng.choice(
+            [0.0, 0.5e-9], tiles
+        )
+        cases.append((problem, _nudge(claimed, rng.integers(-2, 3, tiles))))
+    for problem, claimed in cases:
+        sizes = allocate_latency_aware(problem)
+        fast, slow = StepCounter(), StepCounter()
+        got = place_optimistic(problem, sizes, fast, claimed_init=claimed)
+        want = oracle_place_optimistic(problem, sizes, slow, claimed_init=claimed)
+        assert got.centers == want.centers
+        assert got.footprints == want.footprints
+        assert got.centroids == want.centroids
+        assert got.claimed.tobytes() == want.claimed.tobytes()
+        assert fast.ops == slow.ops
+    assert branches["equal"] > 0 and branches["rounded"] > 0, branches
 
 
 def test_prefix_minimum_scan_matches_full_scan():

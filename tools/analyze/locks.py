@@ -3,12 +3,11 @@
 The repo has a small amount of deliberately process-wide mutable state
 (geometry memos, shm attachment refcounts, the sketch grid cache).  Each
 piece is registered here with its owning lock; the checker then enforces
-that **every lexical mention** of the guarded name sits either inside a
-``with <lock>:`` block or inside one of its registered lock-free
-accessors.  The registry — not the checker — is where a new piece of
-shared state gets reviewed: adding state without registering it is
-invisible to the tool, so docs/ANALYSIS.md requires registration in the
-same change that introduces the state.
+that **every lexical mention** of the guarded name inside a function sits
+inside a ``with <lock>:`` block.  The registry — not the checker — is
+where a new piece of shared state gets reviewed: adding state without
+registering it is invisible to the tool, so docs/ANALYSIS.md requires
+registration in the same change that introduces the state.
 
 A second registry lists *documented-atomic* globals: state that is
 intentionally unlocked because every access is a single GIL-atomic
@@ -44,9 +43,6 @@ class GuardedGlobal:
     module: str  # repo-relative path suffix owning the state
     name: str  # the module-level global
     lock: str  # lock object in the same module
-    #: Functions allowed to touch the state without the lock (reviewed
-    #: lock-free fast paths, e.g. GIL-atomic single-bool reads).
-    accessors: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -68,8 +64,6 @@ GUARDED_STATE: tuple[GuardedGlobal, ...] = (
         module="repro/geometry/mesh.py",
         name="_GEOMETRY_STATS",
         lock="_GEOMETRY_LOCK",
-        # Stats snapshots/resets are reviewed helpers that take the lock
-        # themselves; no lock-free accessors.
     ),
     GuardedGlobal(
         module="repro/runner/shm.py",
@@ -157,7 +151,7 @@ class LockDisciplineRule(Rule):
     name = "lock-discipline"
     invariant = (
         "every access to registered process-wide state is lexically "
-        "inside its owning with-lock block or a registered accessor"
+        "inside its owning with-lock block"
     )
 
     def check(self, module: ModuleSource) -> list[Finding]:
@@ -213,15 +207,11 @@ class LockDisciplineRule(Rule):
             # guarded_mapping() wrapper construction) — the only legal
             # unlocked touch, since imports are single-threaded.
             return
-        if func in entry.accessors:
-            return
         if entry.lock in _with_locks(node, parents):
             return
         self._emit(
             out,
             module,
             node,
-            f"access to {entry.name} outside 'with {entry.lock}:' "
-            f"(registered accessors: "
-            f"{', '.join(entry.accessors) or 'none'})",
+            f"access to {entry.name} outside 'with {entry.lock}:'",
         )

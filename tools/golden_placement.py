@@ -29,8 +29,10 @@ banks and byte amounts (integer-valued by construction: quanta and bank
 sizes are whole bytes), the trade count, and ``StepCounter.ops``; the
 split solves add their strategy tag and ``modeled_cycles()``, op counts
 times a fixed cycles-per-op.  An epoch whose engine reused the previous
-placement has empty center and trade lists, and so does a solve whose
-optimistic placement the per-problem memo replayed.
+placement has empty center and trade lists.  A policy that does not
+place threads computes no optimistic placement (it only counts the
+step's ops), so its record has an empty center list; every other solve
+computes and records its own, since no memo outlives one call.
 
 Run from the repository root, only when a change of placement is
 intended::
