@@ -457,7 +457,8 @@ class SketchBank:
 def problem_sketch_bank(
     problem, budget_bytes: int = DEFAULT_SKETCH_BYTES
 ) -> SketchBank:
-    """The sketch bank of *problem*'s VC curves, memoized on the problem.
+    """The sketch bank of *problem*'s VC curves, memoized in the
+    problem's memo slot (``problem._memo``).
 
     The grid spans the chip's LLC (``problem.total_bytes``), so every VC
     of one chip — and every epoch of one chip — shares a grid.  Because
@@ -468,17 +469,12 @@ def problem_sketch_bank(
     """
     grid_max = float(problem.total_bytes)
     points = points_for_budget(budget_bytes)
-    key = (grid_max, points)
-    memo = getattr(problem, "_sketch_banks", None)
-    if memo is None:
-        memo = {}
-        problem._sketch_banks = memo
-    bank = memo.get(key)
+    key = ("sketch_bank", grid_max, points)
+    bank = problem._memo.get(key)
     if bank is None:
-        bank = SketchBank.from_curves(
+        bank = problem._memo[key] = SketchBank.from_curves(
             [(vc.vc_id, vc.miss_curve) for vc in problem.vcs],
             grid_max,
             points,
         )
-        memo[key] = bank
     return bank

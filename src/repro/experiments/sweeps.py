@@ -26,8 +26,13 @@ from repro.geometry.mesh import Mesh, seed_shared_geometry
 from repro.model.metrics import gmean, inverse_cdf, weighted_speedup
 from repro.model.system import AnalyticSystem, MixEvaluation
 from repro.nuca import SCHEMES, standard_schemes
-from repro.nuca.base import NucaScheme, SchemeResult, build_problem
-from repro.nuca.sharing import solve_sharing_plans
+from repro.nuca.base import (
+    NucaScheme,
+    SchemeResult,
+    SharingScheme,
+    build_problem,
+    run_schemes,
+)
 from repro.runner import Job, ProcessPoolRunner, register_batchable, run_jobs
 from repro.sched.reconfigure import reconfigure_schemes
 from repro.util.hashing import content_digest
@@ -202,22 +207,20 @@ def _mix_points_batched(
     Three phases, each preserving the per-job float trajectory:
 
     1. per slice (reseeded like ``Job.execute``): build the mix, warm the
-       alone cache, run each scheme up to its sharing solve — S-NUCA and
-       R-NUCA *stage* their solves as :class:`SharingPlan`s, Jigsaw+C
-       and Jigsaw+R solve as the two lanes of one
+       alone cache, and run the schemes that do not share — Jigsaw+C and
+       Jigsaw+R solve as the two lanes of one
        :func:`~repro.sched.reconfigure.reconfigure_schemes` call (one
        miss-driven allocation between them), CDCS runs fully;
-    2. one :func:`solve_sharing_plans` call merges every staged solve
-       into a single lockstep bisection, then each scheme's
-       ``finish_sharing`` folds its occupancy slice back in;
+    2. one :func:`~repro.nuca.base.run_schemes` call runs every slice's
+       S-NUCA and R-NUCA, their LRU-sharing solves merged into a single
+       lockstep bisection;
     3. one :meth:`AnalyticSystem.evaluate_solutions_batch` call scores
        every (mix, scheme) placement, and the per-slice records assemble
        exactly as :func:`evaluate_mix` would.
     """
     system = _sweep_system(config)
     per_slice = []  # (mix, alone, entries); entry = [scheme, problem, result]
-    staged = []     # (slice_idx, entry_idx, scheme, problem, context)
-    plans = []
+    sharing = []    # the entries of every slice's SharingSchemes
     for mix_id, digest in zip(slices, digests):
         _reseed_slice(digest, seed)
         if multithreaded:
@@ -232,42 +235,27 @@ def _mix_points_batched(
         # four redundant constructions (and lets the evaluator group all
         # five solutions under one geometry object).
         problem = build_problem(mix, config)
-        lanes = []  # (entry_idx, scheme name, reconfigure_schemes lane)
+        lanes = []  # (entry, reconfigure_schemes lane)
         for scheme in standard_schemes(mix_id):
-            stage = getattr(scheme, "sharing_stage", None)
+            entry = [scheme, problem, None]
+            entries.append(entry)
             lane = getattr(scheme, "lane", None)
-            if stage is not None:
-                plan, context = stage(problem)
-                if plan is None:
-                    entries.append([
-                        scheme, problem,
-                        scheme.finish_sharing(problem, context, np.zeros(0)),
-                    ])
-                else:
-                    entries.append([scheme, problem, None])
-                    staged.append(
-                        (len(per_slice), len(entries) - 1, scheme, problem,
-                         context)
-                    )
-                    plans.append(plan)
+            if isinstance(scheme, SharingScheme):
+                sharing.append(entry)
             elif lane is not None:
-                entries.append([scheme, problem, None])
-                lanes.append((len(entries) - 1, scheme.name, lane(problem)))
+                lanes.append((entry, lane(problem)))
             else:
-                entries.append([scheme, problem, scheme.run(problem)])
-        solved = reconfigure_schemes(problem, [lane for _, _, lane in lanes])
-        for (e, name, _), result in zip(lanes, solved):
-            entries[e][2] = SchemeResult(
-                name, result.solution, result.step_cycles()
+                entry[2] = scheme.run(problem)
+        solved = reconfigure_schemes(problem, [lane for _, lane in lanes])
+        for (entry, _), result in zip(lanes, solved):
+            entry[2] = SchemeResult(
+                entry[0].name, result.solution, result.step_cycles()
             )
         per_slice.append((mix, alone, entries))
 
-    for (s, e, scheme, problem, context), occupancies in zip(
-        staged, solve_sharing_plans(plans)
-    ):
-        per_slice[s][2][e][2] = scheme.finish_sharing(
-            problem, context, occupancies
-        )
+    results = run_schemes([(scheme, problem) for scheme, problem, _ in sharing])
+    for entry, result in zip(sharing, results):
+        entry[2] = result
 
     items = [
         (mix, problem, result)

@@ -37,7 +37,7 @@ from repro.mem.controller import MemoryControllers
 from repro.mem.dram import DramModel
 from repro.model.energy import EnergyBreakdown, EnergyParams, energy_per_instruction
 from repro.noc.traffic import TrafficClass
-from repro.nuca.base import NucaScheme, SchemeResult, build_problem
+from repro.nuca.base import NucaScheme, SchemeResult, build_problem, run_schemes
 from repro.sched.cost_model import reader_hops
 from repro.sched.problem import PlacementProblem, PlacementSolution
 from repro.util.sums import ordered_sums
@@ -252,12 +252,17 @@ class AnalyticSystem:
     ) -> list[MixEvaluation]:
         """:meth:`evaluate` for several (mix, scheme) pairs: each scheme
         runs on its own freshly built problem, in order, and one stacked
-        pass scores every placement."""
-        items = []
-        for mix, scheme in pairs:
-            problem = build_problem(mix, self.config)
-            items.append((mix, problem, scheme.run(problem)))
-        return self.evaluate_solutions_batch(items)
+        pass scores every placement; the schemes run through
+        :func:`~repro.nuca.base.run_schemes`, so every LRU-sharing solve
+        of the call is one merged solve."""
+        problems = [build_problem(mix, self.config) for mix, _ in pairs]
+        results = run_schemes([
+            (scheme, problem) for (_, scheme), problem in zip(pairs, problems)
+        ])
+        return self.evaluate_solutions_batch([
+            (mix, problem, result)
+            for (mix, _), problem, result in zip(pairs, problems, results)
+        ])
 
     def alone_performance(self, mix: Mix) -> dict[int, float]:
         """Per-process performance running *alone* on this chip under

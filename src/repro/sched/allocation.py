@@ -87,17 +87,6 @@ def _hull_of(values) -> tuple[int, ...] | list[int]:
     return hull
 
 
-#: Memo for whole hull walks keyed by (budget, curve keys).  A sweep
-#: runs several policies over identical curve sets (Jigsaw's clustered and
-#: random variants allocate over the same miss-only curves), and the walk
-#: is deterministic in its inputs.  The counter's op accounting is
-#: replayed from the stored pop count — ``StepCounter.add`` aggregates, so
-#: one bulk add is indistinguishable from the loop's unit adds.  Sizes are
-#: stored as a tuple; each hit hands the caller a fresh list.
-_WALK_CACHE: dict[tuple, tuple[tuple[int, ...], int]] = {}
-_WALK_CACHE_MAX = 1024
-
-
 def _greedy_hull_allocation(
     curves: list[np.ndarray],
     budget_quanta: int,
@@ -108,17 +97,7 @@ def _greedy_hull_allocation(
     hulls = [_hull_of(c) for c in curves]
     for h in hulls:
         counter.add(step_name, len(h))
-    walk_key = None
-    if all(isinstance(c, np.ndarray) for c in curves):
-        walk_key = (budget_quanta, tuple(_curve_key(c) for c in curves))
-        cached = _WALK_CACHE.get(walk_key)
-        if cached is not None:
-            sizes, pops = cached
-            if pops:
-                counter.add(step_name, pops)
-            return list(sizes)  # callers mutate the result
     sizes = [0] * len(curves)
-    pops = 0
     cursor = [0] * len(curves)  # index into each hull's vertex list
     heap: list[tuple[float, int]] = []
 
@@ -137,7 +116,6 @@ def _greedy_hull_allocation(
     while heap and remaining > 0:
         neg_benefit, d = heapq.heappop(heap)
         counter.add(step_name)
-        pops += 1
         if -neg_benefit <= 1e-12:
             break  # further capacity only adds latency
         h = hulls[d]
@@ -149,10 +127,6 @@ def _greedy_hull_allocation(
             cursor[d] += 1
             push_next(d)
         # Partial take: budget exhausted; loop exits via remaining == 0.
-    if walk_key is not None:
-        if len(_WALK_CACHE) >= _WALK_CACHE_MAX:
-            _WALK_CACHE.clear()
-        _WALK_CACHE[walk_key] = (tuple(sizes), pops)
     return sizes
 
 

@@ -74,6 +74,12 @@ class PlacementProblem:
                 if rate > 0:
                     index.setdefault(vc_id, {})[thread.thread_id] = rate
         self._accessors = index
+        #: The one memo slot for values derived from this problem's
+        #: content (its digest, its sketch banks), filled on first use.
+        #: Like ``_accessors`` it is no field, so ``==``, ``replace`` and
+        #: content digests never see it, and a ``replace`` copy starts
+        #: with an empty one.
+        self._memo: dict = {}
 
     @property
     def bank_bytes(self) -> int:

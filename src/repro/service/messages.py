@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -317,14 +317,15 @@ def _leaf(value):
     return ("canonical", canonical_repr(value))
 
 
-def _column(values: list) -> list:
-    """*values* as leaves (see :func:`_leaf`); a plain list as is."""
-    if _PLAIN_LEAVES.issuperset(map(type, values)):
-        return values
-    return list(map(_leaf, values))
-
-
-def _sorted_leaves(mapping: dict) -> list:
+def _items(mapping: dict) -> list:
+    """*mapping*'s (key, value) leaves sorted by key, so insertion order
+    never reaches the digest."""
+    try:
+        pairs = sorted(mapping.items())
+        if _PLAIN_LEAVES.issuperset(map(type, chain.from_iterable(pairs))):
+            return pairs
+    except TypeError:  # keys of mixed types
+        pass
     pairs = [(_leaf(k), _leaf(v)) for k, v in mapping.items()]
     try:
         pairs.sort()
@@ -333,23 +334,72 @@ def _sorted_leaves(mapping: dict) -> list:
     return pairs
 
 
-def _dict_column(dicts: list) -> list:
-    """Each dict's length, then every dict's (key, value) leaves sorted
-    by key, so insertion order never reaches the digest."""
-    try:
-        pairs = [sorted(d.items()) for d in dicts]
-        leaves = list(chain.from_iterable(chain.from_iterable(pairs)))
-        plain = _PLAIN_LEAVES.issuperset(map(type, leaves))
-    except TypeError:  # keys of mixed types
-        plain = False
-    if not plain:
-        pairs = list(map(_sorted_leaves, dicts))
-        leaves = list(chain.from_iterable(chain.from_iterable(pairs)))
-    return [list(map(len, pairs)), leaves]
+def _vc_encoding(vc: VirtualCache) -> bytes | None:
+    """The exact encoding of one VC record, or ``None`` when its curve or
+    maps are not of the standard types."""
+    curve = vc.miss_curve
+    if type(curve) is not MissCurve:
+        return None
+    sizes, values = curve.sizes, curve.values
+    if not (
+        isinstance(sizes, np.ndarray) and isinstance(values, np.ndarray)
+        and sizes.ndim == 1 and values.ndim == 1
+        and isinstance(vc.accesses, dict) and isinstance(vc.allocation, dict)
+    ):
+        return None
+    kind = vc.kind
+    flat = [
+        _leaf(vc.vc_id),
+        _leaf(vc.process_id),
+        _leaf(vc.owner_thread),
+        _KIND_REPRS[kind] if type(kind) is VCKind else canonical_repr(kind),
+        sizes.dtype.str, len(sizes),
+        values.dtype.str, len(values),
+        _items(vc.accesses),
+        _items(vc.allocation),
+    ]
+    # The dtypes and lengths fix how many raw curve bytes follow.
+    return b"".join([
+        repr(flat).encode(), b"\n", sizes.tobytes(), values.tobytes(),
+    ])
 
 
-def _all_of(items, cls: type) -> bool:
-    return all(map(isinstance, items, repeat(cls)))
+def _thread_encoding(thread: ThreadSpec) -> bytes | None:
+    """The exact encoding of one thread record, or ``None``."""
+    if not isinstance(thread.vc_accesses, dict):
+        return None
+    return repr([
+        _leaf(thread.thread_id),
+        _leaf(thread.process_id),
+        _leaf(thread.cluster_key),
+        _items(thread.vc_accesses),
+    ]).encode()
+
+
+#: Where a record keeps its digest: a key of its ``__dict__``, written
+#: directly as ``functools.cached_property`` writes (a frozen record's
+#: ``__setattr__`` refuses), so no field, ``==``, ``replace`` or
+#: ``content_digest`` ever sees it.
+_RECORD_DIGEST = "_digest"
+
+
+def _record_digests(records: list, cls: type, encode) -> list[bytes] | None:
+    """The SHA-256 digest of every record's encoding, each computed once
+    per record object and memoized on it; ``None`` when a record is not
+    exactly a *cls* or *encode* refuses it."""
+    digests = []
+    for record in records:
+        if type(record) is not cls:
+            return None
+        memo = record.__dict__
+        digest = memo.get(_RECORD_DIGEST)
+        if digest is None:
+            blob = encode(record)
+            if blob is None:
+                return None
+            digest = memo[_RECORD_DIGEST] = hashlib.sha256(blob).digest()
+        digests.append(digest)
+    return digests
 
 
 def _structural_encoding(problem: PlacementProblem) -> bytes | None:
@@ -360,54 +410,29 @@ def _structural_encoding(problem: PlacementProblem) -> bytes | None:
         type(problem) is PlacementProblem
         and type(vcs) is list
         and type(threads) is list
-        and {type(vc) for vc in vcs} <= {VirtualCache}
-        and {type(t) for t in threads} <= {ThreadSpec}
     ):
         return None
-    curves = [vc.miss_curve for vc in vcs]
-    if not {type(c) for c in curves} <= {MissCurve}:
+    vc_digests = _record_digests(vcs, VirtualCache, _vc_encoding)
+    if vc_digests is None:
         return None
-    sizes = [c.sizes for c in curves]
-    values = [c.values for c in curves]
-    accesses = [vc.accesses for vc in vcs]
-    allocations = [vc.allocation for vc in vcs]
-    thread_rates = [t.vc_accesses for t in threads]
-    if not (
-        _all_of(sizes, np.ndarray) and _all_of(values, np.ndarray)
-        and {a.ndim for a in chain(sizes, values)} <= {1}
-        and _all_of(accesses, dict) and _all_of(allocations, dict)
-        and _all_of(thread_rates, dict)
-    ):
+    thread_digests = _record_digests(threads, ThreadSpec, _thread_encoding)
+    if thread_digests is None:
         return None
-    kinds = [vc.kind for vc in vcs]
-    flat = [
+    header = [
         canonical_repr(problem.config),
         canonical_repr(problem.topology),
         canonical_repr(problem.mem_latency),
-        _column([vc.vc_id for vc in vcs]),
-        _column([vc.process_id for vc in vcs]),
-        _column([vc.owner_thread for vc in vcs]),
-        [_KIND_REPRS[k] if type(k) is VCKind else canonical_repr(k) for k in kinds],
-        [a.dtype.str for a in sizes],
-        [len(a) for a in sizes],
-        [a.dtype.str for a in values],
-        [len(a) for a in values],
-        _dict_column(accesses),
-        _dict_column(allocations),
-        _column([t.thread_id for t in threads]),
-        _column([t.process_id for t in threads]),
-        _column([t.cluster_key for t in threads]),
-        _dict_column(thread_rates),
+        len(vcs),
+        len(threads),
     ]
-    # The dtypes and lengths fix how many raw curve bytes follow.
+    # The counts fix how many 32-byte record digests follow.
     return b"".join([
-        repr(flat).encode(), b"\n",
-        *map(np.ndarray.tobytes, chain(sizes, values)),
+        repr(header).encode(), b"\n", *vc_digests, *thread_digests,
     ])
 
 
 def problem_digest(problem: PlacementProblem) -> str:
-    """Content digest of one chip's problem, memoized on the object.
+    """Content digest of one chip's problem, memoized in its memo slot.
 
     This is the anchor :class:`DeltaTelemetry` patches against: two
     problems get equal digests exactly when
@@ -415,16 +440,22 @@ def problem_digest(problem: PlacementProblem) -> str:
     curves, rates, threads and config, bit for bit), regardless of which
     process built the objects or in what order their dicts were filled.
 
-    The digest is SHA-256 over a fixed structural encoding, not the
-    generic recursive ``canonical_repr`` walk: the ``repr`` of one list
-    of columns, then a newline, every curve's raw ``sizes`` bytes and
-    every curve's raw ``values`` bytes.  The columns are
+    The digest is SHA-256 over a header and the digests of the records,
+    not the generic recursive ``canonical_repr`` walk.  The header is
+    the ``repr`` of ``canonical_repr`` of the config, the topology and
+    ``mem_latency``, plus the VC and thread counts; a newline and every
+    VC record's digest, then every thread record's, in problem order,
+    follow it.  A record's digest is SHA-256 over the ``repr`` of its
+    fields as a list (for a VC: its scalar fields, its curve's dtypes
+    and lengths, which fix the byte counts that follow, and its
+    ``accesses`` and ``allocation`` items sorted by key; for a thread:
+    its fields and its ``vc_accesses`` items sorted by key), then for a
+    VC a newline and its curve's raw ``sizes`` and ``values`` bytes.
 
-    * ``canonical_repr`` of the config, the topology and ``mem_latency``;
-    * per VC: its scalar fields, its curve's dtypes and lengths (they
-      fix the byte counts that follow), and its ``accesses`` and
-      ``allocation`` items sorted by key;
-    * per thread: its fields and its ``vc_accesses`` items sorted by key.
+    Records are immutable and shared between the problems of one chip,
+    so each record's digest is computed once, on first use, and kept on
+    the record outside its dataclass fields: a problem that shares most
+    records with an earlier one hashes only its new records.
 
     Leaves are plain ints, floats, strs, bools and ``None``, whose
     ``repr`` is exact; numpy scalars are reduced to those first, and any
@@ -434,13 +465,13 @@ def problem_digest(problem: PlacementProblem) -> str:
     ``canonical_repr`` instead.  Nothing depends on ``hash()`` or
     ``id()``.
     """
-    cached = getattr(problem, "_content_digest", None)
-    if cached is None:
+    digest = problem._memo.get("digest")
+    if digest is None:
         blob = _structural_encoding(problem)
         if blob is None:
             blob = ("canonical:" + canonical_repr(problem)).encode()
-        cached = problem._content_digest = hashlib.sha256(blob).hexdigest()
-    return cached
+        digest = problem._memo["digest"] = hashlib.sha256(blob).hexdigest()
+    return digest
 
 
 def build_delta(

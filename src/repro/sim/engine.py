@@ -57,12 +57,20 @@ from repro.config import SystemConfig
 from repro.geometry.mesh import Topology
 from repro.model.system import AnalyticSystem, MixEvaluation
 from repro.noc.traffic import TrafficClass, TrafficCounter
-from repro.sched.problem import PlacementProblem, PlacementSolution
+from repro.nuca.base import (
+    SchemeResult,
+    assemble_problem,
+    default_mem_latency,
+    global_vc,
+    process_records,
+)
+from repro.sched.problem import PlacementProblem, PlacementSolution, ThreadSpec
 from repro.sim.llc import DistributedLLC
 from repro.sim.reconfig import MovementProtocol
 from repro.sim.stats import WindowedIpc
 from repro.workloads.generator import StackDistanceStream
-from repro.workloads.mixes import Mix, mix_is_phased, snapshot_mix
+from repro.vcache.virtual_cache import VirtualCache
+from repro.workloads.mixes import Mix, ProcessSpec, mix_is_phased, snapshot_process
 
 
 def weighted_round_robin(weights: dict[int, float]) -> Callable[[], int]:
@@ -342,9 +350,21 @@ class EpochEngine:
             p.process_id: [self._thread_index[t] for t in p.thread_ids]
             for p in mix.processes
         }
-        #: phase-index tuple -> (snapshot mix, snapshot problem); phases
-        #: revisit (schedules cycle), so snapshots are reused across epochs.
-        self._snapshots: dict[tuple[int, ...], tuple[Mix, PlacementProblem]] = {}
+        #: (process_id, phase index or None if static) -> (snapshot
+        #: ProcessSpec, its VC records, its thread records).  A process's
+        #: records depend only on its active phase, so every snapshot
+        #: reuses the records, and the digests memoized on them, of each
+        #: process whose phase did not change; one entry per (process,
+        #: phase) ever seen.
+        self._records: dict[
+            tuple[int, int | None],
+            tuple[ProcessSpec, list[VirtualCache], list[ThreadSpec]],
+        ] = {}
+        #: (global VC record, mem_latency) of every snapshot, built once.
+        self._chip_records: tuple[VirtualCache, float] | None = None
+        #: (phase key, (mix, problem)) of the latest snapshot: a
+        #: stationary epoch returns the very same problem object.
+        self._last_snapshot: tuple[tuple, tuple[Mix, PlacementProblem]] | None = None
         #: (phase clock, phases) at the coming epoch boundary, computed once:
         #: only :meth:`run_epoch` changes ``instructions``, and drops them.
         self._boundary: tuple[dict[int, float], dict[int, int]] | None = None
@@ -378,20 +398,39 @@ class EpochEngine:
         return dict(self._epoch_boundary()[1]) if self._phased else {}
 
     def _snapshot(self) -> tuple[Mix, PlacementProblem]:
-        """The active (mix, problem) for the epoch about to run."""
+        """The active (mix, problem) for the epoch about to run:
+        content-identical to ``build_problem(snapshot_mix(mix, clock),
+        config, topology)``, assembled from memoized per-process records."""
         if not self._phased:
             return self.mix, self.problem
         clock, phases = self._epoch_boundary()
         key = tuple(sorted(phases.items()))
-        if key not in self._snapshots:
-            from repro.nuca.base import build_problem
-
-            mix = snapshot_mix(self.mix, clock)
-            self._snapshots[key] = (
-                mix,
-                build_problem(mix, self.problem.config, self.problem.topology),
+        if self._last_snapshot is None or self._last_snapshot[0] != key:
+            config, topology = self.problem.config, self.problem.topology
+            if self._chip_records is None:
+                self._chip_records = (
+                    global_vc(config),
+                    default_mem_latency(config, topology),  # type: ignore[arg-type]
+                )
+            parts = []
+            for proc in self.mix.processes:
+                record_key = (proc.process_id, phases.get(proc.process_id))
+                part = self._records.get(record_key)
+                if part is None:
+                    spec = snapshot_process(proc, clock[proc.process_id])
+                    part = self._records[record_key] = (
+                        spec, *process_records(spec)
+                    )
+                parts.append(part)
+            mix = Mix(tuple(spec for spec, _, _ in parts))
+            problem = assemble_problem(
+                config,
+                topology,
+                [(vcs, threads) for _, vcs, threads in parts],
+                *self._chip_records,
             )
-        return self._snapshots[key]
+            self._last_snapshot = key, (mix, problem)
+        return self._last_snapshot[1]
 
     def current_mix(self) -> Mix:
         """The mix with every phased process at its active phase."""
@@ -410,10 +449,10 @@ class EpochEngine:
         telemetry view.
 
         Memoized on the snapshot's problem object (via
-        :func:`repro.cache.sketch.problem_sketch_bank`), and snapshots
-        are cached per phase key, so stationary epochs return the very
-        same bank without rebuilding anything; only a phase flip sketches
-        the (new) curves of its new snapshot."""
+        :func:`repro.cache.sketch.problem_sketch_bank`), and a stationary
+        epoch returns the same snapshot, so it returns the very same bank
+        without rebuilding anything; only a phase flip sketches the
+        curves of its new snapshot."""
         return problem_sketch_bank(self.current_problem(), budget_bytes)
 
     # -- epochs --------------------------------------------------------------
@@ -427,8 +466,6 @@ class EpochEngine:
         "placement lags the phases" experiment)."""
         if cycles <= 0:
             raise ValueError("epoch length must be positive")
-        from repro.nuca.base import SchemeResult
-
         phases = self.current_phases()
         mix, problem = self._snapshot()
         evaluation = self.system.evaluate_solution(

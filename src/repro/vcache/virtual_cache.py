@@ -7,7 +7,8 @@ classification, and each VC is sized and placed every reconfiguration.
 
 A :class:`VirtualCache` carries its identity, the access rates of the
 threads that use it (the ``a_{t,d}`` of Eq 1/2), its miss curve, and its
-current placement (bytes per bank).
+current placement (bytes per bank).  It is an immutable record: a
+changed VC is a new record, so problems can share every unchanged one.
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ class VCKind(Enum):
     GLOBAL = "global"
 
 
-@dataclass
+@dataclass(frozen=True)
 class VirtualCache:
     """One virtual cache and its current configuration.
 
     ``accesses`` maps thread id -> access rate (accesses per kilo-instruction
     or per interval — units only need to be consistent across VCs).
-    ``allocation`` maps bank id -> bytes currently allocated there.
+    ``allocation`` maps bank id -> bytes currently allocated there.  Both
+    are filled before construction and never mutated after it: records
+    are shared between problems, and digests are memoized on them.
     """
 
     vc_id: int
@@ -57,10 +60,6 @@ class VirtualCache:
     def intensity_capacity_product(self) -> float:
         """Sec IV-E tie-break: accesses x size; big, hot VCs place first."""
         return self.total_accesses * self.size
-
-    def set_allocation(self, allocation: dict[int, float]) -> None:
-        """Replace the placement (dropping zero/negative entries)."""
-        self.allocation = {b: v for b, v in allocation.items() if v > 1e-9}
 
     def misses(self) -> float:
         """Miss rate at the current total size (same units as accesses)."""

@@ -142,15 +142,19 @@ def snapshot_mix(mix: Mix, instructions: Mapping[int, float]) -> Mix:
     drop-in compatible with the original mix.  ``snapshot_mix(mix, {})``
     equals the mix's initial-phase view.
     """
-    processes = []
-    for proc in mix.processes:
-        profile = proc.profile
-        if isinstance(profile, PhasedProfile):
-            active = profile.at_instructions(instructions.get(proc.process_id, 0.0))
-            processes.append(replace(proc, profile=active))
-        else:
-            processes.append(proc)
-    return Mix(tuple(processes))
+    return Mix(tuple(
+        snapshot_process(proc, instructions.get(proc.process_id, 0.0))
+        for proc in mix.processes
+    ))
+
+
+def snapshot_process(proc: ProcessSpec, instructions: float) -> ProcessSpec:
+    """*proc* with the static profile of its phase active at *instructions*
+    (its phase clock); a static process as it is."""
+    profile = proc.profile
+    if isinstance(profile, PhasedProfile):
+        return replace(proc, profile=profile.at_instructions(instructions))
+    return proc
 
 
 def case_study_mix() -> Mix:

@@ -258,15 +258,14 @@ def solve_sharing_plans(plans) -> list[np.ndarray]:
 #: Every patch: each module and the kernels it calls, by the names it
 #: calls them (an oracle has the kernel's name, less a leading ``_``).
 #: S-NUCA and R-NUCA reach the sharing solve through ``repro.nuca.base``,
-#: a sweep's mega-batch through its own module.  No sweep calls Eq 1 or
-#: Eq 2; ``total_latency`` does.
+#: alone or merged (``run_schemes``, which a sweep's mega-batch and the
+#: evaluation call).  No sweep calls Eq 1 or Eq 2; ``total_latency`` does.
 PATCHES = {
     "repro.sched.allocation": ("latency_curves_batch", "miss_only_curves_batch"),
     "repro.sched.reconfigure": ("place_optimistic",),
     "repro.sched.thread_placement": ("squared_point_distances",),
     "repro.sched.refinement": ("_sequential_weighted_row_sum",),
     "repro.nuca.base": ("solve_sharing_plans",),
-    "repro.experiments.sweeps": ("solve_sharing_plans",),
     "repro.sched.cost_model": ("off_chip_latency", "on_chip_latency"),
 }
 

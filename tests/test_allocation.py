@@ -13,7 +13,6 @@ from repro.sched.allocation import (
     allocate_miss_driven,
     convex_hull_indices,
 )
-from repro.sched.opcount import StepCounter
 from repro.util.units import kb, mb
 from repro.workloads.mixes import make_mix
 
@@ -110,29 +109,16 @@ def test_allocation_deterministic():
 
 
 def test_hull_memos_key_on_dtype_not_just_bytes():
-    """Equal bytes read as another dtype are another curve: neither memo
-    may hand it the first curve's hull or hull walk."""
+    """Equal bytes read as another dtype are another curve: the hull memo
+    may not hand it the first curve's hull."""
     curve = np.array([4.0, 1.0, 0.75, 0.0])
     alias = curve.view(np.int64)
     assert curve.tobytes() == alias.tobytes()
     assert convex_hull_indices(curve) != convex_hull_indices(alias)
 
-    def walk(values) -> tuple[list[int], dict[str, int]]:
-        counter = StepCounter()
-        sizes = allocation._greedy_hull_allocation(
-            [values], 3, counter, "allocation"
-        )
-        return sizes, counter.ops
-
     allocation._HULL_CACHE.clear()
-    allocation._WALK_CACHE.clear()
-    cold_alias = walk(alias)
-    allocation._HULL_CACHE.clear()
-    allocation._WALK_CACHE.clear()
     assert allocation._hull_of(curve) == (0, 1, 3)
-    walk(curve)
     assert allocation._hull_of(alias) == tuple(convex_hull_indices(alias))
-    assert walk(alias) == cold_alias
     assert all(isinstance(h, tuple) for h in allocation._HULL_CACHE.values())
 
 

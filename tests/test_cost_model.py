@@ -24,9 +24,9 @@ def tiny_problem():
     topo = Mesh(2, 2)
     vc = VirtualCache(
         vc_id=0, kind=VCKind.THREAD, process_id=0,
-        miss_curve=cliff_curve(kb(512), 10.0, kb(256), 2.0), owner_thread=0,
+        miss_curve=cliff_curve(kb(512), 10.0, kb(256), 2.0),
+        accesses={0: 100.0}, owner_thread=0,
     )
-    vc.accesses[0] = 100.0
     thread = ThreadSpec(0, 0, {0: 100.0})
     return PlacementProblem(
         config=config, topology=topo, vcs=[vc], threads=[thread],

@@ -13,6 +13,8 @@ The load-bearing contracts (ISSUE 5 acceptance):
   threads' cores and solves the rest around them.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import small_test_config
@@ -96,10 +98,12 @@ def test_incremental_resolves_only_the_dirty_slice():
 
     moved = build_problem(random_single_threaded_mix(16, 42, 0), config)
     dirty_ids = {vc.vc_id for vc in moved.vcs[:3]}
-    for vc in moved.vcs[:3]:
-        vc.miss_curve = MissCurve(
+    moved = replace(moved, vcs=[
+        replace(vc, miss_curve=MissCurve(
             vc.miss_curve.sizes, vc.miss_curve.values * 1.5
-        )
+        ))
+        for vc in moved.vcs[:3]
+    ] + moved.vcs[3:])
     warm = engine.solve(moved)
     full = reconfigure(moved)
 
@@ -229,10 +233,12 @@ def test_strategies_identical_through_both_kernel_paths():
         )
         from repro.cache.miss_curve import MissCurve
 
-        for vc in moved.vcs[:2]:
-            vc.miss_curve = MissCurve(
+        moved = replace(moved, vcs=[
+            replace(vc, miss_curve=MissCurve(
                 vc.miss_curve.sizes, vc.miss_curve.values * 2.0
-            )
+            ))
+            for vc in moved.vcs[:2]
+        ] + moved.vcs[2:])
         out["incremental"] = engine.solve(moved)
         return out
 

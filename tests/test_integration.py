@@ -4,6 +4,8 @@ allocates and places from *monitored* curves, and the resulting placement
 actually serves traffic.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cache.miss_curve import MissCurve
@@ -48,17 +50,19 @@ def test_full_monitor_to_placement_loop():
     sim.run_until(400_000)
 
     # Rebuild the problem with monitored curves (scaled back up).
-    monitored_problem = build_problem(mix, config)
-    for vc in monitored_problem.vcs:
+    built = build_problem(mix, config)
+    vcs = []
+    for vc in built.vcs:
         mon = monitors.get(vc.vc_id)
-        if mon is None:
-            continue
-        curve = mon.miss_curve()
-        rate = sum(monitored_problem.accessors_of(vc.vc_id).values())
-        total = max(curve.values[0], 1.0)
-        vc.miss_curve = MissCurve(
-            curve.sizes * SCALE, curve.values / total * rate
-        )
+        if mon is not None:
+            curve = mon.miss_curve()
+            rate = sum(built.accessors_of(vc.vc_id).values())
+            total = max(curve.values[0], 1.0)
+            vc = replace(vc, miss_curve=MissCurve(
+                curve.sizes * SCALE, curve.values / total * rate
+            ))
+        vcs.append(vc)
+    monitored_problem = replace(built, vcs=vcs)
     result = reconfigure(monitored_problem, ReconfigPolicy.cdcs())
     result.solution.validate(monitored_problem)
     # omnet (thread 0) has the only big cliff; monitored allocation should

@@ -185,3 +185,41 @@ def test_energy_static_scales_with_cpi():
     assert slow.core == fast.core
     with pytest.raises(ValueError):
         energy_per_instruction(params, 0.0, 0, 0, 0)
+
+
+def test_evaluate_schemes_merges_its_sharing_solves(monkeypatch):
+    """A cold evaluate_mix makes one LRU-sharing call for the solo S-NUCA
+    runs of alone_performance and one for the mix's S-NUCA and R-NUCA,
+    and every evaluation equals that of the scheme's own run."""
+    import numpy as np
+
+    import repro.nuca.base as base_module
+    from repro.experiments.sweeps import SweepResult, evaluate_mix, standard_schemes
+
+    config = small_test_config(4, 4)
+    mix = make_mix(["omnet", "milc", "gcc", "ilbdc"])
+    calls = []
+    solve = base_module.solve_sharing_plans
+
+    def counted(plans):
+        calls.append(len(plans))
+        return solve(plans)
+
+    monkeypatch.setattr(base_module, "solve_sharing_plans", counted)
+    schemes = standard_schemes(3)
+    evaluations = evaluate_mix(
+        config, mix, SweepResult(n_apps=4, n_mixes=1),
+        schemes=schemes, system=AnalyticSystem(config),
+    )
+    assert calls == [4, 2]
+    reference = AnalyticSystem(config)
+    for scheme in schemes:
+        problem = base_module.build_problem(mix, config)
+        expected = reference.evaluate_solution(
+            mix, problem, scheme.run(problem)
+        )
+        got = evaluations[scheme.name]
+        assert got == expected
+        assert got.columns.keys() == expected.columns.keys()
+        for name, column in expected.columns.items():
+            assert np.array_equal(got.columns[name], column), name

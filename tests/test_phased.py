@@ -3,6 +3,8 @@ phase pickup in both simulation engines."""
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 
 from repro.config import small_test_config
@@ -264,12 +266,23 @@ def test_epoch_engine_snapshot_reuse_across_cycling_phases():
     mix = make_mix(["omnet~milc"])
     engine = EpochEngine(mix, build_problem(mix, config))
     solution = Jigsaw("random", 1).run(engine.current_problem()).solution
+    first = {}  # phase -> the first snapshot problem of that phase
+    revisits = 0
     for _ in range(30):
+        problem = engine.current_problem()
+        earlier = first.setdefault(engine.current_phases()[0], problem)
+        if earlier is not problem:
+            # The schedule cycles 0 -> 1 -> 0 ...: a revisited phase is a
+            # new snapshot made of the very same record objects.
+            revisits += 1
+            assert all(map(operator.is_, problem.vcs, earlier.vcs))
+            assert all(map(operator.is_, problem.threads, earlier.threads))
         engine.run_epoch(solution, 200e6)
     phases = [r.phases[0] for r in engine.trace.results]
     assert set(phases) == {0, 1}
-    # The schedule cycles 0 -> 1 -> 0 ...; snapshots are cached per phase.
-    assert len(engine._snapshots) == 2
+    assert revisits
+    # One memo entry per (process, phase) seen.
+    assert sorted(engine._records) == [(0, 0), (0, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.cache.miss_curve import MissCurve
+from repro.cache.sketch import problem_sketch_bank
 from repro.config import small_test_config
 from repro.geometry.mesh import Mesh
 from repro.nuca.base import build_problem
@@ -68,8 +69,18 @@ def test_digest_matches_content_digest_over_corpus(served_problems):
 def test_digest_is_memoized_in_the_single_slot():
     problem, _ = small_problem(apps=8)
     digest = problem_digest(problem)
-    assert problem._content_digest == digest
+    assert problem._memo["digest"] == digest
     assert problem_digest(problem) is digest
+
+
+def test_memos_set_no_attribute_on_the_problem():
+    problem, _ = small_problem(apps=8)
+    before = set(vars(problem))
+    problem_digest(problem)
+    problem_sketch_bank(problem)
+    problem_sketch_bank(problem, budget_bytes=4096)
+    assert set(vars(problem)) == before
+    assert "digest" in problem._memo and len(problem._memo) == 3
 
 
 # -- every single-field change -------------------------------------------------

@@ -1,5 +1,7 @@
 """Virtual caches, descriptors, and the VTB (repro.vcache)."""
 
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,15 +108,25 @@ def test_vtb_begin_reconfiguration_installs_when_new():
 def test_virtual_cache_properties():
     vc = VirtualCache(
         vc_id=1, kind=VCKind.THREAD, process_id=0,
-        miss_curve=flat_curve(1024, 5.0), owner_thread=1,
+        miss_curve=flat_curve(1024, 5.0),
+        accesses={1: 10.0, 2: 30.0},
+        allocation={0: 1000.0, 3: 3000.0},
+        owner_thread=1,
     )
-    vc.accesses = {1: 10.0, 2: 30.0}
-    vc.set_allocation({0: 1000.0, 3: 3000.0, 9: 0.0})
     assert vc.size == 4000.0
     assert vc.total_accesses == 40.0
     assert vc.intensity_capacity_product == pytest.approx(160_000.0)
     assert vc.access_fraction(3) == pytest.approx(0.75)
     assert vc.access_fraction(9) == 0.0
-    assert 9 not in vc.allocation  # zero entries dropped
     assert vc.misses() == 5.0
     assert "thread" in repr(vc)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(VirtualCache)])
+def test_virtual_cache_is_frozen(name):
+    vc = VirtualCache(
+        vc_id=1, kind=VCKind.THREAD, process_id=0,
+        miss_curve=flat_curve(1024, 5.0), accesses={1: 10.0},
+    )
+    with pytest.raises(FrozenInstanceError):
+        setattr(vc, name, getattr(vc, name))

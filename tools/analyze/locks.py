@@ -99,12 +99,6 @@ ATOMIC_STATE: tuple[AtomicGlobal, ...] = (
         "entries, and losing a race just recomputes the same value",
     ),
     AtomicGlobal(
-        module="repro/sched/allocation.py",
-        name="_WALK_CACHE",
-        why="memo of (tuple sizes, pop count) keyed by budget and curve "
-        "keys; same argument as _HULL_CACHE, and hits return a fresh list",
-    ),
-    AtomicGlobal(
         module="repro/experiments/sweeps.py",
         name="_SYSTEM_CACHE",
         why="per-process memo keyed by config digest; values are "

@@ -185,6 +185,8 @@ def _solve_record(case: str, solve, modeled: bool = False) -> dict:
 
 def _fig15_problems():
     """The fig15 mix's problem per epoch (see :data:`FIG15_EPOCHS`)."""
+    from dataclasses import replace
+
     from repro.cache.miss_curve import MissCurve
     from repro.config import default_config
     from repro.nuca.base import build_problem
@@ -199,9 +201,12 @@ def _fig15_problems():
                 if len(problem.accessors_of(vc.vc_id)) > 1
             ]
             vc = shared[epoch - 1]
-            vc.miss_curve = MissCurve(
+            moved = replace(vc, miss_curve=MissCurve(
                 vc.miss_curve.sizes, vc.miss_curve.values * SHARED_SCALE
-            )
+            ))
+            problem = replace(problem, vcs=[
+                moved if other is vc else other for other in problem.vcs
+            ])
         yield epoch, problem
 
 
