@@ -37,17 +37,30 @@ from collections.abc import Sequence
 import numpy as np
 
 
+def _frozen_points(points: Sequence[float]) -> np.ndarray:
+    """*points* as a read-only float64 array that no caller can write
+    through: an array that is already read-only is kept, any other array
+    the caller may hold (the input itself or a view) is copied first."""
+    array = np.asarray(points, dtype=np.float64)
+    if array.flags.writeable:
+        if array is points or array.base is not None:
+            array = array.copy()
+        array.setflags(write=False)
+    return array
+
+
 class MissCurve:
     """Piecewise-linear, non-negative function of capacity.
 
     Points must have strictly increasing sizes.  Evaluation clamps outside
     the sampled range (constant extrapolation), matching how monitors with
-    finite coverage are used.
+    finite coverage are used.  ``sizes`` and ``values`` are read-only: a
+    curve is fixed content, which record digests and sketch memos rely on.
     """
 
     def __init__(self, sizes: Sequence[float], values: Sequence[float]):
-        sizes_arr = np.asarray(sizes, dtype=np.float64)
-        values_arr = np.asarray(values, dtype=np.float64)
+        sizes_arr = _frozen_points(sizes)
+        values_arr = _frozen_points(values)
         if sizes_arr.ndim != 1 or sizes_arr.shape != values_arr.shape:
             raise ValueError("sizes and values must be 1-D and equal length")
         if len(sizes_arr) == 0:

@@ -36,7 +36,8 @@ Shape conventions
   on ``[grid[i], grid[i+1])`` for ``i < P-1`` and on the tail
   ``[grid[P-1], inf)`` for ``i == P-1``.
 * :class:`SketchBank` stacks K same-grid sketches into (K, P) banks so
-  all-VC deltas are one vectorized pass.
+  all-VC deltas are one vectorized pass; :func:`sketch_deltas` stacks
+  just the pairs it is given (a few changed VCs') for the same kernel.
 
 All published arrays are frozen (``writeable=False``); see
 docs/ANALYSIS.md (immutability rule).
@@ -58,6 +59,8 @@ __all__ = [
     "SketchBank",
     "points_for_budget",
     "problem_sketch_bank",
+    "record_sketch_pairs",
+    "sketch_deltas",
     "sketch_grid",
 ]
 
@@ -141,25 +144,62 @@ def _round_up_f32(exact: np.ndarray) -> np.ndarray:
     return out
 
 
-def _delta_arrays(
-    values_a: np.ndarray,
-    slack_a: np.ndarray,
-    values_b: np.ndarray,
-    slack_b: np.ndarray,
-) -> float:
-    """Unnormalized sup-distance bound between two same-grid sketches.
+def _row_deltas(
+    values_new: np.ndarray,
+    slack_new: np.ndarray,
+    peaks_new: np.ndarray,
+    values_old: np.ndarray,
+    slack_old: np.ndarray,
+    peaks_old: np.ndarray,
+) -> np.ndarray:
+    """``(K,)`` deltas of K row pairs of same-grid ``(K, P)`` sketch
+    arrays and their ``(K,)`` peaks: the one sketch-delta kernel.
 
     For any capacity x in grid interval i, each true curve lies within
     ``slack[i]`` of its stored chord, and the chords' pointwise gap on
     the interval is at most the larger endpoint gap — so the true curves'
     gap is bounded per interval by ``max(dv[i], dv[i+1]) + sa[i] + sb[i]``
-    (tail: ``dv[-1] + sa[-1] + sb[-1]``).
+    (tail: ``dv[-1] + sa[-1] + sb[-1]``), normalized by the larger peak.
+    Every operation is per row, so a row's delta does not depend on the
+    other rows of the call.
     """
-    dv = np.abs(values_a.astype(np.float64) - values_b.astype(np.float64))
-    comb = slack_a.astype(np.float64) + slack_b.astype(np.float64)
-    body = np.maximum(dv[:-1], dv[1:]) + comb[:-1]
-    tail = dv[-1] + comb[-1]
-    return float(max(float(np.max(body)), float(tail)))
+    dv = np.abs(values_new.astype(np.float64) - values_old.astype(np.float64))
+    comb = slack_new.astype(np.float64) + slack_old.astype(np.float64)
+    body = np.maximum(dv[:, :-1], dv[:, 1:]) + comb[:, :-1]
+    tail = dv[:, -1] + comb[:, -1]
+    numerator = np.maximum(np.max(body, axis=1), tail)
+    return numerator / np.maximum(np.maximum(peaks_new, peaks_old), 1e-12)
+
+
+def sketch_deltas(
+    pairs: list[tuple["MissCurveSketch", "MissCurveSketch"]],
+) -> list[float]:
+    """The delta of every ``(new, old)`` pair of same-grid sketches, as
+    a bank row's: identical sketch objects give exactly 0.0, and the
+    other pairs are stacked into one :func:`_row_deltas` call."""
+    deltas = [0.0] * len(pairs)
+    moved = [i for i, (new, old) in enumerate(pairs) if new is not old]
+    if not moved:
+        return deltas
+    stacked = np.stack([
+        array
+        for i in moved
+        for array in (
+            pairs[i][0].values, pairs[i][0].slack,
+            pairs[i][1].values, pairs[i][1].slack,
+        )
+    ]).reshape(len(moved), 4, -1)
+    peaks = np.array(
+        [(pairs[i][0].peak, pairs[i][1].peak) for i in moved],
+        dtype=np.float64,
+    ).reshape(len(moved), 2)
+    rows = _row_deltas(
+        stacked[:, 0], stacked[:, 1], peaks[:, 0],
+        stacked[:, 2], stacked[:, 3], peaks[:, 1],
+    )
+    for i, delta in zip(moved, rows.tolist()):
+        deltas[i] = delta
+    return deltas
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,11 +315,7 @@ class MissCurveSketch:
                 f"{float(self.grid[-1]):.0f}B vs {other.points} pts to "
                 f"{float(other.grid[-1]):.0f}B); rebuild on a shared grid"
             )
-        numerator = _delta_arrays(
-            self.values, self.slack, other.values, other.slack
-        )
-        scale = max(self.peak, other.peak, 1e-12)
-        return numerator / scale
+        return sketch_deltas([(self, other)])[0]
 
     # -- combination ---------------------------------------------------------
 
@@ -390,21 +426,10 @@ class SketchBank:
         identity fast path in :meth:`deltas_to` then sees them as clean
         for free.
         """
-        sketches = []
-        key = (float(grid_max), int(points))
-        for _, curve in curves:
-            memo = getattr(curve, "_sketch_memo", None)
-            if memo is None:
-                memo = {}
-                curve._sketch_memo = memo
-            sketch = memo.get(key)
-            if sketch is None:
-                sketch = MissCurveSketch.from_curve(
-                    curve, grid_max=grid_max, points=points
-                )
-                memo[key] = sketch
-            sketches.append(sketch)
-        return cls(tuple(vc_id for vc_id, _ in curves), tuple(sketches))
+        return cls(
+            tuple(vc_id for vc_id, _ in curves),
+            tuple(_curve_sketch(curve, grid_max, points) for _, curve in curves),
+        )
 
     @property
     def nbytes(self) -> int:
@@ -419,8 +444,8 @@ class SketchBank:
     def deltas_to(self, prev: "SketchBank") -> dict[int, float]:
         """``{vc_id: delta}`` for every id present in both banks.
 
-        One vectorized pass over the stacked arrays; rows whose sketch
-        objects are identical short-circuit to exactly 0.0.  Raises
+        One pass of the delta kernel over the stacked arrays; rows whose
+        sketch objects are identical short-circuit to exactly 0.0.  Raises
         ``ValueError`` when the banks' grids differ (callers treat that
         as everything-dirty).
         """
@@ -437,21 +462,49 @@ class SketchBank:
                 for v in common
             ]
         )
-        va = self.values2d[rows].astype(np.float64)
-        vb = prev.values2d[prev_rows].astype(np.float64)
-        dv = np.abs(va - vb)
-        comb = self.slack2d[rows].astype(np.float64) + prev.slack2d[
-            prev_rows
-        ].astype(np.float64)
-        body = np.maximum(dv[:, :-1], dv[:, 1:]) + comb[:, :-1]
-        tail = dv[:, -1] + comb[:, -1]
-        numerator = np.maximum(np.max(body, axis=1), tail)
-        scale = np.maximum(
-            np.maximum(self.peaks[rows], prev.peaks[prev_rows]), 1e-12
+        deltas = _row_deltas(
+            self.values2d[rows], self.slack2d[rows], self.peaks[rows],
+            prev.values2d[prev_rows], prev.slack2d[prev_rows],
+            prev.peaks[prev_rows],
         )
-        deltas = numerator / scale
         deltas[same] = 0.0
         return {vc_id: float(d) for vc_id, d in zip(common, deltas)}
+
+
+def _curve_sketch(curve: MissCurve, grid_max: float, points: int) -> MissCurveSketch:
+    """*curve*'s sketch on the ``(grid_max, points)`` grid, memoized on
+    the curve object: every bank and every delta over one curve shares
+    one sketch, so an unchanged curve's delta is the identity case."""
+    memo = getattr(curve, "_sketch_memo", None)
+    if memo is None:
+        memo = {}
+        curve._sketch_memo = memo
+    key = (float(grid_max), int(points))
+    sketch = memo.get(key)
+    if sketch is None:
+        sketch = memo[key] = MissCurveSketch.from_curve(
+            curve, grid_max=grid_max, points=points
+        )
+    return sketch
+
+
+def record_sketch_pairs(
+    prev, problem, positions, budget_bytes: int = DEFAULT_SKETCH_BYTES
+) -> list[tuple[MissCurveSketch, MissCurveSketch]]:
+    """``(new, old)`` sketches of the VCs at *positions* of two problems
+    of one chip, for :func:`sketch_deltas`: taken from the per-curve
+    memo on the chip's grid, so no bank is built and a curve both
+    problems share gives one sketch object."""
+    grid_max = float(problem.total_bytes)
+    points = points_for_budget(budget_bytes)
+    new_vcs, old_vcs = problem.vcs, prev.vcs
+    return [
+        (
+            _curve_sketch(new_vcs[i].miss_curve, grid_max, points),
+            _curve_sketch(old_vcs[i].miss_curve, grid_max, points),
+        )
+        for i in positions
+    ]
 
 
 def problem_sketch_bank(

@@ -19,10 +19,10 @@ topology's precomputed matrices (``N = topology.tiles``):
   fractions of a compact footprint of ``size_banks`` (ones then one
   partial), identical to filling banks one at a time;
 * :func:`batched_window_scores` — two ``(N,)`` vectors ``(contention,
-  spread)``; entry *c* scores a compact window centered at tile *c*
-  against a ``(N,)`` claimed-capacity tally.  Terms accumulate in spiral
-  order via ``np.cumsum`` so each entry is bitwise the window's
-  bank-by-bank contention and mean distance (the loops
+  spread)``; entry *c* scores the compact window of those weights
+  centered at tile *c* against a ``(N,)`` claimed-capacity tally.  Terms
+  accumulate in spiral order via ``np.cumsum`` so each entry is bitwise
+  the window's bank-by-bank contention and mean distance (the loops
   ``tests/oracles.py`` keeps);
 * :func:`tile_cost_vector` — ``(N,) float64``; capacity-weighted total
   distance from every tile to a ``{bank: weight}`` mapping (the
@@ -49,7 +49,7 @@ from collections.abc import Iterable, Mapping
 
 import numpy as np
 
-from repro.geometry.mesh import Topology
+from repro.geometry.mesh import Mesh, Topology
 
 
 def center_of_mass(
@@ -255,22 +255,26 @@ def compact_window_weights(topology: Topology, size_banks: float) -> np.ndarray:
 def batched_window_scores(
     topology: Topology,
     claimed: np.ndarray,
-    size_banks: float,
+    weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score a compact window at every candidate center -> ``(contention,
-    spread)``, each ``(tiles,)``.
+    """Score the compact window of *weights* (:func:`compact_window_weights`)
+    at every candidate center -> ``(contention, spread)``, each ``(tiles,)``.
 
     ``contention[c]`` is the claimed capacity under the window centered at
     *c* (the hatched-area sum of Fig 7b); ``spread[c]`` is the window's
     mean access distance from *c* (the Fig 6 average).  Rows reduce in
     spiral order with ``np.cumsum``, so both vectors are bitwise what
-    building and scoring each window bank by bank computes.
+    building and scoring each window bank by bank computes.  A one-bank
+    window on a :class:`Mesh` is the candidate's own bank (column 0 of
+    ``order_matrix`` is ``arange(N)``, of ``sorted_distance_matrix``
+    zeros), so its one-term sums are ``w * claimed`` and zeros.
     """
-    weights = compact_window_weights(topology, size_banks)
     m = len(weights)
     if m == 0:
         zeros = np.zeros(topology.tiles, dtype=np.float64)
         return zeros, zeros.copy()
+    if m == 1 and isinstance(topology, Mesh):
+        return weights[0] * claimed, np.zeros(topology.tiles, dtype=np.float64)
     order = topology.order_matrix[:, :m]
     ranked_dist = topology.sorted_distance_matrix[:, :m]
     contention = np.cumsum(weights[None, :] * claimed[order], axis=1)[:, -1]

@@ -105,12 +105,14 @@ def assemble_problem(
     records: list[tuple[list[VirtualCache], list[ThreadSpec]]],
     global_record: VirtualCache,
     mem_latency: float,
+    base: PlacementProblem | None = None,
 ) -> PlacementProblem:
     """The problem of a mix from its processes' :func:`process_records`
     (in mix order) and the :func:`global_vc` record, which goes last.
     The records are shared, not copied: callers that keep them across
     problems (:class:`~repro.sim.engine.EpochEngine`) get problems that
-    share every record of an unchanged process."""
+    share every record of an unchanged process, and pass the previous
+    one as *base* to derive the new one from it in O(changed records)."""
     threads = [thread for _, proc_threads in records for thread in proc_threads]
     if len(threads) > topology.tiles:
         raise ValueError(
@@ -124,6 +126,7 @@ def assemble_problem(
         vcs=vcs,
         threads=threads,
         mem_latency=mem_latency,
+        base=base,
     )
 
 

@@ -45,10 +45,15 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.cache.sketch import DEFAULT_SKETCH_BYTES, problem_sketch_bank
+from repro.cache.sketch import (
+    DEFAULT_SKETCH_BYTES,
+    problem_sketch_bank,
+    record_sketch_pairs,
+    sketch_deltas,
+)
 from repro.geometry.mesh import Mesh
 from repro.sched.opcount import CYCLES_PER_OP, StepCounter
-from repro.sched.problem import PlacementProblem, PlacementSolution
+from repro.sched.problem import PlacementProblem, PlacementSolution, changed_records
 from repro.sched.reconfigure import ReconfigPolicy, ReconfigResult, reconfigure
 from repro.sched.refinement import trade_refinement
 
@@ -188,20 +193,17 @@ class IncrementalSolve:
         """Ids of VCs that must be re-solved against *prev*."""
         if self.dirty_threshold <= 0:
             return {vc.vc_id for vc in problem.vcs}
-        prev_by_id = {vc.vc_id: vc for vc in prev.vcs}
         dirty: set[int] = set()
-        for vc in problem.vcs:
-            old = prev_by_id.get(vc.vc_id)
-            if old is None:
-                dirty.add(vc.vc_id)
-                continue
-            if curve_distance(old.miss_curve, vc.miss_curve) > self.dirty_threshold:
-                dirty.add(vc.vc_id)
-                continue
-            delta = _rate_distance(
-                prev.accessor_rates(vc.vc_id), problem.accessor_rates(vc.vc_id)
-            )
-            if delta > self.dirty_threshold:
+        for vc, old in _candidate_pairs(prev, problem):
+            if (
+                old is None
+                or curve_distance(old.miss_curve, vc.miss_curve)
+                > self.dirty_threshold
+                or _rate_distance(
+                    prev.accessor_rates(vc.vc_id),
+                    problem.accessor_rates(vc.vc_id),
+                ) > self.dirty_threshold
+            ):
                 dirty.add(vc.vc_id)
         return dirty
 
@@ -209,35 +211,50 @@ class IncrementalSolve:
         self, prev: PlacementProblem, problem: PlacementProblem
     ) -> set[int]:
         """Sketch-driven dirty detection: O(sketch) per VC, superset of
-        :meth:`dirty_vcs` at the same threshold.
+        :meth:`dirty_vcs` at the same threshold, over the same candidate
+        VCs.
 
-        Curve movement is judged from the per-problem sketch banks (one
-        vectorized pass over all VCs; stationary problems reuse bank rows
-        so their deltas are exactly zero).  Accessor-rate movement uses
-        the same exact :func:`_rate_distance` as the exact path — rates
-        are scalars, there is nothing to sketch.  ``dirty_threshold <= 0``
-        degenerates bitwise to the full set, like the exact path.
+        Curve movement is judged from sketch deltas: the candidates'
+        sketches when the problems share records, else the per-problem
+        sketch banks (one vectorized pass over all VCs; stationary
+        problems reuse bank rows so their deltas are exactly zero).
+        Accessor-rate movement uses the same exact :func:`_rate_distance`
+        as the exact path — rates are scalars, there is nothing to
+        sketch.  ``dirty_threshold <= 0`` degenerates bitwise to the full
+        set, like the exact path.
         """
         if self.dirty_threshold <= 0:
             return {vc.vc_id for vc in problem.vcs}
+        positions = _candidate_positions(prev, problem)
         try:
-            deltas = problem_sketch_bank(problem, self.sketch_bytes).deltas_to(
-                problem_sketch_bank(prev, self.sketch_bytes)
-            )
+            if positions is None:
+                candidates = problem.vcs
+                deltas = problem_sketch_bank(problem, self.sketch_bytes).deltas_to(
+                    problem_sketch_bank(prev, self.sketch_bytes)
+                )
+            else:
+                candidates = [problem.vcs[i] for i in positions]
+                deltas = dict(zip(
+                    [vc.vc_id for vc in candidates],
+                    sketch_deltas(record_sketch_pairs(
+                        prev, problem, positions, self.sketch_bytes
+                    )),
+                ))
         except ValueError:
             # Grid mismatch (the chip's LLC size changed): every delta is
             # unbounded, so everything is conservatively dirty.
             return {vc.vc_id for vc in problem.vcs}
         dirty: set[int] = set()
-        for vc in problem.vcs:
+        for vc in candidates:
             delta = deltas.get(vc.vc_id)
-            if delta is None or delta > self.dirty_threshold:
-                dirty.add(vc.vc_id)
-                continue
-            moved = _rate_distance(
-                prev.accessor_rates(vc.vc_id), problem.accessor_rates(vc.vc_id)
-            )
-            if moved > self.dirty_threshold:
+            if (
+                delta is None
+                or delta > self.dirty_threshold
+                or _rate_distance(
+                    prev.accessor_rates(vc.vc_id),
+                    problem.accessor_rates(vc.vc_id),
+                ) > self.dirty_threshold
+            ):
                 dirty.add(vc.vc_id)
         return dirty
 
@@ -280,6 +297,46 @@ class IncrementalSolve:
         result = reconfigure(problem, policy, external_thread_cores, pinned)
         result.strategy = self.name
         return result
+
+
+def _candidate_positions(
+    prev: PlacementProblem, problem: PlacementProblem
+) -> list[int] | None:
+    """Positions of the VCs whose curve distance or rate distance to
+    *prev* can be nonzero, or ``None`` when
+    :func:`~repro.sched.problem.changed_records` cannot diff the pair.
+
+    A VC whose record both problems share has the same curve object, so
+    distance 0, and unless a changed thread names it, before or after,
+    every thread keying it is shared too, so its accessor map is equal:
+    the candidates are the changed VC records plus the VCs the changed
+    threads name."""
+    changes = changed_records(prev, problem)
+    if changes is None:
+        return None
+    candidates, thread_changed = changes
+    if thread_changed:
+        positions = problem.vc_positions
+        named = set(candidates)
+        for i in thread_changed:
+            for thread in (prev.threads[i], problem.threads[i]):
+                named.update(
+                    positions[vc_id] for vc_id in thread.vc_accesses
+                    if vc_id in positions
+                )
+        candidates = sorted(named)
+    return candidates
+
+
+def _candidate_pairs(prev: PlacementProblem, problem: PlacementProblem):
+    """``(vc, its record in prev or None)`` for every VC whose dirtiness
+    must be checked: the candidates of :func:`_candidate_positions`, or
+    every VC of a pair that cannot be diffed."""
+    positions = _candidate_positions(prev, problem)
+    if positions is None:
+        prev_by_id = {vc.vc_id: vc for vc in prev.vcs}
+        return [(vc, prev_by_id.get(vc.vc_id)) for vc in problem.vcs]
+    return [(problem.vcs[i], prev.vcs[i]) for i in positions]
 
 
 def _clean_part(

@@ -14,7 +14,9 @@ latency in cycles.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from itertools import compress, count
+from operator import is_not
 
 from repro.config import SystemConfig
 from repro.geometry.mesh import Topology
@@ -39,9 +41,38 @@ class ThreadSpec:
         return sum(self.vc_accesses.values())
 
 
+#: The :attr:`PlacementProblem._memo` key of the per-record digest lists
+#: (one list of VC digests, one of thread digests) that
+#: :func:`repro.service.messages.problem_digest` fills.  A derived problem
+#: starts from its base's lists with its changed positions set to ``None``.
+RECORD_DIGESTS = "record_digests"
+
+
+class _Frame:
+    """What a problem shares with every problem derived from it: the
+    positions of its VC and thread ids, which derivation never changes,
+    and a memo for values that depend only on the config, the topology,
+    ``mem_latency`` and the record counts (the digest header)."""
+
+    __slots__ = ("vc_positions", "thread_positions", "memo")
+
+    def __init__(self, vc_positions: dict[int, int], thread_positions: dict[int, int]):
+        self.vc_positions = vc_positions
+        self.thread_positions = thread_positions
+        self.memo: dict = {}
+
+
 @dataclass
 class PlacementProblem:
-    """Inputs to one reconfiguration."""
+    """Inputs to one reconfiguration.
+
+    Pass *base*, the problem this one was patched from, to derive it: when
+    :func:`changed_records` can diff the two, the new problem copies the
+    base's accessor index and rebuilds only the maps its changed threads
+    touch, and shares the base's id positions and digest header, so it
+    costs O(changed records).  A derived problem keeps no reference to its
+    base, and it equals, index included, the problem built without one.
+    """
 
     config: SystemConfig
     topology: Topology
@@ -50,8 +81,19 @@ class PlacementProblem:
     #: Memory latency constant used by Eq 1 during allocation (zero-load
     #: DRAM + average on-chip distance to a controller, in cycles).
     mem_latency: float = 160.0
+    base: InitVar[PlacementProblem | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, base: PlacementProblem | None) -> None:
+        #: The one memo slot for values derived from this problem's
+        #: content (its digest, its sketch banks), filled on first use.
+        #: Like ``_accessors`` it is no field, so ``==``, ``replace`` and
+        #: content digests never see it, and a ``replace`` copy starts
+        #: with an empty one.
+        self._memo: dict = {}
+        changes = None if base is None else changed_records(base, self)
+        if changes is not None:
+            self._derive(base, *changes)
+            return
         if self.topology.tiles != self.config.tiles:
             raise ValueError(
                 f"topology has {self.topology.tiles} tiles but config "
@@ -61,25 +103,96 @@ class PlacementProblem:
             raise ValueError(
                 f"{len(self.threads)} threads exceed {self.config.tiles} cores"
             )
-        ids = [vc.vc_id for vc in self.vcs]
-        if len(set(ids)) != len(ids):
+        vc_positions = {vc.vc_id: i for i, vc in enumerate(self.vcs)}
+        if len(vc_positions) != len(self.vcs):
             raise ValueError("duplicate VC ids")
         # vc_id -> {thread_id: rate > 0} in thread order: one pass here
         # instead of one thread-list scan per accessors_of() call.  A
         # plain attribute, not a field, so equality and content digests
         # never see it.
         index: dict[int, dict[int, float]] = {}
-        for thread in self.threads:
+        zero_rate: set[int] = set()
+        for position, thread in enumerate(self.threads):
             for vc_id, rate in thread.vc_accesses.items():
                 if rate > 0:
                     index.setdefault(vc_id, {})[thread.thread_id] = rate
+                else:
+                    zero_rate.add(position)
         self._accessors = index
-        #: The one memo slot for values derived from this problem's
-        #: content (its digest, its sketch banks), filled on first use.
-        #: Like ``_accessors`` it is no field, so ``==``, ``replace`` and
-        #: content digests never see it, and a ``replace`` copy starts
-        #: with an empty one.
-        self._memo: dict = {}
+        #: Positions of the threads with a ``vc_accesses`` key whose rate
+        #: is not positive: keys the accessor index does not list.
+        self._zero_rate_threads = frozenset(zero_rate)
+        self._frame = _Frame(
+            vc_positions,
+            {thread.thread_id: i for i, thread in enumerate(self.threads)},
+        )
+
+    def _derive(
+        self, base: PlacementProblem, vc_changed: list[int], thread_changed: list[int]
+    ) -> None:
+        """The index, positions and digest memos of *base* patched at the
+        changed positions.  The base passed the checks this problem
+        would repeat: same config, topology and ids."""
+        self._frame = frame = base._frame
+        index = dict(base._accessors)
+        zero_rate = base._zero_rate_threads
+        if thread_changed:
+            # Rebuild the inner map of every VC a changed thread names,
+            # before or after; every other map is shared.
+            old_threads, threads = base.threads, self.threads
+            changed: dict[int, ThreadSpec] = {}
+            readers: dict[int, list[ThreadSpec]] = {}
+            zero_rate = set(zero_rate)
+            for position in thread_changed:
+                thread = threads[position]
+                changed[thread.thread_id] = thread
+                for vc_id in old_threads[position].vc_accesses:
+                    readers.setdefault(vc_id, [])
+                positive = True
+                for vc_id, rate in thread.vc_accesses.items():
+                    readers.setdefault(vc_id, []).append(thread)
+                    positive = positive and rate > 0
+                if positive:
+                    zero_rate.discard(position)
+                else:
+                    zero_rate.add(position)
+            zero_rate = frozenset(zero_rate)
+            for vc_id, new_readers in readers.items():
+                old = base._accessors.get(vc_id, {})
+                inner = {}
+                for thread_id, rate in old.items():
+                    thread = changed.get(thread_id)
+                    if thread is not None:
+                        rate = thread.vc_accesses.get(vc_id, 0)
+                        if not rate > 0:
+                            continue
+                    inner[thread_id] = rate
+                added = False
+                for thread in new_readers:
+                    rate = thread.vc_accesses[vc_id]
+                    if rate > 0 and thread.thread_id not in old:
+                        inner[thread.thread_id] = rate
+                        added = True
+                if added:
+                    # A new reader goes where its thread stands.
+                    positions = frame.thread_positions
+                    inner = dict(
+                        sorted(inner.items(), key=lambda kv: positions[kv[0]])
+                    )
+                if inner:
+                    index[vc_id] = inner
+                else:
+                    index.pop(vc_id, None)
+        self._accessors = index
+        self._zero_rate_threads = zero_rate
+        digests = base._memo.get(RECORD_DIGESTS)
+        if digests is not None:
+            vc_digests, thread_digests = list(digests[0]), list(digests[1])
+            for position in vc_changed:
+                vc_digests[position] = None
+            for position in thread_changed:
+                thread_digests[position] = None
+            self._memo[RECORD_DIGESTS] = (vc_digests, thread_digests)
 
     @property
     def bank_bytes(self) -> int:
@@ -92,6 +205,18 @@ class PlacementProblem:
     @property
     def quantum(self) -> int:
         return self.config.scheduler.allocation_quantum
+
+    @property
+    def vc_positions(self) -> Mapping[int, int]:
+        """vc_id -> position in :attr:`vcs`; shared between derived
+        problems, so it must not be mutated."""
+        return self._frame.vc_positions
+
+    @property
+    def thread_positions(self) -> Mapping[int, int]:
+        """thread_id -> position in :attr:`threads` (the last one, should
+        ids repeat); shared like :attr:`vc_positions`."""
+        return self._frame.thread_positions
 
     def vc_by_id(self, vc_id: int) -> VirtualCache:
         for vc in self.vcs:
@@ -108,6 +233,54 @@ class PlacementProblem:
         """:meth:`accessors_of` without the copy, for callers that only
         read it: the index's own map, which must not be mutated."""
         return self._accessors.get(vc_id, {})
+
+    def threads_keyed_by(self, vc_ids: Mapping[int, object]) -> set[int]:
+        """Ids of the threads whose ``vc_accesses`` has a key in *vc_ids*
+        at any rate, zero included: the accessors of those VCs plus the
+        few threads with a rate that is not positive."""
+        keyed: set[int] = set()
+        for vc_id in vc_ids:
+            keyed.update(self._accessors.get(vc_id, ()))
+        for position in self._zero_rate_threads:
+            thread = self.threads[position]
+            if not vc_ids.keys().isdisjoint(thread.vc_accesses):
+                keyed.add(thread.thread_id)
+        return keyed
+
+
+def changed_records(
+    prev: PlacementProblem, problem: PlacementProblem
+) -> tuple[list[int], list[int]] | None:
+    """Positions of the VC and thread records of *problem* that are not
+    the very same object in *prev*, as ``(vc positions, thread
+    positions)`` in ascending order: O(records) pointer compares.
+
+    Records are immutable, so a record shared by both problems has equal
+    content in both.  ``None`` when the pair cannot be diffed this way:
+    another config, topology or ``mem_latency`` object, other record
+    counts, a changed position whose id differs, or ids that repeat.
+    Callers then treat every record as changed.
+    """
+    if (
+        prev.config is not problem.config
+        or prev.topology is not problem.topology
+        or prev.mem_latency is not problem.mem_latency
+        or len(prev.vcs) != len(problem.vcs)
+        or len(prev.threads) != len(problem.threads)
+        or len(prev._frame.thread_positions) != len(prev.threads)
+    ):
+        return None
+    old_vcs, vcs = prev.vcs, problem.vcs
+    vc_changed = list(compress(count(), map(is_not, old_vcs, vcs)))
+    for position in vc_changed:
+        if old_vcs[position].vc_id != vcs[position].vc_id:
+            return None
+    old_threads, threads = prev.threads, problem.threads
+    thread_changed = list(compress(count(), map(is_not, old_threads, threads)))
+    for position in thread_changed:
+        if old_threads[position].thread_id != threads[position].thread_id:
+            return None
+    return vc_changed, thread_changed
 
 
 @dataclass

@@ -31,7 +31,6 @@ from functools import partial
 
 import numpy as np
 
-from repro.cache.sketch import problem_sketch_bank
 from repro.geometry.placement_math import center_of_mass
 from repro.sched.allocation import allocate_latency_aware, allocate_miss_driven
 from repro.sched.opcount import StepCounter
@@ -345,7 +344,6 @@ def reconfigure_epoch(
     external_thread_cores: dict[int, int] | None = None,
     topology=None,
     prior_problem: PlacementProblem | None = None,
-    sketch_bytes: int | None = None,
 ) -> tuple[ReconfigResult, PlacementProblem]:
     """One epoch-boundary reconfiguration against the mix's *current* curves.
 
@@ -365,26 +363,16 @@ def reconfigure_epoch(
     topology rebuild entirely; phased mixes always rebuild against the
     active snapshot, reusing only the prior problem's topology (whose
     geometry matrices are shared process-wide regardless).
-
-    *sketch_bytes* feeds the sketch stream forward: the returned
-    problem's telemetry bank (:func:`repro.cache.sketch.problem_sketch_bank`)
-    is built at that budget and memoized on the problem object, so a
-    sketch-driven engine consuming consecutive epochs never re-sketches a
-    stationary epoch — the reused problem object carries its bank.
     """
     from repro.nuca.base import build_problem  # sched must not import nuca eagerly
     from repro.workloads.mixes import mix_is_phased
 
     if prior_problem is not None:
         if not mix_is_phased(mix):
-            if sketch_bytes is not None:
-                problem_sketch_bank(prior_problem, sketch_bytes)
             result = reconfigure(prior_problem, policy, external_thread_cores)
             return result, prior_problem
         if topology is None:
             topology = prior_problem.topology
     problem = build_problem(mix, config, topology)
-    if sketch_bytes is not None:
-        problem_sketch_bank(problem, sketch_bytes)
     result = reconfigure(problem, policy, external_thread_cores)
     return result, problem

@@ -154,9 +154,8 @@ def place_optimistic(
 
     order = _placement_order(problem, vc_sizes, vc_ids)
     for vc in order:
-        size_banks = vc_sizes[vc.vc_id] / bank_bytes
-        contention, spread = batched_window_scores(topo, claimed, size_banks)
-        weights = compact_window_weights(topo, size_banks)
+        weights = compact_window_weights(topo, vc_sizes[vc.vc_id] / bank_bytes)
+        contention, spread = batched_window_scores(topo, claimed, weights)
         counter.add("vc_placement", topo.tiles * len(weights))
         best_bank = _least_contended(contention, spread)
         window_banks = topo.order_matrix[best_bank, : len(weights)]

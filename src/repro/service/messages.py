@@ -27,8 +27,20 @@ from itertools import chain
 import numpy as np
 
 from repro.cache.miss_curve import MissCurve
-from repro.cache.sketch import DEFAULT_SKETCH_BYTES, MissCurveSketch, problem_sketch_bank
-from repro.sched.problem import PlacementProblem, PlacementSolution, ThreadSpec
+from repro.cache.sketch import (
+    DEFAULT_SKETCH_BYTES,
+    MissCurveSketch,
+    problem_sketch_bank,
+    record_sketch_pairs,
+    sketch_deltas,
+)
+from repro.sched.problem import (
+    RECORD_DIGESTS,
+    PlacementProblem,
+    PlacementSolution,
+    ThreadSpec,
+    changed_records,
+)
 from repro.util.hashing import canonical_repr
 from repro.vcache.virtual_cache import VCKind, VirtualCache
 
@@ -383,12 +395,22 @@ def _thread_encoding(thread: ThreadSpec) -> bytes | None:
 _RECORD_DIGEST = "_digest"
 
 
-def _record_digests(records: list, cls: type, encode) -> list[bytes] | None:
+def _record_digests(
+    records: list, cls: type, encode, digests: list | None = None
+) -> list[bytes] | None:
     """The SHA-256 digest of every record's encoding, each computed once
     per record object and memoized on it; ``None`` when a record is not
-    exactly a *cls* or *encode* refuses it."""
-    digests = []
-    for record in records:
+    exactly a *cls* or *encode* refuses it.  *digests*, a derived
+    problem's list from its base, is filled in place where it holds
+    ``None``; its other entries are the digests of the very same
+    records."""
+    if digests is not None:
+        positions = [i for i, digest in enumerate(digests) if digest is None]
+    else:
+        digests = [None] * len(records)
+        positions = range(len(records))
+    for i in positions:
+        record = records[i]
         if type(record) is not cls:
             return None
         memo = record.__dict__
@@ -398,7 +420,7 @@ def _record_digests(records: list, cls: type, encode) -> list[bytes] | None:
             if blob is None:
                 return None
             digest = memo[_RECORD_DIGEST] = hashlib.sha256(blob).digest()
-        digests.append(digest)
+        digests[i] = digest
     return digests
 
 
@@ -412,23 +434,29 @@ def _structural_encoding(problem: PlacementProblem) -> bytes | None:
         and type(threads) is list
     ):
         return None
-    vc_digests = _record_digests(vcs, VirtualCache, _vc_encoding)
+    known = problem._memo.get(RECORD_DIGESTS, (None, None))
+    vc_digests = _record_digests(vcs, VirtualCache, _vc_encoding, known[0])
     if vc_digests is None:
         return None
-    thread_digests = _record_digests(threads, ThreadSpec, _thread_encoding)
+    thread_digests = _record_digests(
+        threads, ThreadSpec, _thread_encoding, known[1]
+    )
     if thread_digests is None:
         return None
-    header = [
-        canonical_repr(problem.config),
-        canonical_repr(problem.topology),
-        canonical_repr(problem.mem_latency),
-        len(vcs),
-        len(threads),
-    ]
+    problem._memo[RECORD_DIGESTS] = (vc_digests, thread_digests)
+    # Every problem derived from this one shares the header's inputs.
+    shared = problem._frame.memo
+    header = shared.get("digest_header")
+    if header is None:
+        header = shared["digest_header"] = repr([
+            canonical_repr(problem.config),
+            canonical_repr(problem.topology),
+            canonical_repr(problem.mem_latency),
+            len(vcs),
+            len(threads),
+        ]).encode() + b"\n"
     # The counts fix how many 32-byte record digests follow.
-    return b"".join([
-        repr(header).encode(), b"\n", *vc_digests, *thread_digests,
-    ])
+    return b"".join([header, *vc_digests, *thread_digests])
 
 
 def problem_digest(problem: PlacementProblem) -> str:
@@ -455,7 +483,10 @@ def problem_digest(problem: PlacementProblem) -> str:
     Records are immutable and shared between the problems of one chip,
     so each record's digest is computed once, on first use, and kept on
     the record outside its dataclass fields: a problem that shares most
-    records with an earlier one hashes only its new records.
+    records with an earlier one hashes only its new records.  The list
+    of record digests is memoized in the problem's memo slot, and a
+    problem derived from a base with such a list starts from it; the
+    header is computed once for a problem and all those derived from it.
 
     Leaves are plain ints, floats, strs, bools and ``None``, whose
     ``repr`` is exact; numpy scalars are reduced to those first, and any
@@ -487,40 +518,58 @@ def build_delta(
 
     Returns ``None`` when the chip's structure drifted (VC list, thread
     set, or LLC capacity changed) — those epochs need full telemetry.
-    Curve movement is judged from the problems' sketch banks (memoized
-    per problem object, so a stationary epoch diffs for free); every VC
-    whose sketch delta exceeds *dirty_threshold* ships its sketch plus
-    its exact replacement curve.  Threads whose ``cluster_key`` changed
-    (phase flips rename the benchmark) ship the new key.  The default
-    threshold 0 ships every changed curve, which keeps the server's
-    patched problem content-identical to *problem* — the next epoch's
-    digest then anchors without a fallback.
+    Every VC whose sketch delta exceeds *dirty_threshold* ships its
+    sketch plus its exact replacement curve.  Threads whose
+    ``cluster_key`` changed (phase flips rename the benchmark) ship the
+    new key.  The default threshold 0 ships every changed curve, which
+    keeps the server's patched problem content-identical to *problem* —
+    the next epoch's digest then anchors without a fallback.
+
+    When :func:`~repro.sched.problem.changed_records` can diff the pair,
+    only the changed VC and thread records are examined: a shared record
+    has a delta of exactly 0 and unchanged rates and keys, so it would
+    ship nothing (unless *dirty_threshold* is negative, which takes the
+    path below).  Otherwise curve movement is judged from the problems'
+    sketch banks (memoized per problem object).
     """
-    if [vc.vc_id for vc in base.vcs] != [vc.vc_id for vc in problem.vcs]:
-        return None
-    if [t.thread_id for t in base.threads] != [
-        t.thread_id for t in problem.threads
-    ]:
-        return None
-    if float(base.total_bytes) != float(problem.total_bytes):
-        return None
-    bank = problem_sketch_bank(problem, sketch_bytes)
-    deltas = bank.deltas_to(problem_sketch_bank(base, sketch_bytes))
-    base_by_id = {vc.vc_id: vc for vc in base.vcs}
+    changes = None if dirty_threshold < 0 else changed_records(base, problem)
+    if changes is not None:
+        vc_positions, thread_positions = changes
+        pairs = record_sketch_pairs(base, problem, vc_positions, sketch_bytes)
+        rows = zip(
+            vc_positions, [new for new, _ in pairs], sketch_deltas(pairs)
+        )
+    else:
+        if [vc.vc_id for vc in base.vcs] != [vc.vc_id for vc in problem.vcs]:
+            return None
+        if [t.thread_id for t in base.threads] != [
+            t.thread_id for t in problem.threads
+        ]:
+            return None
+        if float(base.total_bytes) != float(problem.total_bytes):
+            return None
+        bank = problem_sketch_bank(problem, sketch_bytes)
+        deltas = bank.deltas_to(problem_sketch_bank(base, sketch_bytes))
+        rows = (
+            (i, bank.sketches[bank.index[vc.vc_id]], deltas[vc.vc_id])
+            for i, vc in enumerate(problem.vcs)
+        )
+        thread_positions = range(len(problem.threads))
     sketches: dict[int, MissCurveSketch] = {}
     dirty_curves: dict[int, MissCurve] = {}
     dirty_rates: dict[int, dict[int, float]] = {}
-    for vc in problem.vcs:
-        if deltas[vc.vc_id] > dirty_threshold:
-            sketches[vc.vc_id] = bank.sketches[bank.index[vc.vc_id]]
+    for i, sketch, delta in rows:
+        vc = problem.vcs[i]
+        if delta > dirty_threshold:
+            sketches[vc.vc_id] = sketch
             dirty_curves[vc.vc_id] = vc.miss_curve
-        if vc.accesses != base_by_id[vc.vc_id].accesses:
+        if vc.accesses != base.vcs[i].accesses:
             dirty_rates[vc.vc_id] = dict(vc.accesses)
-    dirty_clusters: dict[int, str] = {
-        thread.thread_id: thread.cluster_key
-        for thread, old in zip(problem.threads, base.threads)
-        if thread.cluster_key != old.cluster_key
-    }
+    dirty_clusters: dict[int, str] = {}
+    for i in thread_positions:
+        thread = problem.threads[i]
+        if thread.cluster_key != base.threads[i].cluster_key:
+            dirty_clusters[thread.thread_id] = thread.cluster_key
     return DeltaTelemetry(
         chip_id=chip_id,
         base_digest=problem_digest(base),

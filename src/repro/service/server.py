@@ -31,10 +31,11 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Callable
 
 from repro.sched.engine import SolveStrategy
-from repro.sched.problem import PlacementProblem
+from repro.sched.problem import PlacementProblem, ThreadSpec
 from repro.sched.reconfigure import ReconfigPolicy, ReconfigResult
 from repro.service.budget import TokenBucket
 from repro.util.guards import assert_lock_held
@@ -313,11 +314,13 @@ class CoSchedService:
         Raises :class:`StaleTelemetryError` when the delta cannot anchor:
         the engine has no last-good problem (first contact or evicted
         slot), the digest does not match it (the client and service
-        disagree about the base), or the delta names VCs the base does
-        not have.  Anchored deltas rebuild only the dirty VCs and the
-        threads whose rates or cluster keys moved; everything else keeps
-        the base's objects, so the engine's sketch memos see clean VCs
-        as identical.
+        disagree about the base), or the delta names VCs or threads the
+        base does not have.  Anchored deltas rebuild only the dirty VCs
+        and the threads whose rates or cluster keys moved, and the result
+        is derived from the base (see
+        :class:`~repro.sched.problem.PlacementProblem`): everything else
+        keeps the base's objects, so the work is in proportion to the
+        delta, and the engine's sketch memos see clean VCs as identical.
         """
         assert_lock_held(slot.lock, f"chip {slot.chip_id} engine")
         base = slot.engine.state.problem
@@ -331,37 +334,36 @@ class CoSchedService:
                 f"chip {delta.chip_id}: base digest mismatch; "
                 f"send full telemetry"
             )
-        base_ids = {vc.vc_id for vc in base.vcs}
-        unknown = (set(delta.sketches) | set(delta.dirty_rates)) - base_ids
+        vc_positions = base.vc_positions
+        unknown = {
+            vc_id for vc_id in chain(delta.sketches, delta.dirty_rates)
+            if vc_id not in vc_positions
+        }
         if unknown:
             raise StaleTelemetryError(
                 f"chip {delta.chip_id}: delta names unknown VCs "
                 f"{sorted(unknown)}; send full telemetry"
             )
-        base_thread_ids = {t.thread_id for t in base.threads}
-        unknown_threads = set(delta.dirty_clusters) - base_thread_ids
+        thread_positions = base.thread_positions
+        unknown_threads = set(delta.dirty_clusters).difference(thread_positions)
         if unknown_threads:
             raise StaleTelemetryError(
                 f"chip {delta.chip_id}: delta names unknown threads "
                 f"{sorted(unknown_threads)}; send full telemetry"
             )
-        if (
-            not delta.dirty_curves
-            and not delta.dirty_rates
-            and not delta.dirty_clusters
-        ):
+        dirty_rates = delta.dirty_rates
+        if not delta.dirty_curves and not dirty_rates and not delta.dirty_clusters:
             # Stationary epoch: re-solve the very same problem object
-            # (its memoized sketch bank rides along, so a sketch-driven
-            # engine sees every VC clean without recomputing anything).
+            # (its memos ride along, so a sketch-driven engine sees every
+            # VC clean without recomputing anything).
             return base
-        vcs = []
-        for vc in base.vcs:
-            curve = delta.dirty_curves.get(vc.vc_id)
-            rates = delta.dirty_rates.get(vc.vc_id)
-            if curve is None and rates is None:
-                vcs.append(vc)
-                continue
-            vcs.append(VirtualCache(
+        vcs = list(base.vcs)
+        for vc_id in {**delta.dirty_curves, **dirty_rates}:
+            position = vc_positions[vc_id]
+            vc = vcs[position]
+            curve = delta.dirty_curves.get(vc_id)
+            rates = dirty_rates.get(vc_id)
+            vcs[position] = VirtualCache(
                 vc_id=vc.vc_id,
                 kind=vc.kind,
                 process_id=vc.process_id,
@@ -369,62 +371,57 @@ class CoSchedService:
                 accesses=dict(rates) if rates is not None else dict(vc.accesses),
                 allocation=dict(vc.allocation),
                 owner_thread=vc.owner_thread,
-            ))
-        threads = base.threads
-        if delta.dirty_rates or delta.dirty_clusters:
-            dirty_ids = sorted(delta.dirty_rates)
-            named = set().union(*delta.dirty_rates.values())
-            threads = []
-            for thread in base.threads:
-                # A thread no rate map names, touching no dirty VC and
-                # keeping its cluster key, patches to itself: keep it.
-                if (
-                    thread.thread_id not in named
-                    and thread.thread_id not in delta.dirty_clusters
-                    and delta.dirty_rates.keys().isdisjoint(thread.vc_accesses)
-                ):
-                    threads.append(thread)
-                    continue
-                # Preserve the base key order (placement reductions
-                # iterate these dicts); rate updates replace in place,
-                # zero/absent rates drop, newly-accessed VCs append.
-                accesses = {}
-                for vc_id, rate in thread.vc_accesses.items():
-                    if vc_id in delta.dirty_rates:
-                        rate = delta.dirty_rates[vc_id].get(
-                            thread.thread_id, 0.0
-                        )
-                        if rate <= 0:
-                            continue
-                    accesses[vc_id] = rate
-                for vc_id in dirty_ids:
-                    if vc_id in thread.vc_accesses:
+            )
+        threads = list(base.threads)
+        # thread_id -> the dirty-rate VCs whose maps name it, in id order.
+        named: dict[int, list[int]] = {}
+        for vc_id in sorted(dirty_rates):
+            for thread_id in dirty_rates[vc_id]:
+                named.setdefault(thread_id, []).append(vc_id)
+        # The threads to patch: those a rate map names, those whose key
+        # changed, and those keyed by a dirty-rate VC, at any rate.  Any
+        # other thread patches to itself.
+        patch = base.threads_keyed_by(dirty_rates).union(
+            named, delta.dirty_clusters
+        )
+        if len(thread_positions) == len(threads):
+            positions = sorted(
+                thread_positions[t] for t in patch if t in thread_positions
+            )
+        else:  # repeated thread ids: visit every thread
+            positions = range(len(threads))
+        for position in positions:
+            thread = threads[position]
+            thread_id = thread.thread_id
+            # Preserve the base key order (placement reductions iterate
+            # these dicts); rate updates replace in place, zero/absent
+            # rates drop, newly-accessed VCs append.
+            accesses = {}
+            for vc_id, rate in thread.vc_accesses.items():
+                if vc_id in dirty_rates:
+                    rate = dirty_rates[vc_id].get(thread_id, 0.0)
+                    if rate <= 0:
                         continue
-                    rate = delta.dirty_rates[vc_id].get(thread.thread_id, 0.0)
-                    if rate > 0:
-                        accesses[vc_id] = rate
-                cluster_key = delta.dirty_clusters.get(
-                    thread.thread_id, thread.cluster_key
-                )
-                if (
-                    accesses == thread.vc_accesses
-                    and cluster_key == thread.cluster_key
-                ):
-                    threads.append(thread)
-                else:
-                    threads.append(
-                        replace(
-                            thread,
-                            vc_accesses=accesses,
-                            cluster_key=cluster_key,
-                        )
-                    )
+                accesses[vc_id] = rate
+            for vc_id in named.get(thread_id, ()):
+                rate = dirty_rates[vc_id][thread_id]
+                if vc_id not in thread.vc_accesses and rate > 0:
+                    accesses[vc_id] = rate
+            cluster_key = delta.dirty_clusters.get(thread_id, thread.cluster_key)
+            if accesses == thread.vc_accesses and cluster_key == thread.cluster_key:
+                continue
+            threads[position] = (
+                ThreadSpec(thread_id, thread.process_id, accesses, cluster_key)
+                if type(thread) is ThreadSpec
+                else replace(thread, vc_accesses=accesses, cluster_key=cluster_key)
+            )
         return PlacementProblem(
             config=base.config,
             topology=base.topology,
             vcs=vcs,
-            threads=list(threads),
+            threads=threads,
             mem_latency=base.mem_latency,
+            base=base,
         )
 
     async def _handle(self, pending: _Pending) -> None:

@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cache.monitor import UMon
-from repro.cache.sketch import DEFAULT_SKETCH_BYTES, SketchBank, problem_sketch_bank
 from repro.config import SystemConfig
 from repro.geometry.mesh import Topology
 from repro.model.system import AnalyticSystem, MixEvaluation
@@ -373,11 +372,12 @@ class EpochEngine:
 
     def _epoch_boundary(self) -> tuple[dict[int, float], dict[int, int]]:
         if self._boundary is None:
+            instructions = self.instructions.tolist()
             clock = {}
             for pid, idxs in self._process_threads.items():
                 total = 0.0
                 for i in idxs:
-                    total += float(self.instructions[i])
+                    total += instructions[i]
                 clock[pid] = total / len(idxs)
             phases = {}
             for proc in self.mix.processes:
@@ -400,13 +400,15 @@ class EpochEngine:
     def _snapshot(self) -> tuple[Mix, PlacementProblem]:
         """The active (mix, problem) for the epoch about to run:
         content-identical to ``build_problem(snapshot_mix(mix, clock),
-        config, topology)``, assembled from memoized per-process records."""
+        config, topology)``, assembled from memoized per-process records
+        and derived from the previous snapshot."""
         if not self._phased:
             return self.mix, self.problem
         clock, phases = self._epoch_boundary()
         key = tuple(sorted(phases.items()))
         if self._last_snapshot is None or self._last_snapshot[0] != key:
             config, topology = self.problem.config, self.problem.topology
+            last = None if self._last_snapshot is None else self._last_snapshot[1][1]
             if self._chip_records is None:
                 self._chip_records = (
                     global_vc(config),
@@ -428,6 +430,7 @@ class EpochEngine:
                 topology,
                 [(vcs, threads) for _, vcs, threads in parts],
                 *self._chip_records,
+                base=last,
             )
             self._last_snapshot = key, (mix, problem)
         return self._last_snapshot[1]
@@ -441,19 +444,6 @@ class EpochEngine:
         reconfiguration at this epoch boundary solves (its curves are what
         hardware monitors would report for the coming interval)."""
         return self._snapshot()[1]
-
-    def current_sketch_bank(
-        self, budget_bytes: int = DEFAULT_SKETCH_BYTES
-    ) -> SketchBank:
-        """The sketch bank of the active problem — the epoch's streamed
-        telemetry view.
-
-        Memoized on the snapshot's problem object (via
-        :func:`repro.cache.sketch.problem_sketch_bank`), and a stationary
-        epoch returns the same snapshot, so it returns the very same bank
-        without rebuilding anything; only a phase flip sketches the
-        curves of its new snapshot."""
-        return problem_sketch_bank(self.current_problem(), budget_bytes)
 
     # -- epochs --------------------------------------------------------------
 

@@ -33,6 +33,7 @@ can name phased apps exactly like static ones
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.workloads.profiles import AppProfile, get_static_profile
 
@@ -81,9 +82,11 @@ class PhasedProfile:
 
     # -- schedule geometry ---------------------------------------------------
 
-    @property
+    @cached_property
     def total_instructions(self) -> float:
-        """Length of one full pass through the schedule (instructions)."""
+        """Length of one full pass through the schedule (instructions).
+        Computed once and kept in the instance dict, outside the fields,
+        so ``==``, ``fields()`` and content digests never see it."""
         return sum(p.instructions for p in self.phases)
 
     def boundaries(self) -> list[float]:

@@ -296,3 +296,75 @@ def scalar_reference() -> Iterator[Counter]:
     finally:
         for module, name, kernel in saved:
             setattr(module, name, kernel)
+
+
+# -- service: the delta patch as one scan ---------------------------------------
+
+
+def resolve_delta_scan(base, delta):
+    """The problem ``CoSchedService._resolve_delta`` patches from *base*
+    and an anchored, non-stationary *delta*, as one scan of every VC and
+    thread (the anchor checks left out)."""
+    from dataclasses import replace
+
+    from repro.sched.problem import PlacementProblem
+    from repro.vcache.virtual_cache import VirtualCache
+
+    vcs = []
+    for vc in base.vcs:
+        curve = delta.dirty_curves.get(vc.vc_id)
+        rates = delta.dirty_rates.get(vc.vc_id)
+        if curve is None and rates is None:
+            vcs.append(vc)
+            continue
+        vcs.append(VirtualCache(
+            vc_id=vc.vc_id,
+            kind=vc.kind,
+            process_id=vc.process_id,
+            miss_curve=curve if curve is not None else vc.miss_curve,
+            accesses=dict(rates) if rates is not None else dict(vc.accesses),
+            allocation=dict(vc.allocation),
+            owner_thread=vc.owner_thread,
+        ))
+    threads = base.threads
+    if delta.dirty_rates or delta.dirty_clusters:
+        dirty_ids = sorted(delta.dirty_rates)
+        named = set().union(*delta.dirty_rates.values())
+        threads = []
+        for thread in base.threads:
+            if (
+                thread.thread_id not in named
+                and thread.thread_id not in delta.dirty_clusters
+                and delta.dirty_rates.keys().isdisjoint(thread.vc_accesses)
+            ):
+                threads.append(thread)
+                continue
+            accesses = {}
+            for vc_id, rate in thread.vc_accesses.items():
+                if vc_id in delta.dirty_rates:
+                    rate = delta.dirty_rates[vc_id].get(thread.thread_id, 0.0)
+                    if rate <= 0:
+                        continue
+                accesses[vc_id] = rate
+            for vc_id in dirty_ids:
+                if vc_id in thread.vc_accesses:
+                    continue
+                rate = delta.dirty_rates[vc_id].get(thread.thread_id, 0.0)
+                if rate > 0:
+                    accesses[vc_id] = rate
+            cluster_key = delta.dirty_clusters.get(
+                thread.thread_id, thread.cluster_key
+            )
+            if accesses == thread.vc_accesses and cluster_key == thread.cluster_key:
+                threads.append(thread)
+            else:
+                threads.append(replace(
+                    thread, vc_accesses=accesses, cluster_key=cluster_key
+                ))
+    return PlacementProblem(
+        config=base.config,
+        topology=base.topology,
+        vcs=vcs,
+        threads=list(threads),
+        mem_latency=base.mem_latency,
+    )

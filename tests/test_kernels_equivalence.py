@@ -47,7 +47,7 @@ from repro.cache.miss_curve import (
 )
 from repro.config import default_config, small_test_config
 from repro.experiments.sweeps import SweepResult, evaluate_mix
-from repro.geometry.mesh import Mesh, Torus
+from repro.geometry.mesh import Mesh, Torus, dense_geometry_limit
 from repro.geometry.placement_math import (
     batched_window_scores,
     compact_window_weights,
@@ -70,7 +70,7 @@ from repro.sched.cost_model import (
     total_latency,
     vc_access_rates,
 )
-from repro.sched.vc_placement import place_optimistic
+from repro.sched.vc_placement import _least_contended, place_optimistic
 from repro.testing import assert_solutions_equal, fig11_sharing_plans, golden_mix
 from repro.workloads.mixes import (
     make_mix,
@@ -152,13 +152,54 @@ def test_batched_window_scores_match_scalar_scoring():
     for topo in (Mesh(6, 6), Mesh(4, 4), Torus(4, 4)):
         claimed = rng.uniform(0.0, 3.0, topo.tiles)
         for size_banks in (0.7, 1.0, 5.3, float(topo.tiles)):
-            contention, spread = batched_window_scores(topo, claimed, size_banks)
+            contention, spread = batched_window_scores(
+                topo, claimed, compact_window_weights(topo, size_banks)
+            )
             for candidate in range(topo.tiles):
                 window = compact_placement(topo, candidate, size_banks)
                 assert contention[candidate] == window_contention(claimed, window)
                 assert spread[candidate] == placement_mean_distance(
                     topo, candidate, window
                 )
+
+
+def test_one_bank_windows_match_the_window_scan():
+    # A one-bank window scores without the spiral matrices; every score
+    # and the selection must stay the scan's, also on tallies whose
+    # contention rounds on a 9th-decimal half-way point.
+    rng = np.random.default_rng(17)
+    for topo in (Mesh(6, 6), Mesh(8, 4), Torus(4, 4)):
+        n = topo.tiles
+        tallies = [rng.uniform(0.0, 3.0, n) for _ in range(30)]
+        tallies += [(rng.integers(0, 3000, n) + 0.5) * 1e-9 for _ in range(30)]
+        for claimed in tallies:
+            for size_banks in (float(rng.uniform(1e-9, 1.0)), 1.0):
+                weights = compact_window_weights(topo, size_banks)
+                assert len(weights) == 1
+                contention, spread = batched_window_scores(topo, claimed, weights)
+                keys = []
+                for candidate in range(n):
+                    window = compact_placement(topo, candidate, size_banks)
+                    score = window_contention(claimed, window)
+                    assert contention[candidate] == score
+                    assert spread[candidate] == placement_mean_distance(
+                        topo, candidate, window
+                    )
+                    keys.append((round(float(score), 9), float(spread[candidate])))
+                assert _least_contended(contention, spread) == keys.index(min(keys))
+
+
+@pytest.mark.parametrize("cls", [Mesh, Torus])
+@pytest.mark.parametrize("limit", [10**9, 0], ids=["dense", "lazy"])
+def test_spiral_order_starts_at_the_candidate(cls, limit):
+    # What the one-bank fast path rests on, for dense and lazy geometry.
+    with dense_geometry_limit(limit):
+        topo = cls(6, 4)
+        order = topo.order_matrix[:, :1]
+        ranked = topo.sorted_distance_matrix[:, :1]
+        assert getattr(topo.order_matrix, "is_lazy", False) == (limit == 0)
+    assert np.array_equal(order[:, 0], np.arange(topo.tiles))
+    assert not np.any(ranked)
 
 
 def sharing_cases():

@@ -337,3 +337,20 @@ def test_trace_simulator_picks_up_phases_at_boundaries():
     assert process_vc_id(0) not in thread.streams  # single-threaded app
     gcc_thread = next(t for t in sim.threads if t.thread_id == 1)
     assert gcc_thread.apki == pytest.approx(9.0)
+
+
+def test_schedule_length_is_kept_outside_the_fields():
+    from dataclasses import fields, replace
+
+    from repro.util.hashing import content_digest
+
+    profile = next(iter(PHASED_PROFILES.values()))
+    twin = replace(profile)
+    before = content_digest(profile)
+    assert profile.total_instructions == sum(
+        phase.instructions for phase in profile.phases
+    )
+    assert "total_instructions" in vars(profile)
+    assert "total_instructions" not in {f.name for f in fields(profile)}
+    assert profile == twin
+    assert content_digest(profile) == content_digest(twin) == before

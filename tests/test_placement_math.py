@@ -19,7 +19,8 @@ def mean_distance(mesh, center: int, size_banks: float) -> float:
     """Mean access distance of a compact *size_banks* window around
     *center*, for an accessor at *center* (the Fig 6 computation)."""
     claimed = np.zeros(mesh.tiles)
-    return float(batched_window_scores(mesh, claimed, size_banks)[1][center])
+    weights = compact_window_weights(mesh, size_banks)
+    return float(batched_window_scores(mesh, claimed, weights)[1][center])
 
 
 def test_compact_placement_fractions_sum_to_size():
@@ -73,7 +74,9 @@ def test_placement_mean_distance_zero_for_local():
 
 
 def test_window_contention_weighted_sum():
-    contention, _ = batched_window_scores(Mesh(4, 4), np.ones(16), 2.0)
+    mesh = Mesh(4, 4)
+    weights = compact_window_weights(mesh, 2.0)
+    contention, _ = batched_window_scores(mesh, np.ones(16), weights)
     assert contention[5] == pytest.approx(2.0)
 
 

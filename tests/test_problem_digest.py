@@ -26,7 +26,7 @@ from repro.cache.sketch import problem_sketch_bank
 from repro.config import small_test_config
 from repro.geometry.mesh import Mesh
 from repro.nuca.base import build_problem
-from repro.sched.problem import PlacementProblem, ThreadSpec
+from repro.sched.problem import RECORD_DIGESTS, PlacementProblem, ThreadSpec
 from repro.service import problem_digest
 from repro.testing import golden_problem, small_problem
 from repro.util.hashing import content_digest
@@ -80,7 +80,9 @@ def test_memos_set_no_attribute_on_the_problem():
     problem_sketch_bank(problem)
     problem_sketch_bank(problem, budget_bytes=4096)
     assert set(vars(problem)) == before
-    assert "digest" in problem._memo and len(problem._memo) == 3
+    # The digest, its per-record digest lists and the two banks.
+    assert "digest" in problem._memo and RECORD_DIGESTS in problem._memo
+    assert len(problem._memo) == 4
 
 
 # -- every single-field change -------------------------------------------------

@@ -69,6 +69,26 @@ def test_miss_curve_banks_are_readonly_including_subsets():
         sub.values2d[0, 0] = 0.0
 
 
+def test_miss_curve_arrays_are_readonly_and_never_alias_the_caller():
+    sizes = np.array([1.0, 2.0, 4.0])
+    values = np.array([9.0, 5.0, 2.0])
+    backing = np.array([0.0, 1.0, 3.0, 6.0])
+    curves = [MissCurve(sizes, values), MissCurve(backing[1:], [4.0, 3.0, 1.0])]
+    for curve in curves:
+        for array in (curve.sizes, curve.values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+    # The caller's later writes, to its arrays or to what a view reads,
+    # never reach a curve.
+    sizes[0] = values[0] = backing[1] = 0.5
+    assert curves[0].sizes.tolist() == [1.0, 2.0, 4.0]
+    assert curves[0].values.tolist() == [9.0, 5.0, 2.0]
+    assert curves[1].sizes.tolist() == [1.0, 3.0, 6.0]
+    # An array that is already read-only is kept, not copied.
+    assert curves[0].scaled(2.0).sizes is curves[0].sizes
+
+
 # -- the REPRO_CHECK_LOCKS harness -------------------------------------------
 
 

@@ -15,16 +15,20 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import resolve_delta_scan
+from repro.cache.miss_curve import MissCurve
 from repro.cache.sketch import MissCurveSketch
 from repro.config import small_test_config
 from repro.nuca.base import build_problem
-from repro.sched.engine import ReconfigEngine
+from repro.sched.engine import ReconfigEngine, _candidate_positions
+from repro.sched.problem import PlacementProblem, changed_records
 from repro.service import (
     CoSchedService,
     DeltaTelemetry,
     MalformedTelemetryError,
     PlacementRequest,
     ServiceClient,
+    StaleTelemetryError,
     build_delta,
     problem_digest,
     telemetry_bytes,
@@ -32,6 +36,7 @@ from repro.service import (
 )
 from repro.sim.engine import EpochEngine
 from repro.testing import small_problem
+from repro.util.hashing import content_digest
 from repro.vcache.virtual_cache import VCKind
 from repro.workloads.mixes import random_multithreaded_mix, random_phased_mix
 
@@ -312,3 +317,186 @@ def test_first_contact_delta_request_counts_full():
     reply, stats = asyncio.run(scenario())
     assert reply.ok
     assert stats == {"delta": 0, "full": 1, "stale": 0}
+
+
+# -- the patch in O(changed records) ------------------------------------------
+
+
+def _serve_delta(base, delta):
+    """The problem the service holds after first contact with *base* and
+    then *delta* (whose StaleTelemetryError propagates)."""
+
+    async def scenario():
+        async with CoSchedService(strategy="incremental") as service:
+            await ServiceClient(service, "chip-0").place(base)
+            await service.submit(delta)
+            return service.pool.slot("chip-0").engine.state.problem
+
+    return asyncio.run(scenario())
+
+
+def _delta(base, **payload):
+    return DeltaTelemetry(
+        chip_id="chip-0", base_digest=problem_digest(base), **payload
+    )
+
+
+def _shared_readers(base):
+    """A process VC read by at least three threads, and its readers in
+    thread order."""
+    shared = next(
+        vc for vc in base.vcs
+        if vc.kind is VCKind.PROCESS and len(vc.accesses) > 2
+    )
+    return shared, list(base.accessors_of(shared.vc_id))
+
+
+def _with_threads(problem, change):
+    """*problem* with ``change(thread) -> vc_accesses`` applied, and its
+    VCs' ``accesses`` rebuilt to match."""
+    threads = [
+        replace(t, vc_accesses=change(t)) for t in problem.threads
+    ]
+    vcs = [
+        replace(vc, accesses={
+            t.thread_id: t.vc_accesses[vc.vc_id]
+            for t in threads if t.vc_accesses.get(vc.vc_id, 0) > 0
+        })
+        for vc in problem.vcs
+    ]
+    return replace(problem, vcs=vcs, threads=threads)
+
+
+def _zero_rate_key_case():
+    # A thread of another process keys the shared VC at rate 0; the
+    # delta moves the shared VC's rates without naming that thread.
+    base = build_problem(random_multithreaded_mix(2, 7), small_test_config(4, 4))
+    shared, readers = _shared_readers(base)
+    idle = next(t for t in base.threads if t.process_id != shared.process_id)
+    base = _with_threads(base, lambda t: (
+        {**t.vc_accesses, shared.vc_id: 0.0} if t is idle else t.vc_accesses
+    ))
+    rates = {r: 2 * shared.accesses[r] for r in readers}
+    return base, _delta(base, dirty_rates={shared.vc_id: rates})
+
+
+def _reader_between_readers_case():
+    # The middle reader stops reading the shared VC in the base; the
+    # delta brings it back, between the two readers that stayed.
+    base = build_problem(random_multithreaded_mix(2, 7), small_test_config(4, 4))
+    shared, readers = _shared_readers(base)
+    middle = readers[1]
+    base = _with_threads(base, lambda t: (
+        {k: v for k, v in t.vc_accesses.items() if k != shared.vc_id}
+        if t.thread_id == middle else t.vc_accesses
+    ))
+    rates = {r: shared.accesses[r] for r in readers}
+    return base, _delta(base, dirty_rates={shared.vc_id: rates})
+
+
+def _reader_leaves_case():
+    # The middle reader stops reading the shared VC, and no other thread
+    # that changes names it.
+    base = build_problem(random_multithreaded_mix(2, 7), small_test_config(4, 4))
+    shared, readers = _shared_readers(base)
+    rates = {r: shared.accesses[r] for r in readers if r != readers[1]}
+    return base, _delta(base, dirty_rates={shared.vc_id: rates})
+
+
+def _cluster_only_case():
+    base = build_problem(random_multithreaded_mix(2, 7), small_test_config(4, 4))
+    thread = base.threads[3]
+    return base, _delta(
+        base, dirty_clusters={thread.thread_id: thread.cluster_key + "-x"}
+    )
+
+
+def _curve_and_cluster_case():
+    base = build_problem(random_multithreaded_mix(2, 7), small_test_config(4, 4))
+    vc = base.vcs[2]
+    curve = MissCurve(vc.miss_curve.sizes, vc.miss_curve.values * 0.5)
+    vcs = list(base.vcs)
+    vcs[2] = replace(vc, miss_curve=curve)
+    sketch = build_delta(base, replace(base, vcs=vcs), "chip-0").sketches[vc.vc_id]
+    return base, _delta(
+        base,
+        sketches={vc.vc_id: sketch},
+        dirty_curves={vc.vc_id: curve},
+        dirty_clusters={base.threads[0].thread_id: "renamed"},
+    )
+
+
+@pytest.mark.parametrize("case", [
+    _zero_rate_key_case,
+    _reader_between_readers_case,
+    _reader_leaves_case,
+    _cluster_only_case,
+    _curve_and_cluster_case,
+])
+def test_resolve_delta_matches_the_full_scan(case):
+    base, delta = case()
+    served = _serve_delta(base, delta)
+    want = resolve_delta_scan(base, delta)
+    assert content_digest(served) == content_digest(want)
+    for records in ("vcs", "threads"):
+        for old, new, ref in zip(
+            getattr(base, records), getattr(served, records), getattr(want, records)
+        ):
+            assert (new is old) == (ref is old)
+    for new, ref in zip(served.threads, want.threads):
+        assert list(new.vc_accesses.items()) == list(ref.vc_accesses.items())
+    # Derived from the base, with the index a fresh construction builds.
+    assert served._frame is base._frame
+    fresh = PlacementProblem(
+        served.config, served.topology, list(served.vcs),
+        list(served.threads), served.mem_latency,
+    )
+    for vc in served.vcs:
+        assert list(served.accessor_rates(vc.vc_id).items()) == list(
+            fresh.accessor_rates(vc.vc_id).items()
+        )
+    assert served._zero_rate_threads == fresh._zero_rate_threads
+
+
+def test_crafted_cases_exercise_what_they_name():
+    base, delta = _zero_rate_key_case()
+    served = _serve_delta(base, delta)
+    # The zero-rate key is dropped by the patch.
+    assert base._zero_rate_threads and not served._zero_rate_threads
+    base, delta = _reader_between_readers_case()
+    served = _serve_delta(base, delta)
+    ((shared_id, rates),) = delta.dirty_rates.items()
+    readers = list(rates)
+    assert list(base.accessor_rates(shared_id)) == readers[:1] + readers[2:]
+    assert list(served.accessor_rates(shared_id)) == readers
+
+
+@pytest.mark.parametrize("field", ["sketches", "dirty_rates", "dirty_clusters"])
+def test_resolve_delta_unknown_ids_are_stale(field):
+    base = build_problem(random_multithreaded_mix(2, 7), small_test_config(4, 4))
+    unknown = {
+        "sketches": MissCurveSketch.from_curve(base.vcs[0].miss_curve),
+        "dirty_rates": {base.threads[0].thread_id: 1.0},
+        "dirty_clusters": "nobody",
+    }[field]
+    with pytest.raises(StaleTelemetryError):
+        _serve_delta(base, _delta(base, **{field: {10**6: unknown}}))
+
+
+def test_pairs_that_cannot_be_diffed_take_every_vc():
+    prev, cur = _changed_pair()
+    assert changed_records(prev, cur) is not None
+    other_config = replace(cur, config=replace(cur.config))
+    reordered = replace(cur, vcs=cur.vcs[::-1])
+    for problem in (other_config, reordered):
+        assert changed_records(prev, problem) is None
+        assert _candidate_positions(prev, problem) is None
+    # The negative threshold ships every VC, as a full diff does.
+    delta = build_delta(prev, cur, "chip-0", dirty_threshold=-1.0)
+    assert list(delta.sketches) == [vc.vc_id for vc in cur.vcs]
+    # A problem built on a base it cannot be diffed against is built
+    # anew, not derived.
+    assert PlacementProblem(
+        reordered.config, reordered.topology, reordered.vcs,
+        reordered.threads, reordered.mem_latency, base=prev,
+    )._frame is not prev._frame
