@@ -30,7 +30,7 @@ test-sum312:
 test-locks:
 	$(PYPATH) REPRO_CHECK_LOCKS=1 $(PY) -m pytest -x -q \
 	    tests/test_runtime_guards.py tests/test_service_concurrency.py \
-	    tests/test_lazy_geometry.py tests/test_shared_pool.py
+	    tests/test_lazy_geometry.py
 
 ## Coverage gate on the scheduler + control-plane + cache + geometry
 ## layers: the fast suite under pytest-cov with an 80% line floor on
@@ -65,12 +65,11 @@ lint: analyze
 
 ## Fast end-to-end smoke of the parallel runner + caching through the CLI
 ## and one real benchmark driver.  The trap guarantees the scratch cache
-## is removed — and any shared-memory segment a killed run might strand
-## — even when an invocation fails mid-run (CI runners stay clean);
-## both CLI runs share one shell so the trap covers them all.
+## is removed even when an invocation fails mid-run (CI runners stay
+## clean); both CLI runs share one shell so the trap covers them all.
 bench-smoke:
 	rm -rf .repro-smoke-cache
-	trap 'rm -rf .repro-smoke-cache; rm -f /dev/shm/repro-* 2>/dev/null || true' EXIT; \
+	trap 'rm -rf .repro-smoke-cache' EXIT; \
 	$(PYPATH) $(PY) -m repro fig14 --mixes 2 --jobs $(JOBS) \
 	    --cache-dir .repro-smoke-cache && \
 	$(PYPATH) $(PY) -m repro fig14 --mixes 2 --jobs $(JOBS) \
@@ -94,10 +93,8 @@ bench-kernels:
 
 ## Runner throughput: serial vs pool vs mega-batch jobs/sec over the
 ## fig14-shaped sweep (warm mega >= 10x serial on the reference host).
-## Appends a bench_runner_throughput entry to benchmarks/BENCH.json;
-## the trap sweeps any segment an interrupted run might strand.
+## Appends a bench_runner_throughput entry to benchmarks/BENCH.json.
 bench-runner:
-	trap 'rm -f /dev/shm/repro-* 2>/dev/null || true' EXIT; \
 	$(PYPATH) $(PY) -m pytest benchmarks/bench_runner_throughput.py -q
 
 ## Solver-strategy smoke: warm incremental/partitioned re-solve cost vs

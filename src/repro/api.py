@@ -52,10 +52,9 @@ class Session:
 
     The session's runner is a :class:`~repro.runner.MegaBatchRunner`:
     sweep jobs that share a chip digest are stacked into mega-batch
-    kernel passes (bitwise-identical per mix), with hot arrays shipped to
-    workers through shared memory.  Call :meth:`close` (or use the session as a
-    context manager) to release the worker pool and shared segments;
-    an ``atexit`` hook covers sessions that never do.
+    kernel passes (bitwise-identical per mix) over a persistent worker
+    pool.  Call :meth:`close` (or use the session as a context manager)
+    to release the pool; one left open is reaped at exit.
     """
 
     def __init__(
@@ -75,7 +74,7 @@ class Session:
         return self.runner.stats
 
     def close(self) -> None:
-        """Release the persistent worker pool and shared-memory segments."""
+        """Release the persistent worker pool."""
         self.runner.close()
 
     def __enter__(self) -> "Session":

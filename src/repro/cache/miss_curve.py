@@ -74,6 +74,13 @@ class MissCurve:
         self.sizes = sizes_arr
         self.values = values_arr
 
+    def __setstate__(self, state: dict) -> None:
+        # Unpickling and deepcopy bypass __init__, and numpy does not
+        # carry the read-only flag through a pickle: freeze again.
+        self.__dict__.update(state)
+        self.sizes.setflags(write=False)
+        self.values.setflags(write=False)
+
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, size: float | np.ndarray) -> float | np.ndarray:

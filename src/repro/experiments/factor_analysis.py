@@ -19,7 +19,6 @@ from repro.experiments.sweeps import (
     mix_record,
     reduce_sweep_records,
 )
-from repro.model.system import AnalyticSystem
 from repro.nuca.cdcs import factor_variant
 from repro.runner import Job, ProcessPoolRunner, run_jobs
 from repro.workloads.mixes import random_single_threaded_mix
@@ -89,24 +88,13 @@ def run_factor_analysis(
     n_apps: int,
     n_mixes: int = 50,
     seed: int = 42,
-    system: AnalyticSystem | None = None,
     runner: ProcessPoolRunner | None = None,
 ) -> FactorResult:
-    if system is None:
-        jobs = factor_jobs(config, n_apps, n_mixes, seed)
-        sweep = reduce_sweep_records(run_jobs(jobs, runner), n_apps, n_mixes)
-        return FactorResult(n_apps=n_apps, sweep=sweep)
-    result = SweepResult(n_apps=n_apps, n_mixes=n_mixes)
-    for mix_id in range(n_mixes):
-        mix = random_single_threaded_mix(n_apps, seed, mix_id)
-        schemes = []
-        for label, (lat, thr, dat) in VARIANTS:
-            scheme = factor_variant(lat, thr, dat, seed=mix_id)
-            scheme.name = _variant_name(label)
-            schemes.append(scheme)
-        evaluate_mix(config, mix, result, seed=mix_id, schemes=schemes,
-                     system=system)
-    return FactorResult(n_apps=n_apps, sweep=result)
+    """Fig 12's variant ladder over random mixes, one runner job per mix
+    (pass *runner* for parallelism and caching)."""
+    jobs = factor_jobs(config, n_apps, n_mixes, seed)
+    sweep = reduce_sweep_records(run_jobs(jobs, runner), n_apps, n_mixes)
+    return FactorResult(n_apps=n_apps, sweep=sweep)
 
 
 # -- spec registry -----------------------------------------------------------

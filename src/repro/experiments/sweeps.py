@@ -15,14 +15,10 @@ for the classic serial in-process path — both produce identical numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
-
-import numpy as np
 
 from repro.config import SystemConfig, default_config
 from repro.experiments.results import ResultTable, RunRecord
 from repro.experiments.spec import ExperimentSpec, Param, register
-from repro.geometry.mesh import Mesh, seed_shared_geometry
 from repro.model.metrics import gmean, inverse_cdf, weighted_speedup
 from repro.model.system import AnalyticSystem, MixEvaluation
 from repro.nuca import SCHEMES, standard_schemes
@@ -279,39 +275,7 @@ def _mix_points_batched(
     return records
 
 
-def _sweep_geometry_bank(shared_kwargs: Mapping) -> dict[str, np.ndarray]:
-    """The sweep's hot read-only arrays: the chip's dense geometry
-    matrices, published once per group instead of rebuilt per worker."""
-    config = shared_kwargs["config"]
-    topo = Mesh(config.mesh_width, config.mesh_height)
-    if topo._shared_cache_key() is None or topo._geometry_is_lazy():
-        return {}
-    return {
-        "distance": np.asarray(topo.distance_matrix),
-        "order": np.asarray(topo.order_matrix),
-        "sorted_distance": np.asarray(topo.sorted_distance_matrix),
-    }
-
-
-def _sweep_install_bank(
-    shared_kwargs: Mapping, views: Mapping[str, np.ndarray]
-) -> None:
-    """Worker side: adopt the attached geometry views into the
-    process-wide memo so nothing rebuilds them."""
-    config = shared_kwargs["config"]
-    topo = Mesh(config.mesh_width, config.mesh_height)
-    key = topo._shared_cache_key()
-    if key is not None:
-        seed_shared_geometry(key, dict(views))
-
-
-register_batchable(
-    _mix_point,
-    batch_fn=_mix_points_batched,
-    slice_param="mix_id",
-    array_bank=_sweep_geometry_bank,
-    install_bank=_sweep_install_bank,
-)
+register_batchable(_mix_point, batch_fn=_mix_points_batched, slice_param="mix_id")
 
 
 def sweep_jobs(
@@ -358,35 +322,19 @@ def run_sweep(
     n_mixes: int = 50,
     seed: int = 42,
     multithreaded: bool = False,
-    schemes: list[NucaScheme] | None = None,
-    system: AnalyticSystem | None = None,
     runner: ProcessPoolRunner | None = None,
 ) -> SweepResult:
-    """Evaluate schemes over random mixes; returns aggregated results.
+    """Evaluate the standard schemes over random mixes; returns aggregated
+    results.
 
     Legacy entry point, kept for backward compatibility — the same sweep
     is registered as the ``fig11``/``fig13``/``fig14``/``fig15``/``fig16``
     specs (see :mod:`repro.experiments.spec` and :class:`repro.api.Session`),
-    which share this function's job builder and reducer bitwise.
-
-    With the default (standard) schemes, each mix runs as a runner job —
-    pass *runner* for parallelism and caching.  Supplying custom *schemes*
-    or a pre-built *system* keeps the legacy inline loop, since arbitrary
-    scheme objects are not content-hashable job inputs.
+    which share this function's job builder and reducer bitwise.  Each
+    mix runs as a runner job — pass *runner* for parallelism and caching.
     """
-    if schemes is None and system is None:
-        jobs = sweep_jobs(config, n_apps, n_mixes, seed, multithreaded)
-        return reduce_sweep_records(run_jobs(jobs, runner), n_apps, n_mixes)
-    result = SweepResult(n_apps=n_apps, n_mixes=n_mixes)
-    system = system or AnalyticSystem(config)
-    for mix_id in range(n_mixes):
-        if multithreaded:
-            mix = random_multithreaded_mix(n_apps, seed, mix_id)
-        else:
-            mix = random_single_threaded_mix(n_apps, seed, mix_id)
-        evaluate_mix(config, mix, result, seed=mix_id, schemes=schemes,
-                     system=system)
-    return result
+    jobs = sweep_jobs(config, n_apps, n_mixes, seed, multithreaded)
+    return reduce_sweep_records(run_jobs(jobs, runner), n_apps, n_mixes)
 
 
 def evaluate_mix(

@@ -91,22 +91,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def seed_shared_geometry(key: tuple, matrices: dict[str, np.ndarray]) -> None:
-    """Install externally built matrices into the process-wide memo.
-
-    The zero-copy runner publishes a topology's dense matrices into
-    shared memory once and calls this in every worker with the attached
-    read-only views, so workers never rebuild (or unpickle) geometry.
-    Existing entries win — a matrix already built in this process is
-    bitwise-identical by construction and may be privately writable."""
-    with _GEOMETRY_LOCK:
-        slot = _SHARED_GEOMETRY_CACHE.setdefault(key, _new_slot(key))
-        for name, matrix in matrices.items():
-            if isinstance(matrix, np.ndarray):
-                _freeze(matrix)
-            slot.setdefault(name, matrix)
-
-
 def shared_geometry_matrices(key: tuple) -> dict[str, object] | None:
     """The cached matrices for *key* (read-only view for tests/tools)."""
     with _GEOMETRY_LOCK:

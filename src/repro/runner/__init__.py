@@ -12,7 +12,10 @@ that:
 * :class:`ProcessPoolRunner` — fans uncached jobs out across
   ``multiprocessing`` workers with deterministic per-job RNG seeding, so
   ``--jobs 4`` is bitwise identical to ``--jobs 1`` and a warm cache
-  executes zero jobs.
+  executes zero jobs;
+* :class:`MegaBatchRunner` — stacks same-chip jobs of a registered body
+  into one batch call per worker chunk, over a persistent pool; a chunk
+  ships only its job arguments.
 
 See docs/ARCHITECTURE.md for how a sweep flows through the runner.
 """
@@ -24,7 +27,6 @@ from repro.runner.mega import (
     register_batchable,
 )
 from repro.runner.pool import ProcessPoolRunner, RunnerStats, run_jobs
-from repro.runner.shm import SegmentHandle, SharedArrayPool
 from repro.runner.store import (
     DEFAULT_CACHE_DIR,
     MISS,
@@ -43,8 +45,6 @@ __all__ = [
     "ProcessPoolRunner",
     "ResultStore",
     "RunnerStats",
-    "SegmentHandle",
-    "SharedArrayPool",
     "StoreStats",
     "register_batchable",
     "run_jobs",

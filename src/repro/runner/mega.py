@@ -14,9 +14,9 @@ dispatch.  :class:`MegaBatchRunner` removes all three:
   except the slice — so only genuinely same-chip jobs ever share a
   batch;
 * groups are chunked contiguously across a **persistent** process pool
-  (no per-``map`` executor churn), and each group's hot read-only
-  arrays travel once through the :class:`SharedArrayPool` instead of
-  being pickled per job.
+  (no per-``map`` executor churn); a chunk ships only its job arguments,
+  and each worker builds what they name (the chip's geometry, its
+  alone-performance cache) through its process-wide memos on first use.
 
 Results are still persisted under each original job's digest, so the
 cache stays interchangeable with the per-job path.  The per-job
@@ -25,17 +25,13 @@ reference is the base class, :class:`ProcessPoolRunner`.
 
 from __future__ import annotations
 
-import atexit
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
-
-import numpy as np
+from typing import Any, Callable
 
 from repro.runner.job import Job
-from repro.runner.pool import ProcessPoolRunner, _preserved_global_rng
-from repro.runner.shm import SegmentHandle, SharedArrayPool, attach
+from repro.runner.pool import ProcessPoolRunner, _collect, _preserved_global_rng
 from repro.runner.store import NullStore, ResultStore
 from repro.util.hashing import content_digest
 
@@ -48,15 +44,10 @@ class BatchableSpec:
     payload per slice, each bitwise-identical to running the original
     function on that slice alone under :meth:`Job.execute`'s reseeding
     (the per-slice digest is passed so the batch body can reproduce it).
-    *array_bank* (optional) extracts the group's hot read-only arrays
-    for shared-memory publication; *install_bank* installs the attached
-    views into worker-process caches before the batch body runs.
     """
 
     batch_fn: Callable[..., list]
     slice_param: str
-    array_bank: Callable[[Mapping[str, Any]], Mapping[str, np.ndarray]] | None = None
-    install_bank: Callable[[Mapping[str, Any], Mapping[str, np.ndarray]], None] | None = None
 
 
 _BATCHABLE: dict[Callable, BatchableSpec] = {}
@@ -67,33 +58,16 @@ def register_batchable(
     *,
     batch_fn: Callable[..., list],
     slice_param: str,
-    array_bank: Callable[..., Mapping[str, np.ndarray]] | None = None,
-    install_bank: Callable[..., None] | None = None,
 ) -> None:
     """Declare *fn* mega-batchable (see :class:`BatchableSpec`)."""
-    _BATCHABLE[fn] = BatchableSpec(
-        batch_fn=batch_fn,
-        slice_param=slice_param,
-        array_bank=array_bank,
-        install_bank=install_bank,
-    )
+    _BATCHABLE[fn] = BatchableSpec(batch_fn=batch_fn, slice_param=slice_param)
 
 
 def _run_mega_chunk(
-    fn: Callable,
-    slices: list,
-    digests: list[str],
-    shared_kwargs: dict,
-    bank_handle: SegmentHandle | None,
+    fn: Callable, slices: list, digests: list[str], shared_kwargs: dict
 ) -> list:
     """Worker entry point for one contiguous chunk of a group."""
-    spec = _BATCHABLE[fn]
-    if bank_handle is not None and spec.install_bank is not None:
-        # Views are installed into process-lifetime caches, so the
-        # attachment is deliberately never detached here; the worker's
-        # atexit hook closes the mapping.
-        spec.install_bank(shared_kwargs, attach(bank_handle))
-    payloads = spec.batch_fn(slices, digests, **shared_kwargs)
+    payloads = _BATCHABLE[fn].batch_fn(slices, digests, **shared_kwargs)
     if len(payloads) != len(slices):
         raise RuntimeError(
             f"batch body for {fn.__name__} returned {len(payloads)} payloads "
@@ -108,7 +82,9 @@ class MegaBatchRunner(ProcessPoolRunner):
     Drop-in compatible: unregistered jobs (and singleton groups) run
     exactly as the base runner would.  Registered jobs that share a chip
     digest are dispatched as stacked batches over a persistent worker
-    pool, with group-shared arrays published once to shared memory.
+    pool.  Call :meth:`close` (or use the runner as a context manager)
+    to shut the pool down; one left open is reaped at exit by
+    :mod:`concurrent.futures`.
     """
 
     def __init__(
@@ -119,17 +95,14 @@ class MegaBatchRunner(ProcessPoolRunner):
     ):
         super().__init__(jobs=jobs, store=store, progress=progress)
         self._executor: ProcessPoolExecutor | None = None
-        self.shm = SharedArrayPool()
-        atexit.register(self.close)
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the persistent pool down and reclaim shared segments."""
+        """Shut the persistent pool down (idempotent)."""
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-        self.shm.close()
 
     def __enter__(self) -> "MegaBatchRunner":
         return self
@@ -194,57 +167,35 @@ class MegaBatchRunner(ProcessPoolRunner):
         }
         slices = [jobs[i].kwargs[spec.slice_param] for i in idxs]
         digests = [jobs[i].digest() for i in idxs]
+
+        def finish(chunk: list[int], payloads: list) -> None:
+            for i, payload in zip(chunk, payloads):
+                results[i] = self._finish(jobs[i], payload)
+
         if self.jobs == 1:
             with _preserved_global_rng():
-                payloads = _run_mega_chunk(
-                    job0.fn, slices, digests, shared, None
-                )
-            for i, payload in zip(idxs, payloads):
-                results[i] = self._finish(jobs[i], payload)
+                payloads = _run_mega_chunk(job0.fn, slices, digests, shared)
+            finish(idxs, payloads)
             return
 
-        bank_handle = None
-        if spec.array_bank is not None:
-            bank = dict(spec.array_bank(shared))
-            if bank:
-                bank_handle = self.shm.publish(
-                    content_digest("array-bank", job0.fn, shared), bank
-                )
         n_chunks = min(self.jobs, len(idxs))
         base, extra = divmod(len(idxs), n_chunks)
-        chunks: list[list[int]] = []
-        start = 0
-        for c in range(n_chunks):
-            stop = start + base + (1 if c < extra else 0)
-            chunks.append(idxs[start:stop])
-            start = stop
         executor = self._executor_or_spawn()
         try:
-            futures = {
-                executor.submit(
+            futures = {}
+            start = 0
+            for c in range(n_chunks):
+                stop = start + base + (1 if c < extra else 0)
+                future = executor.submit(
                     _run_mega_chunk,
                     job0.fn,
-                    [jobs[i].kwargs[spec.slice_param] for i in chunk],
-                    [jobs[i].digest() for i in chunk],
+                    slices[start:stop],
+                    digests[start:stop],
                     shared,
-                    bank_handle,
-                ): chunk
-                for chunk in chunks
-            }
-            done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-            in_flight = [f for f in not_done if not f.cancelled()]
-            if in_flight:
-                done |= wait(in_flight)[0]
-            first_error: BaseException | None = None
-            for future in done:
-                error = future.exception()
-                if error is not None:
-                    first_error = first_error or error
-                    continue
-                for i, payload in zip(futures[future], future.result()):
-                    results[i] = self._finish(jobs[i], payload)
-            if first_error is not None:
-                raise first_error
+                )
+                futures[future] = idxs[start:stop]
+                start = stop
+            _collect(futures, finish)
         except BrokenProcessPool:
             # A worker died mid-batch; drop the poisoned pool so the next
             # map() starts clean, then surface the failure.

@@ -13,10 +13,10 @@ never changes the numbers — only the wall clock.
 from __future__ import annotations
 
 import random
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, Future, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +43,35 @@ class RunnerStats:
 def _execute(job: Job) -> Any:
     """Worker entry point (module-level so it pickles by reference)."""
     return job.execute()
+
+
+def _collect(
+    futures: Mapping[Future, Any], finish: Callable[[Any, Any], None]
+) -> None:
+    """Wait for *futures*, calling ``finish(key, result)`` per success.
+
+    At the first failure, futures that have not started are cancelled
+    and running ones are waited for.  Every completed result is finished
+    (persisted) before the first error in submission order re-raises, so
+    a rerun after fixing one bad point does not recompute the points
+    that already succeeded.
+    """
+    wait(futures, return_when=FIRST_EXCEPTION)
+    for future in futures:
+        future.cancel()  # a no-op once a future runs or is done
+    first_error: BaseException | None = None
+    for future, key in futures.items():
+        if future.cancelled():
+            continue
+        # Blocks until a running future completes, so its result is
+        # persisted rather than dropped.
+        error = future.exception()
+        if error is not None:
+            first_error = first_error or error
+            continue
+        finish(key, future.result())
+    if first_error is not None:
+        raise first_error
 
 
 @contextmanager
@@ -130,30 +159,11 @@ class ProcessPoolRunner:
             workers = min(self.jobs, len(pending))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {pool.submit(_execute, jobs[i]): i for i in pending}
-                done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-                for future in not_done:
-                    future.cancel()
-                # In-flight jobs cannot be cancelled; collect them too so
-                # their results are persisted rather than dropped.
-                in_flight = [f for f in not_done if not f.cancelled()]
-                if in_flight:
-                    done |= wait(in_flight)[0]
-                # Persist every completed sibling before re-raising a
-                # failure, so a rerun after fixing one bad point does not
-                # recompute the points that already succeeded.
-                first_error: BaseException | None = None
-                for future in done:
-                    if future.cancelled():
-                        continue
-                    error = future.exception()
-                    if error is not None:
-                        first_error = first_error or error
-                        continue
-                    results[futures[future]] = self._finish(
-                        jobs[futures[future]], future.result()
-                    )
-                if first_error is not None:
-                    raise first_error
+
+                def finish(i: int, value: Any) -> None:
+                    results[i] = self._finish(jobs[i], value)
+
+                _collect(futures, finish)
 
     # -- internals -----------------------------------------------------------
 

@@ -69,9 +69,11 @@ def test_mega_batch_membership_and_order_invariant():
 
 
 def test_mega_batch_worker_pool_matches_in_process():
-    """jobs=2 exercises the persistent pool + shared-memory data plane;
+    """jobs=2 chunks each of two groups (two app counts in one map)
+    across the persistent pool, which receives only the job arguments;
     payloads still compare ``==`` against the in-process reference."""
     jobs = sweep_jobs(default_config(), n_apps=4, n_mixes=5, seed=13)
+    jobs += sweep_jobs(default_config(), n_apps=2, n_mixes=3, seed=13)
     ref = _reference(jobs)
     assert _mega(jobs, workers=2) == ref
 

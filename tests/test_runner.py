@@ -5,7 +5,11 @@ jobs, ``jobs=4`` is bitwise identical to ``jobs=1``, and corrupted cache
 entries are evicted and recomputed rather than crashing a sweep.
 """
 
+import gc
+import multiprocessing
 import pickle
+import time
+import weakref
 
 import pytest
 
@@ -14,9 +18,11 @@ from repro.experiments import run_factor_analysis, run_sweep, sweep_jobs
 from repro.runner import (
     MISS,
     Job,
+    MegaBatchRunner,
     NullStore,
     ProcessPoolRunner,
     ResultStore,
+    register_batchable,
     run_jobs,
 )
 from repro.util.hashing import canonical_repr, content_digest
@@ -36,6 +42,26 @@ def _global_rng_sample(tag):
 
 def _boom():
     raise RuntimeError("job failure")
+
+
+def _nap(x):
+    time.sleep(0.1)
+    return x
+
+
+def _tenfold(x, bad, delay=0.0):
+    if x == bad:
+        raise RuntimeError(f"bad slice {x}")
+    return 10 * x
+
+
+def _tenfold_batched(slices, digests, *, bad, delay=0.0):
+    if bad not in slices:
+        time.sleep(delay)  # still running when a failing sibling returns
+    return [_tenfold(x, bad) for x in slices]
+
+
+register_batchable(_tenfold, batch_fn=_tenfold_batched, slice_param="x")
 
 
 # -- content hashing ---------------------------------------------------------
@@ -238,6 +264,86 @@ def test_failed_parallel_job_persists_completed_siblings(tmp_path):
     assert warm.stats.executed == 0 and warm.stats.cached == 4
 
 
+def test_failed_parallel_job_cancels_jobs_not_started():
+    # Twelve 0.1 s jobs queue behind a failing one on two workers: the
+    # ones not yet started when the failure lands must not run.
+    jobs = [Job(fn=_boom)] + [Job(fn=_nap, kwargs={"x": x}) for x in range(12)]
+    runner = ProcessPoolRunner(jobs=2)
+    with pytest.raises(RuntimeError, match="job failure"):
+        runner.map(jobs)
+    assert runner.stats.executed < 12
+
+
+def test_failed_mega_chunk_persists_completed_chunks(tmp_path):
+    # One group of four splits into two chunks on two workers.  The
+    # first chunk fails at once; the second, still running then, must
+    # be waited for and its payloads stored before the error surfaces.
+    jobs = [
+        Job(fn=_tenfold, kwargs={"x": x, "bad": 0, "delay": 0.5})
+        for x in range(4)
+    ]
+    with MegaBatchRunner(jobs=2, store=ResultStore(tmp_path)) as runner:
+        with pytest.raises(RuntimeError, match="bad slice 0"):
+            runner.map(jobs)
+        # An ordinary job error leaves the persistent pool usable.
+        later = [Job(fn=_tenfold, kwargs={"x": x, "bad": -1}) for x in range(4)]
+        assert runner.map(later) == [0, 10, 20, 30]
+    warm = MegaBatchRunner(store=ResultStore(tmp_path))
+    assert warm.map(jobs[2:]) == [20, 30]
+    assert warm.stats.executed == 0 and warm.stats.cached == 2
+
+
+def test_closed_mega_runner_is_collected():
+    runner = MegaBatchRunner(jobs=2)
+    jobs = [Job(fn=_tenfold, kwargs={"x": x, "bad": -1}) for x in range(4)]
+    assert runner.map(jobs) == [0, 10, 20, 30]
+    runner.close()
+    ref = weakref.ref(runner)
+    del runner
+    gc.collect()
+    assert ref() is None
+
+
+_CTX = multiprocessing.get_context("fork")
+
+
+def _store_hammer(root, digest, value, rounds, out):
+    try:
+        store = ResultStore(root)
+        for _ in range(rounds):
+            store.store(digest, value)
+            loaded = store.load(digest)
+            if loaded is not MISS and loaded != value:
+                out.put("corrupt")
+                return
+        out.put("ok")
+    except Exception as exc:  # pragma: no cover - failure reporting
+        out.put(f"error: {exc!r}")
+
+
+def test_result_store_interleaved_creators(tmp_path):
+    """Concurrent same-digest writers never expose a torn entry: every
+    load sees either a miss or the complete value (atomic replace)."""
+    digest = "ab" + "0" * 62
+    value = {"rows": list(range(200)), "tag": "store-race"}
+    n = 4
+    out = _CTX.Queue()
+    procs = [
+        _CTX.Process(target=_store_hammer,
+                     args=(str(tmp_path), digest, value, 40, out))
+        for _ in range(n)
+    ]
+    for p in procs:
+        p.start()
+    results = [out.get(timeout=120) for _ in range(n)]
+    for p in procs:
+        p.join(timeout=60)
+    assert results == ["ok"] * n
+    assert ResultStore(tmp_path).load(digest) == value
+    # No temp droppings from the atomic-write protocol.
+    assert not list(tmp_path.glob("**/.tmp-*"))
+
+
 # -- the acceptance criteria on a real sweep ---------------------------------
 
 
@@ -254,17 +360,6 @@ def test_sweep_parallel_bitwise_identical_to_serial():
     parallel = run_sweep(cfg, n_apps=4, n_mixes=4, seed=7,
                          runner=ProcessPoolRunner(jobs=4))
     assert serial == parallel  # dataclass equality: every float bitwise
-
-
-def test_sweep_matches_legacy_inline_path():
-    from repro.model.system import AnalyticSystem
-
-    cfg = small_test_config(4, 4)
-    via_jobs = run_sweep(cfg, n_apps=4, n_mixes=3, seed=7)
-    # Forcing schemes= takes the legacy loop; seeds/mixes are identical.
-    inline = run_sweep(cfg, n_apps=4, n_mixes=3, seed=7,
-                       system=AnalyticSystem(cfg))
-    assert via_jobs == inline
 
 
 def test_repeated_sweep_with_warm_cache_executes_zero_jobs(tmp_path):

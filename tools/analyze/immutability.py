@@ -1,8 +1,7 @@
 """Rule ``shared-view``: arrays shared across jobs are never mutated.
 
-The geometry memo, the shm attachment views, and the
-:class:`MissCurveBatch` banks all hand the *same* ndarray to many
-consumers (threads, asyncio tasks, forked workers).  One in-place write
+The geometry memo and the :class:`MissCurveBatch` banks hand the *same*
+ndarray to many consumers (threads, asyncio tasks).  One in-place write
 through any alias silently corrupts every other reader — the classic
 action-at-a-distance bug the runtime ``flags.writeable = False`` freeze
 turns into a loud ValueError.  This rule catches the same class of bug
@@ -10,8 +9,8 @@ before the code ever runs, including on paths tests do not cover.
 
 Detection is a per-function, statement-order taint walk:
 
-* **sources** — calls to ``shared_geometry_matrices(...)`` /
-  ``attach(...)``, and attribute reads of the published surfaces
+* **sources** — calls to ``shared_geometry_matrices(...)``, and
+  attribute reads of the published surfaces
   (``.distance_matrix`` / ``.order_matrix`` / ``.sorted_distance_matrix``
   on topologies; ``.lengths`` / ``.sizes2d`` / ``.values2d`` on curve
   batches).
@@ -35,7 +34,7 @@ import ast
 from .core import Finding, ModuleSource, Rule, dotted_name
 
 #: Calls whose result is a shared (frozen) array or a dict of them.
-SOURCE_CALLS = {"shared_geometry_matrices", "attach"}
+SOURCE_CALLS = {"shared_geometry_matrices"}
 
 #: Attribute reads that surface shared arrays.
 SOURCE_ATTRS = {
@@ -257,8 +256,8 @@ class _FunctionTaint:
 class SharedViewRule(Rule):
     name = "shared-view"
     invariant = (
-        "arrays published by the geometry memo, shm attach, or miss-curve "
-        "banks are never mutated in place; writers take private copies"
+        "arrays published by the geometry memo or miss-curve banks are "
+        "never mutated in place; writers take private copies"
     )
 
     def check(self, module: ModuleSource) -> list[Finding]:

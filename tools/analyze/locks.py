@@ -1,7 +1,7 @@
 """Rule ``lock-discipline``: guarded process-wide state stays guarded.
 
 The repo has a small amount of deliberately process-wide mutable state
-(geometry memos, shm attachment refcounts, the sketch grid cache).  Each
+(geometry memos, the sketch grid cache).  Each
 piece is registered here with its owning lock; the checker then enforces
 that **every lexical mention** of the guarded name inside a function sits
 inside a ``with <lock>:`` block.  The registry — not the checker — is
@@ -11,8 +11,8 @@ registration in the same change that introduces the state.
 
 A second registry lists *documented-atomic* globals: state that is
 intentionally unlocked because every access is a single GIL-atomic
-load/store (one-way booleans, monotonic memo dicts whose values are
-immutable).  For those the checker only verifies the registry is not
+load/store (single-value toggles, monotonic memo dicts whose values
+are immutable).  For those the checker only verifies the registry is not
 stale (the name still exists in the owning module), keeping the written
 justification honest.
 
@@ -66,11 +66,6 @@ GUARDED_STATE: tuple[GuardedGlobal, ...] = (
         lock="_GEOMETRY_LOCK",
     ),
     GuardedGlobal(
-        module="repro/runner/shm.py",
-        name="_ATTACHMENTS",
-        lock="_ATTACH_LOCK",
-    ),
-    GuardedGlobal(
         module="repro/cache/sketch.py",
         name="_GRID_CACHE",
         lock="_GRID_LOCK",
@@ -84,12 +79,6 @@ ATOMIC_STATE: tuple[AtomicGlobal, ...] = (
         why="single-int toggle flipped only by the dense_geometry_limit "
         "test context manager; reads are GIL-atomic and production code "
         "never writes it",
-    ),
-    AtomicGlobal(
-        module="repro/runner/shm.py",
-        name="_BROKEN",
-        why="one-way False->True flip; a single bool store is GIL-atomic "
-        "and a stale read only costs one extra shm attempt",
     ),
     AtomicGlobal(
         module="repro/sched/allocation.py",
