@@ -77,10 +77,12 @@ bench-smoke:
 	$(PYPATH) REPRO_JOBS=$(JOBS) $(PY) -m pytest \
 	    benchmarks/bench_fig14_four_apps.py benchmarks/bench_gmon_vs_umon.py -q
 
-## One registry-driven CLI invocation with structured output: proves the
-## `run <name> --format json` path end to end in seconds (CI fast job).
+## Registry-driven CLI invocations with structured output: prove the
+## `run <name> --format json` path end to end in seconds (CI fast job),
+## through table1's case study and fig12's sweep body.
 run-smoke:
 	$(PYPATH) $(PY) -m repro run table1 --format json --no-cache
+	$(PYPATH) $(PY) -m repro run fig12 --param mixes=1 --format json --no-cache
 
 ## The full paper-figure benchmark suite (slow; honest timings, no cache).
 bench:
@@ -92,8 +94,9 @@ bench-kernels:
 	$(PYPATH) $(PY) -m pytest benchmarks/bench_kernels.py -q
 
 ## Runner throughput: serial vs pool vs mega-batch jobs/sec over the
-## fig14-shaped sweep (warm mega >= 10x serial on the reference host).
-## Appends a bench_runner_throughput entry to benchmarks/BENCH.json.
+## fig14-shaped sweep (asserts warm mega >= 5x serial; the latest
+## committed entry, on a 2-cpu host, reads 3.61x).  Appends a
+## bench_runner_throughput entry to benchmarks/BENCH.json.
 bench-runner:
 	$(PYPATH) $(PY) -m pytest benchmarks/bench_runner_throughput.py -q
 

@@ -112,7 +112,8 @@ def test_runner_throughput(once):
                  f"payloads asserted bitwise-equal across runners",
     })
 
-    # Generous floor — the committed BENCH.json entry records the real
-    # ratio (>= 10x on the reference host) and bench_compare gates the
-    # absolute rates against it per host fingerprint.
+    # The committed BENCH.json entries record the real ratio (3.61x in
+    # the latest, on a 2-cpu host, under this 5x floor), and
+    # bench_compare gates the absolute rates against them per host
+    # fingerprint.
     assert speedup >= 5.0

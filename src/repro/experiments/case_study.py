@@ -15,7 +15,7 @@ from repro.experiments.spec import ExperimentSpec, Param, register
 from repro.model.metrics import per_app_speedups, weighted_speedup
 from repro.model.system import AnalyticSystem, MixEvaluation
 from repro.nuca import SCHEMES, standard_schemes
-from repro.nuca.base import build_problem
+from repro.nuca.base import build_problem, run_schemes
 from repro.runner import Job
 from repro.sched.problem import PlacementSolution
 from repro.workloads.mixes import Mix, case_study_mix
@@ -59,14 +59,15 @@ def run_case_study(
     system = AnalyticSystem(config)
     alone = system.alone_performance(mix)
     problem = build_problem(mix, config)
-    outcomes = {s.name: s.run(problem) for s in standard_schemes(seed)}
+    outcomes = run_schemes([(s, problem) for s in standard_schemes(seed)])
     evaluations: dict[str, MixEvaluation] = dict(zip(
-        outcomes, system.evaluate_solutions_batch(
-            [(mix, problem, outcome) for outcome in outcomes.values()]
+        [outcome.name for outcome in outcomes],
+        system.evaluate_solutions_batch(
+            [(mix, problem, outcome) for outcome in outcomes]
         ),
     ))
     solutions: dict[str, PlacementSolution] = {
-        name: outcome.solution for name, outcome in outcomes.items()
+        outcome.name: outcome.solution for outcome in outcomes
     }
     baseline = evaluations["S-NUCA"]
     app_speedups = {}

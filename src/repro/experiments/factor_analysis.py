@@ -15,11 +15,10 @@ from repro.experiments.results import ResultTable, RunRecord
 from repro.experiments.spec import ExperimentSpec, Param, register
 from repro.experiments.sweeps import (
     SweepResult,
-    evaluate_mix,
-    mix_record,
+    _score_mixes,
     reduce_sweep_records,
 )
-from repro.nuca.cdcs import factor_variant
+from repro.nuca import SNuca, factor_variant
 from repro.runner import Job, ProcessPoolRunner, run_jobs
 from repro.workloads.mixes import random_single_threaded_mix
 
@@ -61,9 +60,8 @@ def _factor_point(
         scheme = factor_variant(lat, thr, dat, seed=mix_id)
         scheme.name = _variant_name(label)
         schemes.append(scheme)
-    single = SweepResult(n_apps=n_apps, n_mixes=1)
-    evaluate_mix(config, mix, single, seed=mix_id, schemes=schemes)
-    return mix_record(single)
+    ((_, record),) = _score_mixes(config, [(mix, [*schemes, SNuca(mix_id)])])
+    return record
 
 
 def factor_jobs(

@@ -8,8 +8,11 @@ same machinery.
 Each mix is one :class:`repro.runner.Job` (:func:`sweep_jobs` builds the
 job list, :func:`_mix_point` is the job body), so a sweep parallelizes
 across ``--jobs`` workers and memoizes per-mix results in the runner's
-cache; pass ``runner=`` to exploit that, or call ``run_sweep`` without one
-for the classic serial in-process path — both produce identical numbers.
+cache.  :class:`repro.runner.MegaBatchRunner` runs a group of same-chip
+jobs through :func:`_mix_points_batched` instead.  Both bodies, fig12's
+job body and :func:`evaluate_mix` solve and score their mixes through
+one helper, :func:`_score_mixes`, called with one mix or many, so every
+path produces identical numbers.
 """
 
 from __future__ import annotations
@@ -21,16 +24,8 @@ from repro.experiments.results import ResultTable, RunRecord
 from repro.experiments.spec import ExperimentSpec, Param, register
 from repro.model.metrics import gmean, inverse_cdf, weighted_speedup
 from repro.model.system import AnalyticSystem, MixEvaluation
-from repro.nuca import SCHEMES, standard_schemes
-from repro.nuca.base import (
-    NucaScheme,
-    SchemeResult,
-    SharingScheme,
-    build_problem,
-    run_schemes,
-)
+from repro.nuca import SCHEMES, NucaScheme, SNuca, standard_schemes
 from repro.runner import Job, ProcessPoolRunner, register_batchable, run_jobs
-from repro.sched.reconfigure import reconfigure_schemes
 from repro.util.hashing import content_digest
 from repro.util.rng import reseed_global
 from repro.util.sums import ordered_sums
@@ -93,23 +88,6 @@ class SweepResult:
         return [s for s in self.speedups if s != BASELINE]
 
 
-def _record(
-    result: SweepResult,
-    name: str,
-    evaluation: MixEvaluation,
-    bank_latency: float,
-) -> None:
-    # Fig 11b reports *network* latency: subtract the bank lookup.
-    result.onchip_latency.setdefault(name, []).append(
-        evaluation.mean_onchip_latency_per_access() - bank_latency
-    )
-    result.offchip_latency.setdefault(name, []).append(
-        evaluation.offchip_latency_per_kiloinstr()
-    )
-    result.traffic.setdefault(name, []).append(evaluation.traffic_per_instr())
-    result.energy.setdefault(name, []).append(evaluation.energy.as_dict())
-
-
 def mix_record(result: SweepResult, mix_index: int = 0) -> dict:
     """Extract one mix's rows from *result* as a plain, picklable dict.
 
@@ -142,36 +120,18 @@ def merge_mix_record(result: SweepResult, record: dict) -> None:
         result.energy.setdefault(scheme, []).append(record["energy"][scheme])
 
 
-def _mix_point(
-    config: SystemConfig,
-    n_apps: int,
-    seed: int,
-    mix_id: int,
-    multithreaded: bool,
-) -> dict:
-    """Job body: evaluate all standard schemes on one random mix."""
-    if multithreaded:
-        mix = random_multithreaded_mix(n_apps, seed, mix_id)
-    else:
-        mix = random_single_threaded_mix(n_apps, seed, mix_id)
-    single = SweepResult(n_apps=n_apps, n_mixes=1)
-    evaluate_mix(config, mix, single, seed=mix_id)
-    return mix_record(single)
-
-
-# -- mega-batch job body ------------------------------------------------------
-
 _SYSTEM_CACHE: dict[str, AnalyticSystem] = {}
 
 
 def _sweep_system(config: SystemConfig) -> AnalyticSystem:
     """Process-memoized :class:`AnalyticSystem` per chip config.
 
-    Batched sweeps reuse one system per config so the alone-performance
-    cache stays warm across batches instead of being re-derived per job.
-    Bitwise-safe: the system holds no mutable state beyond that cache,
-    and cached alone values equal freshly computed ones (the alone
-    evaluation is fully explicitly seeded).
+    Every sweep body reuses one system per config, so the
+    alone-performance cache stays warm across jobs and batches instead
+    of being re-derived per job.  Bitwise-safe: the system holds no
+    mutable state beyond that cache, and cached alone values equal
+    freshly computed ones (the alone evaluation is fully explicitly
+    seeded).
     """
     key = content_digest(config)
     system = _SYSTEM_CACHE.get(key)
@@ -180,13 +140,70 @@ def _sweep_system(config: SystemConfig) -> AnalyticSystem:
     return system
 
 
-def _reseed_slice(digest: str, seed: int) -> None:
-    """Reproduce :meth:`repro.runner.Job.execute`'s global reseeding for
-    one slice of a batch, so per-slice RNG state matches the per-job path
-    exactly (the deferred merged stages afterwards consume no RNG).
-    Both paths share :func:`repro.util.rng.reseed_global` — the one
-    sanctioned global-reseed site."""
-    reseed_global(digest, seed)
+def _score_mixes(
+    config: SystemConfig,
+    runs: list[tuple[Mix, list[NucaScheme]]],
+    system: AnalyticSystem | None = None,
+) -> list[tuple[dict[str, MixEvaluation], dict]]:
+    """Solve and score every ``(mix, schemes)`` run, whose schemes must
+    include the :data:`BASELINE`; per run, its evaluations by scheme
+    name and its :func:`mix_record` payload.
+
+    One :meth:`AnalyticSystem.evaluate_schemes` call, through *system*
+    or the process's memoized one, covers every run: each mix's schemes
+    share one problem, :func:`~repro.nuca.base.run_schemes` merges their
+    LRU-sharing solves and Jigsaw lanes across the call, and one stacked
+    pass scores every placement.  No value crosses from one run to
+    another, so a run's payload is the same whatever else shares the
+    call.
+    """
+    system = system or _sweep_system(config)
+    alones = [system.alone_performance(mix) for mix, _ in runs]
+    scored = iter(system.evaluate_schemes(
+        [(mix, scheme) for mix, schemes in runs for scheme in schemes]
+    ))
+    out = []
+    for (_, schemes), alone in zip(runs, alones):
+        evaluations = {scheme.name: next(scored) for scheme in schemes}
+        baseline = evaluations[BASELINE]
+        record: dict[str, dict] = {
+            "speedups": {}, "onchip": {}, "offchip": {}, "traffic": {}, "energy": {},
+        }
+        for name, evaluation in evaluations.items():
+            if name != BASELINE:
+                record["speedups"][name] = weighted_speedup(
+                    evaluation, baseline, alone
+                )
+            # Fig 11b reports *network* latency: subtract the bank lookup.
+            record["onchip"][name] = (
+                evaluation.mean_onchip_latency_per_access()
+                - config.cache.bank_latency
+            )
+            record["offchip"][name] = evaluation.offchip_latency_per_kiloinstr()
+            record["traffic"][name] = evaluation.traffic_per_instr()
+            record["energy"][name] = evaluation.energy.as_dict()
+        out.append((evaluations, record))
+    return out
+
+
+def _sweep_mix(n_apps: int, seed: int, mix_id: int, multithreaded: bool) -> Mix:
+    """Random mix *mix_id* of the sweep."""
+    if multithreaded:
+        return random_multithreaded_mix(n_apps, seed, mix_id)
+    return random_single_threaded_mix(n_apps, seed, mix_id)
+
+
+def _mix_point(
+    config: SystemConfig,
+    n_apps: int,
+    seed: int,
+    mix_id: int,
+    multithreaded: bool,
+) -> dict:
+    """Job body: evaluate all standard schemes on one random mix."""
+    mix = _sweep_mix(n_apps, seed, mix_id, multithreaded)
+    ((_, record),) = _score_mixes(config, [(mix, standard_schemes(mix_id))])
+    return record
 
 
 def _mix_points_batched(
@@ -198,81 +215,16 @@ def _mix_points_batched(
     seed: int,
     multithreaded: bool,
 ) -> list[dict]:
-    """Mega-batch body for :func:`_mix_point`: many mix_ids in stacked passes.
-
-    Three phases, each preserving the per-job float trajectory:
-
-    1. per slice (reseeded like ``Job.execute``): build the mix, warm the
-       alone cache, and run the schemes that do not share — Jigsaw+C and
-       Jigsaw+R solve as the two lanes of one
-       :func:`~repro.sched.reconfigure.reconfigure_schemes` call (one
-       miss-driven allocation between them), CDCS runs fully;
-    2. one :func:`~repro.nuca.base.run_schemes` call runs every slice's
-       S-NUCA and R-NUCA, their LRU-sharing solves merged into a single
-       lockstep bisection;
-    3. one :meth:`AnalyticSystem.evaluate_solutions_batch` call scores
-       every (mix, scheme) placement, and the per-slice records assemble
-       exactly as :func:`evaluate_mix` would.
-    """
-    system = _sweep_system(config)
-    per_slice = []  # (mix, alone, entries); entry = [scheme, problem, result]
-    sharing = []    # the entries of every slice's SharingSchemes
+    """Mega-batch body for :func:`_mix_point`: each slice's mix built
+    after reseeding the global RNGs as ``Job.execute`` would, then one
+    :func:`_score_mixes` call over every slice (no scheme reads the
+    global RNGs, so running them after the last reseed moves nothing)."""
+    runs = []
     for mix_id, digest in zip(slices, digests):
-        _reseed_slice(digest, seed)
-        if multithreaded:
-            mix = random_multithreaded_mix(n_apps, seed, mix_id)
-        else:
-            mix = random_single_threaded_mix(n_apps, seed, mix_id)
-        alone = system.alone_performance(mix)
-        entries = []
-        # One problem per slice: building it is deterministic in
-        # (mix, config) and schemes treat it as read-only, so sharing the
-        # object across the five schemes changes no values — only spares
-        # four redundant constructions (and lets the evaluator group all
-        # five solutions under one geometry object).
-        problem = build_problem(mix, config)
-        lanes = []  # (entry, reconfigure_schemes lane)
-        for scheme in standard_schemes(mix_id):
-            entry = [scheme, problem, None]
-            entries.append(entry)
-            lane = getattr(scheme, "lane", None)
-            if isinstance(scheme, SharingScheme):
-                sharing.append(entry)
-            elif lane is not None:
-                lanes.append((entry, lane(problem)))
-            else:
-                entry[2] = scheme.run(problem)
-        solved = reconfigure_schemes(problem, [lane for _, lane in lanes])
-        for (entry, _), result in zip(lanes, solved):
-            entry[2] = SchemeResult(
-                entry[0].name, result.solution, result.step_cycles()
-            )
-        per_slice.append((mix, alone, entries))
-
-    results = run_schemes([(scheme, problem) for scheme, problem, _ in sharing])
-    for entry, result in zip(sharing, results):
-        entry[2] = result
-
-    items = [
-        (mix, problem, result)
-        for mix, _, entries in per_slice
-        for _, problem, result in entries
-    ]
-    evaluations = iter(system.evaluate_solutions_batch(items))
-
-    records = []
-    for mix, alone, entries in per_slice:
-        single = SweepResult(n_apps=n_apps, n_mixes=1)
-        by_name = {scheme.name: next(evaluations) for scheme, _, _ in entries}
-        baseline = by_name[BASELINE]
-        for name, evaluation in by_name.items():
-            if name != BASELINE:
-                single.speedups.setdefault(name, []).append(
-                    weighted_speedup(evaluation, baseline, alone)
-                )
-            _record(single, name, evaluation, config.cache.bank_latency)
-        records.append(mix_record(single))
-    return records
+        reseed_global(digest, seed)
+        mix = _sweep_mix(n_apps, seed, mix_id, multithreaded)
+        runs.append((mix, standard_schemes(mix_id)))
+    return [record for _, record in _score_mixes(config, runs)]
 
 
 register_batchable(_mix_point, batch_fn=_mix_points_batched, slice_param="mix_id")
@@ -345,25 +297,16 @@ def evaluate_mix(
     schemes: list[NucaScheme] | None = None,
     system: AnalyticSystem | None = None,
 ) -> dict[str, MixEvaluation]:
-    """Evaluate one mix under every scheme, recording into *result*."""
-    system = system or AnalyticSystem(config)
+    """Evaluate one mix under every scheme (``SNuca(seed)`` added as the
+    baseline when *schemes* has none), recording into *result*; through
+    *system*, or a fresh :class:`AnalyticSystem`."""
     scheme_list = schemes if schemes is not None else standard_schemes(seed)
-    alone = system.alone_performance(mix)
     if not any(scheme.name == BASELINE for scheme in scheme_list):
-        from repro.nuca.snuca import SNuca
-
         scheme_list = [*scheme_list, SNuca(seed)]
-    scored = system.evaluate_schemes([(mix, scheme) for scheme in scheme_list])
-    evaluations: dict[str, MixEvaluation] = {
-        scheme.name: evaluation for scheme, evaluation in zip(scheme_list, scored)
-    }
-    baseline = evaluations[BASELINE]
-    for name, evaluation in evaluations.items():
-        if name != BASELINE:
-            result.speedups.setdefault(name, []).append(
-                weighted_speedup(evaluation, baseline, alone)
-            )
-        _record(result, name, evaluation, config.cache.bank_latency)
+    ((evaluations, record),) = _score_mixes(
+        config, [(mix, scheme_list)], system or AnalyticSystem(config)
+    )
+    merge_mix_record(result, record)
     return evaluations
 
 

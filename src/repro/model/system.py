@@ -250,12 +250,16 @@ class AnalyticSystem:
     def evaluate_schemes(
         self, pairs: list[tuple[Mix, NucaScheme]]
     ) -> list[MixEvaluation]:
-        """:meth:`evaluate` for several (mix, scheme) pairs: each scheme
-        runs on its own freshly built problem, in order, and one stacked
-        pass scores every placement; the schemes run through
-        :func:`~repro.nuca.base.run_schemes`, so every LRU-sharing solve
-        of the call is one merged solve."""
-        problems = [build_problem(mix, self.config) for mix, _ in pairs]
+        """:meth:`evaluate` for several (mix, scheme) pairs: one problem
+        is built per mix object and shared by its schemes, which treat it
+        as read-only; the schemes run through one
+        :func:`~repro.nuca.base.run_schemes` call, which merges their
+        shared work, and one stacked pass scores every placement."""
+        built: dict[int, PlacementProblem] = {}
+        for mix, _ in pairs:
+            if id(mix) not in built:
+                built[id(mix)] = build_problem(mix, self.config)
+        problems = [built[id(mix)] for mix, _ in pairs]
         results = run_schemes([
             (scheme, problem) for (_, scheme), problem in zip(pairs, problems)
         ])

@@ -19,6 +19,7 @@ from repro.config import SystemConfig
 from repro.geometry.mesh import Mesh, Topology
 from repro.nuca.sharing import SharingPlan, solve_sharing_plans
 from repro.sched.problem import PlacementProblem, PlacementSolution, ThreadSpec
+from repro.sched.reconfigure import reconfigure_schemes
 from repro.vcache.virtual_cache import VCKind, VirtualCache
 from repro.workloads.mixes import Mix, ProcessSpec
 
@@ -178,9 +179,9 @@ class SharingScheme(NucaScheme):
 
     :meth:`sharing_stage` states the solve as a :class:`SharingPlan`
     (``None`` when no stream takes part) and :meth:`finish_sharing`
-    turns its occupancies into the solution; a sweep's mega-batch merges
-    many mixes' plans into one :func:`solve_sharing_plans` call between
-    the two.
+    turns its occupancies into the solution; :func:`run_schemes` merges
+    the plans of all its runs into one :func:`solve_sharing_plans` call
+    between the two.
     """
 
     @abstractmethod
@@ -201,25 +202,35 @@ def run_schemes(
     runs: list[tuple[NucaScheme, PlacementProblem]],
 ) -> list[SchemeResult]:
     """``scheme.run(problem)`` for every (scheme, problem) pair, in
-    order, with the LRU-sharing solves of every :class:`SharingScheme`
-    merged into one :func:`solve_sharing_plans` call.  Each plan's
-    slice of that call is bitwise what solving the plan alone returns,
-    so every result equals the scheme's own run; a
-    :class:`SharingScheme`'s ``run`` is the one-pair call."""
-    results: list[SchemeResult | None] = []
+    order, with the work the schemes share merged: the LRU-sharing
+    solves of every :class:`SharingScheme` run as one
+    :func:`solve_sharing_plans` call, and the schemes of one problem
+    that have a ``lane`` (Jigsaw+C, Jigsaw+R) as the lanes of one
+    :func:`~repro.sched.reconfigure.reconfigure_schemes` call.  Each
+    plan's slice and each lane is bitwise what the scheme's own run
+    returns; a :class:`SharingScheme`'s ``run`` is the one-pair call."""
+    results: list[SchemeResult | None] = [None] * len(runs)
     staged = []  # (result index, scheme, problem, context), one per plan
     plans = []
-    for scheme, problem in runs:
-        if not isinstance(scheme, SharingScheme):
-            results.append(scheme.run(problem))
-            continue
-        plan, context = scheme.sharing_stage(problem)
-        if plan is None:
-            results.append(scheme.finish_sharing(problem, context, np.zeros(0)))
-            continue
-        staged.append((len(results), scheme, problem, context))
-        plans.append(plan)
-        results.append(None)
+    lanes: dict[int, tuple[PlacementProblem, list]] = {}  # by id(problem)
+    for i, (scheme, problem) in enumerate(runs):
+        if isinstance(scheme, SharingScheme):
+            plan, context = scheme.sharing_stage(problem)
+            if plan is None:
+                results[i] = scheme.finish_sharing(problem, context, np.zeros(0))
+            else:
+                staged.append((i, scheme, problem, context))
+                plans.append(plan)
+        elif hasattr(scheme, "lane"):
+            lanes.setdefault(id(problem), (problem, []))[1].append(
+                (i, scheme.name, scheme.lane(problem))
+            )
+        else:
+            results[i] = scheme.run(problem)
+    for problem, group in lanes.values():
+        solved = reconfigure_schemes(problem, [lane for _, _, lane in group])
+        for (i, name, _), result in zip(group, solved):
+            results[i] = SchemeResult(name, result.solution, result.step_cycles())
     if plans:
         for (i, scheme, problem, context), occupancies in zip(
             staged, solve_sharing_plans(plans)

@@ -58,8 +58,9 @@ class RNuca(SharingScheme):
         Each bank shares capacity between its local thread's private data
         and every shared VC's 1/N slice — one independent fixed point per
         bank, expressed as one plan group per bank at the bank capacity.
-        The mega-batch runner merges these groups with every other staged
-        solve (other mixes, other schemes) into one lockstep bisection.
+        :func:`~repro.nuca.base.run_schemes` merges these groups with every
+        other staged solve (other mixes, other schemes) into one lockstep
+        bisection.
         """
         topo = problem.topology
         tiles = topo.tiles

@@ -31,8 +31,8 @@ class SNuca(SharingScheme):
 
         The whole LLC is one shared pool: one group holding every active
         VC's curve at the chip's total capacity.  Splitting the plan from
-        :meth:`finish_sharing` lets the mega-batch runner merge many
-        mixes' S-NUCA solves into one lockstep bisection.
+        :meth:`finish_sharing` lets :func:`~repro.nuca.base.run_schemes`
+        merge many mixes' S-NUCA solves into one lockstep bisection.
         """
         active = [
             vc for vc in problem.vcs

@@ -399,29 +399,6 @@ def _split_dims(topo: Mesh, k: int) -> tuple[int, int]:
     return topo.width // k, topo.height // k
 
 
-def _map_region_solves(sub_problems, policy, sub_externals, runner):
-    """Solve each region through the full pipeline, serially or fanned
-    over a runner's worker processes (results identical either way)."""
-    if runner is None:
-        return [
-            reconfigure(sub, policy, ext)
-            for sub, ext in zip(sub_problems, sub_externals)
-        ]
-    from repro.runner import Job  # lazy: sched must not need the runner
-
-    jobs = [
-        Job(
-            fn=reconfigure,
-            kwargs=dict(
-                problem=sub, policy=policy, external_thread_cores=ext
-            ),
-            label=f"region-{i}",
-        )
-        for i, (sub, ext) in enumerate(zip(sub_problems, sub_externals))
-    ]
-    return runner.map(jobs)
-
-
 def _split_solve(
     problem: PlacementProblem,
     policy: ReconfigPolicy,
@@ -663,11 +640,9 @@ class HierarchicalSolve:
     split of full-pipeline leaves plus one stitch).  Threads follow their
     process into exactly one region (bin-packed largest-first; with
     external placements, the region owning the external core), and each
-    process's VCs come along.  Leaves re-solve cold every epoch — warm
-    per-leaf engines would break the presets' bitwise contracts.  An
-    optional :class:`repro.runner.ProcessPoolRunner` fans the deepest
-    level's leaf solves over worker processes (results are identical
-    either way).
+    process's VCs come along.  Leaves re-solve cold every epoch, one
+    after another, in process — warm per-leaf engines would break the
+    presets' bitwise contracts.
     """
 
     name = "hierarchical"
@@ -677,7 +652,6 @@ class HierarchicalSolve:
         regions: int | None = None,
         depth: int | None = None,
         leaf_tiles: int = 64,
-        runner=None,
         stitch_ops_budget: int | None = STITCH_OPS_BUDGET,
     ):
         if regions is not None and regions < 1:
@@ -693,7 +667,6 @@ class HierarchicalSolve:
         self.regions = regions
         self.depth = depth
         self.leaf_tiles = leaf_tiles
-        self.runner = runner
         self.stitch_ops_budget = stitch_ops_budget
 
     def _auto_k(self, topo) -> int:
@@ -741,10 +714,10 @@ class HierarchicalSolve:
             return []
         # Regions at one level share dimensions, so one decision covers
         # them all: recurse deeper, or solve this level's regions as
-        # leaves (the flat strategy's path, runner fan-out included).
+        # leaves through the full pipeline (the flat strategy's path).
         child_k = self._level_k(subs[0].topology, remaining)
         if child_k <= 1:
-            return _map_region_solves(subs, policy, exts, self.runner)
+            return [reconfigure(sub, policy, ext) for sub, ext in zip(subs, exts)]
         next_remaining = None if remaining is None else remaining - 1
         return [
             _split_solve(

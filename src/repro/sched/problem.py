@@ -111,17 +111,11 @@ class PlacementProblem:
         # plain attribute, not a field, so equality and content digests
         # never see it.
         index: dict[int, dict[int, float]] = {}
-        zero_rate: set[int] = set()
-        for position, thread in enumerate(self.threads):
+        for thread in self.threads:
             for vc_id, rate in thread.vc_accesses.items():
                 if rate > 0:
                     index.setdefault(vc_id, {})[thread.thread_id] = rate
-                else:
-                    zero_rate.add(position)
         self._accessors = index
-        #: Positions of the threads with a ``vc_accesses`` key whose rate
-        #: is not positive: keys the accessor index does not list.
-        self._zero_rate_threads = frozenset(zero_rate)
         self._frame = _Frame(
             vc_positions,
             {thread.thread_id: i for i, thread in enumerate(self.threads)},
@@ -135,28 +129,19 @@ class PlacementProblem:
         would repeat: same config, topology and ids."""
         self._frame = frame = base._frame
         index = dict(base._accessors)
-        zero_rate = base._zero_rate_threads
         if thread_changed:
             # Rebuild the inner map of every VC a changed thread names,
             # before or after; every other map is shared.
             old_threads, threads = base.threads, self.threads
             changed: dict[int, ThreadSpec] = {}
             readers: dict[int, list[ThreadSpec]] = {}
-            zero_rate = set(zero_rate)
             for position in thread_changed:
                 thread = threads[position]
                 changed[thread.thread_id] = thread
                 for vc_id in old_threads[position].vc_accesses:
                     readers.setdefault(vc_id, [])
-                positive = True
-                for vc_id, rate in thread.vc_accesses.items():
+                for vc_id in thread.vc_accesses:
                     readers.setdefault(vc_id, []).append(thread)
-                    positive = positive and rate > 0
-                if positive:
-                    zero_rate.discard(position)
-                else:
-                    zero_rate.add(position)
-            zero_rate = frozenset(zero_rate)
             for vc_id, new_readers in readers.items():
                 old = base._accessors.get(vc_id, {})
                 inner = {}
@@ -184,7 +169,6 @@ class PlacementProblem:
                 else:
                     index.pop(vc_id, None)
         self._accessors = index
-        self._zero_rate_threads = zero_rate
         digests = base._memo.get(RECORD_DIGESTS)
         if digests is not None:
             vc_digests, thread_digests = list(digests[0]), list(digests[1])
@@ -233,19 +217,6 @@ class PlacementProblem:
         """:meth:`accessors_of` without the copy, for callers that only
         read it: the index's own map, which must not be mutated."""
         return self._accessors.get(vc_id, {})
-
-    def threads_keyed_by(self, vc_ids: Mapping[int, object]) -> set[int]:
-        """Ids of the threads whose ``vc_accesses`` has a key in *vc_ids*
-        at any rate, zero included: the accessors of those VCs plus the
-        few threads with a rate that is not positive."""
-        keyed: set[int] = set()
-        for vc_id in vc_ids:
-            keyed.update(self._accessors.get(vc_id, ()))
-        for position in self._zero_rate_threads:
-            thread = self.threads[position]
-            if not vc_ids.keys().isdisjoint(thread.vc_accesses):
-                keyed.add(thread.thread_id)
-        return keyed
 
 
 def changed_records(

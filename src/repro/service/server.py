@@ -378,12 +378,12 @@ class CoSchedService:
         for vc_id in sorted(dirty_rates):
             for thread_id in dirty_rates[vc_id]:
                 named.setdefault(thread_id, []).append(vc_id)
-        # The threads to patch: those a rate map names, those whose key
-        # changed, and those keyed by a dirty-rate VC, at any rate.  Any
-        # other thread patches to itself.
-        patch = base.threads_keyed_by(dirty_rates).union(
-            named, delta.dirty_clusters
-        )
+        # The threads to patch: those a rate map names, the base's
+        # accessors of each dirty-rate VC, and those whose key changed.
+        # Any other thread patches to itself.
+        patch = set(named).union(delta.dirty_clusters)
+        for vc_id in dirty_rates:
+            patch.update(base.accessor_rates(vc_id))
         if len(thread_positions) == len(threads):
             positions = sorted(
                 thread_positions[t] for t in patch if t in thread_positions
@@ -395,11 +395,14 @@ class CoSchedService:
             thread_id = thread.thread_id
             # Preserve the base key order (placement reductions iterate
             # these dicts); rate updates replace in place, zero/absent
-            # rates drop, newly-accessed VCs append.
+            # rates drop, newly-accessed VCs append.  A key changes only
+            # where a map names the thread: the delta's, or the base's
+            # accessor map, which holds the positive rates.
             accesses = {}
             for vc_id, rate in thread.vc_accesses.items():
-                if vc_id in dirty_rates:
-                    rate = dirty_rates[vc_id].get(thread_id, 0.0)
+                rates = dirty_rates.get(vc_id)
+                if rates is not None and (rate > 0 or thread_id in rates):
+                    rate = rates.get(thread_id, 0.0)
                     if rate <= 0:
                         continue
                 accesses[vc_id] = rate

@@ -329,20 +329,15 @@ def resolve_delta_scan(base, delta):
     threads = base.threads
     if delta.dirty_rates or delta.dirty_clusters:
         dirty_ids = sorted(delta.dirty_rates)
-        named = set().union(*delta.dirty_rates.values())
         threads = []
         for thread in base.threads:
-            if (
-                thread.thread_id not in named
-                and thread.thread_id not in delta.dirty_clusters
-                and delta.dirty_rates.keys().isdisjoint(thread.vc_accesses)
-            ):
-                threads.append(thread)
-                continue
+            # A key changes only where a map names the thread: the
+            # delta's, or the base's accessor map (a positive rate).
             accesses = {}
             for vc_id, rate in thread.vc_accesses.items():
-                if vc_id in delta.dirty_rates:
-                    rate = delta.dirty_rates[vc_id].get(thread.thread_id, 0.0)
+                rates = delta.dirty_rates.get(vc_id)
+                if rates is not None and (rate > 0 or thread.thread_id in rates):
+                    rate = rates.get(thread.thread_id, 0.0)
                     if rate <= 0:
                         continue
                 accesses[vc_id] = rate

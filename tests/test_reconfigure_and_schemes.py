@@ -1,5 +1,7 @@
 """The 4-step pipeline (Fig 4) and the NUCA schemes (repro.nuca)."""
 
+import importlib
+
 import pytest
 
 from repro.config import small_test_config
@@ -14,6 +16,7 @@ from repro.nuca import (
     rotational_cluster,
     standard_schemes,
 )
+from repro.nuca.base import run_schemes
 from repro.nuca.sharing import SharingPlan, solve_sharing_plans
 from repro.sched.reconfigure import ReconfigPolicy, reconfigure
 from repro.testing import assert_solutions_equal
@@ -201,3 +204,37 @@ def test_sharing_schemes_run_is_stage_solve_finish():
         assert_solutions_equal(scheme.run(problem).solution, want)
     plan, _ = RNuca(3).sharing_stage(problem)
     assert sum(1 for group in plan.groups if not group) == 12
+
+
+@pytest.mark.parametrize("n_problems", [1, 2])
+def test_run_schemes_solves_each_problems_jigsaws_as_lanes(monkeypatch, n_problems):
+    """One run_schemes call solves each problem's Jigsaw+C and Jigsaw+R
+    as the lanes of one reconfigure_schemes call, whatever the order of
+    the runs: one miss-driven allocation per problem, and every result
+    equals the scheme's own run."""
+    module = importlib.import_module("repro.sched.reconfigure")
+    allocate = module.allocate_miss_driven
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return allocate(*args, **kwargs)
+
+    monkeypatch.setattr(module, "allocate_miss_driven", counted)
+    problems = [
+        setup_problem(names)[1]
+        for names in (MIX, ["omnet", "milc", "gcc", "astar"])[:n_problems]
+    ]
+    runs = [
+        (scheme, problem)
+        for scheme in (Jigsaw("clustered", 3), Jigsaw("random", 3))
+        for problem in problems
+    ]
+    results = run_schemes(runs)
+    assert calls == problems
+    monkeypatch.undo()
+    for (scheme, problem), result in zip(runs, results):
+        want = scheme.run(problem)
+        assert result.name == scheme.name
+        assert result.solution == want.solution
+        assert result.step_cycles == want.step_cycles

@@ -6,6 +6,12 @@ occupancies.  Integers, cores and bank keys compare with ``==``; floats
 within ``EQUIV_RTOL``, because the profiles' miss curves come from
 ``np.power``, whose last bit differs between hosts (same-host exactness
 is what the oracle suites check, bitwise).
+
+The file ends with the fig12 and table1 job payloads, which pin the
+paths that solve and score several schemes per mix.  They compare
+``==``, bitwise, as the equivalence suites do, so they hold on hosts
+whose ``np.power`` rounds as the writing host's did; elsewhere they fail
+where the solution records still pass within ``EQUIV_RTOL``.
 """
 
 from __future__ import annotations
@@ -22,7 +28,11 @@ REPO = Path(__file__).resolve().parent.parent
 if str(REPO) not in sys.path:  # tools/ is not a src/ package
     sys.path.insert(0, str(REPO))
 
-from tools.golden_schemes import GOLDEN, scheme_records  # noqa: E402
+from tools.golden_schemes import (  # noqa: E402
+    GOLDEN,
+    payload_records,
+    scheme_records,
+)
 
 
 def split(record: dict) -> tuple[list, list[float]]:
@@ -47,7 +57,7 @@ def records() -> list[dict]:
 
 
 def test_schemes_match_golden_file(records):
-    golden = json.loads(GOLDEN.read_text())
+    golden = json.loads(GOLDEN.read_text())[:len(records)]
     assert [r["case"] for r in records] == [g["case"] for g in golden]
     for got, want in zip(records, golden):
         got_keys, got_floats = split(got)
@@ -65,3 +75,11 @@ def test_corpus_covers_every_scheme_and_the_merged_call(records):
     fig15 = next(r for r in records if r["case"] == "fig15-mix0/R-NUCA")
     assert any(len(groups[0][1]) == 64 for _, groups in fig15["allocation"])
     assert sum(split(records[-1])[0]) == 512
+
+
+def test_payloads_match_golden_file(records):
+    golden = json.loads(GOLDEN.read_text())[len(records):]
+    got = payload_records()
+    assert [r["case"] for r in got] == [g["case"] for g in golden]
+    for record, want in zip(got, golden):
+        assert record == want, want["case"]

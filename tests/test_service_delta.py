@@ -367,15 +367,22 @@ def _with_threads(problem, change):
     return replace(problem, vcs=vcs, threads=threads)
 
 
-def _zero_rate_key_case():
-    # A thread of another process keys the shared VC at rate 0; the
-    # delta moves the shared VC's rates without naming that thread.
+def _zero_rate_key_base():
+    """A chip where a thread of another process keys the shared VC at
+    rate 0, the shared VC and its readers."""
     base = build_problem(random_multithreaded_mix(2, 7), small_test_config(4, 4))
     shared, readers = _shared_readers(base)
     idle = next(t for t in base.threads if t.process_id != shared.process_id)
     base = _with_threads(base, lambda t: (
         {**t.vc_accesses, shared.vc_id: 0.0} if t is idle else t.vc_accesses
     ))
+    return base, shared, readers
+
+
+def _zero_rate_key_case():
+    # The delta moves the shared VC's rates without naming the thread
+    # that keys it at rate 0.
+    base, shared, readers = _zero_rate_key_base()
     rates = {r: 2 * shared.accesses[r] for r in readers}
     return base, _delta(base, dirty_rates={shared.vc_id: rates})
 
@@ -455,20 +462,58 @@ def test_resolve_delta_matches_the_full_scan(case):
         assert list(served.accessor_rates(vc.vc_id).items()) == list(
             fresh.accessor_rates(vc.vc_id).items()
         )
-    assert served._zero_rate_threads == fresh._zero_rate_threads
+
+
+def _zero_keys(problem):
+    return [
+        (t.thread_id, vc_id)
+        for t in problem.threads
+        for vc_id, rate in t.vc_accesses.items()
+        if not rate > 0
+    ]
 
 
 def test_crafted_cases_exercise_what_they_name():
     base, delta = _zero_rate_key_case()
     served = _serve_delta(base, delta)
-    # The zero-rate key is dropped by the patch.
-    assert base._zero_rate_threads and not served._zero_rate_threads
+    # No map names the thread, so the patch keeps its zero-rate key.
+    assert _zero_keys(base) and _zero_keys(served) == _zero_keys(base)
     base, delta = _reader_between_readers_case()
     served = _serve_delta(base, delta)
     ((shared_id, rates),) = delta.dirty_rates.items()
     readers = list(rates)
     assert list(base.accessor_rates(shared_id)) == readers[:1] + readers[2:]
     assert list(served.accessor_rates(shared_id)) == readers
+
+
+def test_zero_rate_key_stream_keeps_anchoring():
+    """Four epochs move the shared rates of the zero-rate-key chip.  The
+    service keeps the key the client keeps, so every delta anchors, and
+    every reply equals a local engine solving the client's problems."""
+    base, shared, readers = _zero_rate_key_base()
+    problems = [base] + [
+        _with_threads(base, lambda t, scale=scale: (
+            {**t.vc_accesses, shared.vc_id: scale * t.vc_accesses[shared.vc_id]}
+            if t.thread_id in readers else t.vc_accesses
+        ))
+        for scale in (2.0, 0.5, 3.0)
+    ]
+
+    async def scenario():
+        async with CoSchedService(strategy="incremental") as service:
+            client = ServiceClient(service, "chip-0")
+            replies = [await client.place_delta(problem) for problem in problems]
+        return replies, client.telemetry_stats
+
+    replies, stats = asyncio.run(scenario())
+    assert stats == {"delta": 3, "full": 1, "stale": 0}
+    engine = ReconfigEngine("incremental")
+    for problem, reply in zip(problems, replies):
+        local = engine.solve(problem)
+        assert reply.ok
+        assert reply.solution == local.solution
+        assert reply.modeled_mcycles == local.modeled_cycles() / 1e6
+        assert reply.step_cycles == local.step_cycles()
 
 
 @pytest.mark.parametrize("field", ["sketches", "dirty_rates", "dirty_clusters"])

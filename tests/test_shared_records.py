@@ -165,7 +165,6 @@ def test_derived_problems_equal_fresh_constructions(streamed, served_problems):
         for problem in sequence:
             fresh = _fresh(problem)
             assert _index(problem) == _index(fresh)
-            assert problem._zero_rate_threads == fresh._zero_rate_threads
             assert dict(problem.vc_positions) == dict(fresh.vc_positions)
             assert dict(problem.thread_positions) == dict(fresh.thread_positions)
 

@@ -90,8 +90,9 @@ ATOMIC_STATE: tuple[AtomicGlobal, ...] = (
     AtomicGlobal(
         module="repro/experiments/sweeps.py",
         name="_SYSTEM_CACHE",
-        why="per-process memo keyed by config digest; values are "
-        "immutable once built and races recompute identical systems",
+        why="per-process memo keyed by config digest; each system fills "
+        "its alone cache lazily, but dict get and set are GIL-atomic and "
+        "a race only recomputes identical alone values",
     ),
     AtomicGlobal(
         module="repro/runner/mega.py",

@@ -8,7 +8,9 @@ seed-42 4-mix fig11 ``solve_sharing_plans`` call that
 ``benchmarks/bench_kernels.py`` times (512 lanes in 260 caches).  An
 allocation lists each amount with the banks holding it, so S-NUCA's
 uniform spreads stay short; floats are written in JSON's exact
-round-trip form.
+round-trip form.  After them come the payloads of two experiment job
+bodies that score several schemes on one mix: fig12's for mixes 0 and 1
+at 64 and at 4 apps (seed 42), and table1's rows at seed 1.
 
 Run from the repository root, only when a change of decisions is
 intended::
@@ -70,11 +72,32 @@ def scheme_records() -> list[dict]:
     return records
 
 
+def payload_records() -> list[dict]:
+    """The fig12 and table1 job payloads, in a fixed order."""
+    from repro.config import default_config
+    from repro.experiments.case_study import _case_study_rows
+    from repro.experiments.factor_analysis import FIG12_APP_COUNTS, _factor_point
+
+    records = [
+        {
+            "case": f"fig12-{n_apps}apps-mix{mix_id}",
+            "payload": _factor_point(default_config(), n_apps, 42, mix_id),
+        }
+        for n_apps in FIG12_APP_COUNTS
+        for mix_id in range(2)
+    ]
+    records.append({
+        "case": "table1-seed1",
+        "rows": [list(row) for row in _case_study_rows(1)],
+    })
+    return records
+
+
 def main() -> None:
     # Run as a script, tools/ is sys.path[0].
     from golden_placement import dump_records
 
-    records = scheme_records()
+    records = scheme_records() + payload_records()
     GOLDEN.write_text(dump_records(records))
     print(f"golden_schemes: wrote {len(records)} records to {GOLDEN}")
 
