@@ -18,6 +18,7 @@ topology's precomputed matrices (``N = topology.tiles``):
 * :func:`compact_window_weights` — ``(m,) float64``; per-rank bank
   fractions of a compact footprint of ``size_banks`` (ones then one
   partial), identical to filling banks one at a time;
+  :func:`compact_window_length` gives ``m`` without the vector;
 * :func:`batched_window_scores` — two ``(N,)`` vectors ``(contention,
   spread)``; entry *c* scores the compact window of those weights
   centered at tile *c* against a ``(N,)`` claimed-capacity tally.  Terms
@@ -200,14 +201,25 @@ def weighted_center_tiles(
     does.  Maps are taken longest first, so the rows that have a *k*-th
     term are a prefix of the block and shorter maps add nothing past
     their last term.  Each row then goes through the reference scan.
-    Every map needs a positive total weight.
+    A map of one tile whose weight is finite and above the scan's
+    ``1e-12`` margin is centered on that tile without a row.  Every map
+    needs a positive total weight.
     """
     if any(sum(weights.values()) <= 0 for weights in weight_maps):
         raise ValueError("weighted center of empty placement is undefined")
     dist = topology.distance_matrix
     terms = [list(weights.items()) for weights in weight_maps]
-    order = sorted(range(len(terms)), key=lambda i: -len(terms[i]))
     centers = [0] * len(terms)
+    scanned = []
+    for i, items in enumerate(terms):
+        if len(items) == 1 and 1e-12 < items[0][1] < math.inf:
+            # One tile of finite weight w > 1e-12: it costs 0 and every
+            # other tile at least w (one hop or more), so the scan
+            # accepts it over any earlier tile and nothing after it.
+            centers[i] = int(items[0][0])
+        else:
+            scanned.append(i)
+    order = sorted(scanned, key=lambda i: -len(terms[i]))
     for lo in range(0, len(order), _CENTER_BLOCK):
         block = order[lo:lo + _CENTER_BLOCK]
         costs = np.zeros((len(block), topology.tiles), dtype=np.float64)
@@ -227,6 +239,18 @@ def weighted_center_tiles(
 # ---------------------------------------------------------------------------
 
 
+def compact_window_length(topology: Topology, size_banks: float) -> int:
+    """Bank count of a compact *size_banks* footprint: the length of
+    :func:`compact_window_weights`, without building it."""
+    if size_banks < 0:
+        raise ValueError(f"size must be non-negative, got {size_banks}")
+    remaining = min(float(size_banks), float(topology.tiles))
+    if remaining <= 1e-12:
+        return 0
+    full = int(math.floor(remaining))
+    return full + 1 if remaining - full > 1e-12 else full
+
+
 def compact_window_weights(topology: Topology, size_banks: float) -> np.ndarray:
     """(m,) per-rank bank fractions of a compact *size_banks* footprint.
 
@@ -238,18 +262,12 @@ def compact_window_weights(topology: Topology, size_banks: float) -> np.ndarray:
     magnitude is exact, and sub-``1e-12`` tails are dropped just like the
     fill loop's break).
     """
-    if size_banks < 0:
-        raise ValueError(f"size must be non-negative, got {size_banks}")
+    m = compact_window_length(topology, size_banks)
+    weights = np.ones(m, dtype=np.float64)
     remaining = min(float(size_banks), float(topology.tiles))
-    if remaining <= 1e-12:
-        return np.zeros(0, dtype=np.float64)
-    full = int(math.floor(remaining))
-    fraction = remaining - full
-    if fraction > 1e-12:
-        weights = np.ones(full + 1, dtype=np.float64)
-        weights[full] = fraction
-        return weights
-    return np.ones(full, dtype=np.float64)
+    if m > remaining:  # a partial last bank, more than 1e-12 of one
+        weights[m - 1] = remaining - (m - 1)
+    return weights
 
 
 def batched_window_scores(

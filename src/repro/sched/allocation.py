@@ -18,21 +18,34 @@ Two policies:
   curves and then distributes leftover capacity (a partitioned LLC leaves
   no bank idle), which is what makes Jigsaw over-allocate in
   under-committed systems (Fig 12b/14).
+
+Both read their VCs' curve rows (``Q+1`` points each) and the rows'
+convex hulls through one process-wide, byte-bounded memo
+(:class:`RowMemo`), keyed by everything a row reads: the miss curve's
+points, the VC's rate and the chip's inputs.  Inputs recur across
+calls: a sweep draws every mix from the paper's 16-app pool, a
+profile's thread VCs share one curve, and a phased chip replays its
+phases' curves.  So a call builds only its distinct missing rows, in
+one batched build, and each row is bitwise the one a full build gives.
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
 
 import numpy as np
 
 from repro.sched.cost_model import (
     latency_curves_batch,
     miss_only_curves_batch,
+    optimistic_table_key,
+    round_trip_cycles_per_hop,
     vc_access_rates,
 )
 from repro.sched.opcount import StepCounter
 from repro.sched.problem import PlacementProblem
+from repro.util.guards import guarded_mapping
 
 
 def convex_hull_indices(values: np.ndarray) -> list[int]:
@@ -58,33 +71,126 @@ def convex_hull_indices(values: np.ndarray) -> list[int]:
     return hull
 
 
-def _curve_key(values: np.ndarray) -> tuple[str, tuple[int, ...], bytes]:
-    """Memo key of one curve array: dtype and shape with its bytes, so
-    equal bytes read as a different array never share an entry."""
-    return (values.dtype.str, values.shape, values.tobytes())
+#: Byte budget of the row memo; past it the memo clears wholesale.  A
+#: 256-tile row is 16 KiB, so it holds about 500 of them, where a sweep
+#: or a phased chip recurs over a few dozen.
+ROW_MEMO_BYTES = 8 << 20
 
 
-#: Content-keyed memo for :func:`convex_hull_indices`.  Sweeps recompute
-#: hulls of identical curves constantly — duplicated app profiles within a
-#: mix, and Jigsaw variants allocating over the same miss-only curves —
-#: and the hull of a curve is pure data, stored as a tuple so no caller
-#: can change a shared entry.  Bounded by wholesale clearing; keys are
-#: :func:`_curve_key`.
-_HULL_CACHE: dict[tuple, tuple[int, ...]] = {}
-_HULL_CACHE_MAX = 4096
+class RowMemo:
+    """Allocation curve rows with their hulls, keyed by every input a row
+    reads (:func:`_curve_rows` builds the keys).
+
+    Each value is a pure function of its key and every row is read-only,
+    so any caller may share an entry.  Lookups, inserts and the byte
+    count hold the memo's lock: the service solves two chips on two
+    worker threads.  An entry costs its row's bytes and 8 per hull
+    vertex; an insert past *budget_bytes* clears the memo first, and an
+    entry larger than the budget is not kept.
+    """
+
+    def __init__(self, budget_bytes: int = ROW_MEMO_BYTES):
+        self.budget_bytes = budget_bytes
+        self._lock = threading.Lock()
+        self._entries: dict[tuple, tuple[np.ndarray, tuple[int, ...]]] = (
+            guarded_mapping(self._lock, "allocation row memo")
+        )
+        self._bytes = 0
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    @property
+    def nbytes(self) -> int:
+        with self._lock:
+            return self._bytes
+
+    def get_many(self, keys: list[tuple]) -> list[tuple | None]:
+        with self._lock:
+            get = self._entries.get
+            return [get(key) for key in keys]
+
+    def put_many(self, entries: dict[tuple, tuple[np.ndarray, tuple[int, ...]]]) -> None:
+        with self._lock:
+            for key, (row, hull) in entries.items():
+                size = row.nbytes + 8 * len(hull)
+                if size > self.budget_bytes or key in self._entries:
+                    continue
+                if self._bytes + size > self.budget_bytes:
+                    self._entries.clear()
+                    self._bytes = 0
+                self._entries[key] = (row, hull)
+                self._bytes += size
 
 
-def _hull_of(values) -> tuple[int, ...] | list[int]:
-    if not isinstance(values, np.ndarray):
-        return convex_hull_indices(values)
-    key = _curve_key(values)
-    hull = _HULL_CACHE.get(key)
-    if hull is None:
-        if len(_HULL_CACHE) >= _HULL_CACHE_MAX:
-            _HULL_CACHE.clear()
-        hull = tuple(convex_hull_indices(values))
-        _HULL_CACHE[key] = hull
-    return hull
+#: The process's row memo.  ``tests/oracles.py``'s ``scalar_reference()``
+#: swaps an empty one in for its block, so the oracles build every row.
+_ROW_MEMO = RowMemo()
+
+
+class _VcSubset:
+    """*problem* as the curve builders read it, holding only *vcs*: a
+    row reads its own VC, its rate and the chip, so a subset's rows are
+    bitwise the full build's."""
+
+    def __init__(self, problem: PlacementProblem, vcs: list):
+        self._problem = problem
+        self.vcs = vcs
+
+    def __getattr__(self, name: str):
+        return getattr(self._problem, name)
+
+
+def _curve_rows(
+    problem: PlacementProblem, vcs: list, rates: list[float], latency: bool
+) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
+    """The allocation rows of *vcs* at *rates*, with their hulls, through
+    the row memo: total-latency rows if *latency*, else off-chip-only.
+
+    A key holds, by content, everything its row reads: the miss curve's
+    points (dtype and bytes), the rate, and the chip inputs of its kind
+    (memory latency, cycles per hop and the optimistic table's identity
+    for latency rows; memory latency, quantum and total bytes for
+    off-chip rows).  Each distinct missing key is built once, in one
+    call of the batched builder over just those VCs, so every row is
+    bitwise the row a full build gives its VC.
+    """
+    if latency:
+        chip = (
+            "latency",
+            problem.mem_latency,
+            round_trip_cycles_per_hop(problem),
+            optimistic_table_key(problem),
+        )
+    else:
+        chip = ("miss", problem.mem_latency, problem.quantum, problem.total_bytes)
+    keys = []
+    for vc, rate in zip(vcs, rates):
+        sizes, values = vc.miss_curve.sizes, vc.miss_curve.values
+        points = (sizes.dtype.str, sizes.tobytes(), values.dtype.str, values.tobytes())
+        keys.append((chip, points, rate))
+    memo = _ROW_MEMO
+    entries = memo.get_many(keys)
+    missing: dict[tuple, tuple] = {}
+    for key, vc, rate, entry in zip(keys, vcs, rates, entries):
+        if entry is None and key not in missing:
+            missing[key] = (vc, rate)
+    if missing:
+        build = latency_curves_batch if latency else miss_only_curves_batch
+        subset = _VcSubset(problem, [vc for vc, _ in missing.values()])
+        matrix = build(subset, [rate for _, rate in missing.values()])
+        matrix.setflags(write=False)
+        built = {
+            key: (row, tuple(convex_hull_indices(row)))
+            for key, row in zip(missing, matrix)
+        }
+        memo.put_many(built)
+        entries = [
+            built[key] if entry is None else entry
+            for key, entry in zip(keys, entries)
+        ]
+    return [row for row, _ in entries], [hull for _, hull in entries]
 
 
 def _greedy_hull_allocation(
@@ -92,9 +198,12 @@ def _greedy_hull_allocation(
     budget_quanta: int,
     counter: StepCounter,
     step_name: str,
+    hulls: list[tuple[int, ...]] | None = None,
 ) -> list[int]:
-    """Best-first walk over hull segments; returns quanta per curve."""
-    hulls = [_hull_of(c) for c in curves]
+    """Best-first walk over hull segments; returns quanta per curve.
+    *hulls* are the curves' hulls, when the caller already has them."""
+    if hulls is None:
+        hulls = [convex_hull_indices(c) for c in curves]
     for h in hulls:
         counter.add(step_name, len(h))
     sizes = [0] * len(curves)
@@ -192,20 +301,19 @@ def allocate_latency_aware(
     VCs with the whole budget is exactly the default cold allocation.
     """
     counter = counter if counter is not None else StepCounter()
-    indices = None
     vcs = problem.vcs
     if vc_ids is not None:
-        indices = [i for i, vc in enumerate(vcs) if vc.vc_id in vc_ids]
-        vcs = [vcs[i] for i in indices]
+        vcs = [vc for vc in vcs if vc.vc_id in vc_ids]
     if not vcs:
         return {}
-    # One batched build: rows are bitwise the per-VC curves.
-    curves = list(latency_curves_batch(problem, vc_indices=indices))
+    curves, hulls = _curve_rows(
+        problem, vcs, vc_access_rates(problem, vcs), latency=True
+    )
     if budget_quanta is None:
         budget = problem.total_bytes // problem.quantum
     else:
         budget = max(0, budget_quanta)
-    sizes = _greedy_hull_allocation(curves, budget, counter, "allocation")
+    sizes = _greedy_hull_allocation(curves, budget, counter, "allocation", hulls)
     _ensure_minimum_quanta(problem, vcs, sizes, budget, curves)
     return {vc.vc_id: sizes[i] * problem.quantum for i, vc in enumerate(vcs)}
 
@@ -224,9 +332,9 @@ def allocate_miss_driven(
     """
     counter = counter if counter is not None else StepCounter()
     rates = vc_access_rates(problem)
-    curves = list(miss_only_curves_batch(problem, rates))
+    curves, hulls = _curve_rows(problem, problem.vcs, rates, latency=False)
     budget = problem.total_bytes // problem.quantum
-    sizes = _greedy_hull_allocation(curves, budget, counter, "allocation")
+    sizes = _greedy_hull_allocation(curves, budget, counter, "allocation", hulls)
     leftover = budget - sum(sizes)
     if distribute_leftover and leftover > 0:
         total_rate = sum(rates)

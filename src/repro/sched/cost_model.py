@@ -34,8 +34,6 @@ With ``K = len(problem.vcs)``, ``N = topology.tiles`` and
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from repro.cache.miss_curve import MissCurve, MissCurveBatch
@@ -161,15 +159,22 @@ def reader_hops(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
+#: Optimistic distance tables by :func:`optimistic_table_key`: every
+#: problem of one chip shape shares one read-only table, though each
+#: problem builds its own topology object.  Bounded by wholesale
+#: clearing; dict get/set/clear are GIL-atomic and losing a race only
+#: builds an equal table.
+_DISTANCE_TABLES: dict[tuple, np.ndarray] = {}
+_DISTANCE_TABLES_MAX = 64
+
+
 def _optimistic_distance_table(
     topology: Topology, bank_bytes: int, quantum: int
 ) -> np.ndarray:
     """Mean hops of a compact center placement, per allocation size.
 
     Entry q is the average access distance of a VC of ``q`` quanta placed
-    compactly around the chip's center tile (Fig 6).  Cached per topology:
-    every VC shares the table.
+    compactly around the chip's center tile (Fig 6).
 
     Built from one prefix sum over the center's spiral distances: a
     q-quanta footprint covers ``n`` full banks plus a fractional one, so
@@ -198,11 +203,32 @@ def _optimistic_distance_table(
     return table
 
 
+def optimistic_table_key(problem: PlacementProblem) -> tuple:
+    """Content identity of the problem's optimistic distance table: the
+    topology's ``cache_key()`` with the bank bytes and the quantum.  A
+    topology with no content key stands for itself (hashed by identity)."""
+    topology = problem.topology
+    try:
+        shape = topology.cache_key()
+    except (AttributeError, NotImplementedError):
+        shape = topology
+    return (shape, problem.bank_bytes, problem.quantum)
+
+
 def optimistic_on_chip_curve(problem: PlacementProblem) -> np.ndarray:
-    """Per-quantum optimistic on-chip hop distances for this chip."""
-    return _optimistic_distance_table(
-        problem.topology, problem.bank_bytes, problem.quantum
-    )
+    """Per-quantum optimistic on-chip hop distances for this chip
+    (read-only, shared by every problem of the chip's shape)."""
+    key = optimistic_table_key(problem)
+    table = _DISTANCE_TABLES.get(key)
+    if table is None:
+        table = _optimistic_distance_table(
+            problem.topology, problem.bank_bytes, problem.quantum
+        )
+        table.setflags(write=False)
+        if len(_DISTANCE_TABLES) >= _DISTANCE_TABLES_MAX:
+            _DISTANCE_TABLES.clear()
+        _DISTANCE_TABLES[key] = table
+    return table
 
 
 def latency_curve(

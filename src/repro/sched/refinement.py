@@ -42,11 +42,16 @@ reads the initiator's ``dist[com]`` row and ``dvec`` as Python lists
 (one conversion per initiator, not a NumPy scalar per lookup),
 recomputes the initiator's data extent only after a trade moved its
 data, and counts its ops in a local that reaches the counter once per
-initiator.
+initiator.  An initiator that holds one bank skips its scan: that bank
+is its data's 1-median, so the spiral would visit only the bank, which
+is never its own target, and count no op (most thread VCs of a fig11
+mix are such initiators).  Likewise the greedy seed anchors a VC whose
+accessors share one core at that core without a cost row.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 
 import numpy as np
@@ -343,6 +348,12 @@ def trade_refinement(
             break
         per_bank1 = allocation[vc1]
         if not per_bank1:
+            continue
+        if len(per_bank1) == 1 and 0 < next(iter(per_bank1.values())) < math.inf:
+            # One bank of finite, positive amount: above 1e-9 it is its
+            # data's 1-median, so the spiral covers only that bank, never
+            # its own target; at or below, the VC holds no data to move.
+            # Either way the scan counts no op and moves nothing.
             continue
         com = weighted_center_tile(topo, per_bank1)
         dist_com = dist[com].tolist()

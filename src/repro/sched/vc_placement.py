@@ -36,6 +36,7 @@ import numpy as np
 from repro.geometry.placement_math import (
     batched_window_scores,
     center_of_mass,
+    compact_window_length,
     compact_window_weights,
 )
 from repro.sched.opcount import StepCounter
@@ -118,9 +119,9 @@ def count_optimistic_ops(
     order = _placement_order(problem, vc_sizes, vc_ids)
     if order:
         counter.add("vc_placement", sum(
-            topo.tiles * len(compact_window_weights(
+            topo.tiles * compact_window_length(
                 topo, vc_sizes[vc.vc_id] / problem.bank_bytes
-            ))
+            )
             for vc in order
         ))
 

@@ -273,10 +273,14 @@ PATCHES = {
 @contextmanager
 def scalar_reference() -> Iterator[Counter]:
     """Run every kernel call inside the block on its oracle; yields the
-    calls each patch target took, keyed ``"module.name"``.  A runner's
-    worker processes keep the kernels."""
+    calls each patch target took, keyed ``"module.name"``.  An empty
+    allocation row memo stands in for the process's during the block, so
+    the oracles build every row the block reads and none of their rows
+    outlives it.  A runner's worker processes keep the kernels."""
     calls: Counter = Counter()
-    saved = []
+    allocation = importlib.import_module("repro.sched.allocation")
+    saved = [(allocation, "_ROW_MEMO", allocation._ROW_MEMO)]
+    allocation._ROW_MEMO = allocation.RowMemo()
 
     def counted(key, oracle):
         def call(*args, **kwargs):

@@ -1,11 +1,16 @@
 """Capacity allocation: hulls and Lookahead policies (repro.sched.allocation)."""
 
+import copy
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import small_test_config
+from repro.geometry.mesh import Mesh
 from repro.nuca.base import build_problem
 from repro.sched import allocation
 from repro.sched.allocation import (
@@ -13,8 +18,10 @@ from repro.sched.allocation import (
     allocate_miss_driven,
     convex_hull_indices,
 )
+from repro.sched.cost_model import latency_curve, miss_only_curve, vc_access_rates
+from repro.sched.opcount import StepCounter
 from repro.util.units import kb, mb
-from repro.workloads.mixes import make_mix
+from repro.workloads.mixes import make_mix, random_single_threaded_mix
 
 
 def test_hull_indices_simple():
@@ -108,18 +115,152 @@ def test_allocation_deterministic():
     assert allocate_latency_aware(problem) == allocate_latency_aware(problem)
 
 
-def test_hull_memos_key_on_dtype_not_just_bytes():
-    """Equal bytes read as another dtype are another curve: the hull memo
-    may not hand it the first curve's hull."""
-    curve = np.array([4.0, 1.0, 0.75, 0.0])
-    alias = curve.view(np.int64)
-    assert curve.tobytes() == alias.tobytes()
-    assert convex_hull_indices(curve) != convex_hull_indices(alias)
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh row memo in place of the process's for one test."""
+    memo = allocation.RowMemo()
+    monkeypatch.setattr(allocation, "_ROW_MEMO", memo)
+    return memo
 
-    allocation._HULL_CACHE.clear()
-    assert allocation._hull_of(curve) == (0, 1, 3)
-    assert allocation._hull_of(alias) == tuple(convex_hull_indices(alias))
-    assert all(isinstance(h, tuple) for h in allocation._HULL_CACHE.values())
+
+def _row(problem, vc, rate, latency):
+    (row,), _ = allocation._curve_rows(problem, [vc], [rate], latency)
+    return row
+
+
+def test_row_memo_keys_on_every_input_a_row_reads(empty_memo):
+    """A key input changed alone, or equal bytes read as another dtype,
+    misses the memo, and the row built for it is the scalar builder's."""
+    config, problem = problem_for(["omnet", "milc"])
+    vc, other = problem.vcs[:2]
+    rate = vc_access_rates(problem)[0]
+    curve = vc.miss_curve
+    alias = copy.copy(curve)
+    alias.sizes = curve.sizes.view(np.int64)
+    alias.values = curve.values.view(np.int64)
+    assert alias.sizes.tobytes() == curve.sizes.tobytes()
+    variants = {
+        "dtype alias": (problem, SimpleNamespace(miss_curve=alias), rate),
+        "curve": (problem, other, rate),
+        "rate": (problem, vc, rate * 2),
+        "memory latency": (replace(problem, mem_latency=170.0), vc, rate),
+        "quantum": (replace(problem, config=replace(
+            config, scheduler=replace(config.scheduler, allocation_quantum=kb(128))
+        )), vc, rate),
+        "bank bytes": (replace(problem, config=config.with_banks(kb(256), 64)), vc, rate),
+    }
+    latency_only = {
+        "hop cycles": (replace(problem, config=replace(
+            config, noc=replace(config.noc, router_latency=4)
+        )), vc, rate),
+        "distance table": (replace(
+            problem, config=config.with_mesh(2, 8), topology=Mesh(2, 8)
+        ), vc, rate),
+    }
+    for latency, cases in ((True, {**variants, **latency_only}), (False, variants)):
+        reference = latency_curve if latency else miss_only_curve
+        _row(problem, vc, rate, latency)
+        for name, (variant, variant_vc, variant_rate) in cases.items():
+            before = len(empty_memo)
+            row = _row(variant, variant_vc, variant_rate, latency)
+            assert len(empty_memo) == before + 1, (latency, name)
+            want = reference(variant, variant_vc.miss_curve, variant_rate)
+            assert np.array_equal(row, want), (latency, name)
+        # Every input equal: a hit, the memo's own row.
+        before = len(empty_memo)
+        row = _row(problem, vc, rate, latency)
+        assert len(empty_memo) == before
+        assert row is _row(problem, vc, rate, latency)
+
+
+def test_memoized_rows_are_read_only(empty_memo):
+    config, problem = problem_for(["omnet", "mcf", "milc"])
+    rates = vc_access_rates(problem)
+    for latency in (True, False):
+        for _ in range(2):  # built, then read back from the memo
+            rows, _ = allocation._curve_rows(problem, problem.vcs, rates, latency)
+            for row in rows:
+                assert not row.flags.writeable
+                with pytest.raises(ValueError):
+                    row[0] = 1.0
+
+
+def test_row_memo_clears_past_its_byte_budget(monkeypatch):
+    """Past the budget the memo clears wholesale, never holds more than
+    the budget, and a later call rebuilds rows bitwise equal to the
+    first build; an entry larger than the budget is not kept."""
+    config, problem = problem_for(["omnet", "mcf", "milc", "gcc"])
+    vcs = problem.vcs[:4]  # the four thread VCs, four distinct rows
+    rates = vc_access_rates(problem, vcs)
+    first, hulls = allocation._curve_rows(problem, vcs, rates, True)
+    sizes = [row.nbytes + 8 * len(hull) for row, hull in zip(first, hulls)]
+    assert 3 * min(sizes) > 2 * max(sizes)  # any two fit, no three do
+    memo = allocation.RowMemo(budget_bytes=2 * max(sizes))
+    monkeypatch.setattr(allocation, "_ROW_MEMO", memo)
+    built = []
+    real = allocation.latency_curves_batch
+
+    def counting(problem, rates=None, vc_indices=None):
+        built.append(len(problem.vcs))
+        return real(problem, rates, vc_indices)
+
+    monkeypatch.setattr(allocation, "latency_curves_batch", counting)
+    for vc, rate in zip(vcs, rates):
+        allocation._curve_rows(problem, [vc], [rate], True)
+        assert 0 < len(memo) <= 2 and memo.nbytes <= memo.budget_bytes
+    assert built == [1] * 4
+    rows, _ = allocation._curve_rows(problem, vcs, rates, True)
+    assert built[4:] == [2]  # the two cleared rows are built again
+    assert all(np.array_equal(a, b) for a, b in zip(rows, first))
+    tiny = allocation.RowMemo(budget_bytes=min(sizes) - 1)
+    monkeypatch.setattr(allocation, "_ROW_MEMO", tiny)
+    allocation._curve_rows(problem, vcs, rates, True)
+    assert len(tiny) == 0 and tiny.nbytes == 0
+
+
+def _donor_case(monkeypatch):
+    """A pinned subset short of budget: every greedy quantum goes to
+    one VC and the others take theirs from it as donors."""
+    taken = []
+    real = allocation._ensure_minimum_quanta
+
+    def recording(problem, vcs, sizes, budget, curves):
+        before = list(sizes)
+        real(problem, vcs, sizes, budget, curves)
+        taken.append(any(a < b for a, b in zip(sizes, before)))
+
+    monkeypatch.setattr(allocation, "_ensure_minimum_quanta", recording)
+    config, problem = problem_for(["omnet", "omnet", "milc", "mcf", "milc", "gcc"])
+    vc_ids = {vc.vc_id for vc in problem.vcs[:5]}
+    return problem, lambda p, c: allocate_latency_aware(p, c, vc_ids, 4), taken
+
+
+@pytest.mark.parametrize("case", ["cold latency-aware", "pinned donors", "miss-driven"])
+def test_warm_memo_allocates_as_an_empty_one(case, monkeypatch):
+    """Sizes and op counts, key order included, are the same through a
+    memo that already holds every row as through an empty one."""
+    taken = []
+    if case == "pinned donors":
+        problem, allocate, taken = _donor_case(monkeypatch)
+    else:
+        problem = build_problem(
+            random_single_threaded_mix(12, 5, 0), small_test_config(4, 4)
+        )
+        allocate = (
+            allocate_miss_driven if case == "miss-driven" else allocate_latency_aware
+        )
+    memo = allocation.RowMemo()
+    monkeypatch.setattr(allocation, "_ROW_MEMO", memo)
+    runs, entries = [], []
+    for _ in range(2):  # empty, then holding every row the call reads
+        counter = StepCounter()
+        runs.append((allocate(problem, counter), list(counter.ops.items())))
+        entries.append(len(memo))
+    empty, warm = runs
+    assert entries[0] == entries[1] > 0  # the warm call built no row
+    assert warm == empty
+    if case == "pinned donors":
+        assert taken == [True, True]
 
 
 def reference_minimum_quanta(rates, sizes, budget, curves) -> None:

@@ -97,6 +97,15 @@ def test_shared_view_flags_every_mutation_alias():
     assert not any("batch.values2d" in s for s in snippets)
 
 
+def test_shared_view_flags_writes_into_memoized_rows():
+    found = _findings("repro/sched/bad_rows.py", "shared-view")
+    snippets = [f.snippet for f in found]
+    assert len(found) == 2
+    assert any("rows[0][0] = 0.0" in s for s in snippets)
+    assert any("row *= 2.0" in s for s in snippets)
+    assert not any("mine[0]" in s for s in snippets)
+
+
 def test_async_discipline_flags_coroutine_blocking_calls():
     found = _findings("repro/service/bad_async.py", "async-discipline")
     snippets = [f.snippet for f in found]

@@ -1,5 +1,7 @@
 """Eq 1 / Eq 2 cost model and latency curves (repro.sched.cost_model)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,27 @@ def test_optimistic_curve_monotone_nondecreasing():
     table = optimistic_on_chip_curve(problem)
     assert table[0] == 0.0
     assert np.all(np.diff(table) >= -1e-12)
+
+
+def test_problems_of_one_chip_shape_share_one_distance_table():
+    """Each problem builds its own mesh, yet every problem of one shape,
+    bank size and quantum reads one read-only table; another bank size,
+    quantum or mesh shape reads its own table."""
+    first, second = tiny_problem(), tiny_problem()
+    assert first.topology is not second.topology
+    table = optimistic_on_chip_curve(first)
+    assert optimistic_on_chip_curve(second) is table
+    assert not table.flags.writeable
+    config = first.config
+    others = [
+        replace(first, config=config.with_banks(kb(256), 64)),
+        replace(first, config=replace(
+            config, scheduler=replace(config.scheduler, allocation_quantum=kb(128))
+        )),
+        replace(first, config=small_test_config(4, 1), topology=Mesh(4, 1)),
+    ]
+    for other in others:
+        assert optimistic_on_chip_curve(other) is not table
 
 
 def test_latency_curve_has_sweet_spot():

@@ -1,17 +1,24 @@
 """Placement geometry: compact windows, contention, centers (Fig 6-8)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import compact_placement
 
+from repro.geometry import placement_math
 from repro.geometry.mesh import Mesh
 from repro.geometry.placement_math import (
     batched_window_scores,
     center_of_mass,
+    compact_window_length,
     compact_window_weights,
     nearest_tile,
+    tile_cost_vector,
     weighted_center_tile,
+    weighted_center_tiles,
 )
 
 
@@ -117,3 +124,51 @@ def test_weighted_center_tile_is_network_median():
 def test_weighted_center_tile_single_point():
     mesh = Mesh(4, 4)
     assert weighted_center_tile(mesh, {9: 2.0}) == 9
+
+
+def test_one_tile_maps_center_on_their_tile_without_a_cost_row(monkeypatch):
+    """A one-tile map whose weight is finite and above the scan's 1e-12
+    margin is centered on its tile with no cost row; at or below the
+    margin, or next to other maps, each map still gets the scan's pick
+    (tile 0 sits one hop before tile 1, so a 1e-12 weight keeps it)."""
+    mesh = Mesh(4, 4)
+    rows = []
+    real = placement_math._first_strict_improvement_rows
+
+    def recording(costs):
+        rows.append(len(costs))
+        return real(costs)
+
+    monkeypatch.setattr(placement_math, "_first_strict_improvement_rows", recording)
+    above = [math.nextafter(1e-12, 1.0), 1e-9, 1.0, 3e5]
+    assert weighted_center_tiles(mesh, [{1: w} for w in above]) == [1] * 4
+    assert rows == []
+    below = [1e-12, math.nextafter(1e-12, 0.0), 5e-13]
+    assert weighted_center_tiles(mesh, [{1: w} for w in below]) == [0] * 3
+    assert rows == [3]
+    maps = [{1: 1e-12}, {6: 2.0}, {0: 1.0, 15: 3.0}, {9: 5e-13}, {3: 1.0, 12: 1.0}]
+    want = [
+        placement_math._first_strict_improvement_scan(tile_cost_vector(mesh, m))
+        for m in maps
+    ]
+    assert weighted_center_tiles(mesh, maps) == want
+    assert want[1] == 6 and rows[1:] == [4]
+    with pytest.raises(ValueError):
+        weighted_center_tiles(mesh, [{2: 1.0}, {5: 0.0}])
+
+
+def test_window_length_is_the_window_weights_length():
+    mesh = Mesh(4, 4)
+    edge = 1e-12
+    sizes = [
+        0.0, edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0),
+        1.0, 2.0, 3.5, 5.0 + 5e-13, 5.0 + 2e-12, 15.999, 16.0, 17.25, 1e6,
+    ]
+    for size in sizes:
+        length = compact_window_length(mesh, size)
+        assert length == len(compact_window_weights(mesh, size)), size
+        assert length == len(compact_placement(mesh, 5, size)), size
+    assert [compact_window_length(mesh, s) for s in sizes[:4]] == [0, 0, 0, 1]
+    assert compact_window_length(mesh, 1e6) == 16
+    with pytest.raises(ValueError):
+        compact_window_length(mesh, -1.0)

@@ -1,12 +1,17 @@
 """CDCS placement steps: optimistic VC placement, thread placement,
 greedy + trade refinement (Secs IV-D/E/F)."""
 
+import copy
+
 import pytest
 
 from repro.config import small_test_config
+from repro.geometry.placement_math import weighted_center_tile
 from repro.nuca.base import build_problem, process_vc_id
+from repro.sched import refinement
 from repro.sched.allocation import allocate_latency_aware
 from repro.sched.cost_model import on_chip_latency
+from repro.sched.opcount import StepCounter
 from repro.sched.problem import PlacementSolution
 from repro.sched.refinement import (
     greedy_placement,
@@ -20,7 +25,7 @@ from repro.sched.thread_placement import (
 )
 from repro.sched.vc_placement import place_optimistic
 from repro.util.units import mb
-from repro.workloads.mixes import make_mix
+from repro.workloads.mixes import make_mix, random_multithreaded_mix
 
 
 def setup_problem(names, side=4):
@@ -190,3 +195,38 @@ def test_refined_placement_beats_clustered_greedy():
         return on_chip_latency(problem, sol)
 
     assert cost(refined) <= cost(greedy_only) + 1e-6
+
+
+def test_one_bank_initiators_change_nothing_and_skip_their_scan(monkeypatch):
+    """An initiator holding one bank is that bank's 1-median, so its
+    spiral ends at that bank: the pass never scans it.  On this seeded
+    chip no such VC gains a bank before its turn, so the trades, the
+    allocation and the ops equal a pass over the other initiators."""
+    config = small_test_config(4, 4)
+    problem = build_problem(random_multithreaded_mix(2, 7, 0), config)
+    sizes = allocate_latency_aware(problem)
+    cores = place_threads(problem, sizes, place_optimistic(problem, sizes))
+    seed = greedy_placement(problem, sizes, cores)
+    one_bank = {v for v, per_bank in seed.items() if len(per_bank) == 1}
+    many = {v for v, per_bank in seed.items() if len(per_bank) > 1}
+    assert one_bank and many
+    for vc_id in one_bank:
+        ((bank, amount),) = seed[vc_id].items()
+        assert amount > 1e-9
+        assert weighted_center_tile(problem.topology, seed[vc_id]) == bank
+    scanned = []
+    real = refinement.weighted_center_tile
+
+    def recording(topology, weights):
+        scanned.append(dict(weights))
+        return real(topology, weights)
+
+    monkeypatch.setattr(refinement, "weighted_center_tile", recording)
+    runs = []
+    for initiators in (None, many):
+        allocation, counter = copy.deepcopy(seed), StepCounter()
+        trades = trade_refinement(problem, allocation, cores, counter, initiators)
+        runs.append((trades, allocation, list(counter.ops.items())))
+    assert runs[0] == runs[1]
+    assert runs[0][0] > 0
+    assert scanned and all(len(weights) > 1 for weights in scanned)

@@ -21,16 +21,21 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cache.miss_curve import MissCurve, MissCurveBatch
+from repro.config import small_test_config
 from repro.geometry.mesh import Mesh, dense_geometry_limit
+from repro.nuca.base import build_problem
 from repro.runner import ResultStore
+from repro.sched import allocation
 from repro.util import guards
 from repro.util.hashing import content_digest
+from repro.workloads.mixes import random_single_threaded_mix
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -222,6 +227,56 @@ def test_geometry_stress_under_harness():
     )
     assert proc.returncode == 0, proc.stderr
     assert "stress ok" in proc.stdout
+
+
+def test_row_memo_threads_allocate_as_serial(monkeypatch):
+    """Threads, more than the host's cores and the service's two
+    workers, allocate the same problems through one row memo small
+    enough to clear while they race: every result equals the serial
+    one, and the byte count still equals its entries' sizes, which a
+    lost update would break.  Under ``make test-locks`` the memo's dict
+    also asserts its lock on every access."""
+    problems = [
+        build_problem(random_single_threaded_mix(8, seed, 0), small_test_config(4, 4))
+        for seed in range(4)
+    ]
+
+    def solve(problem):
+        return (
+            allocation.allocate_latency_aware(problem),
+            allocation.allocate_miss_driven(problem),
+        )
+
+    monkeypatch.setattr(allocation, "_ROW_MEMO", allocation.RowMemo())
+    serial = [solve(problem) for problem in problems]
+    memo = allocation.RowMemo(budget_bytes=12 * 1024)  # about ten 16-tile rows
+    monkeypatch.setattr(allocation, "_ROW_MEMO", memo)
+    errors, results = [], []
+
+    def worker():
+        try:
+            for _ in range(5):
+                results.append([solve(problem) for problem in problems])
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(results) == 20 and all(result == serial for result in results)
+    with memo._lock:
+        entries = list(memo._entries.values())
+        assert memo._bytes == sum(row.nbytes + 8 * len(hull) for row, hull in entries)
+        assert 0 < memo._bytes <= memo.budget_bytes
 
 
 # -- guards unit behavior -----------------------------------------------------

@@ -1,16 +1,18 @@
 """Rule ``shared-view``: arrays shared across jobs are never mutated.
 
-The geometry memo and the :class:`MissCurveBatch` banks hand the *same*
-ndarray to many consumers (threads, asyncio tasks).  One in-place write
-through any alias silently corrupts every other reader — the classic
+The geometry memo, the allocation row memo and the
+:class:`MissCurveBatch` banks hand the *same* ndarray to many consumers
+(threads, asyncio tasks).  One in-place write through any alias
+silently corrupts every other reader — the classic
 action-at-a-distance bug the runtime ``flags.writeable = False`` freeze
 turns into a loud ValueError.  This rule catches the same class of bug
 before the code ever runs, including on paths tests do not cover.
 
 Detection is a per-function, statement-order taint walk:
 
-* **sources** — calls to ``shared_geometry_matrices(...)``, and
-  attribute reads of the published surfaces
+* **sources** — calls to ``shared_geometry_matrices(...)`` and the
+  allocation row memo's ``_curve_rows(...)``, and attribute reads of
+  the published surfaces
   (``.distance_matrix`` / ``.order_matrix`` / ``.sorted_distance_matrix``
   on topologies; ``.lengths`` / ``.sizes2d`` / ``.values2d`` on curve
   batches).
@@ -33,8 +35,9 @@ import ast
 
 from .core import Finding, ModuleSource, Rule, dotted_name
 
-#: Calls whose result is a shared (frozen) array or a dict of them.
-SOURCE_CALLS = {"shared_geometry_matrices"}
+#: Calls whose result is a shared (frozen) array or a container of them:
+#: the geometry memo, and the allocation row memo's rows and hulls.
+SOURCE_CALLS = {"shared_geometry_matrices", "_curve_rows"}
 
 #: Attribute reads that surface shared arrays.
 SOURCE_ATTRS = {

@@ -82,10 +82,22 @@ ATOMIC_STATE: tuple[AtomicGlobal, ...] = (
     ),
     AtomicGlobal(
         module="repro/sched/allocation.py",
-        name="_HULL_CACHE",
-        why="memo of tuple hulls keyed by (dtype, shape, bytes); dict "
+        name="_ROW_MEMO",
+        why="binds one RowMemo, read with one GIL-atomic load per "
+        "allocation and rebound only by tests' scalar_reference(); the "
+        "service solves two chips on two worker threads, so the memo "
+        "holds its own lock around every lookup, insert, byte count and "
+        "clear (its dict is a guarded_mapping, checked under "
+        "REPRO_CHECK_LOCKS=1), and its rows are read-only pure functions "
+        "of their keys, so a lookup that loses a race to a clear only "
+        "rebuilds an equal row",
+    ),
+    AtomicGlobal(
+        module="repro/sched/cost_model.py",
+        name="_DISTANCE_TABLES",
+        why="content-keyed memo of read-only distance tables; dict "
         "get/set/clear are GIL-atomic, a wholesale clear only drops "
-        "entries, and losing a race just recomputes the same value",
+        "entries, and losing a race just builds an equal table",
     ),
     AtomicGlobal(
         module="repro/experiments/sweeps.py",
