@@ -5,7 +5,7 @@ PY      := python
 PYPATH  := PYTHONPATH=src
 JOBS    ?= 2
 
-.PHONY: test test-fast test-sum312 test-locks coverage lint analyze bench-smoke run-smoke bench bench-kernels bench-runner bench-solver bench-solver-scale bench-sketch bench-compare perfbench-selftest docs-check check clean
+.PHONY: test test-fast test-sum312 test-locks coverage lint analyze bench-smoke run-smoke examples-smoke bench bench-kernels bench-runner bench-solver bench-solver-scale bench-sketch bench-compare perfbench-selftest docs-check check clean
 
 ## Tier-1 verification: the full unit/integration suite, then the docs
 ## checker — stale docs fail `make test` locally, not just in review.
@@ -83,6 +83,18 @@ bench-smoke:
 run-smoke:
 	$(PYPATH) $(PY) -m repro run table1 --format json --no-cache
 	$(PYPATH) $(PY) -m repro run fig12 --param mixes=1 --format json --no-cache
+
+## Every example end to end with its smallest documented arguments
+## (about 12 s): an entry point an example calls that is removed or
+## renamed fails here, not in a reader's terminal.
+examples-smoke:
+	$(PYPATH) $(PY) examples/quickstart.py
+	$(PYPATH) $(PY) examples/custom_chip_and_workload.py
+	$(PYPATH) $(PY) examples/case_study_36core.py
+	$(PYPATH) $(PY) examples/multithreaded_coscheduling.py
+	$(PYPATH) $(PY) examples/undercommitted_sweep.py --mixes 2
+	$(PYPATH) $(PY) examples/reconfiguration_trace.py
+	$(PYPATH) $(PY) examples/session_and_export.py --mixes 2
 
 ## The full paper-figure benchmark suite (slow; honest timings, no cache).
 bench:

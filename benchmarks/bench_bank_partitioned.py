@@ -8,13 +8,13 @@ allocation costs performance but CDCS still works.
 from conftest import emit
 
 from repro.config import default_config
-from repro.experiments import format_table, run_sweep
+from repro.experiments import format_table, reduce_sweep_records, sweep_jobs
 from repro.util.units import kb
 
 N_MIXES = 15
 
 
-def run():
+def run(session):
     fine = default_config()
     # 4 small banks/tile modeled as a 128 KB allocation quantum over the
     # same tile grid: data placement can only move whole small banks.
@@ -24,13 +24,19 @@ def run():
         fine.with_banks(kb(512), 4),
         scheduler=replace(fine.scheduler, allocation_quantum=kb(128)),
     )
-    fine_sweep = run_sweep(fine, n_apps=64, n_mixes=N_MIXES, seed=42)
-    coarse_sweep = run_sweep(coarse, n_apps=64, n_mixes=N_MIXES, seed=42)
-    return fine_sweep, coarse_sweep
+    # The registry's sweeps run on the default chip only, so the driver
+    # maps the public builder's jobs for both chips itself.
+    return tuple(
+        reduce_sweep_records(
+            session.runner.map(sweep_jobs(config, 64, N_MIXES, seed=42)),
+            64, N_MIXES,
+        )
+        for config in (fine, coarse)
+    )
 
 
-def test_bank_granularity_ablation(once):
-    fine, coarse = once(run)
+def test_bank_granularity_ablation(once, session):
+    fine, coarse = once(run, session)
     rows = [
         ("partitioned (64 KB grain)", fine.gmean_speedup("CDCS"),
          fine.max_speedup("CDCS")),

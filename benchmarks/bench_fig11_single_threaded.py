@@ -13,20 +13,18 @@ Panels and paper numbers to reproduce in *shape*:
 
 from conftest import emit
 
-from repro.config import default_config
 from repro.nuca import SCHEMES
-from repro.experiments import format_breakdown, format_table, run_sweep
+from repro.experiments import format_breakdown, format_table
 
 N_MIXES = 50
 
 
-def run(runner=None):
-    return run_sweep(default_config(), n_apps=64, n_mixes=N_MIXES, seed=42,
-                     runner=runner)
+def run(session):
+    return session.run("fig11", mixes=N_MIXES, seed=42).result
 
 
-def test_fig11_panels(once, runner):
-    sweep = once(run, runner)
+def test_fig11_panels(once, session):
+    sweep = once(run, session)
     schemes = list(SCHEMES)
     rows = [
         (s, sweep.gmean_speedup(s), sweep.max_speedup(s)) for s in schemes

@@ -5,23 +5,30 @@ helps little while thread (+T) and data (+D) placement compound into +LTD;
 at 4 apps capacity is plentiful — +L provides most of CDCS's gain.
 """
 
+import pytest
 from conftest import emit
 
-from repro.config import default_config
-from repro.experiments import format_table, run_factor_analysis
+from repro.experiments import format_table
 
 N_MIXES = 25
 
 
-def run(n_apps, runner=None):
-    return run_factor_analysis(
-        default_config(), n_apps=n_apps, n_mixes=N_MIXES, seed=42,
-        runner=runner,
-    )
+@pytest.fixture(scope="module")
+def ladders() -> dict:
+    """App count -> FactorResult, filled by the module's one fig12 run."""
+    return {}
 
 
-def test_fig12a_64_apps(once, runner):
-    result = once(run, 64, runner)
+def run(session, ladders, n_apps):
+    """The ladder at *n_apps*.  One fig12 run returns both app counts, so
+    the first test times it and the second reads its result."""
+    if not ladders:
+        ladders.update(session.run("fig12", mixes=N_MIXES, seed=42).result)
+    return ladders[n_apps]
+
+
+def test_fig12a_64_apps(once, session, ladders):
+    result = once(run, session, ladders, 64)
     gmeans = result.gmeans()
     emit(format_table(
         ["Variant", "gmean WS"], list(gmeans.items()),
@@ -34,8 +41,8 @@ def test_fig12a_64_apps(once, runner):
     assert abs(gmeans["+L"] - gmeans["Jigsaw+R"]) < 0.05
 
 
-def test_fig12b_4_apps(once, runner):
-    result = once(run, 4, runner)
+def test_fig12b_4_apps(once, session, ladders):
+    result = once(run, session, ladders, 4)
     gmeans = result.gmeans()
     emit(format_table(
         ["Variant", "gmean WS"], list(gmeans.items()),

@@ -7,25 +7,19 @@ Paper shape: CDCS maintains high weighted speedups across the whole range
 
 from conftest import emit
 
-from repro.config import default_config
 from repro.nuca import SCHEMES
-from repro.experiments import format_table, run_sweep
+from repro.experiments import format_table
 
-OCCUPANCIES = (1, 2, 4, 8, 16, 32, 64)
 N_MIXES = 15
 
 
-def run(runner=None):
-    config = default_config()
-    out = {}
-    for n_apps in OCCUPANCIES:
-        out[n_apps] = run_sweep(config, n_apps=n_apps, n_mixes=N_MIXES,
-                                seed=42, runner=runner)
-    return out
+def run(session):
+    """Occupancy -> sweep, over the spec's ``FIG13_APP_COUNTS``."""
+    return session.run("fig13", mixes=N_MIXES, seed=42).result
 
 
-def test_fig13_undercommitted(once, runner):
-    sweeps = once(run, runner)
+def test_fig13_undercommitted(once, session):
+    sweeps = once(run, session)
     schemes = list(SCHEMES)
     rows = []
     for n_apps, sweep in sweeps.items():

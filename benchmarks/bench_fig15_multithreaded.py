@@ -7,22 +7,18 @@ CDCS (21%) still leads by adapting per process; R-NUCA 9%.
 
 from conftest import emit
 
-from repro.config import default_config
 from repro.nuca import SCHEMES
-from repro.experiments import format_breakdown, format_table, run_sweep
+from repro.experiments import format_breakdown, format_table
 
 N_MIXES = 30
 
 
-def run(runner=None):
-    return run_sweep(
-        default_config(), n_apps=8, n_mixes=N_MIXES, seed=42,
-        multithreaded=True, runner=runner,
-    )
+def run(session):
+    return session.run("fig15", mixes=N_MIXES, seed=42).result
 
 
-def test_fig15_multithreaded(once, runner):
-    sweep = once(run, runner)
+def test_fig15_multithreaded(once, session):
+    sweep = once(run, session)
     schemes = list(SCHEMES)
     rows = [(s, sweep.gmean_speedup(s), sweep.max_speedup(s)) for s in schemes]
     emit(format_table(

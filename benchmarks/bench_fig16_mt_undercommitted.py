@@ -10,7 +10,7 @@ from conftest import emit
 
 from repro.config import default_config
 from repro.nuca import SCHEMES
-from repro.experiments import evaluate_mix, format_table, run_sweep
+from repro.experiments import evaluate_mix, format_table
 from repro.experiments.sweeps import SweepResult
 from repro.model import AnalyticSystem
 from repro.workloads import fig16_case_study_mix
@@ -18,11 +18,8 @@ from repro.workloads import fig16_case_study_mix
 N_MIXES = 30
 
 
-def run_sweep_fig16(runner=None):
-    return run_sweep(
-        default_config(), n_apps=4, n_mixes=N_MIXES, seed=42,
-        multithreaded=True, runner=runner,
-    )
+def run_sweep_fig16(session):
+    return session.run("fig16", mixes=N_MIXES, seed=42).result
 
 
 def run_case_study_fig16b():
@@ -35,8 +32,8 @@ def run_case_study_fig16b():
     return result, evaluations
 
 
-def test_fig16a_undercommitted_mt(once, runner):
-    sweep = once(run_sweep_fig16, runner)
+def test_fig16a_undercommitted_mt(once, session):
+    sweep = once(run_sweep_fig16, session)
     schemes = list(SCHEMES)
     rows = [(s, sweep.gmean_speedup(s), sweep.max_speedup(s)) for s in schemes]
     emit(format_table(

@@ -12,23 +12,25 @@ from repro.experiments import (
     format_series,
     reconfig_trace_jobs,
 )
-from repro.runner import run_jobs
 
 RECONFIG_AT = 300_000.0
 HORIZON = 900_000.0
 SCALE = 16
 
 
-def run(runner=None):
+def run(session):
+    # The fig17 spec reconfigures at 400k cycles of a 1M-cycle trace;
+    # this driver's 300k/900k window is off the registry, so it maps the
+    # public builder's jobs itself.
     jobs = reconfig_trace_jobs(
         reconfig_at=RECONFIG_AT, horizon=HORIZON, capacity_scale=SCALE,
         seed=5,
     )
-    return dict(zip(PROTOCOLS, run_jobs(jobs, runner)))
+    return dict(zip(PROTOCOLS, session.runner.map(jobs)))
 
 
-def test_fig17_reconfiguration_trace(once, runner):
-    traces = once(run, runner)
+def test_fig17_reconfiguration_trace(once, session):
+    traces = once(run, session)
     for name, trace in traces.items():
         decim = trace.trace[:: max(len(trace.trace) // 18, 1)]
         emit(format_series(

@@ -7,20 +7,19 @@ from 10 Mcycles to 100 Mcycles.
 
 from conftest import emit
 
-from repro.experiments import format_table, run_period_sweep
+from repro.experiments import format_table
 
 #: Steady-state CDCS WS over S-NUCA at 64 apps (paper: 1.46; our Fig 11a
 #: bench reproduces ~1.5 — the Fig 18 shape only needs a positive level).
 STEADY_WS = 1.46
 
 
-def run(runner=None):
-    return run_period_sweep(steady_ws=STEADY_WS, capacity_scale=16, seed=5,
-                            runner=runner)
+def run(session):
+    return session.run("fig18", steady_ws=STEADY_WS, seed=5).result
 
 
-def test_fig18_period_sweep(once, runner):
-    result = once(run, runner)
+def test_fig18_period_sweep(once, session):
+    result = once(run, session)
     emit(
         "Fig18 per-reconfiguration penalty (equivalent lost cycles): "
         + ", ".join(f"{k}={v:,.0f}" for k, v in result.penalties.items())

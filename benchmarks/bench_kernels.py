@@ -14,10 +14,11 @@ asserted in prose:
 * **mega-batch sharing**: one 4-mix fig11 ``solve_sharing_plans`` call
   (S-NUCA's chip-wide caches merged with R-NUCA's per-bank pools: 512
   lanes, 260 caches) vs the scalar per-cache loop, asserted ``==``;
-* **seed anchors**: the greedy seed's 1-medians of every accessed VC of
-  a 256-tile ``build_chip`` problem as ``(B, N)`` blocks through
-  ``weighted_center_tiles`` vs one ``weighted_center_tile`` per VC,
-  asserted ``==`` (reported, not floored);
+* **seed anchors**: the greedy seed's 1-medians of the eight process
+  VCs of the end-to-end fig15 mix, each read from eight cores, as
+  ``(B, N)`` blocks through ``weighted_center_tiles`` vs one
+  ``weighted_center_tile`` per VC, asserted ``==`` (reported, not
+  floored);
 * **evaluation batch**: the 20 (mix, scheme) items of the same 4-mix
   fig11 plan scored in one stacked ``evaluate_solutions_batch`` call vs
   20 one-item ``evaluate_solution`` calls, asserted ``==`` (reported,
@@ -55,9 +56,9 @@ from repro.nuca.base import build_problem
 from repro.nuca.sharing import solve_sharing_plans
 from repro.nuca.snuca import SNuca
 from repro.sched.allocation import allocate_latency_aware
-from repro.service.load import LoadSpec, build_chip
 from repro.sched.vc_placement import place_optimistic
 from repro.testing import fig11_sharing_plans, golden_mix
+from repro.vcache.virtual_cache import VCKind
 from repro.workloads.mixes import (
     random_multithreaded_mix,
     random_single_threaded_mix,
@@ -155,28 +156,37 @@ def test_kernel_speedups(once):
         )
         speedups["sharing_mega_batch"] = scalar_t / batch_t
 
-        # 5. Greedy-seed anchors: the 1-median of every accessed VC of a
-        # fully committed 256-tile chip (thread t on core t), batched vs
-        # one weighted_center_tile per VC.
-        _, sim = build_chip(LoadSpec(chips=1, tiles=256, seed=1), 0)
-        chip = sim.current_problem()
-        cores = {t.thread_id: i for i, t in enumerate(chip.threads)}
+        # 5. Greedy-seed anchors: the 1-median of every process VC of
+        # case 7's fig15 mix (eight 8-thread apps, thread t on core t),
+        # batched vs one weighted_center_tile per VC.  A one-core map is
+        # centered without a cost row, so only maps of two or more cores
+        # time the block path.  Both sides repeat 50x so eight maps
+        # aren't pure call overhead.
+        fig15 = build_problem(random_multithreaded_mix(8, 7, 0), config)
+        cores = {t.thread_id: i for i, t in enumerate(fig15.threads)}
         maps = []
-        for vc in chip.vcs:
+        for vc in fig15.vcs:
+            if vc.kind is not VCKind.PROCESS:
+                continue
             weights: dict[int, float] = {}
-            for thread_id, rate in chip.accessor_rates(vc.vc_id).items():
+            for thread_id, rate in fig15.accessor_rates(vc.vc_id).items():
                 core = cores[thread_id]
                 weights[core] = weights.get(core, 0.0) + rate
-            if weights:
-                maps.append(weights)
-        assert len(maps) == 256
-        assert weighted_center_tiles(chip.topology, maps) == [
-            weighted_center_tile(chip.topology, w) for w in maps
+            maps.append(weights)
+        assert len(maps) == 8 and all(len(w) >= 2 for w in maps)
+        topology = fig15.topology
+        assert weighted_center_tiles(topology, maps) == [
+            weighted_center_tile(topology, w) for w in maps
         ]
         scalar_t = _best_of(
-            lambda: [weighted_center_tile(chip.topology, w) for w in maps]
+            lambda: [
+                [weighted_center_tile(topology, w) for w in maps]
+                for _ in range(50)
+            ]
         )
-        batch_t = _best_of(lambda: weighted_center_tiles(chip.topology, maps))
+        batch_t = _best_of(
+            lambda: [weighted_center_tiles(topology, maps) for _ in range(50)]
+        )
         speedups["seed_anchors"] = scalar_t / batch_t
 
         # 6. Evaluation: every (mix, scheme) item of the 4-mix fig11 plan

@@ -9,17 +9,17 @@ re-solves slower than the workload changes is barely better than none).
 
 from conftest import emit
 
-from repro.experiments import format_series, format_table, run_phase_study
+from repro.experiments import format_series, format_table
 
 N_MIXES = 4
 
 
-def run(runner=None):
-    return run_phase_study(n_mixes=N_MIXES, seed=42, runner=runner)
+def run(session):
+    return session.run("phase_study", mixes=N_MIXES, seed=42).result
 
 
-def test_phase_study_period_vs_phase_length(once, runner):
-    study = once(run, runner)
+def test_phase_study_period_vs_phase_length(once, session):
+    study = once(run, session)
     periods = study.periods()
     emit(format_table(
         ["period (Mcyc)", "adaptive/stale IPC", "phase changes"],

@@ -9,19 +9,15 @@ and vastly more expensive.
 
 from conftest import emit
 
-from repro.config import default_config
-from repro.experiments import format_table, run_placer_comparison
+from repro.experiments import format_table
 
 
-def run(runner=None):
-    return run_placer_comparison(
-        default_config(), n_apps=32, seed=42, mix_id=0, anneal_rounds=5000,
-        runner=runner,
-    )
+def run(session):
+    return session.run("placers", apps=32, seed=42, anneal_rounds=5000).result
 
 
-def test_placer_comparison(once, runner):
-    outcomes = once(run, runner)
+def test_placer_comparison(once, session):
+    outcomes = once(run, session)
     rows = [
         (o.name, o.weighted_speedup, o.onchip_cost / 1e3, o.wall_seconds)
         for o in outcomes

@@ -14,19 +14,20 @@ driver keeps pinning the single-shot ``full`` baseline.)
 
 from conftest import emit
 
-from repro.experiments import format_table, run_scalability
+from repro.experiments import format_table
 
 TILES = (16, 64, 144, 256)
 N_MIXES = 2
 
 
-def run(runner=None):
-    return run_scalability(tiles=TILES, n_mixes=N_MIXES, seed=42,
-                           runner=runner)
+def run(session):
+    return session.run(
+        "scalability", tiles=TILES, mixes=N_MIXES, seed=42
+    ).result
 
 
-def test_scalability_sweep(once, runner):
-    result = once(run, runner)
+def test_scalability_sweep(once, session):
+    result = once(run, session)
     emit(format_table(
         ["tiles", "apps", "IPC", "IPC/tile", "hops", "runtime Mcyc",
          "solve ms"],

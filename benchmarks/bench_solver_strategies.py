@@ -21,7 +21,7 @@ from datetime import date
 from conftest import emit, record_bench_entry
 
 from repro.config import default_config
-from repro.experiments import format_table, run_solver_study
+from repro.experiments import format_table
 from repro.nuca.base import build_problem
 from repro.sched.reconfigure import reconfigure_epoch
 from repro.testing import golden_mix
@@ -31,14 +31,14 @@ EPOCHS = 4
 N_MIXES = 1
 
 
-def run(runner=None):
-    return run_solver_study(
-        tiles=TILES, n_mixes=N_MIXES, epochs=EPOCHS, runner=runner
-    )
+def run(session):
+    return session.run(
+        "solver_study", tiles=TILES, mixes=N_MIXES, epochs=EPOCHS
+    ).result
 
 
-def test_solver_strategies(once, runner):
-    result = once(run, runner)
+def test_solver_strategies(once, session):
+    result = once(run, session)
     emit(format_table(
         ["tiles", "strategy", "dynamism", "cold Mcyc", "warm mean Mcyc",
          "warm max Mcyc", "fits 50M", "IPC"],

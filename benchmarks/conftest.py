@@ -5,9 +5,11 @@ the same rows/series the paper reports (values are from our simulated
 substrate — see docs/REPRODUCING.md for the paper-vs-measured record).
 Heavy experiments run once per benchmark (`pedantic`, one round).
 
-Sweep-shaped benchmarks submit their points through
-``repro.runner.ProcessPoolRunner`` (the ``runner`` fixture).  Two
-environment variables control it:
+Sweep-shaped benchmarks run their experiments through a
+``repro.api.Session`` (the ``session`` fixture): ``session.run(name,
+**params)`` for a registered experiment, ``session.runner.map(jobs)``
+for a public job builder's off-registry inputs.  Two environment
+variables control it:
 
 * ``REPRO_JOBS=N`` — fan jobs out over N worker processes (default 1;
   results are identical at any N, only the wall clock changes);
@@ -26,10 +28,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import ProcessPoolRunner
-from repro.testing import make_runner
+from repro.testing import make_session
 
-__all__ = ["emit", "make_runner", "record_bench_entry"]
+__all__ = ["emit", "make_session", "record_bench_entry"]
 
 RESULTS_PATH = Path(__file__).parent / "benchmark_results.txt"
 BENCH_JSON = Path(__file__).parent / "BENCH.json"
@@ -64,9 +65,11 @@ def record_bench_entry(entry: dict) -> None:
 
 
 @pytest.fixture
-def runner() -> ProcessPoolRunner:
-    """A fresh runner per benchmark (stats stay per-figure)."""
-    return make_runner()
+def session():
+    """A fresh session per benchmark (stats stay per-figure), closed at
+    teardown so its worker pool does not outlive the benchmark."""
+    with make_session() as session:
+        yield session
 
 
 @pytest.fixture

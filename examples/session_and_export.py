@@ -7,7 +7,7 @@ monitor comparison — as ONE batched job fan-out through a shared
 * the classic fixed-width tables (`render(record, "table")`),
 * machine-readable JSON (what `python -m repro run fig14 --format json`
   prints),
-* the rich legacy result object on `record.result`.
+* the rich result object on `record.result`.
 
 Sweep-shaped, so it takes the runner flags: `--mixes N` (default 2),
 `--jobs N`, `--cache-dir DIR` — rerun with a warm cache and the batch

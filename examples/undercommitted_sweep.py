@@ -1,6 +1,6 @@
 """Under-committed systems: why latency-aware allocation matters (Fig 13).
 
-Sweeps the number of single-threaded apps on the 64-core chip from 2 to 64
+Sweeps the number of single-threaded apps on the 64-core chip from 1 to 64
 and reports each scheme's gmean weighted speedup.  At low occupancy the
 LLC is plentiful: Jigsaw's miss-driven allocator hands every app a huge,
 far-flung VC and loses to CDCS, whose latency-aware allocation leaves
@@ -9,16 +9,15 @@ capacity unused on purpose (Sec IV-C / Fig 12b).
 Run:  python examples/undercommitted_sweep.py  [--mixes N] [--jobs N]
       [--cache-dir DIR]
 
-The sweep fans out through the PR-1 runner exactly like the CLI
-(``python -m repro fig13 --jobs 4``): each mix is one cached job, so
-re-runs with a warm --cache-dir execute nothing.
+The sweep is the registered ``fig13`` experiment, run through
+``repro.api.Session`` exactly like the CLI (``python -m repro run fig13
+--jobs 4``): each mix is one cached job, so re-runs with a warm
+--cache-dir execute nothing.
 """
 
 import argparse
 
-from repro.config import default_config
-from repro.experiments import run_sweep
-from repro.runner import ProcessPoolRunner, ResultStore
+from repro.api import Session
 
 
 def main() -> None:
@@ -32,15 +31,12 @@ def main() -> None:
                              "(empty: no caching)")
     args = parser.parse_args()
 
-    store = ResultStore(args.cache_dir) if args.cache_dir else None
-    runner = ProcessPoolRunner(jobs=args.jobs, store=store)
+    with Session(jobs=args.jobs, cache_dir=args.cache_dir or None) as session:
+        sweeps = session.run("fig13", mixes=args.mixes, seed=42).result
 
-    config = default_config()
     schemes = ("R-NUCA", "Jigsaw+C", "Jigsaw+R", "CDCS")
     print(f"{'apps':>5s}  " + "  ".join(f"{s:>9s}" for s in schemes))
-    for n_apps in (2, 4, 8, 16, 32, 64):
-        sweep = run_sweep(config, n_apps=n_apps, n_mixes=args.mixes,
-                          seed=42, runner=runner)
+    for n_apps, sweep in sweeps.items():
         row = "  ".join(
             f"{sweep.gmean_speedup(s):9.3f}" for s in schemes
         )

@@ -8,10 +8,6 @@ results.  This is the entry point external tooling — and any future
 service endpoint — builds on; the CLI (``python -m repro run <name>``)
 is a thin shell around it.
 
-Results are bitwise-identical to the legacy ``run_*`` paths: a session
-runs exactly the jobs the legacy entry points build, through the same
-runner, into the same reducers.
-
 Example::
 
     from repro.api import Session
@@ -88,8 +84,8 @@ class Session:
 
         *overrides* are the spec's parameters (``mixes=2``, ``seed=7``,
         ...); unknown names raise ``ValueError``.  The record's
-        ``result`` attribute holds the experiment's rich legacy result
-        object (e.g. a :class:`~repro.experiments.sweeps.SweepResult`).
+        ``result`` attribute holds the experiment's rich result object
+        (e.g. a :class:`~repro.experiments.sweeps.SweepResult`).
         """
         return self.run_batch([(name, overrides)])[0]
 

@@ -13,11 +13,12 @@ results.
 Importing this package imports no experiment module: each name below
 resolves on first access, by importing the module that defines it.
 
-The legacy ``run_*`` entry points (taking an optional ``runner=``) and
-``*_jobs`` builders remain as compatibility shims over the same job
-builders and reducers, so callers can still compose fan-outs across
-experiments by hand before handing them to one runner — or use
-:meth:`repro.api.Session.run_batch`, which does exactly that.
+An experiment runs one way: ``Session.run(name, **params)``.  The
+public job builders ``sweep_jobs``, ``monitor_jobs`` and
+``reconfig_trace_jobs``, with the reducers ``reduce_sweep_records`` and
+``period_sweep_from_traces``, serve inputs the registry does not carry
+(another chip, stream length or trace window): map their jobs through a
+runner, e.g. ``session.runner.map(jobs)``.
 """
 
 import importlib
@@ -30,47 +31,30 @@ _EXPORTS = {
         "spec_names",
     ),
     "case_study": ("CaseStudyResult", "render_chip_map", "run_case_study"),
-    "factor_analysis": (
-        "VARIANTS", "FactorResult", "factor_jobs", "run_factor_analysis",
-    ),
+    "factor_analysis": ("VARIANTS", "FactorResult"),
     "monitors_study": (
         "GEOMETRIES", "MonitorAccuracy", "curve_error", "monitor_jobs",
-        "monitored_curve", "run_monitor_comparison",
+        "monitored_curve",
     ),
-    "phase_study": (
-        "PERIODS", "PhaseStudyResult", "phase_point", "phase_study_jobs",
-        "run_phase_study",
-    ),
-    "placers_study": (
-        "PLACERS", "PlacerOutcome", "placer_jobs", "run_placer_comparison",
-    ),
-    "scalability": (
-        "TILE_POINTS", "ScalabilityResult", "run_scalability",
-        "scalability_jobs", "scalability_point",
-    ),
+    "phase_study": ("PERIODS", "PhaseStudyResult", "phase_point"),
+    "placers_study": ("PLACERS", "PlacerOutcome"),
+    "scalability": ("TILE_POINTS", "ScalabilityResult", "scalability_point"),
     "solver_study": (
         "DYNAMISM_SWEEP", "INTERVAL_MCYCLES", "STRATEGY_SWEEP",
-        "SolverStudyResult", "run_solver_study", "solver_point",
-        "solver_study_jobs",
+        "SolverStudyResult", "solver_point",
     ),
-    "sketch_study": (
-        "BUDGET_SWEEP", "SketchStudyResult", "run_sketch_study",
-        "sketch_point", "sketch_study_jobs",
-    ),
-    "service_study": (
-        "ServiceStudyResult", "run_service_study", "service_load_point",
-        "service_study_jobs",
-    ),
+    "sketch_study": ("BUDGET_SWEEP", "SketchStudyResult", "sketch_point"),
+    "service_study": ("ServiceStudyResult", "service_load_point"),
     "reconfig_study": (
         "PROTOCOLS", "PeriodSweepResult", "ReconfigTrace",
         "default_trace_mix", "period_sweep_from_traces",
         "reconfig_trace_jobs", "reconfiguration_penalty_cycles",
-        "run_period_sweep", "run_reconfig_trace",
+        "run_reconfig_trace",
     ),
     "report": ("format_breakdown", "format_series", "format_table"),
     "sweeps": (
         "SweepResult", "evaluate_mix", "merge_mix_record", "mix_record",
-        "reduce_sweep_records", "run_sweep", "sweep_jobs",
+        "reduce_sweep_records", "sweep_jobs",
     ),
     "table3": ("OPERATING_POINTS", "RuntimeRow", "run_table3"),
 }

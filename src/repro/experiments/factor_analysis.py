@@ -19,7 +19,7 @@ from repro.experiments.sweeps import (
     reduce_sweep_records,
 )
 from repro.nuca import SNuca, factor_variant
-from repro.runner import Job, ProcessPoolRunner, run_jobs
+from repro.runner import Job
 from repro.workloads.mixes import random_single_threaded_mix
 
 VARIANTS: list[tuple[str, tuple[bool, bool, bool]]] = [
@@ -64,10 +64,15 @@ def _factor_point(
     return record
 
 
-def factor_jobs(
-    config: SystemConfig, n_apps: int, n_mixes: int = 50, seed: int = 42
-) -> list[Job]:
-    """One :class:`Job` per mix of the factor analysis."""
+# -- spec registry -----------------------------------------------------------
+
+#: Chip occupancies the Fig 12 ladder runs at (capacity-scarce, -plentiful).
+FIG12_APP_COUNTS = (64, 4)
+
+
+def _fig12_jobs(params: dict) -> list[Job]:
+    """One :class:`Job` per (app count, mix) of the variant ladder."""
+    config, seed = default_config(), params["seed"]
     return [
         Job(
             fn=_factor_point,
@@ -77,37 +82,9 @@ def factor_jobs(
             seed=seed,
             label=f"factor-{n_apps}apps-mix{mix_id}",
         )
-        for mix_id in range(n_mixes)
+        for n_apps in FIG12_APP_COUNTS
+        for mix_id in range(params["mixes"])
     ]
-
-
-def run_factor_analysis(
-    config: SystemConfig,
-    n_apps: int,
-    n_mixes: int = 50,
-    seed: int = 42,
-    runner: ProcessPoolRunner | None = None,
-) -> FactorResult:
-    """Fig 12's variant ladder over random mixes, one runner job per mix
-    (pass *runner* for parallelism and caching)."""
-    jobs = factor_jobs(config, n_apps, n_mixes, seed)
-    sweep = reduce_sweep_records(run_jobs(jobs, runner), n_apps, n_mixes)
-    return FactorResult(n_apps=n_apps, sweep=sweep)
-
-
-# -- spec registry -----------------------------------------------------------
-
-#: Chip occupancies the Fig 12 ladder runs at (capacity-scarce, -plentiful).
-FIG12_APP_COUNTS = (64, 4)
-
-
-def _fig12_jobs(params: dict) -> list[Job]:
-    jobs: list[Job] = []
-    for n_apps in FIG12_APP_COUNTS:
-        jobs += factor_jobs(
-            default_config(), n_apps, params["mixes"], params["seed"]
-        )
-    return jobs
 
 
 def _fig12_reduce(records: list, params: dict) -> dict[int, FactorResult]:

@@ -20,7 +20,7 @@ from repro.cache.miss_curve import MissCurve
 from repro.cache.monitor import GMon, UMon
 from repro.experiments.results import ResultTable, RunRecord
 from repro.experiments.spec import ExperimentSpec, Param, register
-from repro.runner import Job, ProcessPoolRunner, run_jobs
+from repro.runner import Job
 from repro.workloads.generator import StackDistanceStream
 from repro.workloads.profiles import AppProfile
 
@@ -124,19 +124,6 @@ def monitor_jobs(
         )
         for kind, ways in GEOMETRIES
     ]
-
-
-def run_monitor_comparison(
-    profile: AppProfile,
-    llc_bytes: float,
-    accesses: int = 60_000,
-    footprint_scale: int = 16,
-    seed: int = 3,
-    runner: ProcessPoolRunner | None = None,
-) -> list[MonitorAccuracy]:
-    """Compare monitor geometries on one app's (scaled) stream."""
-    jobs = monitor_jobs(profile, llc_bytes, accesses, footprint_scale, seed)
-    return run_jobs(jobs, runner)
 
 
 # -- spec registry -----------------------------------------------------------

@@ -33,7 +33,7 @@ from repro.config import SystemConfig, small_test_config
 from repro.experiments.results import ResultSeries, ResultTable, RunRecord
 from repro.experiments.spec import ExperimentSpec, Param, register
 from repro.nuca.base import build_problem
-from repro.runner import Job, ProcessPoolRunner, run_jobs
+from repro.runner import Job
 from repro.sched.reconfigure import ReconfigPolicy, reconfigure
 from repro.sim.engine import EpochEngine
 from repro.workloads.mixes import random_phased_mix
@@ -47,6 +47,9 @@ PERIODS = (12_500_000, 50_000_000, 200_000_000)
 #: Default simulated horizon in cycles (enough for every process to move
 #: through multiple phases at any swept period).
 DEFAULT_HORIZON = 800_000_000.0
+
+#: Phased apps per mix.
+N_APPS = 6
 
 
 def _mean_aggregate_ipc(engine: EpochEngine, horizon: float) -> float:
@@ -107,34 +110,6 @@ def phase_point(
     }
 
 
-def phase_study_jobs(
-    config: SystemConfig,
-    n_mixes: int = 4,
-    seed: int = 42,
-    n_apps: int = 6,
-    periods: tuple[int, ...] = PERIODS,
-    horizon: float = DEFAULT_HORIZON,
-) -> list[Job]:
-    """One :class:`Job` per (mix, reconfiguration period) point."""
-    return [
-        Job(
-            fn=phase_point,
-            kwargs=dict(
-                config=config,
-                n_apps=n_apps,
-                seed=seed,
-                mix_id=mix_id,
-                period=float(period),
-                horizon=horizon,
-            ),
-            seed=seed,
-            label=f"phase-mix{mix_id}-period{period}",
-        )
-        for period in periods
-        for mix_id in range(n_mixes)
-    ]
-
-
 @dataclass
 class PhaseStudyResult:
     """Aggregated phase-study outcome."""
@@ -163,50 +138,42 @@ class PhaseStudyResult:
         raise KeyError(f"no record for mix {mix_id} at period {period}")
 
 
-def run_phase_study(
-    config: SystemConfig | None = None,
-    n_mixes: int = 4,
-    seed: int = 42,
-    n_apps: int = 6,
-    periods: tuple[int, ...] = PERIODS,
-    horizon: float = DEFAULT_HORIZON,
-    runner: ProcessPoolRunner | None = None,
-) -> PhaseStudyResult:
-    """Sweep reconfiguration periods over phased mixes.
-
-    Defaults run on the 4x4 test chip: the dynamics under study live in
-    the interaction between period and phase length, not in chip size, and
-    a small mesh keeps the per-epoch solves fast.
-    """
-    config = config or small_test_config(4, 4)
-    jobs = phase_study_jobs(
-        config, n_mixes=n_mixes, seed=seed, n_apps=n_apps,
-        periods=periods, horizon=horizon,
-    )
-    return reduce_phase_records(run_jobs(jobs, runner))
-
-
-def reduce_phase_records(records: list[dict]) -> PhaseStudyResult:
-    """Group per-(mix, period) job payloads by period — the reducer
-    behind both the ``phase_study`` spec and :func:`run_phase_study`."""
-    grouped: dict[float, list[dict]] = {}
-    for record in records:
-        grouped.setdefault(record["period"], []).append(record)
-    return PhaseStudyResult(grouped)
-
-
 # -- spec registry -----------------------------------------------------------
 
 
 def _phase_jobs(params: dict) -> list[Job]:
-    return phase_study_jobs(
-        small_test_config(4, 4), n_mixes=params["mixes"],
-        seed=params["seed"],
-    )
+    """One :class:`Job` per (reconfiguration period, mix) point.
+
+    The study runs on the 4x4 test chip: the dynamics under study live in
+    the interaction between period and phase length, not in chip size,
+    and a small mesh keeps the per-epoch solves fast.
+    """
+    config, seed = small_test_config(4, 4), params["seed"]
+    return [
+        Job(
+            fn=phase_point,
+            kwargs=dict(
+                config=config,
+                n_apps=N_APPS,
+                seed=seed,
+                mix_id=mix_id,
+                period=float(period),
+                horizon=DEFAULT_HORIZON,
+            ),
+            seed=seed,
+            label=f"phase-mix{mix_id}-period{period}",
+        )
+        for period in PERIODS
+        for mix_id in range(params["mixes"])
+    ]
 
 
 def _phase_reduce(records: list, params: dict) -> PhaseStudyResult:
-    return reduce_phase_records(records)
+    """Group the per-(period, mix) payloads by period."""
+    grouped: dict[float, list[dict]] = {}
+    for record in records:
+        grouped.setdefault(record["period"], []).append(record)
+    return PhaseStudyResult(grouped)
 
 
 def _phase_present(result: PhaseStudyResult, params: dict) -> RunRecord:

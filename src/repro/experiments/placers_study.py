@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.config import SystemConfig
+from repro.config import SystemConfig, default_config
 from repro.experiments.results import ResultTable, RunRecord
 from repro.experiments.spec import ExperimentSpec, Param, register
 from repro.model.metrics import weighted_speedup
@@ -29,7 +29,7 @@ from repro.nuca.snuca import SNuca
 from repro.placers.annealing import anneal_thread_placement
 from repro.placers.graph_partition import graph_partition_placement
 from repro.placers.linear_program import lp_data_placement
-from repro.runner import Job, ProcessPoolRunner, run_jobs
+from repro.runner import Job
 from repro.sched.cost_model import on_chip_latency
 from repro.sched.problem import PlacementSolution
 from repro.workloads.mixes import random_single_threaded_mix
@@ -124,55 +124,28 @@ def _placer_point(
     )
 
 
-def placer_jobs(
-    config: SystemConfig,
-    n_apps: int = 16,
-    seed: int = 42,
-    mix_id: int = 0,
-    anneal_rounds: int = 5000,
-) -> list[Job]:
-    """One :class:`Job` per comparator in :data:`PLACERS`."""
+# -- spec registry -----------------------------------------------------------
+
+
+def _placers_jobs(params: dict) -> list[Job]:
+    """One :class:`Job` per comparator in :data:`PLACERS`, all on mix 0."""
+    config, seed = default_config(), params["seed"]
     return [
         Job(
             fn=_placer_point,
             kwargs=dict(
                 config=config,
                 placer=placer,
-                n_apps=n_apps,
+                n_apps=params["apps"],
                 seed=seed,
-                mix_id=mix_id,
-                anneal_rounds=anneal_rounds,
+                mix_id=0,
+                anneal_rounds=params["anneal_rounds"],
             ),
             seed=seed,
             label=f"placer-{placer}",
         )
         for placer in PLACERS
     ]
-
-
-def run_placer_comparison(
-    config: SystemConfig,
-    n_apps: int = 16,
-    seed: int = 42,
-    mix_id: int = 0,
-    anneal_rounds: int = 5000,
-    runner: ProcessPoolRunner | None = None,
-) -> list[PlacerOutcome]:
-    """Evaluate CDCS vs LP / annealing / graph partitioning on one mix."""
-    jobs = placer_jobs(config, n_apps, seed, mix_id, anneal_rounds)
-    return run_jobs(jobs, runner)
-
-
-# -- spec registry -----------------------------------------------------------
-
-
-def _placers_jobs(params: dict) -> list[Job]:
-    from repro.config import default_config
-
-    return placer_jobs(
-        default_config(), n_apps=params["apps"], seed=params["seed"],
-        anneal_rounds=params["anneal_rounds"],
-    )
 
 
 def _placers_reduce(records: list, params: dict) -> list[PlacerOutcome]:

@@ -27,7 +27,7 @@ from repro.sim.reconfig import (
     InstantMoves,
     MovementProtocol,
 )
-from repro.runner import Job, ProcessPoolRunner, run_jobs
+from repro.runner import Job
 from repro.sim.setup import build_trace_simulation, scale_solution
 from repro.workloads.mixes import Mix, make_mix
 
@@ -173,28 +173,6 @@ class PeriodSweepResult:
     steady_ws: float
 
 
-def run_period_sweep(
-    steady_ws: float,
-    periods: tuple[int, ...] = (10_000_000, 25_000_000, 50_000_000, 100_000_000),
-    config: SystemConfig | None = None,
-    mix: Mix | None = None,
-    capacity_scale: int = 16,
-    seed: int = 5,
-    runner: ProcessPoolRunner | None = None,
-) -> PeriodSweepResult:
-    """Fig 18: WS vs reconfiguration period for the three protocols.
-
-    *steady_ws* is the CDCS weighted speedup with instant moves (from the
-    analytic model, e.g. ~1.46 at 64 apps); each protocol's measured
-    per-reconfiguration penalty is amortized over the period.
-    """
-    jobs = reconfig_trace_jobs(
-        config=config, mix=mix, capacity_scale=capacity_scale, seed=seed
-    )
-    traces = dict(zip(PROTOCOLS, run_jobs(jobs, runner)))
-    return period_sweep_from_traces(traces, steady_ws, periods)
-
-
 def period_sweep_from_traces(
     traces: dict[str, ReconfigTrace],
     steady_ws: float,
@@ -202,9 +180,12 @@ def period_sweep_from_traces(
         10_000_000, 25_000_000, 50_000_000, 100_000_000
     ),
 ) -> PeriodSweepResult:
-    """Amortize measured per-reconfiguration penalties over *periods* —
-    the reducer behind both the ``fig18`` spec and
-    :func:`run_period_sweep`."""
+    """Fig 18: WS vs reconfiguration period for the three protocols.
+
+    *steady_ws* is the CDCS weighted speedup with instant moves (from the
+    analytic model, e.g. ~1.46 at 64 apps); each protocol's measured
+    per-reconfiguration penalty in *traces* is amortized over *periods*.
+    """
     penalties = reconfiguration_penalty_cycles(traces)
     speedups: dict[int, dict[str, float]] = {}
     for period in periods:

@@ -137,7 +137,7 @@ class ResultSeries:
 class RunRecord:
     """One experiment run's typed outcome.
 
-    ``result`` holds the experiment's rich legacy result object (e.g. a
+    ``result`` holds the experiment's rich result object (e.g. a
     :class:`repro.experiments.sweeps.SweepResult`) for programmatic
     consumers; it is deliberately excluded from equality and from
     ``to_dict``, so serialization round-trips compare equal without it.

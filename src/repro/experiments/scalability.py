@@ -39,7 +39,7 @@ from repro.experiments.results import ResultTable, RunRecord
 from repro.experiments.spec import ExperimentSpec, Param, register
 from repro.model.system import AnalyticSystem
 from repro.nuca.base import SchemeResult, build_problem
-from repro.runner import Job, ProcessPoolRunner, run_jobs
+from repro.runner import Job
 from repro.sched.engine import ReconfigEngine, strategy_names
 from repro.workloads.mixes import random_single_threaded_mix
 
@@ -48,6 +48,10 @@ from repro.workloads.mixes import random_single_threaded_mix
 #: (a 32x32 mesh) is the partitioned-strategy stretch point — pass it via
 #: ``--tiles`` / ``--param tiles=...`` rather than by default.
 TILE_POINTS = (16, 64, 144, 256)
+
+#: Apps per tile: one single-threaded app per tile, the fully-committed
+#: regime.
+OCCUPANCY = 1.0
 
 
 def scalability_point(
@@ -106,36 +110,6 @@ def scalability_point(
         "solve_seconds": dict(result.wall_seconds),
         "solve_seconds_total": sum(result.wall_seconds.values()),
     }
-
-
-def scalability_jobs(
-    tiles: tuple[int, ...] = TILE_POINTS,
-    n_mixes: int = 2,
-    seed: int = 42,
-    occupancy: float = 1.0,
-    strategy: str = "full",
-) -> list[Job]:
-    """One :class:`Job` per (mesh size, mix) point."""
-    for count in tiles:
-        mesh_width(count)  # validate early, before any job runs
-    if strategy not in strategy_names():
-        raise ValueError(
-            f"unknown solve strategy {strategy!r} "
-            f"(have: {', '.join(strategy_names())})"
-        )
-    return [
-        Job(
-            fn=scalability_point,
-            kwargs=dict(
-                tiles=count, seed=seed, mix_id=mix_id, occupancy=occupancy,
-                strategy=strategy,
-            ),
-            seed=seed,
-            label=f"scalability-{count}t-mix{mix_id}-{strategy}",
-        )
-        for count in tiles
-        for mix_id in range(n_mixes)
-    ]
 
 
 @dataclass
@@ -210,43 +184,40 @@ class ScalabilityResult:
         return rows
 
 
-def run_scalability(
-    tiles: tuple[int, ...] = TILE_POINTS,
-    n_mixes: int = 2,
-    seed: int = 42,
-    occupancy: float = 1.0,
-    strategy: str = "full",
-    runner: ProcessPoolRunner | None = None,
-) -> ScalabilityResult:
-    """Sweep mesh sizes at fixed per-tile load."""
-    jobs = scalability_jobs(
-        tiles=tiles, n_mixes=n_mixes, seed=seed, occupancy=occupancy,
-        strategy=strategy,
-    )
-    return reduce_scalability_records(run_jobs(jobs, runner))
-
-
-def reduce_scalability_records(records: list[dict]) -> ScalabilityResult:
-    """Group per-(tiles, mix) job payloads by mesh size — the reducer
-    behind both the ``scalability`` spec and :func:`run_scalability`."""
-    grouped: dict[int, list[dict]] = {}
-    for record in records:
-        grouped.setdefault(record["tiles"], []).append(record)
-    return ScalabilityResult(grouped)
-
-
 # -- spec registry -----------------------------------------------------------
 
 
 def _scalability_jobs(params: dict) -> list[Job]:
-    return scalability_jobs(
-        tiles=tuple(params["tiles"]), n_mixes=params["mixes"],
-        seed=params["seed"], strategy=params["strategy"],
-    )
+    """One :class:`Job` per (mesh size, mix) point."""
+    tiles, seed, strategy = params["tiles"], params["seed"], params["strategy"]
+    for count in tiles:
+        mesh_width(count)  # validate early, before any job runs
+    if strategy not in strategy_names():
+        raise ValueError(
+            f"unknown solve strategy {strategy!r} "
+            f"(have: {', '.join(strategy_names())})"
+        )
+    return [
+        Job(
+            fn=scalability_point,
+            kwargs=dict(
+                tiles=count, seed=seed, mix_id=mix_id, occupancy=OCCUPANCY,
+                strategy=strategy,
+            ),
+            seed=seed,
+            label=f"scalability-{count}t-mix{mix_id}-{strategy}",
+        )
+        for count in tiles
+        for mix_id in range(params["mixes"])
+    ]
 
 
 def _scalability_reduce(records: list, params: dict) -> ScalabilityResult:
-    return reduce_scalability_records(records)
+    """Group the per-(tiles, mix) payloads by mesh size."""
+    grouped: dict[int, list[dict]] = {}
+    for record in records:
+        grouped.setdefault(record["tiles"], []).append(record)
+    return ScalabilityResult(grouped)
 
 
 def _scalability_present(

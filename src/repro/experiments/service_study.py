@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.experiments.results import ResultTable, RunRecord
 from repro.experiments.solver_study import parse_names
 from repro.experiments.spec import ExperimentSpec, Param, register
-from repro.runner import Job, ProcessPoolRunner, run_jobs
+from repro.runner import Job
 from repro.sched.engine import strategy_names
 
 #: Default strategy arms for the load sweep.
@@ -51,39 +51,6 @@ def service_load_point(
         seed=seed,
     )
     return run_load(spec).to_dict()
-
-
-def service_study_jobs(
-    chips: int = 4,
-    epochs: int = 6,
-    tiles: int = 16,
-    strategies: tuple[str, ...] = STRATEGY_SWEEP,
-    dynamism: tuple[str, ...] = DYNAMISM_SWEEP,
-    workers: int = 2,
-    queue_limit: int = 32,
-    seed: int = 42,
-) -> list[Job]:
-    """One :class:`Job` (= one load session) per (strategy, dynamism)."""
-    for name in strategies:
-        if name not in strategy_names():
-            raise ValueError(
-                f"unknown solve strategy {name!r} "
-                f"(have: {', '.join(strategy_names())})"
-            )
-    return [
-        Job(
-            fn=service_load_point,
-            kwargs=dict(
-                chips=chips, epochs=epochs, tiles=tiles,
-                strategy=strategy, dynamism=arm, workers=workers,
-                queue_limit=queue_limit, seed=seed,
-            ),
-            seed=seed,
-            label=f"service-{chips}c-{tiles}t-{strategy}-{arm}",
-        )
-        for strategy in strategies
-        for arm in dynamism
-    ]
 
 
 @dataclass
@@ -120,54 +87,39 @@ class ServiceStudyResult:
         return rows
 
 
-def reduce_service_records(records: list[dict]) -> ServiceStudyResult:
+# -- spec registry -----------------------------------------------------------
+
+
+def _service_jobs(params: dict) -> list[Job]:
+    """One :class:`Job` (= one load session) per (strategy, dynamism)."""
+    strategies = parse_names(
+        params["strategies"], tuple(strategy_names()), "strategy"
+    )
+    dynamism = parse_names(params["dynamism"], DYNAMISM_SWEEP, "dynamism")
+    chips, tiles, seed = params["chips"], params["tiles"], params["seed"]
+    return [
+        Job(
+            fn=service_load_point,
+            kwargs=dict(
+                chips=chips, epochs=params["epochs"], tiles=tiles,
+                strategy=strategy, dynamism=arm, workers=params["workers"],
+                queue_limit=params["queue_limit"], seed=seed,
+            ),
+            seed=seed,
+            label=f"service-{chips}c-{tiles}t-{strategy}-{arm}",
+        )
+        for strategy in strategies
+        for arm in dynamism
+    ]
+
+
+def _service_reduce(records: list, params: dict) -> ServiceStudyResult:
+    """Key each session's report by its (strategy, dynamism) arm."""
     grouped: dict[tuple[str, str], dict] = {}
     for record in records:
         key = (record["spec"]["strategy"], record["spec"]["dynamism"])
         grouped[key] = record
     return ServiceStudyResult(grouped)
-
-
-def run_service_study(
-    chips: int = 4,
-    epochs: int = 6,
-    tiles: int = 16,
-    strategies: tuple[str, ...] = STRATEGY_SWEEP,
-    dynamism: tuple[str, ...] = DYNAMISM_SWEEP,
-    workers: int = 2,
-    queue_limit: int = 32,
-    seed: int = 42,
-    runner: ProcessPoolRunner | None = None,
-) -> ServiceStudyResult:
-    """Sweep the control plane across strategy x dynamism arms."""
-    jobs = service_study_jobs(
-        chips=chips, epochs=epochs, tiles=tiles, strategies=strategies,
-        dynamism=dynamism, workers=workers, queue_limit=queue_limit,
-        seed=seed,
-    )
-    return reduce_service_records(run_jobs(jobs, runner))
-
-
-# -- spec registry -----------------------------------------------------------
-
-
-def _service_jobs(params: dict) -> list[Job]:
-    return service_study_jobs(
-        chips=params["chips"],
-        epochs=params["epochs"],
-        tiles=params["tiles"],
-        strategies=parse_names(
-            params["strategies"], tuple(strategy_names()), "strategy"
-        ),
-        dynamism=parse_names(params["dynamism"], DYNAMISM_SWEEP, "dynamism"),
-        workers=params["workers"],
-        queue_limit=params["queue_limit"],
-        seed=params["seed"],
-    )
-
-
-def _service_reduce(records: list, params: dict) -> ServiceStudyResult:
-    return reduce_service_records(records)
 
 
 def _service_present(result: ServiceStudyResult, params: dict) -> RunRecord:

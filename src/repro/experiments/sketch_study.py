@@ -34,7 +34,7 @@ from repro.config import mesh_width, scaled_mesh_config
 from repro.experiments.results import ResultTable, RunRecord
 from repro.experiments.spec import ExperimentSpec, Param, register
 from repro.nuca.base import build_problem
-from repro.runner import Job, ProcessPoolRunner, run_jobs
+from repro.runner import Job
 from repro.sched.engine import IncrementalSolve, ReconfigEngine
 from repro.service.messages import (
     PlacementRequest,
@@ -198,40 +198,6 @@ def sketch_point(
     }
 
 
-def sketch_study_jobs(
-    tiles: tuple[int, ...] = (16, 64),
-    budgets: tuple[int, ...] = BUDGET_SWEEP,
-    n_mixes: int = 2,
-    seed: int = 42,
-    epochs: int = 6,
-    period_mcycles: float = DEFAULT_PERIOD_MCYCLES,
-    dirty_threshold: float = 0.05,
-) -> list[Job]:
-    """One :class:`Job` per (tiles, budget, mix) point."""
-    for count in tiles:
-        mesh_width(count)  # validate early
-    for budget in budgets:
-        if budget < 128:
-            raise ValueError(
-                f"sketch budget {budget} too small (need >= 128 bytes)"
-            )
-    return [
-        Job(
-            fn=sketch_point,
-            kwargs=dict(
-                tiles=count, budget_bytes=budget, seed=seed, mix_id=mix_id,
-                epochs=epochs, period_mcycles=period_mcycles,
-                dirty_threshold=dirty_threshold,
-            ),
-            seed=seed,
-            label=f"sketch-{count}t-{budget}B-mix{mix_id}",
-        )
-        for count in tiles
-        for budget in budgets
-        for mix_id in range(n_mixes)
-    ]
-
-
 @dataclass
 class SketchStudyResult:
     """Aggregated study outcome, keyed by (tiles, budget_bytes)."""
@@ -275,34 +241,6 @@ class SketchStudyResult:
         ]
 
 
-def reduce_sketch_records(records: list[dict]) -> SketchStudyResult:
-    """Group per-point payloads by (tiles, budget_bytes)."""
-    grouped: dict[tuple[int, int], list[dict]] = {}
-    for record in records:
-        key = (record["tiles"], record["budget_bytes"])
-        grouped.setdefault(key, []).append(record)
-    return SketchStudyResult(grouped)
-
-
-def run_sketch_study(
-    tiles: tuple[int, ...] = (16, 64),
-    budgets: tuple[int, ...] = BUDGET_SWEEP,
-    n_mixes: int = 2,
-    seed: int = 42,
-    epochs: int = 6,
-    period_mcycles: float = DEFAULT_PERIOD_MCYCLES,
-    dirty_threshold: float = 0.05,
-    runner: ProcessPoolRunner | None = None,
-) -> SketchStudyResult:
-    """Sweep sketch budgets x mesh sizes on twin warm engines."""
-    jobs = sketch_study_jobs(
-        tiles=tiles, budgets=budgets, n_mixes=n_mixes, seed=seed,
-        epochs=epochs, period_mcycles=period_mcycles,
-        dirty_threshold=dirty_threshold,
-    )
-    return reduce_sketch_records(run_jobs(jobs, runner))
-
-
 # -- spec registry -----------------------------------------------------------
 
 
@@ -323,19 +261,41 @@ def parse_budgets(text: str) -> tuple[int, ...]:
 
 
 def _sketch_jobs(params: dict) -> list[Job]:
-    return sketch_study_jobs(
-        tiles=tuple(params["tiles"]),
-        budgets=parse_budgets(params["budgets"]),
-        n_mixes=params["mixes"],
-        seed=params["seed"],
-        epochs=params["epochs"],
-        period_mcycles=params["period_mcycles"],
-        dirty_threshold=params["threshold"],
-    )
+    """One :class:`Job` per (tiles, budget, mix) point."""
+    for count in params["tiles"]:
+        mesh_width(count)  # validate early
+    budgets = parse_budgets(params["budgets"])
+    for budget in budgets:
+        if budget < 128:
+            raise ValueError(
+                f"sketch budget {budget} too small (need >= 128 bytes)"
+            )
+    seed = params["seed"]
+    return [
+        Job(
+            fn=sketch_point,
+            kwargs=dict(
+                tiles=count, budget_bytes=budget, seed=seed, mix_id=mix_id,
+                epochs=params["epochs"],
+                period_mcycles=params["period_mcycles"],
+                dirty_threshold=params["threshold"],
+            ),
+            seed=seed,
+            label=f"sketch-{count}t-{budget}B-mix{mix_id}",
+        )
+        for count in params["tiles"]
+        for budget in budgets
+        for mix_id in range(params["mixes"])
+    ]
 
 
 def _sketch_reduce(records: list, params: dict) -> SketchStudyResult:
-    return reduce_sketch_records(records)
+    """Group the per-point payloads by (tiles, budget_bytes)."""
+    grouped: dict[tuple[int, int], list[dict]] = {}
+    for record in records:
+        key = (record["tiles"], record["budget_bytes"])
+        grouped.setdefault(key, []).append(record)
+    return SketchStudyResult(grouped)
 
 
 def _sketch_present(result: SketchStudyResult, params: dict) -> RunRecord:

@@ -34,7 +34,7 @@ from repro.config import mesh_width, scaled_mesh_config
 from repro.experiments.results import ResultTable, RunRecord
 from repro.experiments.spec import ExperimentSpec, Param, register
 from repro.nuca.base import build_problem
-from repro.runner import Job, ProcessPoolRunner, run_jobs
+from repro.runner import Job
 from repro.sched.engine import ReconfigEngine, strategy_names
 from repro.sim.engine import EpochEngine
 from repro.workloads.mixes import (
@@ -157,42 +157,6 @@ def parse_names(text: str, allowed: tuple[str, ...], what: str) -> tuple[str, ..
     return names
 
 
-def solver_study_jobs(
-    tiles: tuple[int, ...] = (16, 64),
-    strategies: tuple[str, ...] = STRATEGY_SWEEP,
-    dynamism: tuple[str, ...] = DYNAMISM_SWEEP,
-    n_mixes: int = 2,
-    seed: int = 42,
-    epochs: int = 6,
-    period_mcycles: float = DEFAULT_PERIOD_MCYCLES,
-) -> list[Job]:
-    """One :class:`Job` per (tiles, strategy, dynamism, mix) point."""
-    for count in tiles:
-        mesh_width(count)  # validate early
-    for name in strategies:
-        if name not in strategy_names():
-            raise ValueError(
-                f"unknown solve strategy {name!r} "
-                f"(have: {', '.join(strategy_names())})"
-            )
-    return [
-        Job(
-            fn=solver_point,
-            kwargs=dict(
-                tiles=count, strategy=strategy, dynamism=arm, seed=seed,
-                mix_id=mix_id, epochs=epochs,
-                period_mcycles=period_mcycles,
-            ),
-            seed=seed,
-            label=f"solver-{count}t-{strategy}-{arm}-mix{mix_id}",
-        )
-        for count in tiles
-        for strategy in strategies
-        for arm in dynamism
-        for mix_id in range(n_mixes)
-    ]
-
-
 @dataclass
 class SolverStudyResult:
     """Aggregated study outcome, keyed by (strategy, dynamism, tiles)."""
@@ -253,53 +217,43 @@ class SolverStudyResult:
         return rows
 
 
-def reduce_solver_records(records: list[dict]) -> SolverStudyResult:
-    """Group per-point payloads by (strategy, dynamism, tiles)."""
+# -- spec registry -----------------------------------------------------------
+
+
+def _solver_jobs(params: dict) -> list[Job]:
+    """One :class:`Job` per (tiles, strategy, dynamism, mix) point."""
+    for count in params["tiles"]:
+        mesh_width(count)  # validate early
+    strategies = parse_names(
+        params["strategies"], tuple(strategy_names()), "strategy"
+    )
+    dynamism = parse_names(params["dynamism"], DYNAMISM_SWEEP, "dynamism")
+    seed = params["seed"]
+    return [
+        Job(
+            fn=solver_point,
+            kwargs=dict(
+                tiles=count, strategy=strategy, dynamism=arm, seed=seed,
+                mix_id=mix_id, epochs=params["epochs"],
+                period_mcycles=params["period_mcycles"],
+            ),
+            seed=seed,
+            label=f"solver-{count}t-{strategy}-{arm}-mix{mix_id}",
+        )
+        for count in params["tiles"]
+        for strategy in strategies
+        for arm in dynamism
+        for mix_id in range(params["mixes"])
+    ]
+
+
+def _solver_reduce(records: list, params: dict) -> SolverStudyResult:
+    """Group the per-point payloads by (strategy, dynamism, tiles)."""
     grouped: dict[tuple[str, str, int], list[dict]] = {}
     for record in records:
         key = (record["strategy"], record["dynamism"], record["tiles"])
         grouped.setdefault(key, []).append(record)
     return SolverStudyResult(grouped)
-
-
-def run_solver_study(
-    tiles: tuple[int, ...] = (16, 64),
-    strategies: tuple[str, ...] = STRATEGY_SWEEP,
-    dynamism: tuple[str, ...] = DYNAMISM_SWEEP,
-    n_mixes: int = 2,
-    seed: int = 42,
-    epochs: int = 6,
-    period_mcycles: float = DEFAULT_PERIOD_MCYCLES,
-    runner: ProcessPoolRunner | None = None,
-) -> SolverStudyResult:
-    """Sweep strategies x dynamism x mesh sizes on warm engines."""
-    jobs = solver_study_jobs(
-        tiles=tiles, strategies=strategies, dynamism=dynamism,
-        n_mixes=n_mixes, seed=seed, epochs=epochs,
-        period_mcycles=period_mcycles,
-    )
-    return reduce_solver_records(run_jobs(jobs, runner))
-
-
-# -- spec registry -----------------------------------------------------------
-
-
-def _solver_jobs(params: dict) -> list[Job]:
-    return solver_study_jobs(
-        tiles=tuple(params["tiles"]),
-        strategies=parse_names(
-            params["strategies"], tuple(strategy_names()), "strategy"
-        ),
-        dynamism=parse_names(params["dynamism"], DYNAMISM_SWEEP, "dynamism"),
-        n_mixes=params["mixes"],
-        seed=params["seed"],
-        epochs=params["epochs"],
-        period_mcycles=params["period_mcycles"],
-    )
-
-
-def _solver_reduce(records: list, params: dict) -> SolverStudyResult:
-    return reduce_solver_records(records)
 
 
 def _solver_present(result: SolverStudyResult, params: dict) -> RunRecord:

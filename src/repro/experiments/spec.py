@@ -25,9 +25,8 @@ the module that registers it, so :func:`spec_names` imports nothing,
 :func:`all_specs` imports every experiment module.  An experiment's
 heavy dependencies load only when something asks for it.
 
-The legacy ``run_*`` functions remain as thin compatibility shims over
-the same job builders and reducers, so both paths are bitwise-identical
-by construction.
+The registry is the one way to run an experiment; the adapters are
+where each experiment's fan-out and fold live.
 """
 
 from __future__ import annotations

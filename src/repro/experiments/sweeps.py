@@ -1,9 +1,9 @@
 """Mix sweeps: the workhorse behind Figs 11, 13, 14, 15, 16.
 
-``run_sweep`` evaluates every scheme on N random mixes and collects
-weighted speedups plus the latency / traffic / energy aggregates the
-paper's figure panels report.  Single- and multi-threaded pools share the
-same machinery.
+The ``fig11``/``fig13``/``fig14``/``fig15``/``fig16`` specs evaluate
+every scheme on N random mixes and collect weighted speedups plus the
+latency / traffic / energy aggregates the paper's figure panels report.
+Single- and multi-threaded pools share the same machinery.
 
 Each mix is one :class:`repro.runner.Job` (:func:`sweep_jobs` builds the
 job list, :func:`_mix_point` is the job body), so a sweep parallelizes
@@ -25,7 +25,7 @@ from repro.experiments.spec import ExperimentSpec, Param, register
 from repro.model.metrics import gmean, inverse_cdf, weighted_speedup
 from repro.model.system import AnalyticSystem, MixEvaluation
 from repro.nuca import SCHEMES, NucaScheme, SNuca, standard_schemes
-from repro.runner import Job, ProcessPoolRunner, register_batchable, run_jobs
+from repro.runner import Job, register_batchable
 from repro.util.hashing import content_digest
 from repro.util.rng import reseed_global
 from repro.util.sums import ordered_sums
@@ -260,33 +260,11 @@ def reduce_sweep_records(
     records: list[dict], n_apps: int, n_mixes: int
 ) -> SweepResult:
     """Fold per-mix :func:`mix_record` payloads into one
-    :class:`SweepResult` — the reducer behind both the spec registry and
-    the legacy :func:`run_sweep`."""
+    :class:`SweepResult`."""
     result = SweepResult(n_apps=n_apps, n_mixes=n_mixes)
     for record in records:
         merge_mix_record(result, record)
     return result
-
-
-def run_sweep(
-    config: SystemConfig,
-    n_apps: int,
-    n_mixes: int = 50,
-    seed: int = 42,
-    multithreaded: bool = False,
-    runner: ProcessPoolRunner | None = None,
-) -> SweepResult:
-    """Evaluate the standard schemes over random mixes; returns aggregated
-    results.
-
-    Legacy entry point, kept for backward compatibility — the same sweep
-    is registered as the ``fig11``/``fig13``/``fig14``/``fig15``/``fig16``
-    specs (see :mod:`repro.experiments.spec` and :class:`repro.api.Session`),
-    which share this function's job builder and reducer bitwise.  Each
-    mix runs as a runner job — pass *runner* for parallelism and caching.
-    """
-    jobs = sweep_jobs(config, n_apps, n_mixes, seed, multithreaded)
-    return reduce_sweep_records(run_jobs(jobs, runner), n_apps, n_mixes)
 
 
 def evaluate_mix(

@@ -26,7 +26,7 @@ from repro.runner.mega import (
     MegaBatchRunner,
     register_batchable,
 )
-from repro.runner.pool import ProcessPoolRunner, RunnerStats, run_jobs
+from repro.runner.pool import ProcessPoolRunner, RunnerStats
 from repro.runner.store import (
     DEFAULT_CACHE_DIR,
     MISS,
@@ -47,5 +47,4 @@ __all__ = [
     "RunnerStats",
     "StoreStats",
     "register_batchable",
-    "run_jobs",
 ]

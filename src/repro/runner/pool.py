@@ -180,16 +180,3 @@ class ProcessPoolRunner:
             self.stats.executed += 1
         if self.progress is not None:
             self.progress(self.stats)
-
-
-def run_jobs(
-    jobs: Sequence[Job], runner: ProcessPoolRunner | None = None
-) -> list[Any]:
-    """Run *jobs* through *runner*, or serially/uncached when none given.
-
-    This is the single entry point the experiment harnesses use, so every
-    figure driver transparently gains ``--jobs``/caching when the CLI (or a
-    test) supplies a configured runner.
-    """
-    runner = runner if runner is not None else ProcessPoolRunner()
-    return runner.map(jobs)

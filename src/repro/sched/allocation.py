@@ -240,8 +240,7 @@ def _greedy_hull_allocation(
 
 
 def _ensure_minimum_quanta(
-    problem: PlacementProblem,
-    vcs: list,
+    rates: list[float],
     sizes: list[int],
     budget: int,
     curves: list[np.ndarray],
@@ -250,8 +249,9 @@ def _ensure_minimum_quanta(
     point at a real bank partition (Fig 3).  Spare budget covers it; if the
     budget is fully allocated, the quantum is taken from the donor whose
     curve loses the least by shrinking (never from the middle of a cliff).
-    *vcs* are the VCs behind *sizes* and *curves*, so donors come only from
-    the VCs being allocated.
+    *rates* are the access rates of the VCs behind *sizes* and *curves*
+    (:func:`vc_access_rates`), so donors come only from the VCs being
+    allocated.
 
     Donors come off a heap of ``(loss, index)``, built when the spare
     budget first runs out: it pops the lowest index among equal losses,
@@ -266,11 +266,8 @@ def _ensure_minimum_quanta(
 
     spare = budget - sum(sizes)
     donors = None
-    for i, vc in enumerate(vcs):
-        if sizes[i] > 0:
-            continue
-        rate = sum(problem.accessors_of(vc.vc_id).values())
-        if rate <= 0:
+    for i, rate in enumerate(rates):
+        if sizes[i] > 0 or rate <= 0:
             continue
         if spare > 0:
             spare -= 1
@@ -306,15 +303,14 @@ def allocate_latency_aware(
         vcs = [vc for vc in vcs if vc.vc_id in vc_ids]
     if not vcs:
         return {}
-    curves, hulls = _curve_rows(
-        problem, vcs, vc_access_rates(problem, vcs), latency=True
-    )
+    rates = vc_access_rates(problem, vcs)
+    curves, hulls = _curve_rows(problem, vcs, rates, latency=True)
     if budget_quanta is None:
         budget = problem.total_bytes // problem.quantum
     else:
         budget = max(0, budget_quanta)
     sizes = _greedy_hull_allocation(curves, budget, counter, "allocation", hulls)
-    _ensure_minimum_quanta(problem, vcs, sizes, budget, curves)
+    _ensure_minimum_quanta(rates, sizes, budget, curves)
     return {vc.vc_id: sizes[i] * problem.quantum for i, vc in enumerate(vcs)}
 
 
@@ -353,7 +349,7 @@ def allocate_miss_driven(
         max_quanta = budget
         for d in range(len(sizes)):
             sizes[d] = min(sizes[d] + floors[d], max_quanta)
-    _ensure_minimum_quanta(problem, problem.vcs, sizes, budget, curves)
+    _ensure_minimum_quanta(rates, sizes, budget, curves)
     return {
         vc.vc_id: sizes[i] * problem.quantum for i, vc in enumerate(problem.vcs)
     }

@@ -125,18 +125,21 @@ class DistanceVectors:
         return vc_id in self._eligible
 
     def __getitem__(self, vc_id: int) -> np.ndarray:
+        vec = self.get(vc_id)
+        if vec is None:
+            raise KeyError(vc_id)
+        return vec
+
+    def get(self, vc_id: int, default=None):
+        # One frame per lookup: a swap-counterparty probe is the
+        # refinement's most frequent call.
         vec = self._vecs.get(vc_id)
         if vec is None:
             accessors = self._eligible.get(vc_id)
             if accessors is None:
-                raise KeyError(vc_id)
+                return default
             vec = self._vecs[vc_id] = self._compute(accessors)
         return vec
-
-    def get(self, vc_id: int, default=None):
-        if vc_id not in self._eligible:
-            return default
-        return self[vc_id]
 
     def _compute(self, accessors: Mapping[int, float]) -> np.ndarray:
         total_rate = sum(accessors.values())

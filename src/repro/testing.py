@@ -2,7 +2,7 @@
 
 ``tests/`` and ``benchmarks/`` grew separate copies of the same
 scaffolding — the golden fig11 mix, the small 4x4 problem, the bitwise
-equality assertion, the env-configured runner.  They live here now so
+equality assertion, the env-configured session.  They live here now so
 both conftests (and any module) import one definition; drift between the
 suites was a real bug class (a "golden" mix that differed by seed would
 silently pin two different chips).
@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import os
 
+from repro.api import Session
 from repro.config import default_config, small_test_config
 from repro.nuca.base import build_problem
-from repro.runner import ProcessPoolRunner, ResultStore
 from repro.workloads.mixes import random_single_threaded_mix
 
 #: The golden fig11 mix: 64 single-threaded apps on the paper's 64-tile
@@ -74,15 +74,15 @@ def assert_bitwise_equal(result, reference) -> None:
     assert result.step_cycles() == reference.step_cycles()
 
 
-def make_runner() -> ProcessPoolRunner:
-    """Build a job runner from ``REPRO_JOBS`` / ``REPRO_CACHE_DIR``.
+def make_session() -> Session:
+    """Build a :class:`~repro.api.Session` from ``REPRO_JOBS`` /
+    ``REPRO_CACHE_DIR``.
 
-    The benchmark suite's runner: fan out over ``REPRO_JOBS`` worker
+    The benchmark suite's session: fan out over ``REPRO_JOBS`` worker
     processes (default 1; results identical at any N) and, when
     ``REPRO_CACHE_DIR`` is set, memoize points in the content-hashed
     result cache.
     """
     jobs = int(os.environ.get("REPRO_JOBS", "1"))
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", "")
-    store = ResultStore(cache_dir) if cache_dir else None
-    return ProcessPoolRunner(jobs=jobs, store=store)
+    cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
+    return Session(jobs=jobs, cache_dir=cache_dir)

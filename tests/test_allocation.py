@@ -224,9 +224,9 @@ def _donor_case(monkeypatch):
     taken = []
     real = allocation._ensure_minimum_quanta
 
-    def recording(problem, vcs, sizes, budget, curves):
+    def recording(rates, sizes, budget, curves):
         before = list(sizes)
-        real(problem, vcs, sizes, budget, curves)
+        real(rates, sizes, budget, curves)
         taken.append(any(a < b for a, b in zip(sizes, before)))
 
     monkeypatch.setattr(allocation, "_ensure_minimum_quanta", recording)
@@ -288,18 +288,6 @@ def test_minimum_quanta_donors_match_the_min_scan():
     """Seeded cases with many starved VCs, little or no spare budget,
     and losses drawn from a few values so ties are common: the heap's
     donors leave every size equal to the scan's."""
-
-    class Rates:
-        def __init__(self, rates):
-            self.rates = rates
-
-        def accessors_of(self, vc_id):
-            return {0: self.rates[vc_id]}
-
-    class Vc:
-        def __init__(self, vc_id):
-            self.vc_id = vc_id
-
     rng = np.random.default_rng(11)
     steals = ties = 0
     for _ in range(400):
@@ -316,9 +304,7 @@ def test_minimum_quanta_donors_match_the_min_scan():
         want = list(sizes)
         reference_minimum_quanta(rates, want, budget, curves)
         got = list(sizes)
-        allocation._ensure_minimum_quanta(
-            Rates(rates), [Vc(i) for i in range(n)], got, budget, curves
-        )
+        allocation._ensure_minimum_quanta(rates, got, budget, curves)
         assert got == want
         steals += any(g < s for g, s in zip(got, sizes))
         losses = [c[s - 1] - c[s] for c, s in zip(curves, sizes) if s > 1]

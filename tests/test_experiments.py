@@ -1,21 +1,28 @@
-"""Experiment harnesses (repro.experiments) — smoke + shape checks."""
+"""Experiment harnesses (repro.experiments) — smoke + shape checks.
+
+Off-registry inputs (the 4x4 chip, shorter monitor streams, a coarser
+trace scale) go through the public job builders and a plain runner.
+"""
 
 import pytest
 
+from repro.api import Session
 from repro.config import small_test_config
 from repro.experiments import (
+    PROTOCOLS,
     format_breakdown,
     format_series,
     format_table,
+    monitor_jobs,
+    period_sweep_from_traces,
+    reconfig_trace_jobs,
+    reduce_sweep_records,
     run_case_study,
-    run_factor_analysis,
-    run_monitor_comparison,
-    run_period_sweep,
     run_reconfig_trace,
-    run_sweep,
     run_table3,
+    sweep_jobs,
 )
-from repro.model.system import AnalyticSystem
+from repro.runner import ProcessPoolRunner
 from repro.util.units import mb
 from repro.workloads.profiles import get_profile
 
@@ -42,9 +49,16 @@ def test_case_study_chip_map_renders():
     assert art.count("\n") == result.config.mesh_height
 
 
+def _small_sweep(n_apps, n_mixes, multithreaded=False):
+    jobs = sweep_jobs(
+        small_test_config(4, 4), n_apps, n_mixes, seed=7,
+        multithreaded=multithreaded,
+    )
+    return reduce_sweep_records(ProcessPoolRunner().map(jobs), n_apps, n_mixes)
+
+
 def test_sweep_small():
-    config = small_test_config(4, 4)
-    result = run_sweep(config, n_apps=4, n_mixes=3, seed=7)
+    result = _small_sweep(n_apps=4, n_mixes=3)
     assert result.n_mixes == 3
     for scheme in ("CDCS", "Jigsaw+R", "Jigsaw+C", "R-NUCA"):
         assert len(result.speedups[scheme]) == 3
@@ -56,17 +70,18 @@ def test_sweep_small():
 
 
 def test_sweep_multithreaded_small():
-    config = small_test_config(4, 4)
-    result = run_sweep(config, n_apps=2, n_mixes=2, seed=7, multithreaded=True)
+    result = _small_sweep(n_apps=2, n_mixes=2, multithreaded=True)
     assert len(result.speedups["CDCS"]) == 2
 
 
 def test_factor_analysis_labels_and_values():
-    config = small_test_config(4, 4)
-    result = run_factor_analysis(config, n_apps=6, n_mixes=2, seed=7)
-    gmeans = result.gmeans()
-    assert set(gmeans) == {"Jigsaw+R", "+L", "+T", "+D", "+LTD"}
-    assert all(v > 0 for v in gmeans.values())
+    result = Session().run("fig12", mixes=1).result
+    assert set(result) == {64, 4}
+    for n_apps, ladder in result.items():
+        assert ladder.n_apps == n_apps
+        gmeans = ladder.gmeans()
+        assert set(gmeans) == {"Jigsaw+R", "+L", "+T", "+D", "+LTD"}
+        assert all(v > 0 for v in gmeans.values())
 
 
 def test_table3_scaling_shape():
@@ -85,8 +100,8 @@ def test_table3_scaling_shape():
 
 
 def test_monitor_comparison_gmon_competitive():
-    results = run_monitor_comparison(
-        get_profile("astar"), llc_bytes=mb(32), accesses=30_000
+    results = ProcessPoolRunner().map(
+        monitor_jobs(get_profile("astar"), llc_bytes=mb(32), accesses=30_000)
     )
     by_kind = {(r.monitor_kind, r.ways): r for r in results}
     gmon = by_kind[("GMON", 64)]
@@ -117,7 +132,8 @@ def test_reconfig_trace_fig17_shape():
 
 @pytest.mark.slow
 def test_period_sweep_fig18_shape():
-    result = run_period_sweep(steady_ws=1.46, capacity_scale=32)
+    traces = ProcessPoolRunner().map(reconfig_trace_jobs(capacity_scale=32))
+    result = period_sweep_from_traces(dict(zip(PROTOCOLS, traces)), 1.46)
     for period, by_proto in result.speedups.items():
         # Instant is the ceiling; bulk pays the most (Fig 18).
         assert by_proto["instant"] >= by_proto["background-inv"] - 1e-9

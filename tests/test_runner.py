@@ -13,8 +13,9 @@ import weakref
 
 import pytest
 
+from repro.api import Session
 from repro.config import small_test_config
-from repro.experiments import run_factor_analysis, run_sweep, sweep_jobs
+from repro.experiments import sweep_jobs
 from repro.runner import (
     MISS,
     Job,
@@ -23,7 +24,6 @@ from repro.runner import (
     ProcessPoolRunner,
     ResultStore,
     register_batchable,
-    run_jobs,
 )
 from repro.util.hashing import canonical_repr, content_digest
 
@@ -236,10 +236,6 @@ def test_per_job_seeding_is_order_and_worker_independent():
     assert len({v for _, v in serial}) == 6
 
 
-def test_run_jobs_defaults_to_plain_serial_execution():
-    assert run_jobs(_jobs(3)) == [0, 1, 4]
-
-
 def test_in_process_execution_preserves_callers_global_rng():
     import numpy as np
 
@@ -353,50 +349,58 @@ def test_sweep_jobs_one_job_per_mix():
     assert len({j.digest() for j in jobs}) == 5
 
 
+def _small_sweep(runner, n_apps, n_mixes):
+    """The per-mix payloads of a seed-7 sweep on the 4x4 chip."""
+    return runner.map(
+        sweep_jobs(small_test_config(4, 4), n_apps, n_mixes, seed=7)
+    )
+
+
 def test_sweep_parallel_bitwise_identical_to_serial():
-    cfg = small_test_config(4, 4)
-    serial = run_sweep(cfg, n_apps=4, n_mixes=4, seed=7,
-                       runner=ProcessPoolRunner(jobs=1))
-    parallel = run_sweep(cfg, n_apps=4, n_mixes=4, seed=7,
-                         runner=ProcessPoolRunner(jobs=4))
-    assert serial == parallel  # dataclass equality: every float bitwise
+    serial = _small_sweep(ProcessPoolRunner(jobs=1), n_apps=4, n_mixes=4)
+    parallel = _small_sweep(ProcessPoolRunner(jobs=4), n_apps=4, n_mixes=4)
+    assert serial == parallel  # payload equality: every float bitwise
 
 
 def test_repeated_sweep_with_warm_cache_executes_zero_jobs(tmp_path):
-    cfg = small_test_config(4, 4)
     cold = ProcessPoolRunner(jobs=2, store=ResultStore(tmp_path))
-    first = run_sweep(cfg, n_apps=4, n_mixes=4, seed=7, runner=cold)
+    first = _small_sweep(cold, n_apps=4, n_mixes=4)
     assert cold.stats.executed == 4
     warm = ProcessPoolRunner(jobs=2, store=ResultStore(tmp_path))
-    second = run_sweep(cfg, n_apps=4, n_mixes=4, seed=7, runner=warm)
+    second = _small_sweep(warm, n_apps=4, n_mixes=4)
     assert warm.stats.executed == 0 and warm.stats.cached == 4
     assert first == second
 
 
 def test_sweep_recovers_from_corrupted_cache_dir(tmp_path):
-    cfg = small_test_config(4, 4)
     store = ResultStore(tmp_path)
-    first = run_sweep(cfg, n_apps=2, n_mixes=3, seed=7,
-                      runner=ProcessPoolRunner(store=store))
+    first = _small_sweep(ProcessPoolRunner(store=store), n_apps=2, n_mixes=3)
     for path in tmp_path.glob("??/*.pkl"):
         path.write_bytes(b"garbage")
     rerun = ProcessPoolRunner(store=ResultStore(tmp_path))
-    second = run_sweep(cfg, n_apps=2, n_mixes=3, seed=7, runner=rerun)
+    second = _small_sweep(rerun, n_apps=2, n_mixes=3)
     assert second == first
     assert rerun.stats.executed == 3  # all were evicted and recomputed
     # ... and the rewritten entries hit again afterwards.
     third = ProcessPoolRunner(store=ResultStore(tmp_path))
-    run_sweep(cfg, n_apps=2, n_mixes=3, seed=7, runner=third)
+    _small_sweep(third, n_apps=2, n_mixes=3)
     assert third.stats.cached == 3
 
 
 def test_factor_analysis_cached_rerun(tmp_path):
-    cfg = small_test_config(4, 4)
-    cold = ProcessPoolRunner(store=ResultStore(tmp_path))
-    first = run_factor_analysis(cfg, n_apps=4, n_mixes=2, seed=7,
-                                runner=cold)
-    warm = ProcessPoolRunner(store=ResultStore(tmp_path))
-    second = run_factor_analysis(cfg, n_apps=4, n_mixes=2, seed=7,
-                                 runner=warm)
-    assert warm.stats.executed == 0
-    assert first.gmeans() == second.gmeans()
+    first = Session(cache_dir=tmp_path).run("fig12", mixes=1)
+    warm = Session(cache_dir=tmp_path)
+    second = warm.run("fig12", mixes=1)
+    assert warm.stats.executed == 0 and warm.stats.cached == 2
+    assert first == second
+    for n_apps in (64, 4):
+        assert first.result[n_apps].gmeans() == second.result[n_apps].gmeans()
+
+
+def test_session_leaves_no_worker_processes_after_with_block():
+    """Closing a pooled session shuts its persistent workers down (the
+    benchmarks' ``session`` fixture relies on it)."""
+    with Session(jobs=2) as session:
+        session.run("fig14", mixes=2)
+        assert multiprocessing.active_children()
+    assert multiprocessing.active_children() == []

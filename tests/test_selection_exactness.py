@@ -357,6 +357,10 @@ def test_one_term_distance_vector_is_the_chunked_row(lazy):
             assert vec.flags.writeable
             if not lazy:
                 assert not np.shares_memory(vec, dist)
+            assert dvec.get(vc_id) is vec  # built once, then cached
+        assert dvec.get(-1) is None and dvec.get(-1, "none") == "none"
+        with pytest.raises(KeyError):
+            dvec[-1]
 
 
 # -- dirty detection on equal rate maps -----------------------------------------

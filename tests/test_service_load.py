@@ -62,18 +62,15 @@ def test_load_spec_validation():
 
 
 def test_service_load_experiment_runs_through_the_registry():
-    from repro.experiments.spec import get_spec
-    from repro.runner import run_jobs
+    from repro.api import Session
 
-    spec = get_spec("service_load")
-    params = spec.resolve({
-        "chips": 2, "epochs": 2, "strategies": "incremental",
-        "dynamism": "phased",
-    })
-    jobs = spec.build_jobs(params)
-    assert len(jobs) == 1
-    result = spec.reduce(run_jobs(jobs), params)
-    record = spec.present(result, params)
+    session = Session()
+    record = session.run(
+        "service_load", chips=2, epochs=2, strategies="incremental",
+        dynamism="phased",
+    )
+    assert session.stats.submitted == 1
+    result = record.result
     assert record.experiment == "service_load"
     (table,) = record.tables
     (row,) = table.rows

@@ -12,8 +12,6 @@ import pytest
 import repro.experiments
 from repro.__main__ import build_parser
 from repro.api import Session
-from repro.config import default_config
-from repro.experiments import run_sweep
 from repro.experiments.results import (
     ResultSeries,
     ResultTable,
@@ -173,20 +171,6 @@ def test_render_formats():
 # ---------------------------------------------------------------------------
 # Session facade
 # ---------------------------------------------------------------------------
-
-
-def test_session_matches_legacy_run_sweep_bitwise():
-    """The acceptance pin: Session on a small fig11 point reproduces the
-    legacy run_sweep numbers exactly (same jobs, same reducer)."""
-    record = Session().run("fig11", mixes=1, seed=7)
-    legacy = run_sweep(default_config(), n_apps=64, n_mixes=1, seed=7)
-    assert record.result.speedups == legacy.speedups
-    assert record.result.onchip_latency == legacy.onchip_latency
-    assert record.result.energy == legacy.energy
-    # The presented gmean cells come from the same floats.
-    by_scheme = {row[0]: row[1] for row in record.tables[0].rows}
-    for scheme in record.result.schemes():
-        assert by_scheme[scheme] == legacy.gmean_speedup(scheme)
 
 
 def test_session_run_batch_shares_one_runner(tmp_path):

@@ -9,7 +9,7 @@ any is stale:
   parser, including ``run <name>`` and per-spec flags) and every
   ``--flag`` a real argparse option;
 * dotted module/function paths (``repro.runner.pool``,
-  ``repro.experiments.run_sweep``,
+  ``repro.experiments.sweep_jobs``,
   ``repro.sched.cost_model.latency_curves_batch``) — the longest module
   prefix must import and any remaining attribute chain must resolve.
   Every dotted ``repro`` name inside an inline code span counts, also
@@ -157,7 +157,7 @@ def resolve_dotted_path(span: str) -> str | None:
 
     Returns None on success, or a one-line problem description.  Tries the
     longest importable module prefix, then getattrs the remaining names —
-    so function and class references (``repro.experiments.run_sweep``,
+    so function and class references (``repro.experiments.sweep_jobs``,
     ``repro.cache.miss_curve.MissCurveBatch``) validate, not just modules.
     """
     parts = span.split(".")
