@@ -11,8 +11,8 @@ point:
   boundaries, and only the flipped VCs at the flip.  The acceptance bar
   is a >= 5x reduction.
 * **warm dirty detection** — `IncrementalSolve.dirty_vcs` (exact curves)
-  vs `dirty_vcs_from_sketches` (one vectorized pass over the memoized
-  sketch banks) on the same (prev, current) problem pair, both warm.
+  vs `dirty_vcs_from_sketches` (one vectorized pass over the per-curve
+  memoized sketches) on the same (prev, current) problem pair, both warm.
   The pair is rebuilt with fresh curve objects first — telemetry that
   crossed a wire never shares object identity with the previous epoch,
   so neither detector gets same-object shortcuts.  The acceptance bar
@@ -33,7 +33,6 @@ from datetime import date
 from conftest import emit, record_bench_entry
 
 from repro.cache.miss_curve import MissCurve
-from repro.cache.sketch import problem_sketch_bank
 from repro.config import scaled_mesh_config
 from repro.experiments import format_table
 from repro.nuca.base import build_problem
@@ -122,12 +121,10 @@ def test_sketch_telemetry(once):
     delta_per_epoch = delta_bytes / EPOCHS
     reduction = full_bytes / delta_bytes
 
-    # -- warm dirty detection: exact curves vs sketch banks ------------------
+    # -- warm dirty detection: exact curves vs sketches ----------------------
     fresh_a = _fresh_curve_twin(problem_a)
     fresh_b = _fresh_curve_twin(problem_b)
     strategy = IncrementalSolve(dirty_threshold=0.05, use_sketches=True)
-    problem_sketch_bank(fresh_a, strategy.sketch_bytes)  # warm the banks
-    problem_sketch_bank(fresh_b, strategy.sketch_bytes)
     strategy.dirty_vcs(fresh_a, fresh_b)  # warm both code paths
     strategy.dirty_vcs_from_sketches(fresh_a, fresh_b)
 

@@ -13,9 +13,7 @@ from repro.cache.monitor import GMon, UMon, required_umon_ways, solve_gamma
 from repro.cache.sketch import (
     DEFAULT_SKETCH_BYTES,
     MissCurveSketch,
-    SketchBank,
     points_for_budget,
-    problem_sketch_bank,
     sketch_grid,
 )
 
@@ -26,13 +24,11 @@ __all__ = [
     "MissCurve",
     "MissCurveSketch",
     "PartitionedBank",
-    "SketchBank",
     "UMon",
     "cliff_curve",
     "exponential_curve",
     "flat_curve",
     "points_for_budget",
-    "problem_sketch_bank",
     "required_umon_ways",
     "sketch_grid",
     "solve_gamma",

@@ -96,15 +96,6 @@ class PartitionedBank:
         if quota_lines == 0 and not part.lru:
             del self._partitions[partition_id]
 
-    def drop_partition(self, partition_id: int) -> int:
-        """Invalidate a whole partition; returns lines invalidated."""
-        part = self._partitions.pop(partition_id, None)
-        if part is None:
-            return 0
-        count = len(part.lru)
-        self.stats.invalidations += count
-        return count
-
     def partition_ids(self) -> list[int]:
         return sorted(self._partitions)
 

@@ -103,10 +103,6 @@ class MissCurve:
     def min_value(self) -> float:
         return float(self.values.min())
 
-    def misses_at(self, size: float) -> float:
-        """Alias for ``self(size)`` that reads better at call sites."""
-        return float(self(size))
-
     # -- transforms ---------------------------------------------------------
 
     def scaled(self, factor: float) -> "MissCurve":
@@ -135,11 +131,6 @@ class MissCurve:
             if value <= threshold:
                 return float(size)
         return float(self.sizes[-1])
-
-    def resampled(self, sizes: Sequence[float]) -> "MissCurve":
-        """Resample onto a new (strictly increasing) size grid."""
-        sizes_arr = np.asarray(sizes, dtype=np.float64)
-        return MissCurve(sizes_arr, np.asarray(self(sizes_arr)))
 
     def monotone_decreasing(self) -> "MissCurve":
         """Running minimum of the curve.

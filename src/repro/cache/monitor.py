@@ -23,7 +23,6 @@ import math
 import numpy as np
 
 from repro.cache.miss_curve import MissCurve
-from repro.cache.sketch import DEFAULT_SKETCH_BYTES, MissCurveSketch
 from repro.util.hashing import mix64, sample_fraction, tag_hash16
 
 
@@ -106,41 +105,6 @@ class UMon(_StackMonitor):
         # stack distances line up with the claimed per-way capacities.
         raw_capacity = sets * ways * line_bytes
         self.sample_rate = min(1.0, raw_capacity / self.modeled_capacity)
-        # Last emitted telemetry sketch (EWMA state for snapshot_sketch).
-        self._sketch: MissCurveSketch | None = None
-
-    def reset(self) -> None:
-        super().reset()
-        self._sketch = None
-
-    def snapshot_sketch(
-        self,
-        budget_bytes: int = DEFAULT_SKETCH_BYTES,
-        per_kilo_instructions: float | None = None,
-        decay: float = 0.0,
-        grid_max: float | None = None,
-    ) -> MissCurveSketch:
-        """Emit the monitored curve as a bounded-memory telemetry sketch.
-
-        This is the monitor's native streaming output: a fixed
-        *budget_bytes* summary of :meth:`miss_curve` on the geometric
-        grid spanning *grid_max* (default: the monitor's modeled
-        capacity; pass the chip's LLC size so sketches from every
-        monitor share a grid).  With ``decay > 0`` successive snapshots
-        are EWMA-blended (``decay * previous + (1-decay) * fresh``) —
-        decayed per-way heat instead of a hard reset between epochs.
-        """
-        fresh = MissCurveSketch.from_curve(
-            self.miss_curve(per_kilo_instructions),
-            budget_bytes=budget_bytes,
-            grid_max=grid_max if grid_max is not None else self.modeled_capacity,
-        )
-        if decay > 0.0 and self._sketch is not None and self._sketch.compatible(
-            fresh
-        ):
-            fresh = self._sketch.blended(fresh, decay)
-        self._sketch = fresh
-        return fresh
 
     def access(self, address: int) -> None:
         """Feed a raw access; hash-sampling decides whether it is monitored."""

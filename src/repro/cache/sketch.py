@@ -19,13 +19,6 @@ never miss a VC the exact detector would have flagged — sketch-driven
 detection is a superset of exact detection (pinned by
 ``tests/test_sketch_properties.py``).
 
-The bound is exact for sketches built by :meth:`MissCurveSketch.from_curve`.
-Derived sketches (:meth:`merged`, :meth:`decayed`, :meth:`blended`) keep
-the *numerator* of the bound sound against the combined source curves,
-but their ``peak`` normalizer is an estimate (the sum/convex combination
-of the parents' peaks, which upper-bounds the combined curve's true
-peak), so deltas between derived sketches are estimates, not bounds.
-
 Shape conventions
 -----------------
 * ``grid``: (P,) float64, strictly increasing capacities in bytes,
@@ -35,9 +28,8 @@ Shape conventions
 * ``slack``: (P,) float32; ``slack[i]`` bounds the reconstruction error
   on ``[grid[i], grid[i+1])`` for ``i < P-1`` and on the tail
   ``[grid[P-1], inf)`` for ``i == P-1``.
-* :class:`SketchBank` stacks K same-grid sketches into (K, P) banks so
-  all-VC deltas are one vectorized pass; :func:`sketch_deltas` stacks
-  just the pairs it is given (a few changed VCs') for the same kernel.
+* :func:`sketch_deltas` stacks the K same-grid pairs it is given into
+  (K, P) arrays, so their deltas are one vectorized pass.
 
 All published arrays are frozen (``writeable=False``); see
 docs/ANALYSIS.md (immutability rule).
@@ -56,9 +48,7 @@ from repro.util.guards import guarded_mapping
 __all__ = [
     "DEFAULT_SKETCH_BYTES",
     "MissCurveSketch",
-    "SketchBank",
     "points_for_budget",
-    "problem_sketch_bank",
     "record_sketch_pairs",
     "sketch_deltas",
     "sketch_grid",
@@ -82,7 +72,7 @@ GRID_SPAN = 4096.0
 MIN_POINTS = 4
 
 # Process-wide grid cache: every sketch of one chip shares one frozen
-# grid array, so bank stacking never re-derives or copies grids.
+# grid array, so stacking never re-derives or copies grids.
 # Registered in tools/analyze/locks.py; the guarded_mapping wrapper adds
 # the REPRO_CHECK_LOCKS=1 runtime assertion at zero production cost.
 _GRID_LOCK = threading.Lock()
@@ -174,24 +164,24 @@ def _row_deltas(
 def sketch_deltas(
     pairs: list[tuple["MissCurveSketch", "MissCurveSketch"]],
 ) -> list[float]:
-    """The delta of every ``(new, old)`` pair of same-grid sketches, as
-    a bank row's: identical sketch objects give exactly 0.0, and the
-    other pairs are stacked into one :func:`_row_deltas` call."""
+    """The delta of every ``(new, old)`` pair of same-grid sketches:
+    identical sketch objects give exactly 0.0, and the other pairs are
+    stacked into one :func:`_row_deltas` call."""
     deltas = [0.0] * len(pairs)
     moved = [i for i, (new, old) in enumerate(pairs) if new is not old]
     if not moved:
         return deltas
-    stacked = np.stack([
+    moved_pairs = [pairs[i] for i in moved]
+    # One flat concatenation (cheaper than stacking K rows) reshaped to
+    # (K, 4, P); same-grid rows all have P points.
+    stacked = np.concatenate([
         array
-        for i in moved
-        for array in (
-            pairs[i][0].values, pairs[i][0].slack,
-            pairs[i][1].values, pairs[i][1].slack,
-        )
+        for new, old in moved_pairs
+        for array in (new.values, new.slack, old.values, old.slack)
     ]).reshape(len(moved), 4, -1)
-    peaks = np.array(
-        [(pairs[i][0].peak, pairs[i][1].peak) for i in moved],
-        dtype=np.float64,
+    peaks = np.fromiter(
+        (peak for new, old in moved_pairs for peak in (new.peak, old.peak)),
+        dtype=np.float64, count=2 * len(moved),
     ).reshape(len(moved), 2)
     rows = _row_deltas(
         stacked[:, 0], stacked[:, 1], peaks[:, 0],
@@ -204,10 +194,9 @@ def sketch_deltas(
 
 @dataclass(frozen=True, eq=False)
 class MissCurveSketch:
-    """A fixed-budget, mergeable summary of one miss curve.
+    """A fixed-budget summary of one miss curve.
 
-    Built with :meth:`from_curve`; combined with :meth:`merged` /
-    :meth:`blended` / :meth:`decayed`; compared with :meth:`delta`;
+    Built with :meth:`from_curve`; compared with :meth:`delta`;
     materialized with :meth:`to_curve`.  All arrays are frozen.
     """
 
@@ -215,9 +204,6 @@ class MissCurveSketch:
     values: np.ndarray
     slack: np.ndarray
     peak: float
-    #: False for sketches derived by merge/blend/decay, whose ``peak``
-    #: (and hence delta normalizer) is an estimate, not an exact bound.
-    exact: bool = True
 
     # -- construction --------------------------------------------------------
 
@@ -233,8 +219,8 @@ class MissCurveSketch:
 
         *grid_max* defaults to the curve's own largest knot; pass the
         chip's LLC capacity so every VC of one chip shares a grid (a
-        :class:`SketchBank` requires it).  *points* overrides the
-        budget-derived grid size.
+        delta requires it).  *points* overrides the budget-derived grid
+        size.
         """
         if points is None:
             points = points_for_budget(budget_bytes)
@@ -284,7 +270,7 @@ class MissCurveSketch:
 
     def cache_key(self) -> tuple:
         """Content identity for :mod:`repro.util.hashing`."""
-        return (self.grid, self.values, self.slack, self.peak, self.exact)
+        return (self.grid, self.values, self.slack, self.peak)
 
     def compatible(self, other: "MissCurveSketch") -> bool:
         """True when both sketches live on the same grid."""
@@ -317,217 +303,33 @@ class MissCurveSketch:
             )
         return sketch_deltas([(self, other)])[0]
 
-    # -- combination ---------------------------------------------------------
 
-    def _combined(
-        self, values64: np.ndarray, slack64: np.ndarray, peak: float
-    ) -> "MissCurveSketch":
-        values = values64.astype(np.float32)
-        requant = np.abs(values.astype(np.float64) - values64)
-        requant[:-1] = np.maximum(requant[:-1], requant[1:])
-        return MissCurveSketch(
-            grid=self.grid,
-            values=_freeze(values),
-            slack=_freeze(_round_up_f32(slack64 + requant)),
-            peak=float(peak),
-            exact=False,
-        )
-
-    def merged(self, other: "MissCurveSketch") -> "MissCurveSketch":
-        """Sketch of the summed curves (two VCs folded into one)."""
-        if not self.compatible(other):
-            raise ValueError("cannot merge sketches on different grids")
-        return self._combined(
-            self.values.astype(np.float64) + other.values.astype(np.float64),
-            self.slack.astype(np.float64) + other.slack.astype(np.float64),
-            self.peak + other.peak,
-        )
-
-    def decayed(self, factor: float) -> "MissCurveSketch":
-        """Sketch of the curve scaled by ``factor`` (heat decay)."""
-        if not 0.0 <= factor <= 1.0:
-            raise ValueError(f"decay factor must be in [0, 1], got {factor}")
-        return self._combined(
-            self.values.astype(np.float64) * factor,
-            self.slack.astype(np.float64) * factor,
-            self.peak * factor,
-        )
-
-    def blended(
-        self, fresh: "MissCurveSketch", decay: float
-    ) -> "MissCurveSketch":
-        """EWMA of this sketch with *fresh*: ``decay*self + (1-decay)*fresh``.
-
-        The BCache heat-sketch idiom: successive monitor snapshots fade
-        geometrically instead of resetting, smoothing phase noise.
-        """
-        if not 0.0 <= decay < 1.0:
-            raise ValueError(f"decay must be in [0, 1), got {decay}")
-        if not self.compatible(fresh):
-            raise ValueError("cannot blend sketches on different grids")
-        keep = float(decay)
-        take = 1.0 - keep
-        return self._combined(
-            self.values.astype(np.float64) * keep
-            + fresh.values.astype(np.float64) * take,
-            self.slack.astype(np.float64) * keep
-            + fresh.slack.astype(np.float64) * take,
-            self.peak * keep + fresh.peak * take,
-        )
-
-
-class SketchBank:
-    """K same-grid sketches stacked for one vectorized all-VC delta.
-
-    Rows keep the per-curve sketch *objects* (identity is meaningful:
-    two banks sharing a row object share a source curve, so that row's
-    delta is exactly zero without touching the arrays).
-    """
-
-    def __init__(self, vc_ids: tuple[int, ...], sketches: tuple[MissCurveSketch, ...]):
-        if len(vc_ids) != len(sketches):
-            raise ValueError("one sketch per vc id required")
-        if sketches:
-            grid = sketches[0].grid
-            for sketch in sketches[1:]:
-                if sketch.grid is not grid and not np.array_equal(
-                    sketch.grid, grid
-                ):
-                    raise ValueError("bank sketches must share one grid")
-        self.vc_ids = tuple(int(v) for v in vc_ids)
-        self.sketches = tuple(sketches)
-        self.index = {vc_id: row for row, vc_id in enumerate(self.vc_ids)}
-        points = sketches[0].points if sketches else 0
-        self.values2d = _freeze(
-            np.stack([s.values for s in sketches])
-            if sketches
-            else np.zeros((0, points), dtype=np.float32)
-        )
-        self.slack2d = _freeze(
-            np.stack([s.slack for s in sketches])
-            if sketches
-            else np.zeros((0, points), dtype=np.float32)
-        )
-        self.peaks = _freeze(
-            np.asarray([s.peak for s in sketches], dtype=np.float64)
-        )
-
-    @classmethod
-    def from_curves(
-        cls,
-        curves: list[tuple[int, MissCurve]],
-        grid_max: float,
-        points: int,
-    ) -> "SketchBank":
-        """Bank for ``[(vc_id, curve), ...]`` on one shared grid.
-
-        Sketches are memoized per curve *object* (keyed by grid), so
-        rebuilding a bank over unchanged curves reuses their rows — the
-        identity fast path in :meth:`deltas_to` then sees them as clean
-        for free.
-        """
-        return cls(
-            tuple(vc_id for vc_id, _ in curves),
-            tuple(_curve_sketch(curve, grid_max, points) for _, curve in curves),
-        )
-
-    @property
-    def nbytes(self) -> int:
-        return sum(sketch.nbytes for sketch in self.sketches)
-
-    def grid_key(self) -> tuple[float, int] | None:
-        if not self.sketches:
-            return None
-        grid = self.sketches[0].grid
-        return (float(grid[-1]), int(grid.shape[0]))
-
-    def deltas_to(self, prev: "SketchBank") -> dict[int, float]:
-        """``{vc_id: delta}`` for every id present in both banks.
-
-        One pass of the delta kernel over the stacked arrays; rows whose
-        sketch objects are identical short-circuit to exactly 0.0.  Raises
-        ``ValueError`` when the banks' grids differ (callers treat that
-        as everything-dirty).
-        """
-        common = [vc_id for vc_id in self.vc_ids if vc_id in prev.index]
-        if not common:
-            return {}
-        if self.grid_key() != prev.grid_key():
-            raise ValueError("banks live on different grids")
-        rows = np.asarray([self.index[v] for v in common])
-        prev_rows = np.asarray([prev.index[v] for v in common])
-        same = np.asarray(
-            [
-                self.sketches[self.index[v]] is prev.sketches[prev.index[v]]
-                for v in common
-            ]
-        )
-        deltas = _row_deltas(
-            self.values2d[rows], self.slack2d[rows], self.peaks[rows],
-            prev.values2d[prev_rows], prev.slack2d[prev_rows],
-            prev.peaks[prev_rows],
-        )
-        deltas[same] = 0.0
-        return {vc_id: float(d) for vc_id, d in zip(common, deltas)}
-
-
-def _curve_sketch(curve: MissCurve, grid_max: float, points: int) -> MissCurveSketch:
-    """*curve*'s sketch on the ``(grid_max, points)`` grid, memoized on
-    the curve object: every bank and every delta over one curve shares
-    one sketch, so an unchanged curve's delta is the identity case."""
+def _curve_sketch(
+    curve: MissCurve, grid: tuple[float, int]
+) -> MissCurveSketch:
+    """*curve*'s sketch on the ``(grid_max, points)`` *grid*, memoized
+    on the curve object: every delta over one curve shares one sketch,
+    so an unchanged curve's delta is the identity case."""
     memo = getattr(curve, "_sketch_memo", None)
     if memo is None:
-        memo = {}
-        curve._sketch_memo = memo
-    key = (float(grid_max), int(points))
-    sketch = memo.get(key)
+        memo = curve._sketch_memo = {}
+    sketch = memo.get(grid)
     if sketch is None:
-        sketch = memo[key] = MissCurveSketch.from_curve(
-            curve, grid_max=grid_max, points=points
+        sketch = memo[grid] = MissCurveSketch.from_curve(
+            curve, grid_max=grid[0], points=grid[1]
         )
     return sketch
 
 
 def record_sketch_pairs(
-    prev, problem, positions, budget_bytes: int = DEFAULT_SKETCH_BYTES
+    vc_pairs, grid_max: float, budget_bytes: int = DEFAULT_SKETCH_BYTES
 ) -> list[tuple[MissCurveSketch, MissCurveSketch]]:
-    """``(new, old)`` sketches of the VCs at *positions* of two problems
-    of one chip, for :func:`sketch_deltas`: taken from the per-curve
-    memo on the chip's grid, so no bank is built and a curve both
-    problems share gives one sketch object."""
-    grid_max = float(problem.total_bytes)
-    points = points_for_budget(budget_bytes)
-    new_vcs, old_vcs = problem.vcs, prev.vcs
+    """``(new, old)`` sketches of ``(new VC, old VC)`` pairs of one chip,
+    for :func:`sketch_deltas`: taken from the per-curve memo on the
+    *grid_max* grid (the chip's LLC size), so a curve both VCs share
+    gives one sketch object."""
+    grid = (float(grid_max), points_for_budget(budget_bytes))
     return [
-        (
-            _curve_sketch(new_vcs[i].miss_curve, grid_max, points),
-            _curve_sketch(old_vcs[i].miss_curve, grid_max, points),
-        )
-        for i in positions
+        (_curve_sketch(new.miss_curve, grid), _curve_sketch(old.miss_curve, grid))
+        for new, old in vc_pairs
     ]
-
-
-def problem_sketch_bank(
-    problem, budget_bytes: int = DEFAULT_SKETCH_BYTES
-) -> SketchBank:
-    """The sketch bank of *problem*'s VC curves, memoized in the
-    problem's memo slot (``problem._memo``).
-
-    The grid spans the chip's LLC (``problem.total_bytes``), so every VC
-    of one chip — and every epoch of one chip — shares a grid.  Because
-    :class:`~repro.sim.engine.EpochEngine` reuses the problem object
-    across stationary epochs, stationary epochs hit this memo and never
-    rebuild the bank (and their per-row identity makes deltas exactly
-    zero).
-    """
-    grid_max = float(problem.total_bytes)
-    points = points_for_budget(budget_bytes)
-    key = ("sketch_bank", grid_max, points)
-    bank = problem._memo.get(key)
-    if bank is None:
-        bank = problem._memo[key] = SketchBank.from_curves(
-            [(vc.vc_id, vc.miss_curve) for vc in problem.vcs],
-            grid_max,
-            points,
-        )
-    return bank

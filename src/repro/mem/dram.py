@@ -86,8 +86,3 @@ class DramModel:
             demand_bytes_per_cycle
         )
 
-    def sustainable_miss_bandwidth(self) -> float:
-        """Upper bound on line transfers per cycle the chip can sustain."""
-        return (
-            self.total_bytes_per_cycle() * self.max_utilization / self.line_bytes
-        )

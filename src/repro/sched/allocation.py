@@ -317,7 +317,6 @@ def allocate_latency_aware(
 def allocate_miss_driven(
     problem: PlacementProblem,
     counter: StepCounter | None = None,
-    distribute_leftover: bool = True,
 ) -> dict[int, float]:
     """Jigsaw-style allocation: misses only, leftover handed out anyway.
 
@@ -332,7 +331,7 @@ def allocate_miss_driven(
     budget = problem.total_bytes // problem.quantum
     sizes = _greedy_hull_allocation(curves, budget, counter, "allocation", hulls)
     leftover = budget - sum(sizes)
-    if distribute_leftover and leftover > 0:
+    if leftover > 0:
         total_rate = sum(rates)
         if total_rate > 0:
             quotas = [leftover * r / total_rate for r in rates]

@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.cache.sketch import (
     DEFAULT_SKETCH_BYTES,
-    problem_sketch_bank,
     record_sketch_pairs,
     sketch_deltas,
 )
@@ -191,21 +190,9 @@ class IncrementalSolve:
         self, prev: PlacementProblem, problem: PlacementProblem
     ) -> set[int]:
         """Ids of VCs that must be re-solved against *prev*."""
-        if self.dirty_threshold <= 0:
-            return {vc.vc_id for vc in problem.vcs}
-        dirty: set[int] = set()
-        for vc, old in _candidate_pairs(prev, problem):
-            if (
-                old is None
-                or curve_distance(old.miss_curve, vc.miss_curve)
-                > self.dirty_threshold
-                or _rate_distance(
-                    prev.accessor_rates(vc.vc_id),
-                    problem.accessor_rates(vc.vc_id),
-                ) > self.dirty_threshold
-            ):
-                dirty.add(vc.vc_id)
-        return dirty
+        return self._dirty(prev, problem, lambda pairs: [
+            curve_distance(old.miss_curve, vc.miss_curve) for vc, old in pairs
+        ])
 
     def dirty_vcs_from_sketches(
         self, prev: PlacementProblem, problem: PlacementProblem
@@ -214,42 +201,39 @@ class IncrementalSolve:
         :meth:`dirty_vcs` at the same threshold, over the same candidate
         VCs.
 
-        Curve movement is judged from sketch deltas: the candidates'
-        sketches when the problems share records, else the per-problem
-        sketch banks (one vectorized pass over all VCs; stationary
-        problems reuse bank rows so their deltas are exactly zero).
-        Accessor-rate movement uses the same exact :func:`_rate_distance`
-        as the exact path — rates are scalars, there is nothing to
-        sketch.  ``dirty_threshold <= 0`` degenerates bitwise to the full
-        set, like the exact path.
+        Curve movement is judged from the candidates' sketch deltas, all
+        in one :func:`~repro.cache.sketch.sketch_deltas` call over the
+        per-curve sketch memo (a curve both problems share gives one
+        sketch, so its delta is exactly zero).  Accessor-rate movement
+        uses the same exact :func:`_rate_distance` as the exact path —
+        rates are scalars, there is nothing to sketch.
+        ``dirty_threshold <= 0`` degenerates bitwise to the full set,
+        like the exact path, and so does another LLC size: the sketches
+        then live on other grids, so no delta is bounded.
         """
+        grid_max = float(problem.total_bytes)
+        if float(prev.total_bytes) != grid_max:
+            return {vc.vc_id for vc in problem.vcs}
+        return self._dirty(prev, problem, lambda pairs: sketch_deltas(
+            record_sketch_pairs(pairs, grid_max, self.sketch_bytes)
+        ))
+
+    def _dirty(self, prev, problem, curve_deltas) -> set[int]:
+        """The one candidate walk: a VC new to *prev* is dirty, and so is
+        one whose curve delta (*curve_deltas* of the ``(vc, old)`` pairs,
+        in order) or rate distance exceeds the threshold."""
         if self.dirty_threshold <= 0:
             return {vc.vc_id for vc in problem.vcs}
-        positions = _candidate_positions(prev, problem)
-        try:
-            if positions is None:
-                candidates = problem.vcs
-                deltas = problem_sketch_bank(problem, self.sketch_bytes).deltas_to(
-                    problem_sketch_bank(prev, self.sketch_bytes)
-                )
-            else:
-                candidates = [problem.vcs[i] for i in positions]
-                deltas = dict(zip(
-                    [vc.vc_id for vc in candidates],
-                    sketch_deltas(record_sketch_pairs(
-                        prev, problem, positions, self.sketch_bytes
-                    )),
-                ))
-        except ValueError:
-            # Grid mismatch (the chip's LLC size changed): every delta is
-            # unbounded, so everything is conservatively dirty.
-            return {vc.vc_id for vc in problem.vcs}
         dirty: set[int] = set()
-        for vc in candidates:
-            delta = deltas.get(vc.vc_id)
+        pairs = []
+        for vc, old in _candidate_pairs(prev, problem):
+            if old is None:
+                dirty.add(vc.vc_id)
+            else:
+                pairs.append((vc, old))
+        for (vc, _), delta in zip(pairs, curve_deltas(pairs)):
             if (
-                delta is None
-                or delta > self.dirty_threshold
+                delta > self.dirty_threshold
                 or _rate_distance(
                     prev.accessor_rates(vc.vc_id),
                     problem.accessor_rates(vc.vc_id),

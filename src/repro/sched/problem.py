@@ -85,7 +85,7 @@ class PlacementProblem:
 
     def __post_init__(self, base: PlacementProblem | None) -> None:
         #: The one memo slot for values derived from this problem's
-        #: content (its digest, its sketch banks), filled on first use.
+        #: content (its digest and record digests), filled on first use.
         #: Like ``_accessors`` it is no field, so ``==``, ``replace`` and
         #: content digests never see it, and a ``replace`` copy starts
         #: with an empty one.
@@ -106,6 +106,11 @@ class PlacementProblem:
         vc_positions = {vc.vc_id: i for i, vc in enumerate(self.vcs)}
         if len(vc_positions) != len(self.vcs):
             raise ValueError("duplicate VC ids")
+        thread_positions = {
+            thread.thread_id: i for i, thread in enumerate(self.threads)
+        }
+        if len(thread_positions) != len(self.threads):
+            raise ValueError("duplicate thread ids")
         # vc_id -> {thread_id: rate > 0} in thread order: one pass here
         # instead of one thread-list scan per accessors_of() call.  A
         # plain attribute, not a field, so equality and content digests
@@ -116,10 +121,7 @@ class PlacementProblem:
                 if rate > 0:
                     index.setdefault(vc_id, {})[thread.thread_id] = rate
         self._accessors = index
-        self._frame = _Frame(
-            vc_positions,
-            {thread.thread_id: i for i, thread in enumerate(self.threads)},
-        )
+        self._frame = _Frame(vc_positions, thread_positions)
 
     def _derive(
         self, base: PlacementProblem, vc_changed: list[int], thread_changed: list[int]
@@ -198,15 +200,9 @@ class PlacementProblem:
 
     @property
     def thread_positions(self) -> Mapping[int, int]:
-        """thread_id -> position in :attr:`threads` (the last one, should
-        ids repeat); shared like :attr:`vc_positions`."""
+        """thread_id -> position in :attr:`threads`; shared like
+        :attr:`vc_positions`."""
         return self._frame.thread_positions
-
-    def vc_by_id(self, vc_id: int) -> VirtualCache:
-        for vc in self.vcs:
-            if vc.vc_id == vc_id:
-                return vc
-        raise KeyError(f"no VC with id {vc_id}")
 
     def accessors_of(self, vc_id: int) -> dict[int, float]:
         """thread_id -> access rate into this VC (positive rates only, in
@@ -229,8 +225,8 @@ def changed_records(
     Records are immutable, so a record shared by both problems has equal
     content in both.  ``None`` when the pair cannot be diffed this way:
     another config, topology or ``mem_latency`` object, other record
-    counts, a changed position whose id differs, or ids that repeat.
-    Callers then treat every record as changed.
+    counts, or a changed position whose id differs.  Callers then treat
+    every record as changed.
     """
     if (
         prev.config is not problem.config
@@ -238,7 +234,6 @@ def changed_records(
         or prev.mem_latency is not problem.mem_latency
         or len(prev.vcs) != len(problem.vcs)
         or len(prev.threads) != len(problem.threads)
-        or len(prev._frame.thread_positions) != len(prev.threads)
     ):
         return None
     old_vcs, vcs = prev.vcs, problem.vcs

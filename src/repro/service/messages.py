@@ -30,7 +30,6 @@ from repro.cache.miss_curve import MissCurve
 from repro.cache.sketch import (
     DEFAULT_SKETCH_BYTES,
     MissCurveSketch,
-    problem_sketch_bank,
     record_sketch_pairs,
     sketch_deltas,
 )
@@ -185,9 +184,9 @@ def validate_telemetry(request: object) -> PlacementRequest:
     :class:`MalformedTelemetryError`.
 
     Catches the garbage a misbehaving client can send before it reaches
-    a warm engine: wrong payload types, an empty thread list, thread
-    access maps referencing VCs the telemetry never described, or more
-    threads than the chip has cores.  (A well-formed
+    a warm engine: wrong payload types, an empty thread list, repeated
+    thread ids, thread access maps referencing VCs the telemetry never
+    described, or more threads than the chip has cores.  (A well-formed
     :class:`~repro.sched.problem.PlacementProblem` already enforced its
     own invariants at construction; these checks are for payloads that
     never went through that constructor.)
@@ -214,6 +213,11 @@ def validate_telemetry(request: object) -> PlacementRequest:
         raise MalformedTelemetryError(
             f"chip {request.chip_id}: {len(problem.threads)} threads "
             f"exceed {problem.topology.tiles} cores"
+        )
+    thread_ids = [thread.thread_id for thread in problem.threads]
+    if len(set(thread_ids)) != len(thread_ids):
+        raise MalformedTelemetryError(
+            f"chip {request.chip_id}: duplicate thread ids"
         )
     known_vcs = {vc.vc_id for vc in problem.vcs}
     for thread in problem.threads:
@@ -528,18 +532,12 @@ def build_delta(
     When :func:`~repro.sched.problem.changed_records` can diff the pair,
     only the changed VC and thread records are examined: a shared record
     has a delta of exactly 0 and unchanged rates and keys, so it would
-    ship nothing (unless *dirty_threshold* is negative, which takes the
-    path below).  Otherwise curve movement is judged from the problems'
-    sketch banks (memoized per problem object).
+    ship nothing (unless *dirty_threshold* is negative, which examines
+    every record).  Either way the sketches come from the per-curve memo
+    (:func:`~repro.cache.sketch.record_sketch_pairs`).
     """
     changes = None if dirty_threshold < 0 else changed_records(base, problem)
-    if changes is not None:
-        vc_positions, thread_positions = changes
-        pairs = record_sketch_pairs(base, problem, vc_positions, sketch_bytes)
-        rows = zip(
-            vc_positions, [new for new, _ in pairs], sketch_deltas(pairs)
-        )
-    else:
+    if changes is None:
         if [vc.vc_id for vc in base.vcs] != [vc.vc_id for vc in problem.vcs]:
             return None
         if [t.thread_id for t in base.threads] != [
@@ -548,22 +546,20 @@ def build_delta(
             return None
         if float(base.total_bytes) != float(problem.total_bytes):
             return None
-        bank = problem_sketch_bank(problem, sketch_bytes)
-        deltas = bank.deltas_to(problem_sketch_bank(base, sketch_bytes))
-        rows = (
-            (i, bank.sketches[bank.index[vc.vc_id]], deltas[vc.vc_id])
-            for i, vc in enumerate(problem.vcs)
-        )
-        thread_positions = range(len(problem.threads))
+        changes = range(len(problem.vcs)), range(len(problem.threads))
+    vc_positions, thread_positions = changes
+    vc_pairs = [(problem.vcs[i], base.vcs[i]) for i in vc_positions]
+    pairs = record_sketch_pairs(vc_pairs, problem.total_bytes, sketch_bytes)
     sketches: dict[int, MissCurveSketch] = {}
     dirty_curves: dict[int, MissCurve] = {}
     dirty_rates: dict[int, dict[int, float]] = {}
-    for i, sketch, delta in rows:
-        vc = problem.vcs[i]
+    for (vc, old), (sketch, _), delta in zip(
+        vc_pairs, pairs, sketch_deltas(pairs)
+    ):
         if delta > dirty_threshold:
             sketches[vc.vc_id] = sketch
             dirty_curves[vc.vc_id] = vc.miss_curve
-        if vc.accesses != base.vcs[i].accesses:
+        if vc.accesses != old.accesses:
             dirty_rates[vc.vc_id] = dict(vc.accesses)
     dirty_clusters: dict[int, str] = {}
     for i in thread_positions:

@@ -354,8 +354,8 @@ class CoSchedService:
         dirty_rates = delta.dirty_rates
         if not delta.dirty_curves and not dirty_rates and not delta.dirty_clusters:
             # Stationary epoch: re-solve the very same problem object
-            # (its memos ride along, so a sketch-driven engine sees every
-            # VC clean without recomputing anything).
+            # (its memos ride along, and every record is the base's, so
+            # a warm engine sees every VC clean without recomputing).
             return base
         vcs = list(base.vcs)
         for vc_id in {**delta.dirty_curves, **dirty_rates}:
@@ -384,12 +384,9 @@ class CoSchedService:
         patch = set(named).union(delta.dirty_clusters)
         for vc_id in dirty_rates:
             patch.update(base.accessor_rates(vc_id))
-        if len(thread_positions) == len(threads):
-            positions = sorted(
-                thread_positions[t] for t in patch if t in thread_positions
-            )
-        else:  # repeated thread ids: visit every thread
-            positions = range(len(threads))
+        positions = sorted(
+            thread_positions[t] for t in patch if t in thread_positions
+        )
         for position in positions:
             thread = threads[position]
             thread_id = thread.thread_id

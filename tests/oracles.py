@@ -271,16 +271,27 @@ PATCHES = {
 
 
 @contextmanager
-def scalar_reference() -> Iterator[Counter]:
-    """Run every kernel call inside the block on its oracle; yields the
-    calls each patch target took, keyed ``"module.name"``.  An empty
-    allocation row memo stands in for the process's during the block, so
-    the oracles build every row the block reads and none of their rows
-    outlives it.  A runner's worker processes keep the kernels."""
-    calls: Counter = Counter()
+def empty_row_memo() -> Iterator[None]:
+    """An empty allocation row memo stands in for the process's during
+    the block, so the block builds every row it reads and none of its
+    rows outlives it."""
     allocation = importlib.import_module("repro.sched.allocation")
-    saved = [(allocation, "_ROW_MEMO", allocation._ROW_MEMO)]
+    saved = allocation._ROW_MEMO
     allocation._ROW_MEMO = allocation.RowMemo()
+    try:
+        yield
+    finally:
+        allocation._ROW_MEMO = saved
+
+
+@contextmanager
+def scalar_reference() -> Iterator[Counter]:
+    """Run every kernel call inside the block on its oracle, under an
+    :func:`empty_row_memo`; yields the calls each patch target took,
+    keyed ``"module.name"``.  A runner's worker processes keep the
+    kernels."""
+    calls: Counter = Counter()
+    saved = []
 
     def counted(key, oracle):
         def call(*args, **kwargs):
@@ -296,7 +307,8 @@ def scalar_reference() -> Iterator[Counter]:
             oracle = globals()[name.lstrip("_")]
             setattr(module, name, counted(f"{module_name}.{name}", oracle))
     try:
-        yield calls
+        with empty_row_memo():
+            yield calls
     finally:
         for module, name, kernel in saved:
             setattr(module, name, kernel)

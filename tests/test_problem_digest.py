@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.cache.miss_curve import MissCurve
-from repro.cache.sketch import problem_sketch_bank
 from repro.config import small_test_config
 from repro.geometry.mesh import Mesh
 from repro.nuca.base import build_problem
@@ -77,12 +76,10 @@ def test_memos_set_no_attribute_on_the_problem():
     problem, _ = small_problem(apps=8)
     before = set(vars(problem))
     problem_digest(problem)
-    problem_sketch_bank(problem)
-    problem_sketch_bank(problem, budget_bytes=4096)
     assert set(vars(problem)) == before
-    # The digest, its per-record digest lists and the two banks.
+    # The digest and its per-record digest lists.
     assert "digest" in problem._memo and RECORD_DIGESTS in problem._memo
-    assert len(problem._memo) == 4
+    assert len(problem._memo) == 2
 
 
 # -- every single-field change -------------------------------------------------

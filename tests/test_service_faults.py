@@ -7,10 +7,12 @@ Faults are deterministic: timeouts are forced with
 """
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
 from repro.sched.engine import make_strategy
+from repro.sched.problem import PlacementProblem
 from repro.service import (
     CoSchedService,
     MalformedTelemetryError,
@@ -20,6 +22,7 @@ from repro.service import (
     SlowStrategy,
     SolveFailedError,
     SolveTimeoutError,
+    validate_telemetry,
 )
 from repro.testing import small_problem
 
@@ -155,6 +158,37 @@ def test_malformed_telemetry_is_rejected_and_service_stays_up():
     assert reply.ok
     assert stats["rejected"] == {"malformed_telemetry": 1}
     assert stats["submitted"] == 1  # the garbage was never queued
+
+
+def test_repeated_thread_ids_are_rejected():
+    # Two threads under one id would let the pipeline place one of them
+    # and drop the other, and the solution would still validate.
+    problem, _ = small_problem(apps=4)
+    threads = list(problem.threads)
+    threads[1] = replace(threads[1], thread_id=threads[0].thread_id)
+    records = (problem.config, problem.topology, list(problem.vcs), threads)
+    with pytest.raises(ValueError, match="duplicate thread ids"):
+        PlacementProblem(*records, problem.mem_latency)
+    with pytest.raises(ValueError, match="duplicate thread ids"):
+        PlacementProblem(*records, problem.mem_latency, base=problem)
+    # A payload's thread list can still change after construction.
+    payload = replace(problem, threads=list(problem.threads))
+    payload.threads[1] = threads[1]
+    request = PlacementRequest(chip_id="rogue", problem=payload)
+    with pytest.raises(MalformedTelemetryError, match="duplicate thread ids"):
+        validate_telemetry(request)
+
+    async def scenario():
+        async with CoSchedService(strategy="full") as service:
+            with pytest.raises(MalformedTelemetryError):
+                service.submit(request)
+            reply = await service.place("honest", problem)
+            return reply, service.stats.snapshot()
+
+    reply, stats = asyncio.run(scenario())
+    assert reply.ok
+    assert stats["rejected"] == {"malformed_telemetry": 1}
+    assert stats["submitted"] == 1
 
 
 def test_queue_full_rejection_is_typed_and_transient():

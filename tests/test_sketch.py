@@ -2,32 +2,33 @@
 
 The unit contracts: grid caching/immutability, the fixed byte budget,
 round-trip fidelity, the delta upper bound against
-:func:`repro.sched.engine.curve_distance`, merge/decay/blend algebra,
-the monitor's ``snapshot_sketch`` emission, the stacked
-:class:`SketchBank` fast paths, and the per-problem bank memo.  The
+:func:`repro.sched.engine.curve_distance`, the per-curve sketch memo
+behind :func:`record_sketch_pairs`, the stacked :func:`sketch_deltas`
+kernel, and the sketch detector's id matching and grid check.  The
 statistical superset/placement properties live in
 ``tests/test_sketch_properties.py``.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.cache.miss_curve import cliff_curve, exponential_curve, flat_curve
-from repro.cache.monitor import GMon, UMon
 from repro.cache.sketch import (
     DEFAULT_SKETCH_BYTES,
     MIN_POINTS,
     SKETCH_HEADER_BYTES,
     MissCurveSketch,
-    SketchBank,
     points_for_budget,
-    problem_sketch_bank,
+    record_sketch_pairs,
+    sketch_deltas,
     sketch_grid,
 )
-from repro.sched.engine import curve_distance
+from repro.sched.engine import IncrementalSolve, curve_distance
 from repro.testing import small_problem
-from repro.util.units import kb, mb
-from repro.workloads.generator import StackDistanceStream
+from repro.util.units import mb
+from repro.vcache.virtual_cache import VCKind, VirtualCache
 
 LLC = float(mb(32))
 
@@ -76,7 +77,6 @@ def test_sketch_grid_validation():
 def test_from_curve_budget_and_frozen_arrays():
     sketch = MissCurveSketch.from_curve(_exp_curve(), grid_max=LLC)
     assert sketch.nbytes == DEFAULT_SKETCH_BYTES
-    assert sketch.exact
     assert not sketch.values.flags.writeable
     assert not sketch.slack.flags.writeable
     assert sketch.points == points_for_budget(DEFAULT_SKETCH_BYTES)
@@ -130,142 +130,58 @@ def test_delta_grid_mismatch_raises():
         sketch.delta(other)
 
 
-# -- merge / decay / blend ---------------------------------------------------
+# -- per-curve memo and the pair kernel --------------------------------------
 
 
-def test_merged_tracks_summed_curves():
-    a, b = _exp_curve(), _cliff_curve()
-    sa = MissCurveSketch.from_curve(a, grid_max=LLC)
-    merged = sa.merged(MissCurveSketch.from_curve(b, grid_max=LLC))
-    assert not merged.exact
-    assert merged.peak == pytest.approx(sa.peak + float(np.max(b.values)))
-    grid = merged.grid
-    want = np.asarray(a(grid)) + np.asarray(b(grid))
-    got = merged.values.astype(np.float64)
-    assert np.all(np.abs(want - got) <= merged.slack.astype(np.float64) + 1e-9)
+def _vcs(curves):
+    """One VC record per curve, ids 0, 1, ..."""
+    return [
+        VirtualCache(vc_id, VCKind.THREAD, 0, curve)
+        for vc_id, curve in enumerate(curves)
+    ]
 
 
-def test_decayed_scales_everything():
-    sketch = MissCurveSketch.from_curve(_exp_curve(), grid_max=LLC)
-    half = sketch.decayed(0.5)
-    assert not half.exact
-    assert half.peak == pytest.approx(0.5 * sketch.peak)
-    np.testing.assert_allclose(
-        half.values, 0.5 * sketch.values, rtol=1e-6, atol=1e-6
-    )
-    with pytest.raises(ValueError):
-        sketch.decayed(1.5)
+def test_pairs_memoize_sketches_per_curve_object():
+    curves = [_exp_curve(), _cliff_curve()]
+    first = record_sketch_pairs(list(zip(_vcs(curves), _vcs(curves))), LLC)
+    second = record_sketch_pairs(list(zip(_vcs(curves), _vcs(curves))), LLC)
+    for (new, old), (new_again, old_again) in zip(first, second):
+        assert new is old is new_again is old_again
+        assert new.points == 61 and float(new.grid[-1]) == LLC
+    assert sketch_deltas(first) == sketch_deltas(second) == [0.0, 0.0]
 
 
-def test_blended_is_ewma():
-    old = MissCurveSketch.from_curve(_exp_curve(), grid_max=LLC)
-    new = MissCurveSketch.from_curve(_cliff_curve(), grid_max=LLC)
-    mix = old.blended(new, decay=0.75)
-    want = 0.75 * old.values.astype(np.float64) + 0.25 * new.values.astype(
-        np.float64
-    )
-    np.testing.assert_allclose(mix.values, want, rtol=1e-6, atol=1e-6)
-    with pytest.raises(ValueError):
-        old.blended(new, decay=1.0)
-    with pytest.raises(ValueError):
-        old.blended(
-            MissCurveSketch.from_curve(_cliff_curve(), grid_max=2 * LLC), 0.5
-        )
-
-
-# -- monitor emission --------------------------------------------------------
-
-
-def _driven_monitor(monitor, curve, accesses=6_000, apki=20.0, seed=3):
-    stream = StackDistanceStream(curve, apki=apki, seed=seed)
-    for _ in range(accesses):
-        monitor.access(stream.next_address())
-    return monitor
-
-
-def test_umon_snapshot_sketch_matches_miss_curve():
-    mon = _driven_monitor(UMon(mb(4), ways=32, seed=7), _exp_curve(mb(1)))
-    sketch = mon.snapshot_sketch()
-    assert sketch.exact
-    assert float(sketch.grid[-1]) == mon.modeled_capacity
-    assert curve_distance(mon.miss_curve(), sketch.to_curve()) < 0.05
-
-
-def test_snapshot_sketch_ewma_and_reset():
-    mon = _driven_monitor(GMon(kb(64), mb(4), ways=32, seed=7), _exp_curve(mb(1)))
-    first = mon.snapshot_sketch(decay=0.5)
-    assert first.exact  # nothing to blend with yet
-    second = mon.snapshot_sketch(decay=0.5)
-    assert not second.exact  # EWMA of first and the fresh snapshot
-    assert first.compatible(second)
-    mon.reset()
-    third = mon.snapshot_sketch(decay=0.5)
-    assert third.exact  # reset dropped the EWMA state
-
-
-def test_snapshot_sketch_shared_grid_override():
-    mon = _driven_monitor(UMon(mb(4), ways=32, seed=7), _exp_curve(mb(1)))
-    sketch = mon.snapshot_sketch(grid_max=LLC)
-    assert float(sketch.grid[-1]) == LLC
-
-
-# -- banks -------------------------------------------------------------------
-
-
-def test_bank_memoizes_per_curve_object():
-    curves = [(0, _exp_curve()), (1, _cliff_curve())]
-    bank_a = SketchBank.from_curves(curves, LLC, 61)
-    bank_b = SketchBank.from_curves(curves, LLC, 61)
-    for row in range(2):
-        assert bank_a.sketches[row] is bank_b.sketches[row]
-    assert bank_a.deltas_to(bank_b) == {0: 0.0, 1: 0.0}
-
-
-def test_bank_deltas_flag_moved_rows():
+def test_sketch_deltas_flag_moved_pairs():
     shared = _exp_curve()
-    bank_a = SketchBank.from_curves([(0, shared), (1, _cliff_curve())], LLC, 61)
-    bank_b = SketchBank.from_curves([(0, shared), (1, _exp_curve(mb(8)))], LLC, 61)
-    deltas = bank_b.deltas_to(bank_a)
+    old = _vcs([shared, _cliff_curve()])
+    new = _vcs([shared, _exp_curve(mb(8))])
+    deltas = sketch_deltas(record_sketch_pairs(list(zip(new, old)), LLC))
     assert deltas[0] == 0.0  # same curve object: identity fast path
     assert deltas[1] > 0.05
-    # And the bound covers the exact distance for the moved row.
+    # And the bound covers the exact distance for the moved pair.
     assert deltas[1] >= curve_distance(_cliff_curve(), _exp_curve(mb(8)))
 
 
-def test_bank_deltas_common_ids_only_and_grid_mismatch():
-    bank_a = SketchBank.from_curves([(0, _exp_curve()), (1, _cliff_curve())], LLC, 61)
-    bank_b = SketchBank.from_curves([(1, _cliff_curve()), (2, _exp_curve())], LLC, 61)
-    assert set(bank_b.deltas_to(bank_a)) == {1}
-    other_grid = SketchBank.from_curves([(1, _cliff_curve())], 2 * LLC, 61)
-    with pytest.raises(ValueError):
-        other_grid.deltas_to(bank_a)
-
-
-def test_bank_validation_and_nbytes():
-    with pytest.raises(ValueError):
-        SketchBank((0, 1), (MissCurveSketch.from_curve(_exp_curve(), grid_max=LLC),))
-    sketches = (
-        MissCurveSketch.from_curve(_exp_curve(), grid_max=LLC),
-        MissCurveSketch.from_curve(_cliff_curve(), grid_max=2 * LLC),
-    )
-    with pytest.raises(ValueError):
-        SketchBank((0, 1), sketches)
-    bank = SketchBank((7,), (sketches[0],))
-    assert bank.nbytes == DEFAULT_SKETCH_BYTES
-    assert not bank.values2d.flags.writeable
-    assert not bank.slack2d.flags.writeable
-    assert not bank.peaks.flags.writeable
-
-
-def test_problem_sketch_bank_memoized_per_budget():
+def test_sketch_detector_matches_ids_and_checks_the_grid():
     problem, _ = small_problem(apps=8)
-    bank = problem_sketch_bank(problem)
-    assert problem_sketch_bank(problem) is bank
-    assert set(bank.vc_ids) == {vc.vc_id for vc in problem.vcs}
-    assert float(bank.sketches[0].grid[-1]) == float(problem.total_bytes)
-    finer = problem_sketch_bank(problem, budget_bytes=4096)
-    assert finer is not bank
-    assert problem_sketch_bank(problem, budget_bytes=4096) is finer
+    first, *rest = problem.vcs
+    detector = IncrementalSolve(use_sketches=True)
+    # prev lacks the first VC and holds one the problem does not know:
+    # the missing one is dirty, the unknown one is not looked at.
+    stranger = replace(first, vc_id=max(vc.vc_id for vc in problem.vcs) + 1)
+    prev = replace(problem, vcs=[*reversed(rest), stranger])
+    assert detector.dirty_vcs_from_sketches(prev, problem) == {first.vc_id}
+    assert detector.dirty_vcs(prev, problem) == {first.vc_id}
+    # Another LLC size puts the sketches on another grid: no delta is
+    # bounded, so every VC is dirty, while the exact curves still match.
+    cache = problem.config.cache
+    bigger = replace(problem, config=problem.config.with_banks(
+        2 * cache.bank_bytes, cache.partitions_per_bank
+    ))
+    assert detector.dirty_vcs_from_sketches(problem, bigger) == {
+        vc.vc_id for vc in problem.vcs
+    }
+    assert detector.dirty_vcs(problem, bigger) == set()
 
 
 def test_flat_zero_curve_sketches_cleanly():
