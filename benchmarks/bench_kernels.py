@@ -23,6 +23,13 @@ asserted in prose:
   fig11 plan scored in one stacked ``evaluate_solutions_batch`` call vs
   20 one-item ``evaluate_solution`` calls, asserted ``==`` (reported,
   not floored);
+* **thread rows**: ``place_threads`` on the golden problem, every
+  thread's distance row from ``(256, N)`` blocks, vs the oracle's one
+  row call per thread, asserted ``==`` (reported, not floored);
+* **data placement**: ``refined_placement`` (greedy seeding and trades
+  on Python floats) vs the oracle's NumPy tallies and distance rows, on
+  the golden problem and on one warm pinned solve of a 256-tile
+  ``build_chip`` chip, asserted ``==`` (reported, not floored);
 * **end-to-end**: one fig11 (64-app) and one fig15 (multithreaded) sweep
   point with the oracles patched in (``scalar_reference``) vs the kernels,
   each timed run on an empty allocation row memo (``empty_row_memo``), so
@@ -37,6 +44,7 @@ points) are asserted.  Results are appended to
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import time
 from pathlib import Path
@@ -58,6 +66,9 @@ from repro.nuca.base import build_problem
 from repro.nuca.sharing import solve_sharing_plans
 from repro.nuca.snuca import SNuca
 from repro.sched.allocation import allocate_latency_aware
+from repro.sched.opcount import StepCounter
+from repro.sched.refinement import greedy_placement, trade_refinement
+from repro.sched.thread_placement import place_threads
 from repro.sched.vc_placement import place_optimistic
 from repro.testing import fig11_sharing_plans, golden_mix
 from repro.vcache.virtual_cache import VCKind
@@ -84,6 +95,38 @@ def _best_of(fn, repeats: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _warm_data_placement_inputs() -> tuple:
+    """``(problem, sizes, thread_cores, {"only_vcs", "preplaced"})`` of
+    the data placement step of a 256-tile chip's first warm solve."""
+    from repro.sched.engine import EngineState, IncrementalSolve
+    from repro.sched.reconfigure import ReconfigPolicy
+    from repro.service.load import LoadSpec, build_chip
+
+    reconfigure_module = importlib.import_module("repro.sched.reconfigure")
+    seen = []
+    real = reconfigure_module.refined_placement
+
+    def recording(problem, sizes, cores, counter, **kwargs):
+        seen.append((problem, dict(sizes), dict(cores), {
+            "only_vcs": kwargs["only_vcs"],
+            "preplaced": {v: dict(b) for v, b in kwargs["preplaced"].items()},
+        }))
+        return real(problem, sizes, cores, counter, **kwargs)
+
+    _, sim = build_chip(LoadSpec(chips=1, tiles=256, seed=1), 0)
+    strategy, state = IncrementalSolve(use_sketches=True), EngineState()
+    reconfigure_module.refined_placement = recording
+    try:
+        while not [case for case in seen if case[3]["only_vcs"] is not None]:
+            problem = sim.current_problem()
+            result = strategy.solve(problem, ReconfigPolicy.cdcs(), None, state)
+            state = EngineState(problem, result.solution)
+            sim.run_epoch(result.solution, 50e6)
+    finally:
+        reconfigure_module.refined_placement = real
+    return next(case for case in seen if case[3]["only_vcs"] is not None)
 
 
 def test_kernel_speedups(once):
@@ -221,7 +264,45 @@ def test_kernel_speedups(once):
         single_t = _best_of(one_by_one, 5)
         speedups["evaluation_batch"] = single_t / batch_t
 
-        # 7. End-to-end sweep points (fig11 single-threaded, fig15 MT),
+        # 7. Thread placement: block rows vs one row call per thread.
+        optimistic = place_optimistic(problem, vc_sizes)
+        assert place_threads(problem, vc_sizes, optimistic) == (
+            oracles.place_threads(problem, vc_sizes, optimistic)
+        )
+        scalar_t = _best_of(
+            lambda: oracles.place_threads(problem, vc_sizes, optimistic), 5
+        )
+        vector_t = _best_of(lambda: place_threads(problem, vc_sizes, optimistic), 5)
+        speedups["thread_rows"] = scalar_t / vector_t
+
+        # 8. Data placement: the golden problem's cold seeding and trades,
+        # and one warm pinned solve's (a 256-tile chip's second epoch).
+        cores = place_threads(problem, vc_sizes, optimistic)
+        cases = [(problem, vc_sizes, cores, {})]
+        cases.append(_warm_data_placement_inputs())
+
+        def refine(greedy, trade):
+            out = []
+            for case_problem, sizes, case_cores, kwargs in cases:
+                allocation = greedy(case_problem, sizes, case_cores, **kwargs)
+                counter = StepCounter()
+                trade(case_problem, allocation, case_cores, counter,
+                      kwargs.get("only_vcs"))
+                out.append((allocation, list(counter.ops.items())))
+            return out
+
+        def kernels():
+            return refine(greedy_placement, trade_refinement)
+
+        def scalar():
+            return refine(oracles.greedy_placement, oracles.trade_refinement)
+
+        assert kernels() == scalar()
+        scalar_t = _best_of(scalar, 5)
+        vector_t = _best_of(kernels, 5)
+        speedups["data_placement"] = scalar_t / vector_t
+
+        # 9. End-to-end sweep points (fig11 single-threaded, fig15 MT),
         # each run on a cold row memo, as the scalar side's always is.
         def point(multithreaded: bool) -> None:
             if multithreaded:

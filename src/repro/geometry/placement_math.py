@@ -30,7 +30,15 @@ topology's precomputed matrices (``N = topology.tiles``):
   1-median objective of :func:`weighted_center_tile`);
 * :func:`weighted_center_tiles` — the same objective for many mappings
   at once, as ``(B, N) float64`` blocks of at most 256 rows, each row
-  summed in its mapping's order like :func:`tile_cost_vector`.
+  summed in its mapping's order like :func:`tile_cost_vector`;
+* :func:`squared_point_distances` — ``(P, N) float64``; squared
+  Euclidean distance from every tile to each of ``P`` fractional
+  points, each row bitwise the one its point gets alone (thread
+  placement passes blocks of at most 256 points).
+
+Every float sum a placement decision reads is a left-to-right loop from
+``0.0`` (:func:`repro.util.sums.ordered_sum`), not ``sum()``, which
+compensates float adds from Python 3.12 on.
 
 Selections over those vectors (:func:`nearest_tile`,
 :func:`weighted_center_tile`, :func:`weighted_center_tiles`) keep the
@@ -50,7 +58,8 @@ from collections.abc import Iterable, Mapping
 
 import numpy as np
 
-from repro.geometry.mesh import Mesh, Topology
+from repro.geometry.mesh import Topology
+from repro.util.sums import ordered_sum
 
 
 def center_of_mass(
@@ -62,17 +71,17 @@ def center_of_mass(
     Raises ``ValueError`` on empty/zero weights: callers must handle VCs with
     no placed capacity explicitly.
     """
-    total = sum(weights.values())
+    total = ordered_sum(weights.values())
     if total <= 0:
         raise ValueError("center of mass of empty placement is undefined")
-    coords = [topology.coords(t) for t in weights]  # type: ignore[attr-defined]
-    dims = len(coords[0])
-    out = []
-    for d in range(dims):
-        out.append(
-            sum(w * c[d] for c, w in zip(coords, weights.values())) / total
-        )
-    return tuple(out)
+    moments: list[float] = []
+    for tile, w in weights.items():
+        coords = topology.coords(tile)  # type: ignore[attr-defined]
+        if not moments:
+            moments = [0.0] * len(coords)
+        for d, c in enumerate(coords):
+            moments[d] += w * c
+    return tuple(moment / total for moment in moments)
 
 
 def _scan_prefix_minima(costs: np.ndarray, below: np.ndarray) -> int:
@@ -131,19 +140,23 @@ def _first_strict_improvement_rows(costs: np.ndarray) -> np.ndarray:
     return picks
 
 
-def squared_point_distances(topology: Topology, point: Iterable[float]) -> np.ndarray:
-    """(tiles,) squared Euclidean distance from every tile to *point*,
-    accumulating coordinate terms in the scalar expression's order."""
-    point = tuple(point)
+def squared_point_distances(topology: Topology, points) -> np.ndarray:
+    """``(P, tiles)`` squared Euclidean distances from every tile to each
+    of *points* (``P`` points of the topology's dimension).  Row *i* adds
+    point *i*'s coordinate terms in dimension order, the scalar
+    expression's order, so it is bitwise the row that point gets alone;
+    the block holds two ``(P, tiles)`` arrays at a time."""
     coords = getattr(topology, "coord_array", None)
     if coords is None:  # pragma: no cover - exotic topologies
         coords = np.array(
             [topology.coords(t) for t in range(topology.tiles)]  # type: ignore[attr-defined]
         )
-    total = np.zeros(topology.tiles, dtype=np.float64)
-    for dim, p in enumerate(point):
-        delta = coords[:, dim] - p
-        total = total + delta**2
+    points = np.asarray(points, dtype=np.float64).reshape(-1, coords.shape[1])
+    total = np.zeros((len(points), topology.tiles), dtype=np.float64)
+    delta = np.empty_like(total)
+    for dim in range(coords.shape[1]):
+        np.subtract(coords[:, dim], points[:, dim, None], out=delta)
+        total += np.square(delta, out=delta)
     return total
 
 
@@ -151,7 +164,7 @@ def nearest_tile(topology: Topology, point: Iterable[float]) -> int:
     """Tile whose coordinates are closest (Euclidean) to a fractional point;
     deterministic tie-break by tile id."""
     return _first_strict_improvement_scan(
-        squared_point_distances(topology, point)
+        squared_point_distances(topology, [tuple(point)])[0]
     )
 
 
@@ -282,21 +295,16 @@ def batched_window_scores(
     *c* (the hatched-area sum of Fig 7b); ``spread[c]`` is the window's
     mean access distance from *c* (the Fig 6 average).  Rows reduce in
     spiral order with ``np.cumsum``, so both vectors are bitwise what
-    building and scoring each window bank by bank computes.  A one-bank
-    window on a :class:`Mesh` is the candidate's own bank (column 0 of
-    ``order_matrix`` is ``arange(N)``, of ``sorted_distance_matrix``
-    zeros), so its one-term sums are ``w * claimed`` and zeros.
+    building and scoring each window bank by bank computes (the weights'
+    total is a left-to-right sum, as there).
     """
     m = len(weights)
     if m == 0:
         zeros = np.zeros(topology.tiles, dtype=np.float64)
         return zeros, zeros.copy()
-    if m == 1 and isinstance(topology, Mesh):
-        return weights[0] * claimed, np.zeros(topology.tiles, dtype=np.float64)
     order = topology.order_matrix[:, :m]
     ranked_dist = topology.sorted_distance_matrix[:, :m]
     contention = np.cumsum(weights[None, :] * claimed[order], axis=1)[:, -1]
     weighted = np.cumsum(weights[None, :] * ranked_dist, axis=1)[:, -1]
-    total = sum(weights.tolist())
-    spread = weighted / total
+    spread = weighted / ordered_sum(weights.tolist())
     return contention, spread

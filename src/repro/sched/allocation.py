@@ -46,6 +46,7 @@ from repro.sched.cost_model import (
 from repro.sched.opcount import StepCounter
 from repro.sched.problem import PlacementProblem
 from repro.util.guards import guarded_mapping
+from repro.util.sums import ordered_sum
 
 
 def convex_hull_indices(values: np.ndarray) -> list[int]:
@@ -77,22 +78,28 @@ def convex_hull_indices(values: np.ndarray) -> list[int]:
 ROW_MEMO_BYTES = 8 << 20
 
 
+#: One memo entry: a curve row, its hull's vertex indices and each hull
+#: segment's benefit (:func:`_hull_segments`).
+RowEntry = tuple[np.ndarray, tuple[int, ...], tuple[float, ...]]
+
+
 class RowMemo:
-    """Allocation curve rows with their hulls, keyed by every input a row
-    reads (:func:`_curve_rows` builds the keys).
+    """Allocation curve rows with their hulls and hull benefits, keyed by
+    every input a row reads (:func:`_curve_rows` builds the keys).
 
     Each value is a pure function of its key and every row is read-only,
     so any caller may share an entry.  Lookups, inserts and the byte
     count hold the memo's lock: the service solves two chips on two
-    worker threads.  An entry costs its row's bytes and 8 per hull
-    vertex; an insert past *budget_bytes* clears the memo first, and an
-    entry larger than the budget is not kept.
+    worker threads.  An entry costs its row's bytes and 16 per hull
+    vertex (its index and its segment's benefit); an insert past
+    *budget_bytes* clears the memo first, and an entry larger than the
+    budget is not kept.
     """
 
     def __init__(self, budget_bytes: int = ROW_MEMO_BYTES):
         self.budget_bytes = budget_bytes
         self._lock = threading.Lock()
-        self._entries: dict[tuple, tuple[np.ndarray, tuple[int, ...]]] = (
+        self._entries: dict[tuple, RowEntry] = (
             guarded_mapping(self._lock, "allocation row memo")
         )
         self._bytes = 0
@@ -106,21 +113,22 @@ class RowMemo:
         with self._lock:
             return self._bytes
 
-    def get_many(self, keys: list[tuple]) -> list[tuple | None]:
+    def get_many(self, keys: list[tuple]) -> list[RowEntry | None]:
         with self._lock:
             get = self._entries.get
             return [get(key) for key in keys]
 
-    def put_many(self, entries: dict[tuple, tuple[np.ndarray, tuple[int, ...]]]) -> None:
+    def put_many(self, entries: dict[tuple, RowEntry]) -> None:
         with self._lock:
-            for key, (row, hull) in entries.items():
-                size = row.nbytes + 8 * len(hull)
+            for key, entry in entries.items():
+                row, hull, _ = entry
+                size = row.nbytes + 16 * len(hull)
                 if size > self.budget_bytes or key in self._entries:
                     continue
                 if self._bytes + size > self.budget_bytes:
                     self._entries.clear()
                     self._bytes = 0
-                self._entries[key] = (row, hull)
+                self._entries[key] = entry
                 self._bytes += size
 
 
@@ -142,11 +150,23 @@ class _VcSubset:
         return getattr(self._problem, name)
 
 
+def _hull_segments(row: np.ndarray) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """*row*'s hull vertices and each hull segment's benefit, the latency
+    it saves per quantum, as Python floats: the same subtract and divide
+    of the row's doubles as on NumPy scalars, done once per row."""
+    values = row.tolist()
+    hull = tuple(convex_hull_indices(values))
+    return hull, tuple(
+        (values[i0] - values[i1]) / (i1 - i0) for i0, i1 in zip(hull, hull[1:])
+    )
+
+
 def _curve_rows(
     problem: PlacementProblem, vcs: list, rates: list[float], latency: bool
-) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
-    """The allocation rows of *vcs* at *rates*, with their hulls, through
-    the row memo: total-latency rows if *latency*, else off-chip-only.
+) -> tuple[list[np.ndarray], list[tuple[int, ...]], list[tuple[float, ...]]]:
+    """The allocation rows of *vcs* at *rates*, with their hulls and hull
+    benefits (:func:`_hull_segments`), through the row memo:
+    total-latency rows if *latency*, else off-chip-only.
 
     A key holds, by content, everything its row reads: the miss curve's
     points (dtype and bytes), the rate, and the chip inputs of its kind
@@ -182,15 +202,15 @@ def _curve_rows(
         matrix = build(subset, [rate for _, rate in missing.values()])
         matrix.setflags(write=False)
         built = {
-            key: (row, tuple(convex_hull_indices(row)))
-            for key, row in zip(missing, matrix)
+            key: (row, *_hull_segments(row)) for key, row in zip(missing, matrix)
         }
         memo.put_many(built)
         entries = [
             built[key] if entry is None else entry
             for key, entry in zip(keys, entries)
         ]
-    return [row for row, _ in entries], [hull for _, hull in entries]
+    rows, hulls, benefits = zip(*entries) if entries else ((), (), ())
+    return list(rows), list(hulls), list(benefits)
 
 
 def _greedy_hull_allocation(
@@ -199,11 +219,15 @@ def _greedy_hull_allocation(
     counter: StepCounter,
     step_name: str,
     hulls: list[tuple[int, ...]] | None = None,
+    benefits: list[tuple[float, ...]] | None = None,
 ) -> list[int]:
     """Best-first walk over hull segments; returns quanta per curve.
-    *hulls* are the curves' hulls, when the caller already has them."""
+    *hulls* and *benefits* are the curves' :func:`_hull_segments`, when
+    the caller already has them; the walk reads no NumPy scalar."""
     if hulls is None:
-        hulls = [convex_hull_indices(c) for c in curves]
+        segments = [_hull_segments(c) for c in curves]
+        hulls = [hull for hull, _ in segments]
+        benefits = [gains for _, gains in segments]
     for h in hulls:
         counter.add(step_name, len(h))
     sizes = [0] * len(curves)
@@ -211,12 +235,8 @@ def _greedy_hull_allocation(
     heap: list[tuple[float, int]] = []
 
     def push_next(d: int) -> None:
-        h = hulls[d]
-        if cursor[d] + 1 >= len(h):
-            return
-        i0, i1 = h[cursor[d]], h[cursor[d] + 1]
-        benefit = (curves[d][i0] - curves[d][i1]) / (i1 - i0)
-        heapq.heappush(heap, (-benefit, d))
+        if cursor[d] + 1 < len(hulls[d]):
+            heapq.heappush(heap, (-benefits[d][cursor[d]], d))
 
     for d in range(len(curves)):
         push_next(d)
@@ -261,8 +281,8 @@ def _ensure_minimum_quanta(
     above 1 and every entry on the heap is current.
     """
 
-    def loss(j: int):
-        return curves[j][sizes[j] - 1] - curves[j][sizes[j]]
+    def loss(j: int) -> float:
+        return curves[j].item(sizes[j] - 1) - curves[j].item(sizes[j])
 
     spare = budget - sum(sizes)
     donors = None
@@ -304,12 +324,14 @@ def allocate_latency_aware(
     if not vcs:
         return {}
     rates = vc_access_rates(problem, vcs)
-    curves, hulls = _curve_rows(problem, vcs, rates, latency=True)
+    curves, hulls, benefits = _curve_rows(problem, vcs, rates, latency=True)
     if budget_quanta is None:
         budget = problem.total_bytes // problem.quantum
     else:
         budget = max(0, budget_quanta)
-    sizes = _greedy_hull_allocation(curves, budget, counter, "allocation", hulls)
+    sizes = _greedy_hull_allocation(
+        curves, budget, counter, "allocation", hulls, benefits
+    )
     _ensure_minimum_quanta(rates, sizes, budget, curves)
     return {vc.vc_id: sizes[i] * problem.quantum for i, vc in enumerate(vcs)}
 
@@ -327,12 +349,14 @@ def allocate_miss_driven(
     """
     counter = counter if counter is not None else StepCounter()
     rates = vc_access_rates(problem)
-    curves, hulls = _curve_rows(problem, problem.vcs, rates, latency=False)
+    curves, hulls, benefits = _curve_rows(problem, problem.vcs, rates, latency=False)
     budget = problem.total_bytes // problem.quantum
-    sizes = _greedy_hull_allocation(curves, budget, counter, "allocation", hulls)
+    sizes = _greedy_hull_allocation(
+        curves, budget, counter, "allocation", hulls, benefits
+    )
     leftover = budget - sum(sizes)
     if leftover > 0:
-        total_rate = sum(rates)
+        total_rate = ordered_sum(rates)
         if total_rate > 0:
             quotas = [leftover * r / total_rate for r in rates]
         else:

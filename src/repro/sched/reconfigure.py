@@ -135,12 +135,12 @@ def _pinned_optimistic(
     """
     topo = problem.topology
     bank_bytes = float(problem.bank_bytes)
-    claimed = np.zeros(topo.tiles, dtype=np.float64)
+    claimed = [0.0] * topo.tiles  # the adds an array would make, on floats
     for per_bank in pinned_banks.values():
         for bank, amount in per_bank.items():
             claimed[bank] += amount / bank_bytes
     optimistic = place_optimistic(
-        problem, sizes, counter, vc_ids=free_vcs, claimed_init=claimed
+        problem, sizes, counter, vc_ids=free_vcs, claimed_init=np.array(claimed)
     )
     read_pinned = {
         vc_id

@@ -19,17 +19,20 @@ With thread locations fixed, data placement becomes concrete:
 
 Shape conventions
 -----------------
-All trade valuation runs against per-VC arrays (``N = topology.tiles``):
+Arrays build what reads no loop state; the loops run on Python floats
+(``N = topology.tiles``):
 
-* ``dvec[vc_id]`` — ``(N,) float64``; access-weighted mean hops from the
-  VC's accessors to every bank (``D(VC, b)``, Sec IV-F).  A VC with one
-  accessor (every thread VC) gets the single product ``(rate / total) *
-  dist[core]``; more accessors build an ``(accessors, N)`` row stack of
-  those products reduced with ``np.cumsum`` along the accessor axis.
-  Either way each entry matches the scalar accumulation loop bitwise (a
-  one-row cumsum is its row, and the loop adds it to zeros), so trade
-  accept/reject decisions are identical between paths;
-* ``used`` — ``(N,) float64`` bytes occupied per bank;
+* ``D(VC, b)``, the access-weighted mean hops from a VC's accessors to
+  bank *b* (Sec IV-F), is ``coef * row[b]`` of the VC's
+  :class:`DistanceTerms`.  A VC with one accessor (every thread VC)
+  reads ``(rate / total, dist[core])``, the distance row a list shared
+  by every such VC on that core; more accessors read ``(1.0, row)`` of
+  an ``(accessors, N)`` row stack reduced with ``np.cumsum`` along the
+  accessor axis.  Either way each value matches the scalar accumulation
+  loop bitwise (a one-row cumsum is its row, and the loop adds it to
+  zeros), so trade accept/reject decisions are identical between paths;
+* ``used`` and the greedy seed's ``free`` — lists of ``N`` floats, bytes
+  per bank; the seed keeps each VC's state in parallel lists;
 * the greedy seed's anchors are the 1-medians of every seeded VC at once,
   ``(B, N)`` cost blocks from
   :func:`repro.geometry.placement_math.weighted_center_tiles`; each trade
@@ -38,15 +41,16 @@ All trade valuation runs against per-VC arrays (``N = topology.tiles``):
 
 The trade scan itself (spiral walk, swap bookkeeping) stays sequential:
 its decisions feed back into the very capacities it iterates over.  It
-reads the initiator's ``dist[com]`` row and ``dvec`` as Python lists
-(one conversion per initiator, not a NumPy scalar per lookup),
-recomputes the initiator's data extent only after a trade moved its
-data, and counts its ops in a local that reaches the counter once per
-initiator.  An initiator that holds one bank skips its scan: that bank
-is its data's 1-median, so the spiral would visit only the bank, which
-is never its own target, and count no op (most thread VCs of a fig11
-mix are such initiators).  Likewise the greedy seed anchors a VC whose
-accessors share one core at that core without a cost row.
+reads the initiator's ``dist[com]`` row as a list, prices a swap
+counterparty from two entries of its distance terms, values the
+initiator's side of a target once, recomputes the initiator's data
+extent only after a trade moved its data, and counts its ops in a local
+that reaches the counter once per initiator.  An initiator that holds
+one bank skips its scan: that bank is its data's 1-median, so the
+spiral would visit only the bank, which is never its own target, and
+count no op (most thread VCs of a fig11 mix are such initiators).
+Likewise the greedy seed anchors a VC whose accessors share one core at
+that core without a cost row.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from repro.geometry.placement_math import (
 )
 from repro.sched.opcount import StepCounter
 from repro.sched.problem import PlacementProblem
+from repro.util.sums import ordered_sum
 
 
 #: Accessor rows reduced per block when building one distance vector.
@@ -91,17 +96,23 @@ def _sequential_weighted_row_sum(
     return running
 
 
-class DistanceVectors:
-    """Lazily materialized ``dvec`` mapping: vc_id -> ``(N,) float64``.
+class DistanceTerms:
+    """``D(VC, b)`` of every accessed, placed VC as ``coef * row[b]``
+    over Python lists: ``terms(vc_id) -> (coef, row)``.
 
     Keys are fixed up front (every accessed, placed VC, in problem
-    order); each vector builds on first read and is then cached.  With
-    restricted trade *initiators* (the incremental dirty set, a
-    partitioned/hierarchical stitch's boundary VCs) most VCs are never an
-    initiator or a swap counterparty, so their vectors — the dominant
-    allocation of a chip-level refinement at scale — are never built.
-    Values are bitwise what the eager build produced, so trade decisions
-    are unchanged.
+    order); a VC's terms build on its first read and are cached for the
+    call.  With restricted trade *initiators* (the incremental dirty set,
+    a partitioned or hierarchical stitch's boundary VCs) most VCs are
+    never an initiator or a swap counterparty, so their rows are never
+    built.  A VC with one accessor (every thread VC) reads ``(rate /
+    total, dist[core])``, the distance row a list from a per-call cache
+    shared by every such VC on that core; ``coef * row[b]`` is bitwise
+    the entry ``(rate / total) * dist[core]`` holds.  More accessors read
+    ``(1.0, row)`` of their chunked ``cumsum`` row
+    (:func:`_sequential_weighted_row_sum`) as a list, and ``1.0 * x`` is
+    ``x``.  Nothing is cached on the topology: a lazy matrix is read as
+    one-row stacks, which stay transient like the chunked path's blocks.
     """
 
     def __init__(
@@ -110,50 +121,36 @@ class DistanceVectors:
         thread_cores: dict[int, int],
         eligible: dict[int, Mapping[int, float]],
     ):
-        self._topology = topology
+        self._dist = topology.distance_matrix
+        self._lazy = getattr(self._dist, "is_lazy", False)
         self._thread_cores = thread_cores
         self._eligible = eligible
-        self._vecs: dict[int, np.ndarray] = {}
+        self._rows: dict[int, list] = {}
+        self._terms: dict[int, tuple[float, list]] = {}
 
     def __iter__(self):
         return iter(self._eligible)
 
-    def __len__(self) -> int:
-        return len(self._eligible)
+    def __call__(self, vc_id: int) -> tuple[float, list]:
+        terms = self._terms.get(vc_id)
+        if terms is None:
+            terms = self._terms[vc_id] = self._compute(self._eligible[vc_id])
+        return terms
 
-    def __contains__(self, vc_id) -> bool:
-        return vc_id in self._eligible
+    def row(self, core: int) -> list:
+        """``dist[core]`` as a list, read once per call."""
+        row = self._rows.get(core)
+        if row is None:
+            dist = self._dist
+            row = dist[[core]][0] if self._lazy else dist[core]
+            row = self._rows[core] = row.tolist()
+        return row
 
-    def __getitem__(self, vc_id: int) -> np.ndarray:
-        vec = self.get(vc_id)
-        if vec is None:
-            raise KeyError(vc_id)
-        return vec
-
-    def get(self, vc_id: int, default=None):
-        # One frame per lookup: a swap-counterparty probe is the
-        # refinement's most frequent call.
-        vec = self._vecs.get(vc_id)
-        if vec is None:
-            accessors = self._eligible.get(vc_id)
-            if accessors is None:
-                return default
-            vec = self._vecs[vc_id] = self._compute(accessors)
-        return vec
-
-    def _compute(self, accessors: Mapping[int, float]) -> np.ndarray:
-        total_rate = sum(accessors.values())
-        dist = self._topology.distance_matrix
+    def _compute(self, accessors: Mapping[int, float]) -> tuple[float, list]:
+        total_rate = ordered_sum(accessors.values())
         if len(accessors) == 1:
-            # One term: a one-row cumsum is its row, and adding it to
-            # zeros gives it back, so this product is the chunked sum's
-            # value (a new array, never a view of the shared geometry).  A lazy matrix
-            # is read as a one-row stack, which stays transient like the
-            # chunked path's blocks.
             ((thread_id, rate),) = accessors.items()
-            core = self._thread_cores[thread_id]
-            row = dist[[core]][0] if getattr(dist, "is_lazy", False) else dist[core]
-            return (rate / total_rate) * row
+            return rate / total_rate, self.row(self._thread_cores[thread_id])
         cores = np.fromiter(
             (self._thread_cores[t] for t in accessors),
             dtype=np.int64,
@@ -164,35 +161,32 @@ class DistanceVectors:
             dtype=np.float64,
             count=len(accessors),
         )
-        return _sequential_weighted_row_sum(dist, cores, coeffs)
+        return 1.0, _sequential_weighted_row_sum(self._dist, cores, coeffs).tolist()
 
 
-def access_distance_vectors(
+def access_distance_terms(
     problem: PlacementProblem,
     allocation: dict[int, dict[int, float]],
     thread_cores: dict[int, int],
-) -> tuple[DistanceVectors, dict[int, float]]:
-    """``(dvec, rate_per_byte)`` for every accessed, placed VC.
+) -> tuple[DistanceTerms, dict[int, float]]:
+    """``(terms, rate_per_byte)`` for every accessed, placed VC.
 
-    ``dvec[vc_id][b]`` is the access-weighted mean distance from the VC's
-    accessors to bank *b*; ``rate_per_byte`` is its access intensity.
-    Vectors build as one ``(rate / total) * dist[core]`` row per accessor
-    reduced with sequential ``cumsum`` adds — bitwise the scalar
-    ``vec += ...`` loop — and only when a VC's vector is actually read
-    (see :class:`DistanceVectors`).
+    ``coef * row[b]`` of ``terms(vc_id)`` is the access-weighted mean
+    distance from the VC's accessors to bank *b* (see
+    :class:`DistanceTerms`); ``rate_per_byte`` is its access intensity.
     """
     eligible: dict[int, Mapping[int, float]] = {}
     rate_per_byte: dict[int, float] = {}
     for vc in problem.vcs:
         accessors = problem.accessor_rates(vc.vc_id)
-        total_rate = sum(accessors.values())
-        size = sum(allocation.get(vc.vc_id, {}).values())
+        total_rate = ordered_sum(accessors.values())
+        size = ordered_sum(allocation.get(vc.vc_id, {}).values())
         if total_rate <= 0 or size <= 0:
             continue
         eligible[vc.vc_id] = accessors
         rate_per_byte[vc.vc_id] = total_rate / size
-    dvec = DistanceVectors(problem.topology, thread_cores, eligible)
-    return dvec, rate_per_byte
+    terms = DistanceTerms(problem.topology, thread_cores, eligible)
+    return terms, rate_per_byte
 
 
 def _data_extent(per_bank: dict[int, float], dist_com: list) -> int | None:
@@ -221,15 +215,17 @@ def greedy_placement(
     """
     counter = counter if counter is not None else StepCounter()
     topo = problem.topology
-    free = np.full(topo.tiles, float(problem.bank_bytes))
+    free = [float(problem.bank_bytes)] * topo.tiles
     allocation: dict[int, dict[int, float]] = {}
     for vc_id, per_bank in (preplaced or {}).items():
         allocation[vc_id] = dict(per_bank)
         for bank, amount in per_bank.items():
             free[bank] -= amount
-    free = free.tolist()  # the same doubles, read without NumPy scalars
 
-    states = []
+    # Per seeded VC, in problem order: its id, the bytes it still wants
+    # and its accessors' rates per core.
+    vc_ids: list[int] = []
+    remaining: list[float] = []
     core_weights: list[dict[int, float]] = []
     for vc in problem.vcs:
         if only_vcs is not None and vc.vc_id not in only_vcs:
@@ -242,43 +238,46 @@ def greedy_placement(
         for thread_id, rate in problem.accessor_rates(vc.vc_id).items():
             core = thread_cores[thread_id]
             weights[core] = weights.get(core, 0.0) + rate
+        vc_ids.append(vc.vc_id)
+        remaining.append(float(size))
         core_weights.append(weights)
-        states.append({"vc_id": vc.vc_id, "ptr": 0, "remaining": float(size)})
 
     # A VC's data gravitates to the access-weighted 1-median of its
     # accessors' cores (a thread VC's anchor is simply its owner's core);
     # a VC nobody accesses anchors at the chip center.
     anchors = iter(weighted_center_tiles(topo, [w for w in core_weights if w]))
-    for state, weights in zip(states, core_weights):
-        anchor = next(anchors) if weights else topo.center_tile()
-        state["order"] = topo.tiles_by_distance(anchor)
+    orders = [
+        topo.tiles_by_distance(next(anchors) if weights else topo.center_tile())
+        for weights in core_weights
+    ]
+    ptrs = [0] * len(vc_ids)
 
     # Each turn a VC claims everything it still wants from its closest
     # non-full bank (not one quantum): Jigsaw's greedy is first-claimant-
     # wins at bank granularity, which is precisely why capacity contention
     # between neighboring big VCs hurts (Fig 1b) — a fairer interleaving
     # would mask the pathology CDCS exists to fix.
-    active = [s for s in states if s["remaining"] > 0]
+    active = [i for i, want in enumerate(remaining) if want > 0]
     takes = 0
     while active:
         still_active = []
-        for state in active:
+        for i in active:
             # Advance past full banks; capacity checks guarantee progress.
-            while state["ptr"] < len(state["order"]) and free[
-                state["order"][state["ptr"]]
-            ] <= 1e-9:
-                state["ptr"] += 1
-            if state["ptr"] >= len(state["order"]):
+            order, ptr = orders[i], ptrs[i]
+            while ptr < len(order) and free[order[ptr]] <= 1e-9:
+                ptr += 1
+            ptrs[i] = ptr
+            if ptr >= len(order):
                 continue  # chip full: drop the tail of this VC's demand
-            bank = state["order"][state["ptr"]]
-            take = min(state["remaining"], free[bank])
+            bank = order[ptr]
+            take = min(remaining[i], free[bank])
             takes += 1
             free[bank] -= take
-            state["remaining"] -= take
-            alloc = allocation[state["vc_id"]]
+            remaining[i] -= take
+            alloc = allocation[vc_ids[i]]
             alloc[bank] = alloc.get(bank, 0.0) + take
-            if state["remaining"] > 1e-9:
-                still_active.append(state)
+            if remaining[i] > 1e-9:
+                still_active.append(i)
         active = still_active
     if takes:  # no take creates no key, as with one add per take
         counter.add("data_placement", takes)
@@ -314,27 +313,16 @@ def trade_refinement(
     dist = topo.distance_matrix
     bank_bytes = float(problem.bank_bytes)
 
-    # Access-weighted distance vector D(VC, b) for every accessed VC.
-    dvec, rate_per_byte = access_distance_vectors(
-        problem, allocation, thread_cores
-    )
+    # Access-weighted distances D(VC, b) of every accessed VC, as terms.
+    terms, rate_per_byte = access_distance_terms(problem, allocation, thread_cores)
 
-    used = np.zeros(topo.tiles, dtype=np.float64)
-    holders: dict[int, set[int]] = {b: set() for b in range(topo.tiles)}
+    used = [0.0] * topo.tiles
+    holders: list[set[int]] = [set() for _ in range(topo.tiles)]
     for vc_id, per_bank in allocation.items():
         for bank, amount in per_bank.items():
             used[bank] += amount
             if amount > 1e-9:
                 holders[bank].add(vc_id)
-
-    def move(vc_id: int, src: int, dst: int, amount: float) -> None:
-        per_bank = allocation[vc_id]
-        per_bank[src] -= amount
-        if per_bank[src] <= 1e-9:
-            del per_bank[src]
-            holders[src].discard(vc_id)
-        per_bank[dst] = per_bank.get(dst, 0.0) + amount
-        holders[dst].add(vc_id)
 
     trades = 0
     # Hot VCs (most accesses per byte) refine first: their data is the most
@@ -342,7 +330,7 @@ def trade_refinement(
     # is a total order, so sorting just the initiators is the full order
     # filtered to them.
     order = sorted(
-        (v for v in dvec if initiators is None or v in initiators),
+        (v for v in terms if initiators is None or v in initiators),
         key=lambda v: (-rate_per_byte[v], v),
     )
     for vc1 in order:
@@ -360,7 +348,8 @@ def trade_refinement(
             continue
         com = weighted_center_tile(topo, per_bank1)
         dist_com = dist[com].tolist()
-        d1 = dvec[vc1].tolist()
+        coef1, row1 = terms(vc1)
+        rate1 = rate_per_byte[vc1]
         # Only this VC's own trades move its data, so its extent changes
         # only after one of them (re-measured below, not every step).
         max_dist = _data_extent(per_bank1, dist_com)
@@ -373,50 +362,69 @@ def trade_refinement(
                 break
             if dist_com[bank] > max_dist:
                 break  # spiral end: all of this VC's data has been seen
-            if per_bank1.get(bank, 0.0) < bank_bytes - 1e-9:
-                desirable.append(bank)
             here = per_bank1.get(bank, 0.0)
+            if here < bank_bytes - 1e-9:
+                desirable.append(bank)
             if here <= 1e-9:
                 continue
             trades_before = trades
+            d1_bank = coef1 * row1[bank]
             for target in desirable:
                 if target == bank:
                     continue
                 ops += 1
-                gain1 = d1[target] - d1[bank]  # negative: target is closer
+                gain1 = coef1 * row1[target] - d1_bank  # negative: closer
                 if gain1 >= -1e-12:
                     continue
                 # First use free capacity: a move with no counterparty.
                 free_room = bank_bytes - used[target]
                 if free_room > 1e-9:
                     amount = min(free_room, per_bank1.get(bank, 0.0))
-                    move(vc1, bank, target, amount)
+                    left = per_bank1[bank] - amount
+                    per_bank1[bank] = left
+                    if left <= 1e-9:
+                        del per_bank1[bank]
+                        holders[bank].discard(vc1)
+                    per_bank1[target] = per_bank1.get(target, 0.0) + amount
+                    holders[target].add(vc1)
                     used[target] += amount
                     used[bank] -= amount
                     trades += 1
                     if per_bank1.get(bank, 0.0) <= 1e-9:
                         break
                 # Then offer swaps to VCs holding capacity in the target.
+                delta1 = rate1 * gain1
                 for vc2 in list(holders[target]):
                     if vc2 == vc1:
                         continue
                     ops += 1
-                    d2 = dvec.get(vc2)
                     # Unaccessed VCs trade for free (no latency stake).
                     delta2 = 0.0
-                    if d2 is not None:
-                        delta2 = rate_per_byte[vc2] * (d2[bank] - d2[target])
-                    delta1 = rate_per_byte[vc1] * gain1
+                    rate2 = rate_per_byte.get(vc2)
+                    if rate2 is not None:
+                        coef2, row2 = terms(vc2)
+                        delta2 = rate2 * (coef2 * row2[bank] - coef2 * row2[target])
                     if delta1 + delta2 >= -1e-12:
                         continue
-                    amount = min(
-                        per_bank1.get(bank, 0.0),
-                        allocation[vc2].get(target, 0.0),
-                    )
+                    per_bank2 = allocation[vc2]
+                    amount = min(per_bank1.get(bank, 0.0), per_bank2.get(target, 0.0))
                     if amount <= 1e-9:
                         continue
-                    move(vc1, bank, target, amount)
-                    move(vc2, target, bank, amount)
+                    # vc1 moves *amount* from bank to target, vc2 back.
+                    left = per_bank1[bank] - amount
+                    per_bank1[bank] = left
+                    if left <= 1e-9:
+                        del per_bank1[bank]
+                        holders[bank].discard(vc1)
+                    per_bank1[target] = per_bank1.get(target, 0.0) + amount
+                    holders[target].add(vc1)
+                    left = per_bank2[target] - amount
+                    per_bank2[target] = left
+                    if left <= 1e-9:
+                        del per_bank2[target]
+                        holders[target].discard(vc2)
+                    per_bank2[bank] = per_bank2.get(bank, 0.0) + amount
+                    holders[bank].add(vc2)
                     trades += 1
                     if per_bank1.get(bank, 0.0) <= 1e-9:
                         break

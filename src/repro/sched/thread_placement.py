@@ -14,20 +14,27 @@ threads follow their private VCs (spreading) — the behavior Fig 16b shows.
 
 Shape conventions
 -----------------
-Each thread's candidate scan indexes one ``(N,) float64`` vector of
-squared Euclidean distances from every tile to the thread's ideal point
-(``N = topology.tiles``), built by
-:func:`repro.geometry.placement_math.squared_point_distances` with the
-scalar per-coordinate accumulation order.  The greedy taken-core scan
-itself is sequential by design (each pick removes a core from ``free``).
+A thread's ideal point reads only the optimistic centroids and its own
+rates, both fixed before the scan starts, so every thread's ``(N,)
+float64`` row of squared Euclidean distances (``N = topology.tiles``)
+comes from ``(256, N)`` blocks of
+:func:`repro.geometry.placement_math.squared_point_distances`, each row
+bitwise the one its point gets alone.  A block is built when the scan
+reaches its first thread, and a row becomes a list when its thread's
+turn comes, so the transient stays one block even at 1024 tiles.  The
+greedy taken-core scan itself is sequential by design (each pick removes
+a core from ``free``).
 """
 
 from __future__ import annotations
 
-from repro.geometry.placement_math import squared_point_distances
+import numpy as np
+
+from repro.geometry.placement_math import _CENTER_BLOCK, squared_point_distances
 from repro.sched.opcount import StepCounter
 from repro.sched.problem import PlacementProblem
 from repro.sched.vc_placement import OptimisticPlacement
+from repro.util.sums import ordered_sum
 
 
 def place_threads(
@@ -64,7 +71,7 @@ def place_threads(
         return tuple(a / weight for a in acc)
 
     def priority(thread) -> float:
-        return sum(
+        return ordered_sum(
             rate * vc_sizes.get(vc_id, 0.0)
             for vc_id, rate in thread.vc_accesses.items()
         )
@@ -84,11 +91,20 @@ def place_threads(
         free = {c for c in range(topo.tiles) if c not in taken_cores}
     else:
         free = set(range(topo.tiles))
+    points = [ideal_point(thread) for thread in order]
+
+    def rows():
+        # Each row becomes a list only at its thread's turn, and a block
+        # is dropped before the next is built: one block is the transient.
+        for lo in range(0, len(points), _CENTER_BLOCK):
+            block = squared_point_distances(topo, points[lo:lo + _CENTER_BLOCK])
+            yield from map(np.ndarray.tolist, block)
+            del block
+
     assignment: dict[int, int] = {}
-    for thread in order:
-        # One (N,) distance vector per thread; the scan below indexes it
-        # instead of recomputing coordinates core by core.
-        distances = squared_point_distances(topo, ideal_point(thread)).tolist()
+    # The scan indexes each thread's row instead of recomputing
+    # coordinates core by core.
+    for thread, distances in zip(order, rows()):
         best_core = -1
         best_dist = float("inf")
         # The scan visits every free core (it never exits early), so one

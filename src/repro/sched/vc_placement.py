@@ -17,13 +17,16 @@ The step scores **every** candidate center of one VC as two
 claimed capacity under the candidate's compact window) and ``spread`` (the
 window's mean access distance), both produced by
 :func:`repro.geometry.placement_math.batched_window_scores` from the
-topology's ``(N, N)`` order/sorted-distance matrices.  The running
-``claimed`` tally is a ``(N,)`` ``float64`` vector.  Candidate selection
-(:func:`_least_contended`) minimizes the key ``(round(contention, 9),
-spread, candidate)``: an array preselection keeps the candidates within
-``2e-9`` of the least contention, the only ones that can share the
-minimum rounded key, and a lexicographic sort over them picks the center
-(a lone survivor wins outright).  The chosen centers are those of the
+topology's ``(N, N)`` order/sorted-distance matrices.  On a mesh a window
+of one bank (most VCs of a fig11 mix) is its candidate's own bank, so it
+is scored by one ``w * claimed`` vector, every spread 0, and placed on
+scalars.  The running ``claimed`` tally is a ``(N,)`` ``float64``
+vector.  Candidate selection (:func:`_least_contended`) minimizes the
+key ``(round(contention, 9), spread, candidate)``: an array preselection
+keeps the candidates within ``2e-9`` of the least contention, the only
+ones that can share the minimum rounded key, and a lexicographic sort
+over them picks the center (a lone survivor wins outright; with every
+spread 0, the lowest id among the least rounded keys).  The chosen centers are those of the
 one-window-per-candidate scan that ``tests/oracles.py`` keeps.
 """
 
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.geometry.mesh import Mesh
 from repro.geometry.placement_math import (
     batched_window_scores,
     center_of_mass,
@@ -76,9 +80,9 @@ def _initial_claimed(topo, claimed_init) -> np.ndarray:
     return np.array(claimed_init, dtype=np.float64)
 
 
-def _least_contended(contention: np.ndarray, spread: np.ndarray) -> int:
+def _least_contended(contention: np.ndarray, spread: np.ndarray | None) -> int:
     """Candidate minimizing the key ``(round(contention, 9), spread,
-    candidate)``.
+    candidate)``; a *spread* of ``None`` stands for all zeros.
 
     Python ``round`` (not ``np.round``) keeps the noise-absorbing primary
     key digit-for-digit the one-candidate scan's, but it is one
@@ -92,16 +96,19 @@ def _least_contended(contention: np.ndarray, spread: np.ndarray) -> int:
     the minimum key by itself and wins without either, and survivors
     of one exact contention value skip the rounding.
     """
-    near = np.flatnonzero(contention <= contention.min() + 2e-9)
+    least = contention.min()
+    near = (contention <= least + 2e-9).nonzero()[0]
     if len(near) == 1:
         return int(near[0])
-    values = contention[near]
-    if values.min() == values.max():
+    values = contention[near].tolist()
+    if max(values) == least:
         # Equal values round to one key: the least spread wins, and
         # ``argmin`` keeps the lowest id among equal spreads.
-        return int(near[spread[near].argmin()])
-    rounded = np.array([round(c, 9) for c in values.tolist()])
-    return int(near[np.lexsort((spread[near], rounded))[0]])
+        return int(near[0] if spread is None else near[spread[near].argmin()])
+    rounded = [round(c, 9) for c in values]
+    if spread is None:
+        return int(near[rounded.index(min(rounded))])
+    return int(near[np.lexsort((spread[near], np.array(rounded)))[0]])
 
 
 def count_optimistic_ops(
@@ -153,17 +160,30 @@ def place_optimistic(
     centers: dict[int, int] = {}
     centroids: dict[int, tuple[float, ...]] = {}
 
+    # On a mesh a one-bank window is its candidate's own bank (column 0
+    # of ``order_matrix`` is ``arange(N)``, of ``sorted_distance_matrix``
+    # zeros): its contentions are ``w * claimed`` and every spread is 0.
+    own_bank = isinstance(topo, Mesh)
     order = _placement_order(problem, vc_sizes, vc_ids)
     for vc in order:
-        weights = compact_window_weights(topo, vc_sizes[vc.vc_id] / bank_bytes)
-        contention, spread = batched_window_scores(topo, claimed, weights)
-        counter.add("vc_placement", topo.tiles * len(weights))
-        best_bank = _least_contended(contention, spread)
-        window_banks = topo.order_matrix[best_bank, : len(weights)]
-        claimed[window_banks] += weights
-        window = {
-            int(t): frac for t, frac in zip(window_banks, weights.tolist())
-        }
+        size_banks = vc_sizes[vc.vc_id] / bank_bytes
+        if own_bank and compact_window_length(topo, size_banks) == 1:
+            counter.add("vc_placement", topo.tiles)
+            # The one weight compact_window_weights gives such a window.
+            w = min(float(size_banks), 1.0)
+            best_bank = _least_contended(w * claimed, None)
+            claimed[best_bank] += w
+            window = {best_bank: w}
+        else:
+            weights = compact_window_weights(topo, size_banks)
+            counter.add("vc_placement", topo.tiles * len(weights))
+            contention, spread = batched_window_scores(topo, claimed, weights)
+            best_bank = _least_contended(contention, spread)
+            window_banks = topo.order_matrix[best_bank, : len(weights)]
+            claimed[window_banks] += weights
+            window = {
+                int(t): frac for t, frac in zip(window_banks, weights.tolist())
+            }
         footprints[vc.vc_id] = {t: frac * bank_bytes for t, frac in window.items()}
         centers[vc.vc_id] = best_bank
         centroids[vc.vc_id] = center_of_mass(topo, window)

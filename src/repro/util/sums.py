@@ -1,10 +1,20 @@
 """Float sums that mean the same on every Python: from 3.12 on, ``sum()``
 adds exact floats with compensation, so code that decides or reports a
-result sums floats with :func:`ordered_sums` instead."""
+result sums floats with :func:`ordered_sum` or :func:`ordered_sums`
+instead."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def ordered_sum(values) -> float:
+    """Left-to-right sum from ``0.0``: what ``sum()`` computes up to
+    Python 3.11, on any interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def ordered_sums(terms) -> np.ndarray:

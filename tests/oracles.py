@@ -13,13 +13,18 @@ the kernels, in this process only, and counts the calls each takes.
 from __future__ import annotations
 
 import importlib
+import math
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import contextmanager
 
 import numpy as np
 
-from repro.geometry.placement_math import center_of_mass
+from repro.geometry.placement_math import (
+    center_of_mass,
+    weighted_center_tile,
+    weighted_center_tiles,
+)
 from repro.sched.cost_model import (
     latency_curve,
     miss_only_curve,
@@ -165,12 +170,84 @@ def place_optimistic(
     return placed
 
 
-def squared_point_distances(topology, point) -> np.ndarray:
-    """Squared Euclidean distance from every tile to *point*, core by core."""
+def point_distances(topology, point) -> np.ndarray:
+    """Squared Euclidean distance from every tile to *point*, core by
+    core.  Each square is a product, as NumPy squares: ``x ** 2`` on a
+    float is C ``pow``, which can differ from ``x * x`` in the last bit."""
     return np.array([
-        ordered_sum((c - p) ** 2 for c, p in zip(topology.coords(core), point))
+        ordered_sum((c - p) * (c - p) for c, p in zip(topology.coords(core), point))
         for core in range(topology.tiles)
     ])
+
+
+def squared_point_distances(topology, points) -> np.ndarray:
+    """``(P, tiles)``: the per-point rows of *points*, stacked."""
+    rows = [point_distances(topology, point) for point in points]
+    return np.array(rows).reshape(len(rows), topology.tiles)
+
+
+def place_threads(
+    problem, vc_sizes, optimistic, counter=None, only_threads=None,
+    taken_cores=None,
+) -> dict[int, int]:
+    """Sec IV-E: each thread's distance row built when its turn comes, by
+    one call of thread placement's own ``squared_point_distances`` (the
+    per-point oracle inside :func:`scalar_reference`), then the scan."""
+    counter = counter if counter is not None else StepCounter()
+    rows = importlib.import_module(
+        "repro.sched.thread_placement"
+    ).squared_point_distances
+    topo = problem.topology
+    chip_center = topo.coords(topo.center_tile())
+
+    def ideal_point(thread) -> tuple[float, ...]:
+        weight = 0.0
+        acc = [0.0] * len(chip_center)
+        for vc_id, rate in thread.vc_accesses.items():
+            centroid = optimistic.centroids.get(vc_id)
+            if centroid is None or rate <= 0:
+                continue
+            for i, c in enumerate(centroid):
+                acc[i] += rate * c
+            weight += rate
+        if weight <= 0:
+            return chip_center
+        return tuple(a / weight for a in acc)
+
+    def priority(thread) -> float:
+        return ordered_sum(
+            rate * vc_sizes.get(vc_id, 0.0)
+            for vc_id, rate in thread.vc_accesses.items()
+        )
+
+    order = sorted(
+        (
+            t
+            for t in problem.threads
+            if only_threads is None or t.thread_id in only_threads
+        ),
+        key=lambda t: (-priority(t), t.thread_id),
+    )
+    if taken_cores:
+        free = {c for c in range(topo.tiles) if c not in taken_cores}
+    else:
+        free = set(range(topo.tiles))
+    assignment: dict[int, int] = {}
+    for thread in order:
+        distances = rows(topo, [ideal_point(thread)])[0].tolist()
+        best_core = -1
+        best_dist = float("inf")
+        counter.add("thread_placement", len(free))
+        for core in free:
+            dist = distances[core]
+            if dist < best_dist - 1e-12 or (
+                abs(dist - best_dist) <= 1e-12 and core < best_core
+            ):
+                best_dist = dist
+                best_core = core
+        free.remove(best_core)
+        assignment[thread.thread_id] = best_core
+    return assignment
 
 
 def sequential_weighted_row_sum(dist, cores, coeffs) -> np.ndarray:
@@ -179,6 +256,238 @@ def sequential_weighted_row_sum(dist, cores, coeffs) -> np.ndarray:
     for core, coeff in zip(cores.tolist(), coeffs.tolist()):
         vec += coeff * dist[core]
     return vec
+
+
+# -- placement: Sec IV-F greedy seeding and trades -----------------------------
+
+
+def greedy_placement(
+    problem, vc_sizes, thread_cores, counter=None, only_vcs=None, preplaced=None,
+) -> dict[int, dict[int, float]]:
+    """Round-robin nearest-bank seeding over a NumPy ``free`` tally and
+    per-VC state dicts."""
+    counter = counter if counter is not None else StepCounter()
+    topo = problem.topology
+    free = np.full(topo.tiles, float(problem.bank_bytes))
+    allocation: dict[int, dict[int, float]] = {}
+    for vc_id, per_bank in (preplaced or {}).items():
+        allocation[vc_id] = dict(per_bank)
+        for bank, amount in per_bank.items():
+            free[bank] -= amount
+    free = free.tolist()
+
+    states = []
+    core_weights: list[dict[int, float]] = []
+    for vc in problem.vcs:
+        if only_vcs is not None and vc.vc_id not in only_vcs:
+            continue
+        size = vc_sizes.get(vc.vc_id, 0.0)
+        allocation[vc.vc_id] = {}
+        if size <= 0:
+            continue
+        weights: dict[int, float] = {}
+        for thread_id, rate in problem.accessor_rates(vc.vc_id).items():
+            core = thread_cores[thread_id]
+            weights[core] = weights.get(core, 0.0) + rate
+        core_weights.append(weights)
+        states.append({"vc_id": vc.vc_id, "ptr": 0, "remaining": float(size)})
+
+    anchors = iter(weighted_center_tiles(topo, [w for w in core_weights if w]))
+    for state, weights in zip(states, core_weights):
+        anchor = next(anchors) if weights else topo.center_tile()
+        state["order"] = topo.tiles_by_distance(anchor)
+
+    active = [s for s in states if s["remaining"] > 0]
+    takes = 0
+    while active:
+        still_active = []
+        for state in active:
+            while state["ptr"] < len(state["order"]) and free[
+                state["order"][state["ptr"]]
+            ] <= 1e-9:
+                state["ptr"] += 1
+            if state["ptr"] >= len(state["order"]):
+                continue
+            bank = state["order"][state["ptr"]]
+            take = min(state["remaining"], free[bank])
+            takes += 1
+            free[bank] -= take
+            state["remaining"] -= take
+            alloc = allocation[state["vc_id"]]
+            alloc[bank] = alloc.get(bank, 0.0) + take
+            if state["remaining"] > 1e-9:
+                still_active.append(state)
+        active = still_active
+    if takes:
+        counter.add("data_placement", takes)
+    return allocation
+
+
+class DistanceVectors:
+    """vc_id -> ``(N,)`` distance row D(VC, b) of each accessed, placed
+    VC, built on first read: ``(rate / total) * dist[core]`` for one
+    accessor, else refinement's own ``_sequential_weighted_row_sum`` (the
+    ``vec +=`` loop inside :func:`scalar_reference`)."""
+
+    def __init__(self, topology, thread_cores, eligible):
+        self._dist = topology.distance_matrix
+        self._thread_cores = thread_cores
+        self._eligible = eligible
+        self._vecs: dict[int, np.ndarray] = {}
+
+    def __iter__(self):
+        return iter(self._eligible)
+
+    def get(self, vc_id: int):
+        vec = self._vecs.get(vc_id)
+        if vec is None:
+            accessors = self._eligible.get(vc_id)
+            if accessors is None:
+                return None
+            total_rate = ordered_sum(accessors.values())
+            cores = np.array([self._thread_cores[t] for t in accessors])
+            coeffs = np.array([rate / total_rate for rate in accessors.values()])
+            if len(accessors) == 1:
+                vec = coeffs[0] * self._dist[[int(cores[0])]][0]
+            else:
+                vec = importlib.import_module(
+                    "repro.sched.refinement"
+                )._sequential_weighted_row_sum(self._dist, cores, coeffs)
+            self._vecs[vc_id] = vec
+        return vec
+
+    __getitem__ = get
+
+
+def access_distance_vectors(problem, allocation, thread_cores):
+    """``(dvec, rate_per_byte)`` for every accessed, placed VC."""
+    eligible, rate_per_byte = {}, {}
+    for vc in problem.vcs:
+        accessors = problem.accessor_rates(vc.vc_id)
+        total_rate = ordered_sum(accessors.values())
+        size = ordered_sum(allocation.get(vc.vc_id, {}).values())
+        if total_rate <= 0 or size <= 0:
+            continue
+        eligible[vc.vc_id] = accessors
+        rate_per_byte[vc.vc_id] = total_rate / size
+    return DistanceVectors(problem.topology, thread_cores, eligible), rate_per_byte
+
+
+def _data_extent(per_bank, dist_com):
+    extent = None
+    for bank, amount in per_bank.items():
+        if amount > 1e-9 and (extent is None or dist_com[bank] > extent):
+            extent = dist_com[bank]
+    return extent
+
+
+def trade_refinement(
+    problem, allocation, thread_cores, counter=None, initiators=None,
+    ops_budget=None,
+) -> int:
+    """Sec IV-F trades over a NumPy ``used`` tally, ``holders`` keyed by
+    bank and each VC's ``(N,)`` distance row.  Free room is read as a
+    Python float, so every amount a move gives is one (read as an
+    ``np.float64`` it would type the amounts it sets)."""
+    counter = counter if counter is not None else StepCounter()
+    ops_at_entry = sum(counter.ops.values())
+    topo = problem.topology
+    dist = topo.distance_matrix
+    bank_bytes = float(problem.bank_bytes)
+    dvec, rate_per_byte = access_distance_vectors(problem, allocation, thread_cores)
+    used = np.zeros(topo.tiles, dtype=np.float64)
+    holders: dict[int, set[int]] = {b: set() for b in range(topo.tiles)}
+    for vc_id, per_bank in allocation.items():
+        for bank, amount in per_bank.items():
+            used[bank] += amount
+            if amount > 1e-9:
+                holders[bank].add(vc_id)
+
+    def move(vc_id: int, src: int, dst: int, amount: float) -> None:
+        per_bank = allocation[vc_id]
+        per_bank[src] -= amount
+        if per_bank[src] <= 1e-9:
+            del per_bank[src]
+            holders[src].discard(vc_id)
+        per_bank[dst] = per_bank.get(dst, 0.0) + amount
+        holders[dst].add(vc_id)
+
+    trades = 0
+    order = sorted(
+        (v for v in dvec if initiators is None or v in initiators),
+        key=lambda v: (-rate_per_byte[v], v),
+    )
+    for vc1 in order:
+        if (ops_budget is not None
+                and sum(counter.ops.values()) - ops_at_entry >= ops_budget):
+            break
+        per_bank1 = allocation[vc1]
+        if not per_bank1:
+            continue
+        if len(per_bank1) == 1 and 0 < next(iter(per_bank1.values())) < math.inf:
+            continue
+        com = weighted_center_tile(topo, per_bank1)
+        dist_com = dist[com].tolist()
+        d1 = dvec[vc1].tolist()
+        max_dist = _data_extent(per_bank1, dist_com)
+        desirable: list[int] = []
+        ops = 0
+        for bank in topo.tiles_by_distance(com):
+            if max_dist is None:
+                break
+            if dist_com[bank] > max_dist:
+                break
+            if per_bank1.get(bank, 0.0) < bank_bytes - 1e-9:
+                desirable.append(bank)
+            here = per_bank1.get(bank, 0.0)
+            if here <= 1e-9:
+                continue
+            trades_before = trades
+            for target in desirable:
+                if target == bank:
+                    continue
+                ops += 1
+                gain1 = d1[target] - d1[bank]
+                if gain1 >= -1e-12:
+                    continue
+                free_room = bank_bytes - float(used[target])
+                if free_room > 1e-9:
+                    amount = min(free_room, per_bank1.get(bank, 0.0))
+                    move(vc1, bank, target, amount)
+                    used[target] += amount
+                    used[bank] -= amount
+                    trades += 1
+                    if per_bank1.get(bank, 0.0) <= 1e-9:
+                        break
+                for vc2 in list(holders[target]):
+                    if vc2 == vc1:
+                        continue
+                    ops += 1
+                    d2 = dvec.get(vc2)
+                    delta2 = 0.0
+                    if d2 is not None:
+                        delta2 = rate_per_byte[vc2] * (d2[bank] - d2[target])
+                    delta1 = rate_per_byte[vc1] * gain1
+                    if delta1 + delta2 >= -1e-12:
+                        continue
+                    amount = min(
+                        per_bank1.get(bank, 0.0),
+                        allocation[vc2].get(target, 0.0),
+                    )
+                    if amount <= 1e-9:
+                        continue
+                    move(vc1, bank, target, amount)
+                    move(vc2, target, bank, amount)
+                    trades += 1
+                    if per_bank1.get(bank, 0.0) <= 1e-9:
+                        break
+                if per_bank1.get(bank, 0.0) <= 1e-9:
+                    break
+            if trades != trades_before:
+                max_dist = _data_extent(per_bank1, dist_com)
+        if ops:
+            counter.add("data_placement", ops)
+    return trades
 
 
 # -- the LRU-sharing fixed point -----------------------------------------------
@@ -262,9 +571,11 @@ def solve_sharing_plans(plans) -> list[np.ndarray]:
 #: evaluation call).  No sweep calls Eq 1 or Eq 2; ``total_latency`` does.
 PATCHES = {
     "repro.sched.allocation": ("latency_curves_batch", "miss_only_curves_batch"),
-    "repro.sched.reconfigure": ("place_optimistic",),
+    "repro.sched.reconfigure": ("place_optimistic", "place_threads"),
     "repro.sched.thread_placement": ("squared_point_distances",),
-    "repro.sched.refinement": ("_sequential_weighted_row_sum",),
+    "repro.sched.refinement": (
+        "_sequential_weighted_row_sum", "greedy_placement", "trade_refinement",
+    ),
     "repro.nuca.base": ("solve_sharing_plans",),
     "repro.sched.cost_model": ("off_chip_latency", "on_chip_latency"),
 }

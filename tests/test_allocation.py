@@ -124,7 +124,7 @@ def empty_memo(monkeypatch):
 
 
 def _row(problem, vc, rate, latency):
-    (row,), _ = allocation._curve_rows(problem, [vc], [rate], latency)
+    (row,), _, _ = allocation._curve_rows(problem, [vc], [rate], latency)
     return row
 
 
@@ -178,7 +178,7 @@ def test_memoized_rows_are_read_only(empty_memo):
     rates = vc_access_rates(problem)
     for latency in (True, False):
         for _ in range(2):  # built, then read back from the memo
-            rows, _ = allocation._curve_rows(problem, problem.vcs, rates, latency)
+            rows, _, _ = allocation._curve_rows(problem, problem.vcs, rates, latency)
             for row in rows:
                 assert not row.flags.writeable
                 with pytest.raises(ValueError):
@@ -192,8 +192,8 @@ def test_row_memo_clears_past_its_byte_budget(monkeypatch):
     config, problem = problem_for(["omnet", "mcf", "milc", "gcc"])
     vcs = problem.vcs[:4]  # the four thread VCs, four distinct rows
     rates = vc_access_rates(problem, vcs)
-    first, hulls = allocation._curve_rows(problem, vcs, rates, True)
-    sizes = [row.nbytes + 8 * len(hull) for row, hull in zip(first, hulls)]
+    first, hulls, _ = allocation._curve_rows(problem, vcs, rates, True)
+    sizes = [row.nbytes + 16 * len(hull) for row, hull in zip(first, hulls)]
     assert 3 * min(sizes) > 2 * max(sizes)  # any two fit, no three do
     memo = allocation.RowMemo(budget_bytes=2 * max(sizes))
     monkeypatch.setattr(allocation, "_ROW_MEMO", memo)
@@ -209,7 +209,7 @@ def test_row_memo_clears_past_its_byte_budget(monkeypatch):
         allocation._curve_rows(problem, [vc], [rate], True)
         assert 0 < len(memo) <= 2 and memo.nbytes <= memo.budget_bytes
     assert built == [1] * 4
-    rows, _ = allocation._curve_rows(problem, vcs, rates, True)
+    rows, _, _ = allocation._curve_rows(problem, vcs, rates, True)
     assert built[4:] == [2]  # the two cleared rows are built again
     assert all(np.array_equal(a, b) for a, b in zip(rows, first))
     tiny = allocation.RowMemo(budget_bytes=min(sizes) - 1)

@@ -275,7 +275,7 @@ def test_row_memo_threads_allocate_as_serial(monkeypatch):
     assert len(results) == 20 and all(result == serial for result in results)
     with memo._lock:
         entries = list(memo._entries.values())
-        assert memo._bytes == sum(row.nbytes + 8 * len(hull) for row, hull in entries)
+        assert memo._bytes == sum(row.nbytes + 16 * len(hull) for row, hull, _ in entries)
         assert 0 < memo._bytes <= memo.budget_bytes
 
 

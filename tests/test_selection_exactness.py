@@ -21,8 +21,8 @@ and one-element vectors.
 
 The warm solve's other fast paths are pinned the same way: the greedy
 seed's batched 1-medians (:func:`weighted_center_tiles`) against the
-reference scan of each map's cost vector, a one-accessor distance
-vector against the chunked ``cumsum`` row, byte for byte, and
+reference scan of each map's cost vector, a VC's distance terms
+against the chunked ``cumsum`` row, byte for byte, and
 ``_rate_distance`` on equal maps.
 """
 
@@ -33,8 +33,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import ordered_sum, sequential_weighted_row_sum
 from oracles import place_optimistic as oracle_place_optimistic
-from oracles import sequential_weighted_row_sum
 from repro.geometry.mesh import (
     Mesh,
     dense_geometry_limit,
@@ -52,7 +52,7 @@ from repro.sched import vc_placement
 from repro.sched.allocation import allocate_latency_aware
 from repro.sched.engine import _rate_distance
 from repro.sched.opcount import StepCounter
-from repro.sched.refinement import DistanceVectors, _sequential_weighted_row_sum
+from repro.sched.refinement import DistanceTerms, _sequential_weighted_row_sum
 from repro.sched.vc_placement import _least_contended, place_optimistic
 from repro.testing import golden_problem, small_problem
 
@@ -329,6 +329,9 @@ def test_batched_anchors_match_one_median_per_map(lazy):
 
 @pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
 def test_one_term_distance_vector_is_the_chunked_row(lazy):
+    """A VC's distance terms ``(coef, row)`` give ``coef * row[b]``
+    bitwise the chunked ``cumsum`` row's entry: one accessor through the
+    shared list of its core's distances, more through the row itself."""
     side_x, side_y = 3, 5
     rng = np.random.default_rng(5)
     tiles = side_x * side_y
@@ -337,30 +340,32 @@ def test_one_term_distance_vector_is_the_chunked_row(lazy):
         tid + 100: {tid: rate}
         for tid, rate in enumerate(rng.uniform(0.01, 80.0, tiles).tolist())
     }
+    eligible[99] = dict(zip([2, 9, 4], rng.uniform(0.01, 80.0, 3).tolist()))
     with dense_geometry_limit(0 if lazy else 10**9):
         mesh = Mesh(side_x, side_y)
         dist = mesh.distance_matrix
         assert getattr(dist, "is_lazy", False) == lazy
-        dvec = DistanceVectors(mesh, thread_cores, eligible)
+        terms = DistanceTerms(mesh, thread_cores, eligible)
         rows_before = geometry_allocation_stats().lazy_rows
-        vecs = {vc_id: dvec[vc_id] for vc_id in eligible}
+        read = {vc_id: terms(vc_id) for vc_id in eligible}
         # Like the chunked path, the read caches no lazy row.
         assert geometry_allocation_stats().lazy_rows == rows_before
+        assert list(terms) == list(eligible)
         for vc_id, accessors in eligible.items():
-            ((tid, rate),) = accessors.items()
-            core, coeff = np.array([thread_cores[tid]]), np.array([rate / rate])
+            total = ordered_sum(accessors.values())
+            core = np.array([thread_cores[t] for t in accessors])
+            coeff = np.array([rate / total for rate in accessors.values()])
             chunked = _sequential_weighted_row_sum(dist, core, coeff)
             loop = sequential_weighted_row_sum(dist, core, coeff)
-            vec = vecs[vc_id]
-            assert vec.dtype == np.float64
-            assert vec.tobytes() == chunked.tobytes() == loop.tobytes()
-            assert vec.flags.writeable
-            if not lazy:
-                assert not np.shares_memory(vec, dist)
-            assert dvec.get(vc_id) is vec  # built once, then cached
-        assert dvec.get(-1) is None and dvec.get(-1, "none") == "none"
+            coef, row = read[vc_id]
+            entries = np.array([coef * d for d in row], dtype=np.float64)
+            assert type(coef) is float and len(row) == tiles
+            assert entries.tobytes() == chunked.tobytes() == loop.tobytes()
+            assert terms(vc_id) is read[vc_id]  # built once, then cached
+            if len(accessors) == 1:
+                assert row is terms.row(int(core[0]))  # one list per core
         with pytest.raises(KeyError):
-            dvec[-1]
+            terms(-1)
 
 
 # -- dirty detection on equal rate maps -----------------------------------------
